@@ -232,27 +232,48 @@ def survival_operator(channel: QuantumChannel) -> np.ndarray:
     return hermitian_part(survival_operator_matrix(channel.kraus))
 
 
+def liouville(kraus) -> np.ndarray:
+    """Row-major Liouville matrix sum_i K_i (x) conj(K_i) of a Kraus map.
+
+    With states vectorized row-major, vec(rho) = rho.reshape(-1), the
+    identity vec(A rho B) = (A (x) B^T) vec(rho) turns rho -> sum_i K_i rho
+    K_i^H into this d^2 x d^2 matrix, and composing maps into multiplying
+    their matrices.
+    """
+    return sum(np.kron(k, k.conj()) for k in kraus)
+
+
+def click_probabilities(traces) -> np.ndarray:
+    """Checked click probabilities Re Tr(Q rho) from complex traces Tr(Q rho).
+
+    Values straying past [0, 1] by at most 1e-10 (arithmetic noise) are
+    clamped; anything worse, or an imaginary part above 1e-10, signals
+    invalid inputs and raises, naming the first offending value.
+    """
+    traces = np.asarray(traces, dtype=np.complex128)
+    imag = np.abs(traces.imag) > ARITHMETIC_ATOL
+    if imag.any():
+        raise ValueError(
+            f"Tr(Q rho) has imaginary part {float(traces.imag[imag][0])!r}; inputs "
+            f"are not a valid (measurement, state) pair"
+        )
+    p = traces.real
+    outside = (p < -ARITHMETIC_ATOL) | (p > 1.0 + ARITHMETIC_ATOL)
+    if outside.any():
+        raise ValueError(f"Tr(Q rho) = {float(p[outside][0])!r} is outside [0, 1]")
+    return np.clip(p, 0.0, 1.0)
+
+
 def expectation(q: MeasurementOperator, rho: DensityMatrix) -> float:
     """Click probability Re Tr(Q rho), a value in [0, 1].
 
-    Values straying past the boundaries by at most 1e-10 (arithmetic noise)
-    are clamped; anything worse, or an imaginary part of Tr(Q rho) above
-    1e-10, signals invalid inputs and raises.
+    Checked and clamped by :func:`click_probabilities`.
     """
     if q.dim != rho.dim:
         raise ValueError(
             f"dimension mismatch: measurement dim {q.dim}, state dim {rho.dim}"
         )
-    val = complex(np.trace(q.matrix @ rho.matrix))
-    if abs(val.imag) > ARITHMETIC_ATOL:
-        raise ValueError(
-            f"Tr(Q rho) has imaginary part {val.imag!r}; inputs are not a valid "
-            f"(measurement, state) pair"
-        )
-    p = val.real
-    if p < -ARITHMETIC_ATOL or p > 1.0 + ARITHMETIC_ATOL:
-        raise ValueError(f"Tr(Q rho) = {p!r} is outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    return float(click_probabilities(np.trace(q.matrix @ rho.matrix)))
 
 
 def sample_clicks(

@@ -166,14 +166,25 @@ def inverse_gate(gateset: GateSet, indices) -> int:
     inversion (true for the Pauli and Clifford sets); raises otherwise.
     """
     seq = compose_sequence(gateset, indices)
+    return int(inverse_indices(gateset, seq[np.newaxis])[0])
+
+
+def inverse_indices(gateset: GateSet, products: np.ndarray) -> np.ndarray:
+    """:func:`inverse_gate` for a stack of composed sequences, shape (n, d, d).
+
+    Raises ValueError, as :func:`inverse_gate` does, when any product has no
+    inverse in the set.
+    """
     d = gateset.dim
-    # U_j = phase * seq^H  <=>  |Tr(U_j seq)| = d
-    overlaps = [abs(np.trace(u @ seq)) / d for u in gateset.gates]
-    best = int(np.argmax(overlaps))
-    if abs(overlaps[best] - 1.0) > PHASE_MATCH_ATOL:
+    # U_j = phase * P^H  <=>  |Tr(U_j P)| = d
+    overlaps = np.abs(np.einsum("jab,nba->nj", np.stack(gateset.gates), products)) / d
+    best = np.argmax(overlaps, axis=1)
+    best_overlap = overlaps[np.arange(len(best)), best]
+    missing = np.abs(best_overlap - 1.0) > PHASE_MATCH_ATOL
+    if missing.any():
         raise ValueError(
             "gate set contains no inverse for this sequence (not closed under "
-            f"inversion; best overlap {overlaps[best]!r})"
+            f"inversion; best overlap {float(best_overlap[missing][0])!r})"
         )
     return best
 

@@ -5,15 +5,18 @@ benchmarking variant (inversion gate appended before measurement) over a
 grid of sequence lengths, in exact-expectation or finite-shot mode.
 
 Noise convention: the imperfect implementation of gate g is "noise first,
-then g".  Every (length, sequence) pair draws from its own RNG stream keyed
-by (master_seed, length_index, sequence_index), so datasets are
-bit-reproducible regardless of execution order or worker count.
+then g", one d^2 x d^2 Liouville matrix per gate.  All (length, sequence)
+tasks evolve together as rows of one array of vectorized states.  Every
+task draws its gate word and its shots from its own RNG streams keyed by
+(master_seed, length_index, sequence_index), so datasets are
+bit-reproducible regardless of the order in which tasks are evaluated.
+:func:`execute_sequence` simulates one sequence at a time by Kraus
+operators and is kept as the scalar reference.
 """
 
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +26,13 @@ from .core import (
     MeasurementOperator,
     QuantumChannel,
     _apply_kraus,
+    click_probabilities,
     expectation,
+    liouville,
     sample_clicks,
     stream,
 )
-from .gates import GateSet, inverse_gate, twirl
+from .gates import GateSet, inverse_gate, inverse_indices
 
 VARIANT_LOSS = "loss"
 VARIANT_RB = "rb"
@@ -247,45 +252,76 @@ def execute_sequence(
     return SequenceOutcome(len(indices), tuple(indices), value, shots_used)
 
 
-def _run_one(cfg: ProtocolConfig, m_index: int, seq_index: int) -> SequenceOutcome:
-    m = cfg.m_grid[m_index]
-    gate_rng = stream(cfg.master_seed, m_index, seq_index, _GATE_DRAWS)
-    indices = sample_sequence(cfg.gateset, m, gate_rng)
-    shot_rng = None
-    if cfg.shots is not None:
-        shot_rng = stream(cfg.master_seed, m_index, seq_index, _SHOT_DRAWS)
-    return execute_sequence(cfg, indices, shot_rng)
+def _gate_superoperators(cfg: ProtocolConfig) -> np.ndarray:
+    """Liouville matrices of "noise, then gate g" for every g: (|G|, d^2, d^2)."""
+    noise = liouville(cfg.noise.kraus)
+    return np.stack([np.kron(u, u.conj()) @ noise for u in cfg.gateset.gates])
 
 
-def run_protocol(
-    cfg: ProtocolConfig,
-    keep_raw: bool = False,
-    n_workers: int | None = None,
-) -> DecayDataset:
+def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     """Run the full protocol over the length grid.
 
-    Sequences are independent tasks; with ``n_workers`` they execute on a
-    thread pool and are gathered in (length, sequence) order, so the result
-    is bit-identical to the serial run.
+    Every (length, sequence) task is one row of a (tasks, d^2) array of
+    vectorized states, and each gate step is one gathered superoperator
+    product over the rows still running.  Rows are ordered longest sequence
+    first, so the rows still running at any step are a prefix of the array.
+    The benchmarking variant carries the ideal product of each word beside
+    its state and ends with one step of the inversion gate.
     """
-    tasks = [
-        (mi, si)
-        for mi in range(len(cfg.m_grid))
-        for si in range(cfg.n_sequences)
-    ]
-    if n_workers is not None and n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda t: _run_one(cfg, *t), tasks))
-    else:
-        results = [_run_one(cfg, mi, si) for mi, si in tasks]
-
     n = cfg.n_sequences
-    means = np.empty(len(cfg.m_grid))
-    sems = np.empty(len(cfg.m_grid))
-    for mi in range(len(cfg.m_grid)):
-        values = np.array([results[mi * n + si].value for si in range(n)])
-        means[mi] = values.mean()
-        sems[mi] = values.std(ddof=1) / np.sqrt(n) if n >= 2 else np.nan
+    n_lengths = len(cfg.m_grid)
+    # m_grid is strictly increasing, so reversing it orders tasks longest first.
+    tasks = [(mi, si) for mi in reversed(range(n_lengths)) for si in range(n)]
+    lengths = np.array([cfg.m_grid[mi] for mi, _ in tasks])
+    # Step-major gate table: row s holds every task's gate at step s.
+    words = np.zeros(
+        (lengths[0], len(tasks)), dtype=np.min_scalar_type(len(cfg.gateset) - 1)
+    )
+    for t, (mi, si) in enumerate(tasks):
+        gate_rng = stream(cfg.master_seed, mi, si, _GATE_DRAWS)
+        words[: lengths[t], t] = sample_sequence(cfg.gateset, lengths[t], gate_rng)
+    # running[s] = number of tasks longer than s, a prefix of the rows
+    running = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+
+    supers = _gate_superoperators(cfg)
+    states = np.tile(cfg.rho0.matrix.reshape(-1), (len(tasks), 1))
+    rb = cfg.variant == VARIANT_RB
+    if rb:
+        unitaries = np.stack(cfg.gateset.gates)
+        products = np.tile(np.eye(cfg.gateset.dim, dtype=np.complex128), (len(tasks), 1, 1))
+    for step, k in zip(words, running):
+        g = step[:k]
+        states[:k] = (supers[g] @ states[:k, :, np.newaxis])[:, :, 0]
+        if rb:
+            products[:k] = unitaries[g] @ products[:k]
+    if rb:
+        inverses = inverse_indices(cfg.gateset, products)
+        states = (supers[inverses] @ states[:, :, np.newaxis])[:, :, 0]
+
+    # Tr(Q rho) = sum_ij Q_ji rho_ij
+    probs = click_probabilities(states @ cfg.q_op.matrix.T.reshape(-1))
+    if cfg.shots is None:
+        values = probs
+    else:
+        clicks = [
+            stream(cfg.master_seed, mi, si, _SHOT_DRAWS).binomial(cfg.shots, p)
+            for (mi, si), p in zip(tasks, probs)
+        ]
+        values = np.array(clicks) / cfg.shots
+    # Back to (length, sequence) order.
+    values = values.reshape(n_lengths, n)[::-1]
+
+    means = values.mean(axis=1)
+    sems = values.std(axis=1, ddof=1) / np.sqrt(n) if n >= 2 else np.full(n_lengths, np.nan)
+
+    raw = None
+    if keep_raw:
+        words = words.reshape(lengths[0], n_lengths, n)[:, ::-1]
+        raw = tuple(
+            SequenceOutcome(m, tuple(words[:m, mi, si].tolist()), float(values[mi, si]), cfg.shots)
+            for mi, m in enumerate(cfg.m_grid)
+            for si in range(n)
+        )
 
     metadata = {
         "master_seed": cfg.master_seed,
@@ -305,23 +341,23 @@ def run_protocol(
         n_sequences=cfg.n_sequences,
         shots=cfg.shots,
         metadata=metadata,
-        raw=tuple(results) if keep_raw else None,
+        raw=raw,
     )
 
 
 def exact_sequence_average(cfg: ProtocolConfig, m: int) -> float:
     """The sequence-averaged signal at length m, computed without sampling.
 
-    Averaging over all |G|^m sequences factorizes into m rounds of
-    (noise, then group average), because the m gate draws are independent.
-    This holds for any gate set; when the set is a unitary 1-design the
-    result collapses to the closed-form single-exponential decay.  Always
-    evaluates the loss variant (no inversion gate).
+    Averaging over all |G|^m sequences factorizes into m applications of
+    the group-averaged step |G|^-1 sum_g L_g, because the m gate draws are
+    independent.  This holds for any gate set; when the set is a unitary
+    1-design the result collapses to the closed-form single-exponential
+    decay.  Always evaluates the loss variant (no inversion gate).
     """
     if m < 1:
         raise ValueError(f"sequence length must be >= 1, got {m}")
-    mat = cfg.rho0.matrix
+    average = _gate_superoperators(cfg).mean(axis=0)
+    state = cfg.rho0.matrix.reshape(-1)
     for _ in range(m):
-        mat = _apply_kraus(cfg.noise.kraus, mat)
-        mat = twirl(cfg.gateset, mat)
-    return expectation(cfg.q_op, DensityMatrix(cfg.gateset.dim, mat))
+        state = average @ state
+    return float(click_probabilities(state @ cfg.q_op.matrix.T.reshape(-1)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.core import hermitian_part, survival_operator_matrix
+from lossbench.core import click_probabilities, hermitian_part, survival_operator_matrix
 
 
 def test_stream_is_deterministic_and_key_separated():
@@ -162,6 +162,27 @@ class TestExpectation:
         q = lb.MeasurementOperator(2, np.eye(2))
         with pytest.raises(ValueError, match="dimension mismatch"):
             lb.expectation(q, lb.maximally_mixed(3))
+
+
+class TestClickProbabilities:
+    def test_clamps_small_strays(self):
+        p = click_probabilities([-5e-11, 1.0 + 5e-11, 0.25 + 5e-11j])
+        assert p.tolist() == [0.0, 1.0, 0.25]
+
+    @pytest.mark.parametrize("bad", [-2e-10, 1.0 + 2e-10])
+    def test_out_of_range_raises(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            click_probabilities([0.5, bad])
+
+    def test_imaginary_part_raises(self):
+        with pytest.raises(ValueError, match="imaginary part"):
+            click_probabilities([0.5, 0.5 + 2e-10j])
+
+    def test_expectation_rejects_imaginary_trace(self):
+        q = lb.MeasurementOperator(2, np.diag([1.0, 0.0]))
+        rho = lb.DensityMatrix(2, np.diag([0.5 + 1e-9j, 0.5]))
+        with pytest.raises(ValueError, match="imaginary part"):
+            lb.expectation(q, rho)
 
 
 class TestSampleClicks:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lossbench as lb
+from lossbench.gates import inverse_indices, phase_equal
 from support import enumerate_average, enumerate_average_naive, random_density, random_povm
 
 
@@ -113,15 +114,39 @@ class TestExecuteSequence:
             lb.execute_sequence(fig1_style_config(), [7])
 
 
+def qutrit_leakage_config(**overrides):
+    """fig2-style run: embedded Paulis, coherent leakage, padded state and detector."""
+    spec = lb.LeakageModelSpec(epsilon=0.1, theta=0.0, hamiltonian_seed=64)
+    qubit = fig1_style_config()
+    defaults = dict(
+        gateset=lb.embed_gateset(lb.pauli_gateset(), spec.theta),
+        noise=lb.coherent_leakage_error(spec),
+        rho0=lb.DensityMatrix(3, lb.pad_to_qutrit(qubit.rho0.matrix)),
+        q_op=lb.MeasurementOperator(3, lb.pad_to_qutrit(qubit.q_op.matrix)),
+    )
+    defaults.update(overrides)
+    return fig1_style_config(**defaults)
+
+
+ORACLE_CONFIGS = {
+    "pauli": lambda **kw: fig1_style_config(
+        noise=lb.random_lossy_channel(2, 0.3, 5), rho0=random_density(2, 6), **kw
+    ),
+    "clifford": lambda **kw: fig1_style_config(
+        gateset=lb.clifford_gateset(), noise=lb.random_lossy_channel(2, 0.3, 7), **kw
+    ),
+    "qutrit": qutrit_leakage_config,
+}
+
+
 class TestRunProtocol:
-    def test_reproducible_and_worker_invariant(self):
+    def test_reruns_are_identical(self):
         cfg = fig1_style_config(m_grid=(1, 3, 6), n_sequences=8, shots=50)
-        serial = lb.run_protocol(cfg)
-        again = lb.run_protocol(cfg)
-        pooled = lb.run_protocol(cfg, n_workers=4)
-        assert np.array_equal(serial.means, again.means)
-        assert np.array_equal(serial.means, pooled.means)
-        assert np.array_equal(serial.sems, pooled.sems)
+        first = lb.run_protocol(cfg, keep_raw=True)
+        again = lb.run_protocol(cfg, keep_raw=True)
+        assert np.array_equal(first.means, again.means)
+        assert np.array_equal(first.sems, again.sems)
+        assert first.raw == again.raw
 
     def test_single_sequence_has_nan_sem(self):
         ds = lb.run_protocol(fig1_style_config(n_sequences=1))
@@ -169,6 +194,64 @@ class TestRunProtocol:
         assert abs(ds.means[0] - exact) < 5 * ds.sems[0]
 
 
+class TestBatchedEngineOracle:
+    """Every batched outcome against execute_sequence on the same streams."""
+
+    # The embedded qutrit Paulis are not closed under inversion up to a
+    # global phase, so they run the loss variant only.
+    @pytest.mark.parametrize("shots", [None, 40])
+    @pytest.mark.parametrize(
+        "gates, variant",
+        [("pauli", "loss"), ("pauli", "rb"), ("clifford", "loss"), ("clifford", "rb"), ("qutrit", "loss")],
+    )
+    def test_matches_scalar_reference(self, gates, variant, shots):
+        cfg = ORACLE_CONFIGS[gates](
+            m_grid=(1, 2, 7, 30), n_sequences=6, master_seed=11, shots=shots, variant=variant
+        )
+        ds = lb.run_protocol(cfg, keep_raw=True)
+        assert len(ds.raw) == len(cfg.m_grid) * cfg.n_sequences
+        outcomes = iter(ds.raw)
+        for mi, m in enumerate(cfg.m_grid):
+            for si in range(cfg.n_sequences):
+                out = next(outcomes)
+                indices = lb.sample_sequence(
+                    cfg.gateset, m, lb.stream(cfg.master_seed, mi, si, 0)
+                )
+                ref = lb.execute_sequence(
+                    cfg, indices, lb.stream(cfg.master_seed, mi, si, 1)
+                )
+                assert out.m == m
+                assert out.sequence_indices == tuple(indices.tolist())
+                assert out.shots_used == shots
+                if shots is None:
+                    assert abs(out.value - ref.value) <= 1e-12
+                else:
+                    assert out.value == ref.value  # identical click counts
+        values = np.array([o.value for o in ds.raw]).reshape(len(cfg.m_grid), -1)
+        assert np.array_equal(ds.means, values.mean(axis=1))
+
+    def test_batched_inversion_matches_inverse_gate(self):
+        g = lb.clifford_gateset()
+        words = [lb.sample_sequence(g, m, lb.stream(3, m)) for m in range(1, 40)]
+        products = np.stack([lb.compose_sequence(g, w) for w in words])
+        batched = inverse_indices(g, products)
+        for word, j in zip(words, batched):
+            assert j == lb.inverse_gate(g, word)
+            undone = g.gates[j] @ lb.compose_sequence(g, word)
+            assert phase_equal(undone, np.eye(2))
+
+    def test_set_not_closed_under_inversion_raises(self):
+        s_gate = np.diag([1.0, 1.0j])
+        g = lb.GateSet(2, (np.eye(2), s_gate), 0, ("I", "S"))
+        not_closed = [
+            fig1_style_config(gateset=g, variant="rb", m_grid=(1, 5), n_sequences=4),
+            qutrit_leakage_config(variant="rb", m_grid=(1, 5), n_sequences=4),
+        ]
+        for cfg in not_closed:
+            with pytest.raises(ValueError, match="no inverse"):
+                lb.run_protocol(cfg)
+
+
 class TestExactSequenceAverage:
     def test_matches_closed_form_for_1_design(self):
         cfg = fig1_style_config()
@@ -206,16 +289,17 @@ class TestExactSequenceAverage:
                 )
 
     def test_matches_brute_force_enumeration(self):
-        cfg = fig1_style_config(
+        qubit = fig1_style_config(
             noise=lb.random_lossy_channel(2, 0.3, 5),
             rho0=random_density(2, 6),
             q_op=random_povm(2, 8),
         )
-        for m in (1, 2, 3):
-            brute = enumerate_average(cfg.gateset, cfg.noise, cfg.rho0, cfg.q_op, m)
-            naive = enumerate_average_naive(cfg.gateset, cfg.noise, cfg.rho0, cfg.q_op, m)
-            assert brute == pytest.approx(naive, abs=1e-13)
-            assert lb.exact_sequence_average(cfg, m) == pytest.approx(brute, abs=1e-12)
+        for cfg in (qubit, qutrit_leakage_config()):
+            for m in (1, 2, 3):
+                brute = enumerate_average(cfg.gateset, cfg.noise, cfg.rho0, cfg.q_op, m)
+                naive = enumerate_average_naive(cfg.gateset, cfg.noise, cfg.rho0, cfg.q_op, m)
+                assert brute == pytest.approx(naive, abs=1e-13)
+                assert lb.exact_sequence_average(cfg, m) == pytest.approx(brute, abs=1e-12)
 
     def test_short_length_raises(self):
         with pytest.raises(ValueError, match="length"):
