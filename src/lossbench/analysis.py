@@ -10,14 +10,14 @@ Fits run weighted nonlinear least squares (weights 1/sem^2, or unit weights
 when any sem is zero or missing) with Levenberg-Marquardt refinement to
 gradient tolerance 1e-10.  Decay parameters are optimized on a log scale to
 keep them positive and reported on the natural scale with delta-method
-standard errors.
+standard errors.  scipy.optimize is imported on the first fit, not with this
+module, so code that only simulates or checks channels never loads it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import (
     ARITHMETIC_ATOL,
@@ -218,6 +218,22 @@ def _covariance(jac: np.ndarray, chi2: float, dof: int, absolute_sigma: bool) ->
     return cov
 
 
+def _least_squares(residuals, jacobian, x0):
+    """Levenberg-Marquardt refinement shared by both decay fits."""
+    from scipy.optimize import least_squares
+
+    return least_squares(
+        residuals,
+        x0,
+        jac=jacobian,
+        method="lm",
+        gtol=GRADIENT_TOL,
+        ftol=1e-15,
+        xtol=1e-15,
+        max_nfev=MAX_ITERATIONS,
+    )
+
+
 def fit_loss_decay(ds: DecayDataset) -> DecayFit:
     """Weighted least-squares fit of y(m) = B0 * S^(m-1).
 
@@ -256,16 +272,7 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
         model = b0 * s ** (m - 1.0)
         return np.column_stack([sqrt_w * model, sqrt_w * model * (m - 1.0)])
 
-    res = least_squares(
-        residuals,
-        x0,
-        jac=jacobian,
-        method="lm",
-        gtol=GRADIENT_TOL,
-        ftol=1e-15,
-        xtol=1e-15,
-        max_nfev=MAX_ITERATIONS,
-    )
+    res = _least_squares(residuals, jacobian, x0)
     dof = max(m.size - 2, 1)
     chi2 = float(2.0 * res.cost)
     cov = _covariance(res.jac, chi2, dof, absolute_sigma)
@@ -317,16 +324,7 @@ def fit_rb_decay(ds: DecayDataset) -> RBFit:
         pm = p**m
         return np.column_stack([sqrt_w * pm, sqrt_w, sqrt_w * a * m * pm])
 
-    res = least_squares(
-        residuals,
-        x0,
-        jac=jacobian,
-        method="lm",
-        gtol=GRADIENT_TOL,
-        ftol=1e-15,
-        xtol=1e-15,
-        max_nfev=MAX_ITERATIONS,
-    )
+    res = _least_squares(residuals, jacobian, x0)
     dof = max(m.size - 3, 1)
     chi2 = float(2.0 * res.cost)
     cov_internal = _covariance(res.jac, chi2, dof, absolute_sigma)
@@ -410,6 +408,27 @@ def plateau_test(
     )
 
 
+def _identifiable(rb: RBFit) -> bool:
+    """Whether the fit separates A from B: p below 1 and a nonzero amplitude."""
+    return rb.p_hat < 1.0 - 1e-9 and abs(rb.A_hat) > 1e-9 * max(1.0, abs(rb.B_hat))
+
+
+def b_minus_a_test(rb: RBFit) -> tuple:
+    """Return (B - A, its standard error, flagged) for a benchmarking fit.
+
+    B - A must be nonnegative when the noise is one fixed channel per gate,
+    so it is flagged when it sits more than 3 standard errors below zero.
+    A flat curve (fitted p ~ 1, or decay amplitude ~ 0) does not identify
+    the split between A and B and is never flagged.  Both ``lossbench fit
+    --model rb`` and :func:`markovianity_tests` apply this one rule.
+    """
+    b_minus_a = rb.B_hat - rb.A_hat
+    var = rb.covariance[0, 0] + rb.covariance[1, 1] - 2.0 * rb.covariance[0, 1]
+    sigma = math.sqrt(max(var, 0.0))
+    flagged = _identifiable(rb) and b_minus_a / max(sigma, _SIGMA_FLOOR) < -3.0
+    return b_minus_a, sigma, flagged
+
+
 def markovianity_tests(
     rb: RBFit,
     loss_m1: tuple,
@@ -436,19 +455,10 @@ def markovianity_tests(
         raise ValueError("benchmarking fit did not converge; checks need a valid fit")
     m1_mean, m1_sem = float(loss_m1[0]), float(loss_m1[1])
 
-    b_minus_a = rb.B_hat - rb.A_hat
-    var = rb.covariance[0, 0] + rb.covariance[1, 1] - 2.0 * rb.covariance[0, 1]
-    b_minus_a_sigma = math.sqrt(max(var, 0.0))
-
-    identifiable = (
-        rb.p_hat < 1.0 - 1e-9
-        and abs(rb.A_hat) > 1e-9 * max(1.0, abs(rb.B_hat))
-    )
-    flags = []
-    if identifiable and b_minus_a / max(b_minus_a_sigma, _SIGMA_FLOOR) < -3.0:
-        flags.append(FLAG_B_MINUS_A_NEGATIVE)
+    b_minus_a, b_minus_a_sigma, negative = b_minus_a_test(rb)
+    flags = [FLAG_B_MINUS_A_NEGATIVE] if negative else []
     combined = math.sqrt(rb.stderr_B**2 + m1_sem**2)
-    if identifiable and abs(rb.B_hat - m1_mean) > 3.0 * max(combined, _SIGMA_FLOOR):
+    if _identifiable(rb) and abs(rb.B_hat - m1_mean) > 3.0 * max(combined, _SIGMA_FLOOR):
         flags.append(FLAG_M1_MISMATCH)
     if plateau is not None and plateau.flagged:
         flags.append(FLAG_PLATEAU)

@@ -11,7 +11,6 @@ failures), 1 for usage or config errors, 2 for I/O errors.
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -21,6 +20,7 @@ from . import __version__
 from .analysis import (
     FLAG_B_MINUS_A_NEGATIVE,
     FLAG_PLATEAU,
+    b_minus_a_test,
     fit_loss_decay,
     fit_rb_decay,
     plateau_test,
@@ -133,13 +133,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _rb_flags(fit) -> list:
-    b_minus_a = fit.B_hat - fit.A_hat
-    var = fit.covariance[0, 0] + fit.covariance[1, 1] - 2.0 * fit.covariance[0, 1]
-    sigma = max(math.sqrt(max(var, 0.0)), 1e-12)
-    return [FLAG_B_MINUS_A_NEGATIVE] if b_minus_a / sigma < -3.0 else []
-
-
 def _cmd_fit(args) -> int:
     try:
         ds = read_decay_csv(args.csv)
@@ -174,7 +167,7 @@ def _cmd_fit(args) -> int:
             )
         else:
             fit = fit_rb_decay(ds)
-            flags = _rb_flags(fit)
+            flags = [FLAG_B_MINUS_A_NEGATIVE] if b_minus_a_test(fit)[2] else []
             report = {
                 "A_hat": fit.A_hat,
                 "A_stderr": fit.stderr_A,

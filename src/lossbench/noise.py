@@ -12,7 +12,6 @@ bitwise-identical operators.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import QuantumChannel, MeasurementOperator, hermitian_part, stream
 
@@ -168,6 +167,9 @@ def coherent_leakage_error(spec: LeakageModelSpec) -> QuantumChannel:
     apparent loss arises only because measurements act on the qubit
     subspace while V coherently moves population in and out of it.
     """
+    # Imported here: no other noise model needs scipy.
+    from scipy.linalg import expm
+
     rng = stream(spec.hamiltonian_seed)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = hermitian_part(a)

@@ -17,6 +17,7 @@ operators and is kept as the scalar reference.
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +162,12 @@ class DecayDataset:
 
 
 def read_decay_csv(path) -> DecayDataset:
-    """Load a dataset written by :meth:`DecayDataset.to_csv`."""
+    """Load a dataset written by :meth:`DecayDataset.to_csv`.
+
+    Rejects, with a ``path:line:`` message, rows whose length m is below 1
+    or not strictly above the previous row's, and non-finite means.  A NaN
+    sem is valid: single-sequence datasets write it.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -180,13 +186,23 @@ def read_decay_csv(path) -> DecayDataset:
             if len(row) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
             try:
-                m_values.append(int(row[0]))
-                means.append(float(row[1]))
-                sems.append(float(row[2]))
+                m, mean, sem = int(row[0]), float(row[1]), float(row[2])
                 n_seq = int(row[3])
                 sh = None if row[4] == "exact" else int(row[4])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if m < 1:
+                raise ValueError(f"{path}:{lineno}: sequence length must be >= 1, got {m}")
+            if m_values and m <= m_values[-1]:
+                raise ValueError(
+                    f"{path}:{lineno}: sequence lengths must be strictly increasing, "
+                    f"got {m} after {m_values[-1]}"
+                )
+            if not math.isfinite(mean):
+                raise ValueError(f"{path}:{lineno}: mean must be finite, got {mean!r}")
+            m_values.append(m)
+            means.append(mean)
+            sems.append(sem)
             if n_sequences is None:
                 n_sequences, shots = n_seq, sh
             elif (n_sequences, shots) != (n_seq, sh):

@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+import lossbench as lb
+from lossbench import cli
 
 
 def run_cli(*argv, cwd=None):
@@ -189,6 +193,23 @@ class TestFit:
         assert proc.returncode == 1
         assert "sequence lengths" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,0.9,0.01,5,exact\n2,nan,0.01,5,exact\n", "bad.csv:3: mean must be finite"),
+            ("0,0.9,0.01,5,exact\n1,0.8,0.01,5,exact\n", "bad.csv:2: sequence length must be >= 1"),
+            ("1,0.9,0.01,5,exact\n3,0.8,0.01,5,exact\n2,0.7,0.01,5,exact\n",
+             "bad.csv:4: sequence lengths must be strictly increasing"),
+        ],
+    )
+    def test_bad_rows_are_usage_errors_with_line(self, tmp_path, rows, message):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("m,mean,sem,n_sequences,shots\n" + rows)
+        proc = run_cli("fit", str(csv), "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert not (tmp_path / "fit.json").exists()
+
     def test_unwritable_output_is_io_error(self, loss_config, tmp_path):
         csv = self.simulate(loss_config, tmp_path / "out")
         blocker = tmp_path / "blocked"
@@ -196,6 +217,73 @@ class TestFit:
         proc = run_cli("fit", str(csv), "--out", str(blocker))
         assert proc.returncode == 2
         assert "cannot write" in proc.stderr
+
+
+_RB_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 64)
+
+
+def _flat_rb_dataset(level, sem, noise_seed=None):
+    m = np.array(_RB_GRID, dtype=float)
+    y = np.full(m.size, level)
+    if noise_seed is not None:
+        y = y + sem * np.random.default_rng(noise_seed).normal(size=m.size)
+    return lb.DecayDataset(_RB_GRID, y, np.full(m.size, sem), n_sequences=40, shots=200)
+
+
+class TestFlagRule:
+    """``fit --model rb`` and ``markovianity_tests`` apply one B - A rule."""
+
+    @pytest.mark.parametrize(
+        "ds",
+        [_flat_rb_dataset(-0.01, 0.001), _flat_rb_dataset(0.5, 0.005, noise_seed=0)],
+        ids=["negative-offset", "noisy"],
+    )
+    def test_flat_curve_gets_the_same_flags(self, tmp_path, ds):
+        csv = tmp_path / "decay.csv"
+        ds.to_csv(csv)
+        assert cli.main(["fit", str(csv), "--model", "rb", "--out", str(tmp_path)]) == 0
+        cli_flags = json.loads((tmp_path / "fit.json").read_text())["flags"]
+
+        fit = lb.fit_rb_decay(ds)
+        assert fit.converged
+        report = lb.markovianity_tests(fit, (ds.means[0], ds.sems[0]))
+        library_flags = [f for f in report.flags if f == "B_MINUS_A_NEGATIVE"]
+        assert cli_flags == library_flags == []
+
+    def test_guard_is_what_suppresses_the_negative_offset(self):
+        # Without the identifiability guard the flat negative-offset curve
+        # sits far below -3 sigma and would be flagged.
+        fit = lb.fit_rb_decay(_flat_rb_dataset(-0.01, 0.001))
+        b_minus_a, sigma, flagged = lb.b_minus_a_test(fit)
+        assert b_minus_a / sigma < -3.0
+        assert abs(fit.A_hat) < 1e-9
+        assert not flagged
+
+
+class TestScipyStaysUnloaded:
+    """Only fitting loads scipy; importing, simulating and checking do not."""
+
+    def scipy_modules_after(self, code):
+        script = (
+            "import json, sys\n"
+            + code
+            + "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_simulate_and_check_channel_skip_scipy(self, tmp_path):
+        out = str(tmp_path)
+        csv = str(tmp_path / "decay.csv")
+        assert self.scipy_modules_after("import lossbench") == []
+        simulate = f"from lossbench import cli\ncli.main(['simulate', 'saturation', '--out', {out!r}])"
+        assert self.scipy_modules_after(simulate) == []
+        check = "from lossbench import cli\ncli.main(['check-channel', 'saturation'])"
+        assert self.scipy_modules_after(check) == []
+
+        fit = f"from lossbench import cli\ncli.main(['fit', {csv!r}, '--out', {out!r}])"
+        assert "scipy.optimize" in self.scipy_modules_after(fit)
 
 
 class TestCheckChannel:

@@ -350,6 +350,31 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="bad.csv:2"):
             lb.read_decay_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,nan,0.1,3,exact\n", "bad.csv:2: mean must be finite"),
+            ("1,0.5,0.1,3,exact\n2,inf,0.1,3,exact\n", "bad.csv:3: mean must be finite"),
+            ("0,0.5,0.1,3,exact\n", "bad.csv:2: sequence length must be >= 1"),
+            ("-2,0.5,0.1,3,exact\n", "bad.csv:2: sequence length must be >= 1"),
+            ("1,0.5,0.1,3,exact\n1,0.4,0.1,3,exact\n", "bad.csv:3: .* strictly increasing"),
+            ("2,0.5,0.1,3,exact\n1,0.4,0.1,3,exact\n", "bad.csv:3: .* strictly increasing"),
+        ],
+    )
+    def test_bad_rows_raise_with_line(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("m,mean,sem,n_sequences,shots\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            lb.read_decay_csv(path)
+
+    def test_nan_sems_are_valid(self, tmp_path):
+        ds = lb.run_protocol(fig1_style_config(n_sequences=1))
+        path = tmp_path / "decay.csv"
+        ds.to_csv(path)
+        back = lb.read_decay_csv(path)
+        assert np.all(np.isnan(back.sems))
+        assert np.array_equal(back.means, ds.means)
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
