@@ -7,14 +7,19 @@ checks, and plateau detection for leakage-type deviations from a single
 exponential.
 
 Fits run weighted nonlinear least squares (weights 1/sem^2, or unit weights
-when any sem is zero or missing) with Levenberg-Marquardt refinement to
-gradient tolerance 1e-10.  Decay parameters are optimized on a log scale to
-keep them positive and reported on the natural scale with delta-method
-standard errors.  scipy.optimize is imported on the first fit, not with this
-module, so code that only simulates or checks channels never loads it.
+when any sem is zero or missing) with a numpy port of MINPACK's
+Levenberg-Marquardt (lmder: scaled trust region, damping from an SVD of the
+scaled Jacobian).  It stops when every Jacobian column's cosine with the
+residual vector is at most GRADIENT_TOL = 1e-10, when the relative reduction
+of the sum of squares or the relative step is at most 1e-15, or after
+MAX_ITERATIONS = 200 residual evaluations, the only stop reported as not
+converged; ``n_iterations`` counts the residual evaluations.  Decay
+parameters are optimized on a log scale to keep them positive and reported
+on the natural scale with delta-method standard errors.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,14 @@ from .protocol import DecayDataset
 BOUND_ATOL = 1e-10
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10
+
+# Levenberg-Marquardt settings beside MAX_ITERATIONS and GRADIENT_TOL: the
+# relative tolerance on the reduction and on the step, the initial trust
+# radius as a multiple of the scaled norm of x0, and the smallest positive
+# float (MINPACK's dwarf).
+_REL_TOL = 1e-15
+_FACTOR = 100.0
+_DWARF = sys.float_info.min
 
 FLAG_B_MINUS_A_NEGATIVE = "B_MINUS_A_NEGATIVE"
 FLAG_M1_MISMATCH = "M1_MISMATCH"
@@ -218,20 +231,139 @@ def _covariance(jac: np.ndarray, chi2: float, dof: int, absolute_sigma: bool) ->
     return cov
 
 
-def _least_squares(residuals, jacobian, x0):
-    """Levenberg-Marquardt refinement shared by both decay fits."""
-    from scipy.optimize import least_squares
+def _lm_parameter(sigma: list, c: list, delta: float, par: float) -> tuple:
+    """Levenberg-Marquardt parameter for one trust radius (MINPACK's lmpar).
 
-    return least_squares(
-        residuals,
-        x0,
-        jac=jacobian,
-        method="lm",
-        gtol=GRADIENT_TOL,
-        ftol=1e-15,
-        xtol=1e-15,
-        max_nfev=MAX_ITERATIONS,
-    )
+    In the column-scaled variables the Jacobian is U diag(sigma) V^T and
+    c = U^T f; the scaled step for damping ``par`` is V w with
+    w = -sigma c / (sigma^2 + par).  Returns (par, w): par = 0 when the
+    Gauss-Newton step fits inside ``delta``, otherwise the par of at most 10
+    safeguarded Newton iterations from the previous ``par``, which stop once
+    |w| is within 10% of ``delta``.  The vectors have one entry per fitted
+    parameter, so plain floats are cheaper here than numpy arrays.
+    """
+    w = [-ci / si if si > 0.0 else 0.0 for si, ci in zip(sigma, c)]
+    dxnorm = math.hypot(*w)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w
+    parl = 0.0
+    if sigma[-1] > 0.0:
+        parl = fp / delta / (math.hypot(*[wi / si for wi, si in zip(w, sigma)]) / dxnorm) ** 2
+    sc = [si * ci for si, ci in zip(sigma, c)]
+    gnorm = math.hypot(*sc)
+    paru = gnorm / delta
+    if paru == 0.0:
+        paru = _DWARF / min(delta, 0.1)
+    par = min(max(par, parl), paru)
+    if par == 0.0:
+        par = gnorm / dxnorm
+    for iteration in range(1, 11):
+        if par == 0.0:
+            par = max(_DWARF, 0.001 * paru)
+        damped = [si * si + par for si in sigma]
+        w = [-sci / di for sci, di in zip(sc, damped)]
+        dxnorm = math.hypot(*w)
+        previous, fp = fp, dxnorm - delta
+        if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= previous < 0.0) or iteration == 10:
+            break
+        curvature = sum([wi * wi / di for wi, di in zip(w, damped)]) / dxnorm**2
+        parc = fp / delta / curvature
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return par, w
+
+
+def _least_squares(residuals, jacobian, x0) -> tuple:
+    """Levenberg-Marquardt refinement shared by both decay fits.
+
+    Returns (x, cost, jac, nfev, converged): the solution, half the sum of
+    squared residuals there, the Jacobian at x, the number of residual
+    evaluations and whether a tolerance, not the budget, stopped it.
+
+    MINPACK's lmder: each column is scaled by the largest norm it has had,
+    the scaled step stays inside a trust radius (initially 100 times the
+    scaled norm of x0, then grown or shrunk by the ratio of actual to
+    predicted reduction), and :func:`_lm_parameter` picks the damping for
+    that radius from an SVD of the scaled Jacobian.  It stops on the
+    gradient test (every Jacobian column's cosine with the residual vector
+    at most GRADIENT_TOL), on a relative reduction or a relative step of at
+    most _REL_TOL, or after MAX_ITERATIONS residual evaluations; only the
+    last counts as not converged.  Norms use math.hypot, which neither
+    overflows nor costs a numpy call.
+    """
+    x = np.array(x0, dtype=float)
+    f = residuals(x)
+    fnorm = math.hypot(*f.tolist())
+    if not math.isfinite(fnorm):
+        raise ValueError("residuals are not finite at the starting point")
+    nfev = 1
+    first = True
+    converged = None
+    par = 0.0
+    while converged is None:
+        jac = jacobian(x)
+        col_norms = np.sqrt((jac * jac).sum(axis=0))
+        if first:
+            diag = np.where(col_norms > 0.0, col_norms, 1.0)
+            xnorm = math.hypot(*(diag * x).tolist())
+            delta = _FACTOR * xnorm if xnorm > 0.0 else _FACTOR
+        gradient = (jac.T @ f).tolist()
+        gnorm = max(
+            (abs(gj) / cj for gj, cj in zip(gradient, col_norms.tolist()) if cj > 0.0),
+            default=0.0,
+        )
+        if fnorm == 0.0 or gnorm / fnorm <= GRADIENT_TOL:
+            converged = True
+            break
+        diag = np.maximum(diag, col_norms)
+        u, sigma, vt = np.linalg.svd(jac / diag, full_matrices=False)
+        c = (f @ u).tolist()
+        sigma = sigma.tolist()
+        unscale = vt / diag
+        while True:
+            par, w = _lm_parameter(sigma, c, delta, par)
+            pnorm = math.hypot(*w)
+            if first:
+                delta = min(delta, pnorm)
+            x_new = x + np.dot(w, unscale)
+            f_new = residuals(x_new)
+            nfev += 1
+            fnorm_new = math.hypot(*f_new.tolist())
+            # Actual and predicted relative reductions of |f|^2, and the
+            # directional derivative, as in lmder.
+            actred = 1.0 - (fnorm_new / fnorm) ** 2 if 0.1 * fnorm_new < fnorm else -1.0
+            t1 = (math.hypot(*[si * wi for si, wi in zip(sigma, w)]) / fnorm) ** 2
+            t2 = par * (pnorm / fnorm) ** 2
+            prered = t1 + 2.0 * t2
+            dirder = -(t1 + t2)
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm_new >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = 2.0 * pnorm
+                par *= 0.5
+            accepted = ratio >= 1e-4
+            if accepted:
+                x, f, fnorm = x_new, f_new, fnorm_new
+                xnorm = math.hypot(*(diag * x).tolist())
+                first = False
+            if (abs(actred) <= _REL_TOL and prered <= _REL_TOL and ratio <= 2.0) or (
+                delta <= _REL_TOL * xnorm
+            ):
+                converged = True
+            elif nfev >= MAX_ITERATIONS:
+                converged = False
+            if converged is not None or accepted:
+                break
+    return x, 0.5 * float(f @ f), jacobian(x), nfev, converged
 
 
 def fit_loss_decay(ds: DecayDataset) -> DecayFit:
@@ -270,21 +402,21 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
     def jacobian(x):
         b0, s = np.exp(x[0]), np.exp(x[1])
         model = b0 * s ** (m - 1.0)
-        return np.column_stack([sqrt_w * model, sqrt_w * model * (m - 1.0)])
+        return np.array([sqrt_w * model, sqrt_w * model * (m - 1.0)]).T
 
-    res = _least_squares(residuals, jacobian, x0)
+    x, cost, jac, nfev, converged = _least_squares(residuals, jacobian, x0)
     dof = max(m.size - 2, 1)
-    chi2 = float(2.0 * res.cost)
-    cov = _covariance(res.jac, chi2, dof, absolute_sigma)
-    b0_hat, s_hat = float(np.exp(res.x[0])), float(np.exp(res.x[1]))
+    chi2 = float(2.0 * cost)
+    cov = _covariance(jac, chi2, dof, absolute_sigma)
+    b0_hat, s_hat = float(np.exp(x[0])), float(np.exp(x[1]))
     return DecayFit(
         S_hat=s_hat,
         B0_hat=b0_hat,
         stderr_S=s_hat * math.sqrt(max(cov[1, 1], 0.0)),
         stderr_B0=b0_hat * math.sqrt(max(cov[0, 0], 0.0)),
         chi2_per_dof=chi2 / dof,
-        converged=bool(res.status >= 1),
-        n_iterations=int(res.nfev),
+        converged=converged,
+        n_iterations=nfev,
     )
 
 
@@ -322,25 +454,25 @@ def fit_rb_decay(ds: DecayDataset) -> RBFit:
     def jacobian(x):
         a, b, p = x[0], x[1], np.exp(x[2])
         pm = p**m
-        return np.column_stack([sqrt_w * pm, sqrt_w, sqrt_w * a * m * pm])
+        return np.array([sqrt_w * pm, sqrt_w, sqrt_w * a * m * pm]).T
 
-    res = _least_squares(residuals, jacobian, x0)
+    x, cost, jac, nfev, converged = _least_squares(residuals, jacobian, x0)
     dof = max(m.size - 3, 1)
-    chi2 = float(2.0 * res.cost)
-    cov_internal = _covariance(res.jac, chi2, dof, absolute_sigma)
-    p_hat = float(np.exp(res.x[2]))
+    chi2 = float(2.0 * cost)
+    cov_internal = _covariance(jac, chi2, dof, absolute_sigma)
+    p_hat = float(np.exp(x[2]))
     scale = np.diag([1.0, 1.0, p_hat])
     cov = scale @ cov_internal @ scale
     return RBFit(
-        A_hat=float(res.x[0]),
-        B_hat=float(res.x[1]),
+        A_hat=float(x[0]),
+        B_hat=float(x[1]),
         p_hat=p_hat,
         stderr_A=math.sqrt(max(cov[0, 0], 0.0)),
         stderr_B=math.sqrt(max(cov[1, 1], 0.0)),
         stderr_p=math.sqrt(max(cov[2, 2], 0.0)),
         chi2_per_dof=chi2 / dof,
-        converged=bool(res.status >= 1),
-        n_iterations=int(res.nfev),
+        converged=converged,
+        n_iterations=nfev,
         covariance=cov,
     )
 
@@ -418,14 +550,19 @@ def b_minus_a_test(rb: RBFit) -> tuple:
 
     B - A must be nonnegative when the noise is one fixed channel per gate,
     so it is flagged when it sits more than 3 standard errors below zero.
-    A flat curve (fitted p ~ 1, or decay amplitude ~ 0) does not identify
-    the split between A and B and is never flagged.  Both ``lossbench fit
-    --model rb`` and :func:`markovianity_tests` apply this one rule.
+    A fit that did not converge, or a flat curve (fitted p ~ 1, or decay
+    amplitude ~ 0), does not identify the split between A and B and is
+    never flagged.  Both ``lossbench fit --model rb`` and
+    :func:`markovianity_tests` apply this one rule.
     """
     b_minus_a = rb.B_hat - rb.A_hat
     var = rb.covariance[0, 0] + rb.covariance[1, 1] - 2.0 * rb.covariance[0, 1]
     sigma = math.sqrt(max(var, 0.0))
-    flagged = _identifiable(rb) and b_minus_a / max(sigma, _SIGMA_FLOOR) < -3.0
+    flagged = (
+        rb.converged
+        and _identifiable(rb)
+        and b_minus_a / max(sigma, _SIGMA_FLOOR) < -3.0
+    )
     return b_minus_a, sigma, flagged
 
 

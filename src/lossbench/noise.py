@@ -165,14 +165,13 @@ def coherent_leakage_error(spec: LeakageModelSpec) -> QuantumChannel:
     H is a seeded random Hermitian (Gaussian entries) normalized to unit
     spectral norm.  The channel is exactly trace-preserving on the qutrit;
     apparent loss arises only because measurements act on the qubit
-    subspace while V coherently moves population in and out of it.
+    subspace while V coherently moves population in and out of it.  V is
+    built from the eigendecomposition H = U diag(w) U^dagger as
+    U diag(exp(-i epsilon w)) U^dagger.
     """
-    # Imported here: no other noise model needs scipy.
-    from scipy.linalg import expm
-
     rng = stream(spec.hamiltonian_seed)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    h = hermitian_part(a)
-    h = h / np.max(np.abs(np.linalg.eigvalsh(h)))
-    v = expm(-1j * spec.epsilon * h)
+    w, u = np.linalg.eigh(hermitian_part(a))
+    w = w / np.max(np.abs(w))
+    v = (u * np.exp(-1j * spec.epsilon * w)) @ u.conj().T
     return QuantumChannel(3, (v,))

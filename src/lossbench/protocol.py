@@ -165,8 +165,9 @@ def read_decay_csv(path) -> DecayDataset:
     """Load a dataset written by :meth:`DecayDataset.to_csv`.
 
     Rejects, with a ``path:line:`` message, rows whose length m is below 1
-    or not strictly above the previous row's, and non-finite means.  A NaN
-    sem is valid: single-sequence datasets write it.
+    or not strictly above the previous row's, non-finite means, and
+    infinite or negative sems.  A NaN or zero sem is valid: single-sequence
+    and exact datasets write them.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -200,6 +201,10 @@ def read_decay_csv(path) -> DecayDataset:
                 )
             if not math.isfinite(mean):
                 raise ValueError(f"{path}:{lineno}: mean must be finite, got {mean!r}")
+            if math.isinf(sem) or sem < 0.0:
+                raise ValueError(
+                    f"{path}:{lineno}: sem must be NaN or finite and >= 0, got {sem!r}"
+                )
             m_values.append(m)
             means.append(mean)
             sems.append(sem)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import lossbench as lb
+from lossbench import analysis
 from lossbench.analysis import RBFit
 from support import haar_states, random_density
 from lossbench.core import survival_operator_matrix
@@ -153,6 +156,14 @@ class TestFitLossDecay:
         with pytest.raises(ValueError, match="non-positive"):
             lb.fit_loss_decay(ds)
 
+    def test_non_finite_mean_raises(self):
+        ds = synthetic_loss_dataset(0.9, 0.99)
+        means = ds.means.copy()
+        means[3] = np.nan
+        ds = lb.DecayDataset(ds.m_values, means, ds.sems, 30, None)
+        with pytest.raises(ValueError, match="not finite"):
+            lb.fit_loss_decay(ds)
+
     def test_mostly_nonpositive_falls_back(self):
         ds = lb.DecayDataset(
             m_values=(1, 2, 3, 4),
@@ -218,6 +229,109 @@ class TestFitRBDecay:
             lb.fit_rb_decay(ds)
 
 
+def hard_floor_dataset():
+    # A decay that levels off at 0.05: a plateau no single exponential fits.
+    m = np.arange(1, 21, dtype=float)
+    return lb.DecayDataset(
+        m_values=tuple(int(v) for v in m),
+        means=0.9 * 0.85 ** (m - 1.0) + 0.05,
+        sems=np.full(m.size, 0.002),
+        n_sequences=30,
+        shots=None,
+    )
+
+
+def unit_weight_dataset():
+    # Noisy means with zero sems: unit weights, residual-scaled stderrs.
+    ds = synthetic_loss_dataset(0.8, 0.97, sems=0.003, seed=77)
+    return lb.DecayDataset(ds.m_values, ds.means, np.zeros(ds.means.size), 30, None)
+
+
+def mostly_nonpositive_dataset():
+    return lb.DecayDataset(
+        m_values=(1, 2, 3, 4),
+        means=np.array([0.2, -0.01, 0.01, -0.02]),
+        sems=np.full(4, 0.05),
+        n_sequences=5,
+        shots=None,
+    )
+
+
+_LOSS_FIELDS = ("S_hat", "B0_hat", "stderr_S", "stderr_B0")
+_RB_FIELDS = ("A_hat", "B_hat", "p_hat", "stderr_A", "stderr_B", "stderr_p")
+
+
+class TestSolverMatchesMinpack:
+    """The numpy Levenberg-Marquardt against scipy's MINPACK lmder."""
+
+    @pytest.mark.parametrize(
+        "fit, fields, ds",
+        [
+            (lb.fit_loss_decay, _LOSS_FIELDS, synthetic_loss_dataset(0.91, 0.99)),
+            (lb.fit_loss_decay, _LOSS_FIELDS, synthetic_loss_dataset(0.5, 0.95, sems=0.001, seed=21)),
+            (lb.fit_loss_decay, _LOSS_FIELDS, unit_weight_dataset()),
+            (lb.fit_loss_decay, _LOSS_FIELDS, hard_floor_dataset()),
+            (lb.fit_loss_decay, _LOSS_FIELDS, mostly_nonpositive_dataset()),
+            (lb.fit_rb_decay, _RB_FIELDS, rb_dataset(0.49, 0.5, 0.98, range(2, 61, 2))),
+            (lb.fit_rb_decay, _RB_FIELDS, rb_dataset(0.4, 0.55, 0.95, range(1, 41), sems=0.002, seed=33)),
+            (lb.fit_rb_decay, _RB_FIELDS, rb_dataset(-0.3, 0.7, 0.9, range(1, 31))),
+        ],
+        ids=[
+            "loss-exact",
+            "loss-weighted",
+            "loss-unit-weight",
+            "loss-plateau",
+            "loss-mostly-nonpositive",
+            "rb-exact",
+            "rb-weighted",
+            "rb-negative-amplitude",
+        ],
+    )
+    def test_same_estimates_as_minpack(self, monkeypatch, fit, fields, ds):
+        ours = fit(ds)
+        reference = self.minpack_fit(monkeypatch, fit, ds)
+        assert ours.converged == reference.converged
+        for name in fields:
+            # The stderrs of exact data are rounding noise below 1e-12.
+            floor = 1e-12 if name.startswith("stderr_") else 0.0
+            expected = pytest.approx(getattr(reference, name), rel=1e-7, abs=floor)
+            assert getattr(ours, name) == expected, name
+
+    def test_flat_curve_runs_out_of_budget_where_minpack_does(self, monkeypatch):
+        # An alternating flat curve: neither solver converges within the
+        # budget, and both stop at the same point up to rounding growth
+        # over 200 evaluations.
+        grid = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 64)
+        means = 0.5 + 0.004 * (-1.0) ** np.arange(len(grid))
+        ds = lb.DecayDataset(grid, means, np.full(len(grid), 0.004), 40, 200)
+        ours = lb.fit_rb_decay(ds)
+        reference = self.minpack_fit(monkeypatch, lb.fit_rb_decay, ds)
+        assert not ours.converged and not reference.converged
+        assert ours.n_iterations == reference.n_iterations == analysis.MAX_ITERATIONS
+        for name in ("A_hat", "B_hat", "p_hat"):
+            assert getattr(ours, name) == pytest.approx(getattr(reference, name), rel=1e-5), name
+
+    @staticmethod
+    def minpack_fit(monkeypatch, fit, ds):
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+
+        def minpack(residuals, jacobian, x0):
+            res = least_squares(
+                residuals,
+                x0,
+                jac=jacobian,
+                method="lm",
+                gtol=analysis.GRADIENT_TOL,
+                ftol=1e-15,
+                xtol=1e-15,
+                max_nfev=analysis.MAX_ITERATIONS,
+            )
+            return res.x, res.cost, res.jac, res.nfev, res.status >= 1
+
+        monkeypatch.setattr(analysis, "_least_squares", minpack)
+        return fit(ds)
+
+
 class TestFitCalibration:
     def test_loss_fit_coverage_spot_check(self):
         # 20 noisy datasets; >= 17 should put the truth within 3 stderr
@@ -270,28 +384,12 @@ class TestPlateauTest:
         assert abs(report.tail_excess_z) < 3.0
 
     def test_hard_floor_is_flagged(self):
-        m = np.arange(1, 21, dtype=float)
-        y = 0.9 * 0.85 ** (m - 1.0) + 0.05
-        ds = lb.DecayDataset(
-            m_values=tuple(int(v) for v in m),
-            means=y,
-            sems=np.full(m.size, 0.002),
-            n_sequences=30,
-            shots=None,
-        )
+        ds = hard_floor_dataset()
         report = lb.plateau_test(ds, lb.fit_loss_decay(ds))
         assert report.flagged
 
     def test_thresholds_are_adjustable(self):
-        m = np.arange(1, 21, dtype=float)
-        y = 0.9 * 0.85 ** (m - 1.0) + 0.05
-        ds = lb.DecayDataset(
-            m_values=tuple(int(v) for v in m),
-            means=y,
-            sems=np.full(m.size, 0.002),
-            n_sequences=30,
-            shots=None,
-        )
+        ds = hard_floor_dataset()
         report = lb.plateau_test(
             ds, lb.fit_loss_decay(ds), chi2_threshold=1e9, tail_z_threshold=1e9
         )
@@ -318,6 +416,17 @@ def converged_rb(a, b, p, sigma=1e-3):
         n_iterations=10,
         covariance=cov,
     )
+
+
+class TestBMinusATest:
+    def test_unconverged_fit_is_never_flagged(self):
+        # Where a non-converged fit of a noisy flat curve can stop: p just
+        # below 1 with large opposite A and B, far below -3 sigma.
+        fit = converged_rb(8.4, -7.9, 0.999997)
+        assert lb.b_minus_a_test(fit)[2]
+        b_minus_a, _, flagged = lb.b_minus_a_test(dataclasses.replace(fit, converged=False))
+        assert b_minus_a == pytest.approx(-16.3)
+        assert not flagged
 
 
 class TestMarkovianityTests:

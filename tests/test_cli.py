@@ -200,6 +200,10 @@ class TestFit:
             ("0,0.9,0.01,5,exact\n1,0.8,0.01,5,exact\n", "bad.csv:2: sequence length must be >= 1"),
             ("1,0.9,0.01,5,exact\n3,0.8,0.01,5,exact\n2,0.7,0.01,5,exact\n",
              "bad.csv:4: sequence lengths must be strictly increasing"),
+            ("1,0.9,0.01,5,exact\n2,0.8,inf,5,exact\n3,0.7,0.01,5,exact\n",
+             "bad.csv:3: sem must be NaN or finite and >= 0"),
+            ("1,0.9,0.01,5,exact\n2,0.8,0.01,5,exact\n3,0.7,-0.01,5,exact\n",
+             "bad.csv:4: sem must be NaN or finite and >= 0"),
         ],
     )
     def test_bad_rows_are_usage_errors_with_line(self, tmp_path, rows, message):
@@ -250,6 +254,26 @@ class TestFlagRule:
         library_flags = [f for f in report.flags if f == "B_MINUS_A_NEGATIVE"]
         assert cli_flags == library_flags == []
 
+    def test_unconverged_fit_is_not_flagged(self, tmp_path):
+        # An alternating curve stops the fit on its evaluation budget at
+        # p ~ 0.999997, A ~ 8.4, B ~ -7.9: B - A far below zero, and the
+        # flat-curve guard alone (p < 1 - 1e-9) would not suppress it.
+        means = 0.5 + 0.004 * (-1.0) ** np.arange(len(_RB_GRID))
+        ds = lb.DecayDataset(_RB_GRID, means, np.full(len(_RB_GRID), 0.004), 40, 200)
+        csv = tmp_path / "decay.csv"
+        ds.to_csv(csv)
+        assert cli.main(["fit", str(csv), "--model", "rb", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "fit.json").read_text())
+        assert report["converged"] is False
+        assert report["flags"] == []
+
+        fit = lb.fit_rb_decay(ds)
+        assert not fit.converged
+        assert 0.9999 < fit.p_hat < 1.0 - 1e-9
+        b_minus_a, _, flagged = lb.b_minus_a_test(fit)
+        assert b_minus_a < -10.0
+        assert not flagged
+
     def test_guard_is_what_suppresses_the_negative_offset(self):
         # Without the identifiability guard the flat negative-offset curve
         # sits far below -3 sigma and would be flagged.
@@ -261,7 +285,7 @@ class TestFlagRule:
 
 
 class TestScipyStaysUnloaded:
-    """Only fitting loads scipy; importing, simulating and checking do not."""
+    """No command loads scipy: the runtime needs numpy alone."""
 
     def scipy_modules_after(self, code):
         script = (
@@ -283,7 +307,18 @@ class TestScipyStaysUnloaded:
         assert self.scipy_modules_after(check) == []
 
         fit = f"from lossbench import cli\ncli.main(['fit', {csv!r}, '--out', {out!r}])"
-        assert "scipy.optimize" in self.scipy_modules_after(fit)
+        assert self.scipy_modules_after(fit) == []
+
+    def test_leakage_simulate_and_both_fits_skip_scipy(self, tmp_path):
+        out = str(tmp_path)
+        csv = str(tmp_path / "decay.csv")
+        code = (
+            "from lossbench import cli\n"
+            f"assert cli.main(['simulate', 'fig2', '--out', {out!r}]) == 0\n"
+            f"assert cli.main(['fit', {csv!r}, '--out', {out!r}]) == 0\n"
+            f"assert cli.main(['fit', {csv!r}, '--model', 'rb', '--out', {out!r}]) == 0"
+        )
+        assert self.scipy_modules_after(code) == []
 
 
 class TestCheckChannel:

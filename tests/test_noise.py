@@ -141,6 +141,20 @@ class TestCoherentLeakageError:
         qubit_weight = float(np.real(out.matrix[0, 0] + out.matrix[1, 1]))
         assert qubit_weight < 1.0 - 1e-6
 
+    def test_matches_matrix_exponential(self):
+        # The eigendecomposition form of exp(-i eps H) against scipy's expm
+        # on the same seeded Hamiltonians.
+        expm = pytest.importorskip("scipy.linalg").expm
+        for seed in range(30):
+            rng = lb.stream(seed)
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            h = (a + a.conj().T) / 2.0
+            h = h / np.max(np.abs(np.linalg.eigvalsh(h)))
+            for epsilon in (1e-3, 0.1, 0.5, 2.0):
+                spec = lb.LeakageModelSpec(epsilon=epsilon, theta=0.0, hamiltonian_seed=seed)
+                v = lb.coherent_leakage_error(spec).kraus[0]
+                assert np.max(np.abs(v - expm(-1j * epsilon * h))) < 1e-14
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
             lb.LeakageModelSpec(epsilon=0.0, theta=0.0, hamiltonian_seed=0)

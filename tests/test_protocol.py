@@ -359,6 +359,8 @@ class TestCsvRoundTrip:
             ("-2,0.5,0.1,3,exact\n", "bad.csv:2: sequence length must be >= 1"),
             ("1,0.5,0.1,3,exact\n1,0.4,0.1,3,exact\n", "bad.csv:3: .* strictly increasing"),
             ("2,0.5,0.1,3,exact\n1,0.4,0.1,3,exact\n", "bad.csv:3: .* strictly increasing"),
+            ("1,0.5,inf,3,exact\n", "bad.csv:2: sem must be NaN or finite and >= 0"),
+            ("1,0.5,0.1,3,exact\n2,0.4,-0.01,3,exact\n", "bad.csv:3: sem must be NaN or finite"),
         ],
     )
     def test_bad_rows_raise_with_line(self, tmp_path, rows, message):
@@ -374,6 +376,11 @@ class TestCsvRoundTrip:
         back = lb.read_decay_csv(path)
         assert np.all(np.isnan(back.sems))
         assert np.array_equal(back.means, ds.means)
+
+    def test_zero_sems_are_valid(self, tmp_path):
+        path = tmp_path / "decay.csv"
+        path.write_text("m,mean,sem,n_sequences,shots\n1,0.5,0.0,3,exact\n2,0.4,-0.0,3,exact\n")
+        assert np.array_equal(lb.read_decay_csv(path).sems, [0.0, 0.0])
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
