@@ -51,6 +51,9 @@ FLAG_B_MINUS_A_NEGATIVE = "B_MINUS_A_NEGATIVE"
 FLAG_M1_MISMATCH = "M1_MISMATCH"
 FLAG_PLATEAU = "PLATEAU"
 
+# Fewest sequence lengths plateau_test accepts; `lossbench fit` skips the test below it.
+PLATEAU_MIN_LENGTHS = 8
+
 # Floor for z-score denominators so exact-mode data (sigma = 0) yields
 # z = 0 instead of a 0/0.
 _SIGMA_FLOOR = 1e-12
@@ -225,7 +228,9 @@ def _fit_weights(sems: np.ndarray) -> tuple:
 
 
 def _covariance(jac: np.ndarray, chi2: float, dof: int, absolute_sigma: bool) -> np.ndarray:
-    cov = np.linalg.pinv(jac.T @ jac)
+    """(J^T J)^-1 from the SVD of J, so an undetermined direction keeps its huge variance."""
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    cov = (vt.T / s**2) @ vt
     if not absolute_sigma and dof > 0:
         cov = cov * (chi2 / dof)
     return cov
@@ -519,14 +524,15 @@ def plateau_test(
     """
     m = np.array(ds.m_values, dtype=float)
     y = np.array(ds.means, dtype=float)
-    if m.size < 8:
-        raise ValueError(f"plateau test needs >= 8 sequence lengths, got {m.size}")
+    if m.size < PLATEAU_MIN_LENGTHS:
+        raise ValueError(
+            f"plateau test needs >= {PLATEAU_MIN_LENGTHS} sequence lengths, got {m.size}"
+        )
     model = fit.B0_hat * fit.S_hat ** (m - 1.0)
     tail = slice(-tail_points, None)
     excess = float(np.mean(y[tail]) - np.mean(model[tail]))
-    sems = np.asarray(ds.sems, dtype=float)
-    if np.all(np.isfinite(sems)) and np.all(sems > 0):
-        sigma_tail = float(np.sqrt(np.sum(sems[tail] ** 2))) / tail_points
+    if _fit_weights(ds.sems)[1]:
+        sigma_tail = float(np.sqrt(np.sum(ds.sems[tail] ** 2))) / tail_points
     else:
         # Unit-weight fits carry no per-point sigma; use the fit's own
         # residual scale for the tail mean.

@@ -20,6 +20,7 @@ from . import __version__
 from .analysis import (
     FLAG_B_MINUS_A_NEGATIVE,
     FLAG_PLATEAU,
+    PLATEAU_MIN_LENGTHS,
     b_minus_a_test,
     fit_loss_decay,
     fit_rb_decay,
@@ -32,8 +33,6 @@ from .protocol import read_decay_csv, run_protocol
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
-
-_MIN_PLATEAU_POINTS = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +51,7 @@ def _fail(code: int, message: str) -> int:
 
 def _load_config_text(name: str) -> str:
     """Read a config from the filesystem, falling back to bundled configs."""
-    if os.path.exists(name):
+    if os.path.isfile(name):
         with open(name) as fh:
             return fh.read()
     if os.sep not in name and "/" not in name:
@@ -108,19 +107,12 @@ def _cmd_simulate(args) -> int:
 
     ds = run_protocol(rc.protocol)
     metadata = {
+        **ds.metadata,
         "tool": "lossbench",
         "version": __version__,
-        "config_fingerprint": rc.protocol.fingerprint(),
-        "master_seed": rc.seed,
         "gateset": rc.gateset_name,
-        "gateset_labels": list(rc.protocol.gateset.labels),
-        "dim": rc.protocol.gateset.dim,
         "noise_type": rc.noise_type,
         "resolved_theta": rc.resolved_theta,
-        "variant": rc.protocol.variant,
-        "m_grid": list(rc.protocol.m_grid),
-        "n_sequences": rc.protocol.n_sequences,
-        "shots": "exact" if rc.protocol.shots is None else rc.protocol.shots,
     }
     csv_path = os.path.join(out_dir, "decay.csv")
     meta_path = os.path.join(out_dir, "metadata.json")
@@ -147,7 +139,7 @@ def _cmd_fit(args) -> int:
         if args.model == "loss":
             fit = fit_loss_decay(ds)
             plateau = (
-                plateau_test(ds, fit) if len(ds.m_values) >= _MIN_PLATEAU_POINTS else None
+                plateau_test(ds, fit) if len(ds.m_values) >= PLATEAU_MIN_LENGTHS else None
             )
             flags = [FLAG_PLATEAU] if plateau is not None and plateau.flagged else []
             report = {

@@ -3,7 +3,8 @@
 A run config is a JSON object with sections ``gateset``, ``noise``,
 ``state``, ``detector``, ``protocol`` and ``seed`` (plus optional
 ``output_dir``).  Unknown keys are rejected at every level and validation
-errors carry the path of the offending field.
+errors carry the path of the offending field.  Numbers must be finite:
+``NaN``, ``Infinity`` and integers too large for a float are rejected.
 
 Explicit complex matrices are written as nested arrays of [re, im] pairs.
 Leakage runs are assembled automatically: the qubit gate set is embedded
@@ -55,18 +56,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully assembled run: protocol inputs plus bookkeeping for metadata."""
+    """A fully assembled run: protocol inputs plus the names the run record adds."""
 
     protocol: ProtocolConfig
     output_dir: str | None
     gateset_name: str
     noise_type: str
     resolved_theta: float | None
-    seed: int
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number, not a bool, whose float is finite (huge integers overflow)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _is_int(value) -> bool:
@@ -77,20 +81,16 @@ def _check_keys(section: dict, path: str, allowed) -> list:
     return [f"{path}.{key}: unknown key" for key in sorted(set(section) - set(allowed))]
 
 
-def _parse_complex_matrix(data, path: str) -> np.ndarray:
+def _parse_qubit_matrix(data, path: str) -> np.ndarray:
+    """A 2x2 complex matrix from [re, im] pairs; every explicit matrix is a qubit's."""
     try:
         arr = np.array(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            [f"{path}: expected a nested array of [re, im] pairs"]
-        ) from None
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ConfigError(
-            [
-                f"{path}: expected shape (d, d, 2) (a square matrix of "
-                f"[re, im] pairs), got {arr.shape}"
-            ]
-        )
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ConfigError([f"{path}: expected a nested array of finite [re, im] pairs"])
+    if arr.shape != (2, 2, 2):
+        raise ConfigError([f"{path}: expected a 2x2 matrix of [re, im] pairs, got {arr.shape}"])
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -106,7 +106,8 @@ def _validate_seed(value) -> int:
     return value
 
 
-def _validate_noise(value) -> dict:
+def _validate_noise(value) -> tuple:
+    """(type, channel); leakage gives (epsilon, theta, hamiltonian_seed) for _assemble."""
     if not isinstance(value, dict):
         raise ConfigError(["noise: expected an object with a 'type' key"])
     ntype = value.get("type")
@@ -120,7 +121,7 @@ def _validate_noise(value) -> dict:
             errors.append(f"noise.level: expected 0 or 1 (qubit basis level), got {level!r}")
         if errors:
             raise ConfigError(errors)
-        return {"type": "loss", "alpha": float(alpha), "level": int(level)}
+        return "loss", basis_loss_channel(LossModelSpec(float(alpha), int(level), dim=2))
     if ntype == "leakage":
         errors = _check_keys(value, "noise", ("type", "epsilon", "theta", "hamiltonian_seed"))
         epsilon = value.get("epsilon")
@@ -136,12 +137,7 @@ def _validate_noise(value) -> dict:
             )
         if errors:
             raise ConfigError(errors)
-        return {
-            "type": "leakage",
-            "epsilon": float(epsilon),
-            "theta": theta if theta == "random" else float(theta),
-            "hamiltonian_seed": h_seed,
-        }
+        return "leakage", (float(epsilon), theta if theta == "random" else float(theta), h_seed)
     if ntype == "kraus":
         errors = _check_keys(value, "noise", ("type", "operators"))
         if errors:
@@ -149,46 +145,41 @@ def _validate_noise(value) -> dict:
         ops = value.get("operators")
         if not isinstance(ops, list) or not ops:
             raise ConfigError(["noise.operators: expected a nonempty list of matrices"])
-        parsed = []
-        for i, op in enumerate(ops):
-            mat = _parse_complex_matrix(op, f"noise.operators[{i}]")
-            if mat.shape != (2, 2):
-                raise ConfigError(
-                    [f"noise.operators[{i}]: expected a 2x2 matrix, got {mat.shape}"]
-                )
-            parsed.append(mat)
-        return {"type": "kraus", "operators": parsed}
+        kraus = tuple(_parse_qubit_matrix(op, f"noise.operators[{i}]") for i, op in enumerate(ops))
+        try:
+            return "kraus", QuantumChannel(2, kraus)
+        except ValueError as exc:
+            raise ConfigError([f"noise.operators: {exc}"]) from None
     raise ConfigError(
         [f"noise.type: expected 'loss', 'leakage' or 'kraus', got {ntype!r}"]
     )
 
 
-def _validate_state(value):
+def _validate_state(value) -> DensityMatrix:
     presets = ("zero", "one", "maximally_mixed")
     if isinstance(value, str):
         if value not in presets:
             raise ConfigError(
                 [f"state: expected one of {presets} or an object with 'matrix', got {value!r}"]
             )
-        return ("preset", value)
+        if value == "maximally_mixed":
+            return maximally_mixed(2)
+        return basis_state(2, 0 if value == "zero" else 1)
     if isinstance(value, dict):
         errors = _check_keys(value, "state", ("matrix",))
         if errors:
             raise ConfigError(errors)
         if "matrix" not in value:
             raise ConfigError(["state.matrix: required for an explicit state"])
-        mat = _parse_complex_matrix(value["matrix"], "state.matrix")
-        if mat.shape != (2, 2):
-            raise ConfigError([f"state.matrix: expected a 2x2 matrix, got {mat.shape}"])
-        rho = DensityMatrix(2, mat)
+        rho = DensityMatrix(2, _parse_qubit_matrix(value["matrix"], "state.matrix"))
         problems = validate_state(rho)
         if problems:
             raise ConfigError([f"state.matrix: {v.message}" for v in problems])
-        return ("matrix", rho)
+        return rho
     raise ConfigError([f"state: expected a preset name or an object, got {value!r}"])
 
 
-def _validate_detector(value) -> DetectorSpec:
+def _validate_detector(value) -> MeasurementOperator:
     if not isinstance(value, dict):
         raise ConfigError(["detector: expected an object"])
     errors = _check_keys(value, "detector", ("eigenvalues", "basis_seed", "basis"))
@@ -212,13 +203,11 @@ def _validate_detector(value) -> DetectorSpec:
         )
     basis = None
     if has_basis and not errors:
-        basis = _parse_complex_matrix(value["basis"], "detector.basis")
+        basis = _parse_qubit_matrix(value["basis"], "detector.basis")
     if errors:
         raise ConfigError(errors)
     try:
-        if basis is not None:
-            return DetectorSpec(eigenvalues=tuple(eigs), basis=basis)
-        return DetectorSpec(eigenvalues=tuple(eigs), basis_seed=value["basis_seed"])
+        return detector_model(DetectorSpec(tuple(eigs), value.get("basis_seed"), basis))
     except ValueError as exc:
         raise ConfigError([f"detector: {exc}"]) from None
 
@@ -325,77 +314,41 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    seed = seed_override if seed_override is not None else sections["seed"]
-    if seed_override is not None and seed_override < 0:
-        raise ConfigError([f"seed: expected a nonnegative integer, got {seed_override!r}"])
-    return _assemble(sections, seed, output_dir)
+    if seed_override is not None:
+        sections["seed"] = _validate_seed(seed_override)
+    return _assemble(sections, output_dir)
 
 
-def _assemble(sections: dict, seed: int, output_dir) -> RunConfig:
-    gateset_name = sections["gateset"]
-    base_gates = pauli_gateset() if gateset_name == "pauli" else clifford_gateset()
-
-    kind, state_value = sections["state"]
-    if kind == "preset":
-        rho_qubit = {
-            "zero": basis_state(2, 0),
-            "one": basis_state(2, 1),
-            "maximally_mixed": maximally_mixed(2),
-        }[state_value]
-    else:
-        rho_qubit = state_value
-    q_qubit = detector_model(sections["detector"])
-
-    noise = sections["noise"]
+def _assemble(sections: dict, output_dir) -> RunConfig:
+    seed = sections["seed"]
+    gateset = pauli_gateset() if sections["gateset"] == "pauli" else clifford_gateset()
+    rho0, q_op = sections["state"], sections["detector"]
+    noise_type, noise = sections["noise"]
     resolved_theta = None
-    if noise["type"] == "leakage":
-        theta = noise["theta"]
+    if noise_type == "leakage":
+        epsilon, theta, hamiltonian_seed = noise
         if theta == "random":
             theta = float(stream(seed, _THETA_STREAM_TAG).uniform(0.0, 2.0 * math.pi))
         resolved_theta = theta
-        spec = LeakageModelSpec(
-            epsilon=noise["epsilon"],
-            theta=theta,
-            hamiltonian_seed=noise["hamiltonian_seed"],
-        )
-        channel = coherent_leakage_error(spec)
-        gateset = embed_gateset(base_gates, theta)
-        rho0 = DensityMatrix(3, pad_to_qutrit(rho_qubit.matrix))
-        q_op = MeasurementOperator(3, pad_to_qutrit(q_qubit.matrix))
-    else:
-        if noise["type"] == "loss":
-            channel = basis_loss_channel(
-                LossModelSpec(alpha=noise["alpha"], level=noise["level"], dim=2)
-            )
-        else:
-            try:
-                channel = QuantumChannel(2, tuple(noise["operators"]))
-            except ValueError as exc:
-                raise ConfigError([f"noise.operators: {exc}"]) from None
-        gateset = base_gates
-        rho0 = rho_qubit
-        q_op = q_qubit
-
-    proto = sections["protocol"]
+        noise = coherent_leakage_error(LeakageModelSpec(epsilon, theta, hamiltonian_seed))
+        gateset = embed_gateset(gateset, theta)
+        rho0 = DensityMatrix(3, pad_to_qutrit(rho0.matrix))
+        q_op = MeasurementOperator(3, pad_to_qutrit(q_op.matrix))
     try:
         protocol = ProtocolConfig(
             gateset=gateset,
-            noise=channel,
+            noise=noise,
             rho0=rho0,
             q_op=q_op,
-            m_grid=proto["m_grid"],
-            n_sequences=proto["n_sequences"],
             master_seed=seed,
-            shots=proto["shots"],
-            variant=proto["variant"],
+            **sections["protocol"],
         )
     except ValueError as exc:
         raise ConfigError([f"protocol: {exc}"]) from None
     return RunConfig(
         protocol=protocol,
         output_dir=output_dir,
-        gateset_name=gateset_name,
-        noise_type=noise["type"],
+        gateset_name=sections["gateset"],
+        noise_type=noise_type,
         resolved_theta=resolved_theta,
-        seed=seed,
     )

@@ -97,7 +97,7 @@ class QuantumChannel:
 
         m = survival_operator_matrix(ops)
         asym = np.max(np.abs(m - m.conj().T))
-        if asym > HERMITICITY_ATOL:
+        if not asym <= HERMITICITY_ATOL:  # NaN, from overflow, fails too
             raise ValueError(
                 f"QuantumChannel: sum K^H K is not Hermitian (deviation {asym:.3e})"
             )

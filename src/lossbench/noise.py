@@ -65,7 +65,7 @@ class DetectorSpec:
             if basis.shape != (d, d):
                 raise ValueError(f"basis must be {d}x{d}, got {basis.shape}")
             dev = np.max(np.abs(basis.conj().T @ basis - np.eye(d)))
-            if dev > 1e-12:
+            if not dev <= 1e-12:  # NaN, from overflow, fails too
                 raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
             basis.setflags(write=False)
             object.__setattr__(self, "basis", basis)

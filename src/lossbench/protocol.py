@@ -350,10 +350,9 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
         "variant": cfg.variant,
         "m_grid": list(cfg.m_grid),
         "n_sequences": cfg.n_sequences,
-        "shots": cfg.shots,
+        "shots": "exact" if cfg.shots is None else cfg.shots,
         "dim": cfg.gateset.dim,
         "gateset_labels": list(cfg.gateset.labels),
-        "gateset_design_order": cfg.gateset.design_order,
     }
     return DecayDataset(
         m_values=cfg.m_grid,

@@ -228,6 +228,15 @@ class TestFitRBDecay:
         with pytest.raises(ValueError, match=">= 4"):
             lb.fit_rb_decay(ds)
 
+    def test_unidentified_amplitude_has_large_stderr(self):
+        # An alternating flat curve pins B + A but not A: the fit stops at
+        # A ~ 8.4, B ~ -7.9, and the stderrs must say that A is unknown.
+        grid = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 64)
+        means = 0.5 + 0.004 * (-1.0) ** np.arange(len(grid))
+        fit = lb.fit_rb_decay(lb.DecayDataset(grid, means, np.full(len(grid), 0.004), 40, 200))
+        assert fit.stderr_A >= 1.0
+        assert fit.stderr_B >= 1.0
+
 
 def hard_floor_dataset():
     # A decay that levels off at 0.05: a plateau no single exponential fits.

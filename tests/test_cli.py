@@ -64,6 +64,15 @@ class TestSimulate:
         assert meta["shots"] == "exact"
         assert len(meta["config_fingerprint"]) == 64
 
+    def test_metadata_is_the_dataset_record_plus_run_names(self, loss_config, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(loss_config), "--out", str(out)]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        record = lb.run_protocol(lb.parse_config(loss_config.read_text()).protocol).metadata
+        run_names = {"tool", "version", "gateset", "noise_type", "resolved_theta"}
+        assert set(meta) == set(record) | run_names
+        assert {key: meta[key] for key in record} == record
+
     def test_seed_override_changes_data(self, loss_config, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert run_cli("simulate", str(loss_config), "--out", str(a)).returncode == 0
@@ -347,3 +356,11 @@ class TestCheckChannel:
         path = tmp_path / "bad.config"
         path.write_text("{")
         assert run_cli("check-channel", str(path)).returncode == 1
+
+    def test_bundled_name_beside_a_directory_of_that_name(self, tmp_path, monkeypatch, capsys):
+        # `simulate fig2 --out fig2` leaves a fig2/ directory in the working
+        # directory; the bundled config must still resolve.
+        (tmp_path / "fig2").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["check-channel", "fig2"]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 3

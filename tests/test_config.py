@@ -34,7 +34,7 @@ class TestDocumentShape:
         run = parse(base_doc())
         assert run.gateset_name == "pauli"
         assert run.noise_type == "loss"
-        assert run.seed == 42
+        assert run.protocol.master_seed == 42
         assert run.protocol.m_grid == (1, 2, 3)
         assert run.protocol.n_sequences == 4
         assert run.protocol.shots is None
@@ -86,7 +86,6 @@ class TestGatesetAndSeed:
 
     def test_seed_override(self):
         run = parse(base_doc(), seed_override=7)
-        assert run.seed == 7
         assert run.protocol.master_seed == 7
         with pytest.raises(lb.ConfigError, match="seed"):
             parse(base_doc(), seed_override=-1)
@@ -139,6 +138,81 @@ class TestNoiseSection:
         ops = [[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
         errs = errors_of(base_doc(noise={"type": "kraus", "operators": ops}))
         assert any(e.startswith("noise.operators:") for e in errs)
+
+
+NAN, INF, HUGE = float("nan"), float("inf"), 10**400
+
+
+def leakage_noise(epsilon=0.1, theta=0.4):
+    return {"type": "leakage", "epsilon": epsilon, "theta": theta, "hamiltonian_seed": 5}
+
+
+def qubit_matrix(entry):
+    """diag(entry, 1) as nested [re, im] pairs."""
+    return [[[entry, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def kraus_noise(entry):
+    return {"type": "kraus", "operators": [qubit_matrix(entry)]}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"noise": leakage_noise(epsilon=INF)}, "noise.epsilon:"),
+            ({"noise": leakage_noise(epsilon=NAN)}, "noise.epsilon:"),
+            ({"noise": leakage_noise(epsilon=HUGE)}, "noise.epsilon:"),
+            ({"noise": leakage_noise(theta=NAN)}, "noise.theta:"),
+            ({"noise": leakage_noise(theta=INF)}, "noise.theta:"),
+            ({"noise": leakage_noise(theta=HUGE)}, "noise.theta:"),
+            ({"noise": kraus_noise(NAN)}, "noise.operators[0]:"),
+            ({"noise": kraus_noise(INF)}, "noise.operators[0]:"),
+            ({"noise": kraus_noise(HUGE)}, "noise.operators[0]:"),
+            # finite entries whose sum K^H K overflows
+            ({"noise": kraus_noise(1e200)}, "noise.operators:"),
+            ({"noise": {"type": "loss", "alpha": NAN, "level": 1}}, "noise.alpha:"),
+            ({"detector": {"eigenvalues": [0.3, 0.6], "basis": qubit_matrix(NAN)}}, "detector.basis"),
+            # finite entries whose B^H B overflows to NaN
+            (
+                {
+                    "detector": {
+                        "eigenvalues": [0.3, 0.6],
+                        "basis": [[[1e200, 0.0], [1e200, 0.0]], [[1e200, 0.0], [0.0, 1e200]]],
+                    }
+                },
+                "detector: basis is not unitary",
+            ),
+            ({"detector": {"eigenvalues": [INF, 0.5], "basis_seed": 1}}, "detector.eigenvalues[0]"),
+            ({"state": {"matrix": qubit_matrix(NAN)}}, "state.matrix:"),
+        ],
+        ids=[
+            "epsilon-inf",
+            "epsilon-nan",
+            "epsilon-huge-int",
+            "theta-nan",
+            "theta-inf",
+            "theta-huge-int",
+            "kraus-nan",
+            "kraus-inf",
+            "kraus-huge-int",
+            "kraus-overflowing-product",
+            "alpha-nan",
+            "basis-nan",
+            "basis-overflowing-product",
+            "eigenvalue-inf",
+            "state-nan",
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_rejected_with_field_path(self, overrides, path):
+        errors = errors_of(base_doc(**overrides))
+        assert any(e.startswith(path) for e in errors), errors
+
+    def test_kraus_error_accumulates_with_other_sections(self):
+        errors = errors_of(base_doc(noise=kraus_noise(2.0), seed=-1))
+        assert any(e.startswith("noise.operators:") for e in errors)
+        assert any(e.startswith("seed:") for e in errors)
 
 
 class TestStateSection:

@@ -160,6 +160,7 @@ class TestRunProtocol:
         assert ds.metadata["master_seed"] == 0
         assert ds.metadata["m_grid"] == [1, 2, 3]
         assert ds.metadata["gateset_labels"] == ["I", "X", "Y", "Z"]
+        assert ds.metadata["shots"] == "exact"
         assert lb.run_protocol(cfg).metadata == ds.metadata
 
     def test_keep_raw_records_every_sequence(self):
