@@ -6,20 +6,22 @@ fitting for the loss protocol (B0 * S^(m-1)) and the benchmarking variant
 checks, and plateau detection for leakage-type deviations from a single
 exponential.
 
-Fits run weighted nonlinear least squares (weights 1/sem^2, or unit weights
-when any sem is zero or missing) with a numpy port of MINPACK's
-Levenberg-Marquardt (lmder: scaled trust region, damping from an SVD of the
-scaled Jacobian).  It stops when every Jacobian column's cosine with the
-residual vector is at most GRADIENT_TOL = 1e-10, when the relative reduction
-of the sum of squares or the relative step is at most 1e-15, or after
-MAX_ITERATIONS = 200 residual evaluations, the only stop reported as not
-converged; ``n_iterations`` counts the residual evaluations.  Decay
-parameters are optimized on a log scale to keep them positive and reported
-on the natural scale with delta-method standard errors.
+Fits run weighted least squares (weights 1/sem^2, or unit weights when any
+sem is zero or missing) by variable projection.  The amplitudes (B0, or A
+and B) enter linearly and come from closed-form weighted normal equations at
+each rate, with B0 held at 0 or above, so only the rate r (S or p) is
+searched, as t = log r.  The rate stays inside (0, 1], within RATE_BOUNDS =
+[1e-6, 1 - 1e-9].  A fixed grid of 48 rates, geometric in -t, brackets the
+minimum; safeguarded Gauss-Newton steps with Kaufman's Jacobian (secant
+curvature after the first step) refine it until that Jacobian's cosine with
+the residual vector is at most GRADIENT_TOL = 1e-10 or the bracket closes.
+A minimum beyond a bound is reported at the bound, and a fit is unconverged
+only when MAX_ITERATIONS = 200 evaluations run out.  ``n_iterations`` counts
+reduced-cost evaluations: 48 for the grid plus one per step.  Standard
+errors come from the full Jacobian at the solution, on the natural scale.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +41,11 @@ BOUND_ATOL = 1e-10
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10
 
-# Levenberg-Marquardt settings beside MAX_ITERATIONS and GRADIENT_TOL: the
-# relative tolerance on the reduction and on the step, the initial trust
-# radius as a multiple of the scaled norm of x0, and the smallest positive
-# float (MINPACK's dwarf).
-_REL_TOL = 1e-15
-_FACTOR = 100.0
-_DWARF = sys.float_info.min
+# The grid of t = log r that brackets every fitted rate: geometric in -t, so
+# decay lengths -1/t from 0.07 to 1e9 steps are covered at a fixed ratio
+# (about 1.6) between neighbours.  Its ends are the rate bounds.
+_LOG_RATE_GRID = -np.geomspace(-math.log(1e-6), 1e-9, 48)
+RATE_BOUNDS = tuple(float(r) for r in np.exp(_LOG_RATE_GRID[[0, -1]]))
 
 FLAG_B_MINUS_A_NEGATIVE = "B_MINUS_A_NEGATIVE"
 FLAG_M1_MISMATCH = "M1_MISMATCH"
@@ -228,156 +228,119 @@ def _fit_weights(sems: np.ndarray) -> tuple:
 
 
 def _covariance(jac: np.ndarray, chi2: float, dof: int, absolute_sigma: bool) -> np.ndarray:
-    """(J^T J)^-1 from the SVD of J, so an undetermined direction keeps its huge variance."""
+    """(J^T J)^-1 from the SVD of J, so an undetermined direction keeps its huge variance.
+
+    Singular values are floored at eps times the largest (and at eps^2), so
+    that variance is huge but finite where J has an exactly null direction.
+    """
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    eps = np.finfo(float).eps
+    s = np.maximum(s, eps * max(s[0], eps))
     cov = (vt.T / s**2) @ vt
     if not absolute_sigma and dof > 0:
         cov = cov * (chi2 / dof)
     return cov
 
 
-def _lm_parameter(sigma: list, c: list, delta: float, par: float) -> tuple:
-    """Levenberg-Marquardt parameter for one trust radius (MINPACK's lmpar).
+def _separable_fit(x: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray, offset: bool) -> tuple:
+    """Weighted least squares of y ~ c * r^x (+ b when ``offset``) over r in RATE_BOUNDS.
 
-    In the column-scaled variables the Jacobian is U diag(sigma) V^T and
-    c = U^T f; the scaled step for damping ``par`` is V w with
-    w = -sigma c / (sigma^2 + par).  Returns (par, w): par = 0 when the
-    Gauss-Newton step fits inside ``delta``, otherwise the par of at most 10
-    safeguarded Newton iterations from the previous ``par``, which stop once
-    |w| is within 10% of ``delta``.  The vectors have one entry per fitted
-    parameter, so plain floats are cheaper here than numpy arrays.
+    Variable projection (Golub-Pereyra): for each rate the amplitudes come
+    from the closed-form weighted normal equations, so only t = log r is
+    searched.  The reduced cost of every point of _LOG_RATE_GRID is taken in
+    one call, and the best point brackets the minimum between its
+    neighbours.  Safeguarded Gauss-Newton steps on t, with Kaufman's
+    Jacobian and the exact gradient, refine it until the cosine of that
+    Jacobian with the residual vector is at most GRADIENT_TOL or the step no
+    longer moves t.  A best grid point at an end of the grid where the cost
+    still falls outward is returned at once, at that bound.
+
+    Returns (r, c, b, cost, nfev, converged): the rate, the amplitude of r^x,
+    the constant (0.0 without ``offset``), the weighted sum of squared
+    residuals, the number of rates whose reduced cost was evaluated, and
+    whether a stop rule, not the MAX_ITERATIONS budget, ended the search.
     """
-    w = [-ci / si if si > 0.0 else 0.0 for si, ci in zip(sigma, c)]
-    dxnorm = math.hypot(*w)
-    fp = dxnorm - delta
-    if fp <= 0.1 * delta:
-        return 0.0, w
-    parl = 0.0
-    if sigma[-1] > 0.0:
-        parl = fp / delta / (math.hypot(*[wi / si for wi, si in zip(w, sigma)]) / dxnorm) ** 2
-    sc = [si * ci for si, ci in zip(sigma, c)]
-    gnorm = math.hypot(*sc)
-    paru = gnorm / delta
-    if paru == 0.0:
-        paru = _DWARF / min(delta, 0.1)
-    par = min(max(par, parl), paru)
-    if par == 0.0:
-        par = gnorm / dxnorm
-    for iteration in range(1, 11):
-        if par == 0.0:
-            par = max(_DWARF, 0.001 * paru)
-        damped = [si * si + par for si in sigma]
-        w = [-sci / di for sci, di in zip(sc, damped)]
-        dxnorm = math.hypot(*w)
-        previous, fp = fp, dxnorm - delta
-        if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= previous < 0.0) or iteration == 10:
+    if not np.all(np.isfinite(y)):
+        raise ValueError("means are not finite")
+    w2 = sqrt_w * sqrt_w
+    w_sum = float(w2.sum())
+    mean = float(w2 @ y) / w_sum if offset else 0.0
+    yc = y - mean
+
+    def project(t):
+        # With an offset the column is r^x - 1 (expm1 keeps its digits as
+        # r -> 1), centred on its weighted mean, which projects out the
+        # constant column; c then solves the remaining 1x1 normal equation.
+        xt = np.multiply.outer(t, x)
+        phi = np.expm1(xt) if offset else np.exp(xt)
+        if offset:
+            phi = phi - (phi @ w2)[:, None] / w_sum
+        wphi = phi * w2
+        norm2 = (wphi * phi).sum(axis=1)
+        c = np.divide(wphi @ yc, norm2, out=np.zeros_like(norm2), where=norm2 > 0.0)
+        if not offset:
+            c = np.maximum(c, 0.0)  # B0 is a detector response times a survival
+        res = yc - c[:, None] * phi
+        return (res * res) @ w2, c, res, phi, norm2, xt
+
+    costs, cs, ress, phis, norm2s, xts = project(_LOG_RATE_GRID)
+    k = int(np.argmin(costs))
+    nfev = _LOG_RATE_GRID.size
+    lo = _LOG_RATE_GRID[max(k - 1, 0)]
+    hi = _LOG_RATE_GRID[min(k + 1, nfev - 1)]
+    t, cost, c, res, phi, norm2, xt = (
+        _LOG_RATE_GRID[k], costs[k], cs[k], ress[k], phis[k], norm2s[k], xts[k]
+    )
+    converged = True
+    t_prev = g_prev = None
+    while True:
+        # v = d(model)/dt at fixed c.  Kaufman's Jacobian is -P v, v
+        # projected off the columns; the gradient of the reduced cost is
+        # -2 <res, v> = -2 <res, P v> exactly (res is orthogonal to the
+        # columns), and the P v form keeps rounding in res out of it.  The
+        # Gauss-Newton step is <res, P v> / |P v|^2.
+        pv = c * x * np.exp(xt)
+        if c != 0.0:
+            pv = pv - (float((w2 * pv) @ phi) / norm2) * phi
+        if offset:
+            pv = pv - float(w2 @ pv) / w_sum
+        wpv = w2 * pv
+        g = float(wpv @ res)
+        h = float(wpv @ pv)
+        if h == 0.0 or abs(g) <= GRADIENT_TOL * math.sqrt(h) * math.sqrt(cost):
             break
-        curvature = sum([wi * wi / di for wi, di in zip(w, damped)]) / dxnorm**2
-        parc = fp / delta / curvature
-        if fp > 0.0:
-            parl = max(parl, par)
-        elif fp < 0.0:
-            paru = min(paru, par)
-        par = max(parl, par + parc)
-    return par, w
-
-
-def _least_squares(residuals, jacobian, x0) -> tuple:
-    """Levenberg-Marquardt refinement shared by both decay fits.
-
-    Returns (x, cost, jac, nfev, converged): the solution, half the sum of
-    squared residuals there, the Jacobian at x, the number of residual
-    evaluations and whether a tolerance, not the budget, stopped it.
-
-    MINPACK's lmder: each column is scaled by the largest norm it has had,
-    the scaled step stays inside a trust radius (initially 100 times the
-    scaled norm of x0, then grown or shrunk by the ratio of actual to
-    predicted reduction), and :func:`_lm_parameter` picks the damping for
-    that radius from an SVD of the scaled Jacobian.  It stops on the
-    gradient test (every Jacobian column's cosine with the residual vector
-    at most GRADIENT_TOL), on a relative reduction or a relative step of at
-    most _REL_TOL, or after MAX_ITERATIONS residual evaluations; only the
-    last counts as not converged.  Norms use math.hypot, which neither
-    overflows nor costs a numpy call.
-    """
-    x = np.array(x0, dtype=float)
-    f = residuals(x)
-    fnorm = math.hypot(*f.tolist())
-    if not math.isfinite(fnorm):
-        raise ValueError("residuals are not finite at the starting point")
-    nfev = 1
-    first = True
-    converged = None
-    par = 0.0
-    while converged is None:
-        jac = jacobian(x)
-        col_norms = np.sqrt((jac * jac).sum(axis=0))
-        if first:
-            diag = np.where(col_norms > 0.0, col_norms, 1.0)
-            xnorm = math.hypot(*(diag * x).tolist())
-            delta = _FACTOR * xnorm if xnorm > 0.0 else _FACTOR
-        gradient = (jac.T @ f).tolist()
-        gnorm = max(
-            (abs(gj) / cj for gj, cj in zip(gradient, col_norms.tolist()) if cj > 0.0),
-            default=0.0,
-        )
-        if fnorm == 0.0 or gnorm / fnorm <= GRADIENT_TOL:
-            converged = True
+        # The cost falls on the side of t that g points to, so the minimum
+        # stays bracketed; at a grid end that side is empty and the bracket
+        # closes at the bound.
+        if g > 0.0:
+            lo = t
+        else:
+            hi = t
+        # After the first step the curvature is the secant of the exact
+        # gradient: Kaufman's |P v|^2 scales with c^2 and misjudges flat
+        # curves, where c is near 0.
+        if t_prev is not None and (g_prev - g) * (t - t_prev) > 0.0:
+            h = (g_prev - g) / (t - t_prev)
+        t_prev, g_prev = t, g
+        trial = t + g / h
+        if not lo < trial < hi:
+            trial = 0.5 * (lo + hi)
+        if not lo < trial < hi:
             break
-        diag = np.maximum(diag, col_norms)
-        u, sigma, vt = np.linalg.svd(jac / diag, full_matrices=False)
-        c = (f @ u).tolist()
-        sigma = sigma.tolist()
-        unscale = vt / diag
-        while True:
-            par, w = _lm_parameter(sigma, c, delta, par)
-            pnorm = math.hypot(*w)
-            if first:
-                delta = min(delta, pnorm)
-            x_new = x + np.dot(w, unscale)
-            f_new = residuals(x_new)
-            nfev += 1
-            fnorm_new = math.hypot(*f_new.tolist())
-            # Actual and predicted relative reductions of |f|^2, and the
-            # directional derivative, as in lmder.
-            actred = 1.0 - (fnorm_new / fnorm) ** 2 if 0.1 * fnorm_new < fnorm else -1.0
-            t1 = (math.hypot(*[si * wi for si, wi in zip(sigma, w)]) / fnorm) ** 2
-            t2 = par * (pnorm / fnorm) ** 2
-            prered = t1 + 2.0 * t2
-            dirder = -(t1 + t2)
-            ratio = actred / prered if prered != 0.0 else 0.0
-            if ratio <= 0.25:
-                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                if 0.1 * fnorm_new >= fnorm or temp < 0.1:
-                    temp = 0.1
-                delta = temp * min(delta, pnorm / 0.1)
-                par /= temp
-            elif par == 0.0 or ratio >= 0.75:
-                delta = 2.0 * pnorm
-                par *= 0.5
-            accepted = ratio >= 1e-4
-            if accepted:
-                x, f, fnorm = x_new, f_new, fnorm_new
-                xnorm = math.hypot(*(diag * x).tolist())
-                first = False
-            if (abs(actred) <= _REL_TOL and prered <= _REL_TOL and ratio <= 2.0) or (
-                delta <= _REL_TOL * xnorm
-            ):
-                converged = True
-            elif nfev >= MAX_ITERATIONS:
-                converged = False
-            if converged is not None or accepted:
-                break
-    return x, 0.5 * float(f @ f), jacobian(x), nfev, converged
+        if nfev >= MAX_ITERATIONS:
+            converged = False
+            break
+        cost, c, res, phi, norm2, xt = (part[0] for part in project(np.array([trial])))
+        t = trial
+        nfev += 1
+    b = mean - c * (1.0 + float(w2 @ np.expm1(x * t)) / w_sum) if offset else 0.0
+    return float(np.exp(t)), float(c), b, float(cost), nfev, converged
 
 
 def fit_loss_decay(ds: DecayDataset) -> DecayFit:
-    """Weighted least-squares fit of y(m) = B0 * S^(m-1).
+    """Weighted least-squares fit of y(m) = B0 * S^(m-1), S in RATE_BOUNDS.
 
-    Initialized from a linear regression of log(mean) on m-1 over the
-    positive means; when fewer than 3 means are positive, falls back to an
-    unweighted fit started at (B0 = first mean, S = 0.99).  Non-convergence
-    is reported in the result, not raised.
+    Non-convergence is reported in the result, not raised.
     """
     m = np.array(ds.m_values, dtype=float)
     y = np.array(ds.means, dtype=float)
@@ -387,38 +350,16 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
         raise ValueError("all means are non-positive; nothing to fit")
 
     sqrt_w, absolute_sigma = _fit_weights(ds.sems)
-    positive = y > 0
-    if int(positive.sum()) >= 3:
-        slope, intercept = np.polyfit(m[positive] - 1.0, np.log(y[positive]), 1)
-        x0 = np.array([
-            np.clip(intercept, -30.0, 5.0),
-            np.clip(slope, -30.0, np.log(1.5)),
-        ])
-    else:
-        first_positive = float(y[positive][0])
-        x0 = np.array([np.log(first_positive), np.log(0.99)])
-        sqrt_w = np.ones_like(sqrt_w)
-        absolute_sigma = False
-
-    def residuals(x):
-        b0, s = np.exp(x[0]), np.exp(x[1])
-        return sqrt_w * (b0 * s ** (m - 1.0) - y)
-
-    def jacobian(x):
-        b0, s = np.exp(x[0]), np.exp(x[1])
-        model = b0 * s ** (m - 1.0)
-        return np.array([sqrt_w * model, sqrt_w * model * (m - 1.0)]).T
-
-    x, cost, jac, nfev, converged = _least_squares(residuals, jacobian, x0)
+    s_hat, b0_hat, _, chi2, nfev, converged = _separable_fit(m - 1.0, y, sqrt_w, offset=False)
+    curve = s_hat ** (m - 1.0)
+    jac = np.array([sqrt_w * curve, sqrt_w * b0_hat * (m - 1.0) * curve / s_hat]).T
     dof = max(m.size - 2, 1)
-    chi2 = float(2.0 * cost)
     cov = _covariance(jac, chi2, dof, absolute_sigma)
-    b0_hat, s_hat = float(np.exp(x[0])), float(np.exp(x[1]))
     return DecayFit(
         S_hat=s_hat,
         B0_hat=b0_hat,
-        stderr_S=s_hat * math.sqrt(max(cov[1, 1], 0.0)),
-        stderr_B0=b0_hat * math.sqrt(max(cov[0, 0], 0.0)),
+        stderr_S=math.sqrt(max(cov[1, 1], 0.0)),
+        stderr_B0=math.sqrt(max(cov[0, 0], 0.0)),
         chi2_per_dof=chi2 / dof,
         converged=converged,
         n_iterations=nfev,
@@ -426,51 +367,21 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
 
 
 def fit_rb_decay(ds: DecayDataset) -> RBFit:
-    """Weighted least-squares fit of y(m) = A * p^m + B.
-
-    B is initialized from the large-m tail mean, then (A, p) from a
-    log-linear regression on the residual above that floor.
-    """
+    """Weighted least-squares fit of y(m) = A * p^m + B, p in RATE_BOUNDS."""
     m = np.array(ds.m_values, dtype=float)
     y = np.array(ds.means, dtype=float)
     if len(set(ds.m_values)) < 4:
         raise ValueError(f"need >= 4 distinct sequence lengths, got {len(set(ds.m_values))}")
 
     sqrt_w, absolute_sigma = _fit_weights(ds.sems)
-    n_tail = max(3, m.size // 4)
-    b0 = float(np.mean(y[-n_tail:]))
-    resid = y - b0
-    sign = 1.0 if resid[0] >= 0 else -1.0
-    magnitude = sign * resid
-    usable = magnitude > max(np.max(magnitude), 0.0) * 1e-3
-    if int(usable.sum()) >= 2:
-        slope, intercept = np.polyfit(m[usable], np.log(magnitude[usable]), 1)
-        p0 = float(np.clip(np.exp(slope), 1e-6, 0.9999))
-        a0 = sign * float(np.exp(np.clip(intercept, -30.0, 5.0)))
-    else:
-        p0 = 0.95
-        a0 = float(y[0] - b0) if y[0] != b0 else 0.5
-    x0 = np.array([a0, b0, np.log(p0)])
-
-    def residuals(x):
-        a, b, p = x[0], x[1], np.exp(x[2])
-        return sqrt_w * (a * p**m + b - y)
-
-    def jacobian(x):
-        a, b, p = x[0], x[1], np.exp(x[2])
-        pm = p**m
-        return np.array([sqrt_w * pm, sqrt_w, sqrt_w * a * m * pm]).T
-
-    x, cost, jac, nfev, converged = _least_squares(residuals, jacobian, x0)
+    p_hat, a_hat, b_hat, chi2, nfev, converged = _separable_fit(m, y, sqrt_w, offset=True)
+    curve = p_hat**m
+    jac = np.array([sqrt_w * curve, sqrt_w, sqrt_w * a_hat * m * curve / p_hat]).T
     dof = max(m.size - 3, 1)
-    chi2 = float(2.0 * cost)
-    cov_internal = _covariance(jac, chi2, dof, absolute_sigma)
-    p_hat = float(np.exp(x[2]))
-    scale = np.diag([1.0, 1.0, p_hat])
-    cov = scale @ cov_internal @ scale
+    cov = _covariance(jac, chi2, dof, absolute_sigma)
     return RBFit(
-        A_hat=float(x[0]),
-        B_hat=float(x[1]),
+        A_hat=a_hat,
+        B_hat=b_hat,
         p_hat=p_hat,
         stderr_A=math.sqrt(max(cov[0, 0], 0.0)),
         stderr_B=math.sqrt(max(cov[1, 1], 0.0)),
@@ -547,8 +458,9 @@ def plateau_test(
 
 
 def _identifiable(rb: RBFit) -> bool:
-    """Whether the fit separates A from B: p below 1 and a nonzero amplitude."""
-    return rb.p_hat < 1.0 - 1e-9 and abs(rb.A_hat) > 1e-9 * max(1.0, abs(rb.B_hat))
+    """Whether the fit separates A from B: p inside RATE_BOUNDS and a nonzero amplitude."""
+    inside = RATE_BOUNDS[0] < rb.p_hat < RATE_BOUNDS[1]
+    return inside and abs(rb.A_hat) > 1e-9 * max(1.0, abs(rb.B_hat))
 
 
 def b_minus_a_test(rb: RBFit) -> tuple:
@@ -556,9 +468,9 @@ def b_minus_a_test(rb: RBFit) -> tuple:
 
     B - A must be nonnegative when the noise is one fixed channel per gate,
     so it is flagged when it sits more than 3 standard errors below zero.
-    A fit that did not converge, or a flat curve (fitted p ~ 1, or decay
-    amplitude ~ 0), does not identify the split between A and B and is
-    never flagged.  Both ``lossbench fit --model rb`` and
+    A fit that did not converge, or a flat curve (fitted p at a bound of
+    RATE_BOUNDS, or decay amplitude ~ 0), does not identify the split
+    between A and B and is never flagged.  Both ``lossbench fit --model rb`` and
     :func:`markovianity_tests` apply this one rule.
     """
     b_minus_a = rb.B_hat - rb.A_hat
@@ -590,9 +502,9 @@ def markovianity_tests(
     supplied along with a qubit preparation and measurement, that exact
     value is reported for comparison.
 
-    A flat benchmarking curve (fitted p ~ 1, or decay amplitude ~ 0) does
-    not identify the split between A and B, so the two comparison flags
-    are suppressed in that case; the exact channel value is still reported.
+    A flat benchmarking curve (fitted p at a bound of RATE_BOUNDS, or decay
+    amplitude ~ 0) does not identify the split between A and B, so the two
+    comparison flags are suppressed in that case; the exact channel value is still reported.
     """
     if not rb.converged:
         raise ValueError("benchmarking fit did not converge; checks need a valid fit")

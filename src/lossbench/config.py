@@ -83,14 +83,14 @@ def _check_keys(section: dict, path: str, allowed) -> list:
 
 def _parse_qubit_matrix(data, path: str) -> np.ndarray:
     """A 2x2 complex matrix from [re, im] pairs; every explicit matrix is a qubit's."""
-    try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or not np.all(np.isfinite(arr)):
+    # An object array keeps each JSON value as parsed, so strings and bools
+    # reach _is_number instead of being converted by numpy.
+    arr = np.array(data, dtype=object)
+    if not all(_is_number(v) for v in arr.flat):
         raise ConfigError([f"{path}: expected a nested array of finite [re, im] pairs"])
     if arr.shape != (2, 2, 2):
         raise ConfigError([f"{path}: expected a 2x2 matrix of [re, im] pairs, got {arr.shape}"])
+    arr = arr.astype(float)
     return arr[..., 0] + 1j * arr[..., 1]
 
 

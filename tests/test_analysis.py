@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -164,6 +165,24 @@ class TestFitLossDecay:
         with pytest.raises(ValueError, match="not finite"):
             lb.fit_loss_decay(ds)
 
+    @pytest.mark.parametrize(
+        "means",
+        [[0.01, -0.2, -0.3, -0.2], [0.05, -0.1, -0.05, -0.1, -0.08], [-0.2, 0.01, -0.1, -0.3]],
+    )
+    def test_intercept_stays_nonnegative(self, means):
+        # A least-squares B0 below zero would fit these better at S ~ 1.
+        ds = lb.DecayDataset(tuple(range(1, len(means) + 1)), np.array(means), np.full(len(means), 0.05), 5, None)
+        fit = lb.fit_loss_decay(ds)
+        assert fit.converged
+        assert fit.B0_hat >= 0.0
+        assert np.isfinite(fit.stderr_S) and np.isfinite(fit.stderr_B0)
+
+    def test_tiny_sems_fit_without_overflow(self):
+        # Weights 1/sem^2 of 1e200: no product of two weighted sums may overflow.
+        fit = lb.fit_loss_decay(synthetic_loss_dataset(0.9, 0.99, sems=1e-100))
+        assert fit.converged
+        assert fit.S_hat == pytest.approx(0.99, rel=1e-12)
+
     def test_mostly_nonpositive_falls_back(self):
         ds = lb.DecayDataset(
             m_values=(1, 2, 3, 4),
@@ -191,6 +210,10 @@ def rb_dataset(a, b, p, m_grid, sems=None, seed=None):
         n_sequences=30,
         shots=None,
     )
+
+
+# The RB lengths of perfbench's fit-batch workload.
+RB_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 64)
 
 
 class TestFitRBDecay:
@@ -229,13 +252,49 @@ class TestFitRBDecay:
             lb.fit_rb_decay(ds)
 
     def test_unidentified_amplitude_has_large_stderr(self):
-        # An alternating flat curve pins B + A but not A: the fit stops at
-        # A ~ 8.4, B ~ -7.9, and the stderrs must say that A is unknown.
-        grid = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 64)
+        # An alternating flat curve pins B but not A: the fit converges with
+        # p at a bound of the rate search, and the stderrs must say that A,
+        # and with it B - A, is unknown.
+        grid = RB_GRID
         means = 0.5 + 0.004 * (-1.0) ** np.arange(len(grid))
         fit = lb.fit_rb_decay(lb.DecayDataset(grid, means, np.full(len(grid), 0.004), 40, 200))
-        assert fit.stderr_A >= 1.0
-        assert fit.stderr_B >= 1.0
+        assert fit.converged
+        assert fit.p_hat in analysis.RATE_BOUNDS
+        assert not analysis._identifiable(fit)
+        assert 1.0 <= fit.stderr_A < math.inf
+        _, sigma, flagged = lb.b_minus_a_test(fit)
+        assert 1.0 <= sigma < math.inf
+        assert not flagged
+
+    def test_noisy_flat_curves_converge(self):
+        # Kaufman's curvature scales with A^2, so on flat curves plain
+        # Gauss-Newton creeps (and ran out of its 200 evaluations on 2 of
+        # these 40); the secant curvature converges in a few steps.
+        grid = RB_GRID
+        for seed in range(40):
+            means = 0.5 + 0.005 * np.random.default_rng(seed).normal(size=len(grid))
+            ds = lb.DecayDataset(grid, means, np.full(len(grid), 0.005), 40, 200)
+            fit = lb.fit_rb_decay(ds)
+            assert fit.converged and fit.n_iterations < 100, seed
+
+    def test_null_direction_has_huge_finite_variance(self):
+        # A flat curve fits with A = 0, so J's column for p is zero: its
+        # variance must come out huge, not inf or NaN.
+        grid = RB_GRID
+        ds = lb.DecayDataset(grid, np.full(len(grid), -0.01), np.full(len(grid), 0.001), 40, 200)
+        fit = lb.fit_rb_decay(ds)
+        assert fit.A_hat == 0.0
+        assert np.all(np.isfinite(fit.covariance))
+        assert fit.stderr_p >= 1.0
+
+    def test_rates_stay_inside_the_bounds(self):
+        # A curve that falls ever faster (A < 0, p = 1.01) would fit p > 1
+        # without the bound.
+        ds = rb_dataset(-0.1, 0.6, 1.01, range(1, 41))
+        fit = lb.fit_rb_decay(ds)
+        assert fit.converged
+        assert fit.p_hat == analysis.RATE_BOUNDS[1]
+        assert not analysis._identifiable(fit)
 
 
 def hard_floor_dataset():
@@ -270,8 +329,58 @@ _LOSS_FIELDS = ("S_hat", "B0_hat", "stderr_S", "stderr_B0")
 _RB_FIELDS = ("A_hat", "B_hat", "p_hat", "stderr_A", "stderr_B", "stderr_p")
 
 
+def minpack_fit(fit, ds) -> dict:
+    """The model of ``fit`` fitted to ``ds`` by scipy's MINPACK lmder.
+
+    A reference independent of the variable-projection search: the same
+    weights, the rate on a log scale from a fixed start, gtol 1e-10,
+    ftol = xtol = 1e-15 and 200 evaluations, and standard errors from
+    (J^T J)^-1 at the solution, scaled by chi^2/dof under unit weights.
+    Returns the fit's fields by name.
+    """
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    m = np.array(ds.m_values, dtype=float)
+    y = np.array(ds.means, dtype=float)
+    absolute = bool(np.all(np.isfinite(ds.sems)) and np.all(ds.sems > 0))
+    w = 1.0 / ds.sems if absolute else np.ones_like(y)
+    if fit is lb.fit_loss_decay:
+        names, x0 = ("B0_hat", "S_hat"), [y[0], np.log(0.9)]
+
+        def model(x):
+            curve = np.exp((m - 1.0) * x[1])
+            return x[0] * curve, [curve, x[0] * (m - 1.0) * curve]
+    else:
+        names, x0 = ("A_hat", "B_hat", "p_hat"), [y[0] - y[-1], y[-1], np.log(0.9)]
+
+        def model(x):
+            curve = np.exp(m * x[2])
+            return x[0] * curve + x[1], [curve, np.ones_like(m), x[0] * m * curve]
+
+    res = least_squares(
+        lambda x: w * (model(x)[0] - y),
+        x0,
+        jac=lambda x: w[:, None] * np.array(model(x)[1]).T,
+        method="lm",
+        gtol=1e-10,
+        ftol=1e-15,
+        xtol=1e-15,
+        max_nfev=200,
+    )
+    chi2 = float(res.fun @ res.fun)
+    cov = np.linalg.inv(res.jac.T @ res.jac)
+    if not absolute:
+        cov = cov * chi2 / (m.size - len(names))
+    values = list(res.x[:-1]) + [np.exp(res.x[-1])]
+    stderrs = list(np.sqrt(np.diag(cov)))
+    stderrs[-1] *= values[-1]
+    out = dict(zip(names, values))
+    out.update({"stderr_" + n[:-4]: e for n, e in zip(names, stderrs)})
+    out["converged"] = res.status >= 1
+    return out
+
+
 class TestSolverMatchesMinpack:
-    """The numpy Levenberg-Marquardt against scipy's MINPACK lmder."""
+    """The variable-projection fits against scipy's MINPACK lmder on the same models."""
 
     @pytest.mark.parametrize(
         "fit, fields, ds",
@@ -280,7 +389,6 @@ class TestSolverMatchesMinpack:
             (lb.fit_loss_decay, _LOSS_FIELDS, synthetic_loss_dataset(0.5, 0.95, sems=0.001, seed=21)),
             (lb.fit_loss_decay, _LOSS_FIELDS, unit_weight_dataset()),
             (lb.fit_loss_decay, _LOSS_FIELDS, hard_floor_dataset()),
-            (lb.fit_loss_decay, _LOSS_FIELDS, mostly_nonpositive_dataset()),
             (lb.fit_rb_decay, _RB_FIELDS, rb_dataset(0.49, 0.5, 0.98, range(2, 61, 2))),
             (lb.fit_rb_decay, _RB_FIELDS, rb_dataset(0.4, 0.55, 0.95, range(1, 41), sems=0.002, seed=33)),
             (lb.fit_rb_decay, _RB_FIELDS, rb_dataset(-0.3, 0.7, 0.9, range(1, 31))),
@@ -290,55 +398,31 @@ class TestSolverMatchesMinpack:
             "loss-weighted",
             "loss-unit-weight",
             "loss-plateau",
-            "loss-mostly-nonpositive",
             "rb-exact",
             "rb-weighted",
             "rb-negative-amplitude",
         ],
     )
-    def test_same_estimates_as_minpack(self, monkeypatch, fit, fields, ds):
+    def test_same_estimates_as_minpack(self, fit, fields, ds):
         ours = fit(ds)
-        reference = self.minpack_fit(monkeypatch, fit, ds)
-        assert ours.converged == reference.converged
+        reference = minpack_fit(fit, ds)
+        assert ours.converged == reference["converged"]
         for name in fields:
             # The stderrs of exact data are rounding noise below 1e-12.
             floor = 1e-12 if name.startswith("stderr_") else 0.0
-            expected = pytest.approx(getattr(reference, name), rel=1e-7, abs=floor)
+            expected = pytest.approx(reference[name], rel=1e-7, abs=floor)
             assert getattr(ours, name) == expected, name
 
-    def test_flat_curve_runs_out_of_budget_where_minpack_does(self, monkeypatch):
-        # An alternating flat curve: neither solver converges within the
-        # budget, and both stop at the same point up to rounding growth
-        # over 200 evaluations.
-        grid = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 64)
-        means = 0.5 + 0.004 * (-1.0) ** np.arange(len(grid))
-        ds = lb.DecayDataset(grid, means, np.full(len(grid), 0.004), 40, 200)
-        ours = lb.fit_rb_decay(ds)
-        reference = self.minpack_fit(monkeypatch, lb.fit_rb_decay, ds)
-        assert not ours.converged and not reference.converged
-        assert ours.n_iterations == reference.n_iterations == analysis.MAX_ITERATIONS
-        for name in ("A_hat", "B_hat", "p_hat"):
-            assert getattr(ours, name) == pytest.approx(getattr(reference, name), rel=1e-5), name
-
-    @staticmethod
-    def minpack_fit(monkeypatch, fit, ds):
-        least_squares = pytest.importorskip("scipy.optimize").least_squares
-
-        def minpack(residuals, jacobian, x0):
-            res = least_squares(
-                residuals,
-                x0,
-                jac=jacobian,
-                method="lm",
-                gtol=analysis.GRADIENT_TOL,
-                ftol=1e-15,
-                xtol=1e-15,
-                max_nfev=analysis.MAX_ITERATIONS,
-            )
-            return res.x, res.cost, res.jac, res.nfev, res.status >= 1
-
-        monkeypatch.setattr(analysis, "_least_squares", minpack)
-        return fit(ds)
+    def test_mostly_nonpositive_stops_at_the_lower_bound(self):
+        # The cost keeps falling as S -> 0: lmder runs on to S ~ 1e-17, the
+        # search stops at its lower bound with the same B0.
+        ds = mostly_nonpositive_dataset()
+        ours = lb.fit_loss_decay(ds)
+        reference = minpack_fit(lb.fit_loss_decay, ds)
+        assert ours.converged
+        assert ours.S_hat == analysis.RATE_BOUNDS[0]
+        assert reference["S_hat"] < ours.S_hat
+        assert ours.B0_hat == pytest.approx(reference["B0_hat"], rel=1e-7)
 
 
 class TestFitCalibration:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench import cli
+from lossbench import analysis, cli
 
 
 def run_cli(*argv, cwd=None):
@@ -263,31 +265,35 @@ class TestFlagRule:
         library_flags = [f for f in report.flags if f == "B_MINUS_A_NEGATIVE"]
         assert cli_flags == library_flags == []
 
-    def test_unconverged_fit_is_not_flagged(self, tmp_path):
-        # An alternating curve stops the fit on its evaluation budget at
-        # p ~ 0.999997, A ~ 8.4, B ~ -7.9: B - A far below zero, and the
-        # flat-curve guard alone (p < 1 - 1e-9) would not suppress it.
+    def test_fit_at_a_rate_bound_is_not_flagged(self, tmp_path):
+        # An alternating curve converges with p at a bound of the rate
+        # search and A ~ 4e3 +/- 4e9: B - A is far below zero, and only the
+        # bound marks the split between A and B as unidentified.
         means = 0.5 + 0.004 * (-1.0) ** np.arange(len(_RB_GRID))
         ds = lb.DecayDataset(_RB_GRID, means, np.full(len(_RB_GRID), 0.004), 40, 200)
         csv = tmp_path / "decay.csv"
         ds.to_csv(csv)
         assert cli.main(["fit", str(csv), "--model", "rb", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "fit.json").read_text())
-        assert report["converged"] is False
+        assert report["converged"] is True
+        assert report["p_hat"] in analysis.RATE_BOUNDS
+        assert 1.0 <= report["A_stderr"] < math.inf
         assert report["flags"] == []
 
         fit = lb.fit_rb_decay(ds)
-        assert not fit.converged
-        assert 0.9999 < fit.p_hat < 1.0 - 1e-9
         b_minus_a, _, flagged = lb.b_minus_a_test(fit)
         assert b_minus_a < -10.0
         assert not flagged
+        assert lb.markovianity_tests(fit, (ds.means[0], ds.sems[0])).flags == ()
 
     def test_guard_is_what_suppresses_the_negative_offset(self):
-        # Without the identifiability guard the flat negative-offset curve
-        # sits far below -3 sigma and would be flagged.
+        # The flat negative-offset curve fits A = 0 with p at a rate bound.
+        # Even with a covariance that puts B - A far below -3 sigma, the
+        # identifiability guard keeps it unflagged.
         fit = lb.fit_rb_decay(_flat_rb_dataset(-0.01, 0.001))
-        b_minus_a, sigma, flagged = lb.b_minus_a_test(fit)
+        assert fit.p_hat in analysis.RATE_BOUNDS
+        tight = dataclasses.replace(fit, covariance=np.diag([1e-6, 1e-6, 1e-6]))
+        b_minus_a, sigma, flagged = lb.b_minus_a_test(tight)
         assert b_minus_a / sigma < -3.0
         assert abs(fit.A_hat) < 1e-9
         assert not flagged

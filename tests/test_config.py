@@ -215,6 +215,32 @@ class TestNonFiniteNumbers:
         assert any(e.startswith("seed:") for e in errors)
 
 
+class TestMatrixEntriesAreNumbers:
+    """Strings and bools are not matrix entries, even where they read as 1."""
+
+    @pytest.mark.parametrize("entry", ["1", "1e0", True], ids=["string", "exponent-string", "bool"])
+    @pytest.mark.parametrize(
+        "field, path",
+        [
+            (lambda e: {"state": {"matrix": [[[e, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}}, "state.matrix"),
+            (lambda e: {"noise": kraus_noise(e)}, "noise.operators[0]"),
+            (lambda e: {"detector": {"eigenvalues": [0.3, 0.6], "basis": qubit_matrix(e)}}, "detector.basis"),
+        ],
+        ids=["state-matrix", "kraus-operator", "detector-basis"],
+    )
+    def test_rejected_with_field_path(self, field, path, entry):
+        errors = errors_of(base_doc(**field(entry)))
+        assert f"{path}: expected a nested array of finite [re, im] pairs" in errors, errors
+
+    def test_same_documents_parse_with_numbers(self):
+        for field in (
+            {"state": {"matrix": [[[1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}},
+            {"noise": kraus_noise(1)},
+            {"detector": {"eigenvalues": [0.3, 0.6], "basis": qubit_matrix(1)}},
+        ):
+            parse(base_doc(**field))
+
+
 class TestStateSection:
     def test_presets(self):
         assert parse(base_doc(state="one")).protocol.rho0.matrix[1, 1] == 1.0
