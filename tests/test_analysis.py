@@ -376,6 +376,7 @@ def minpack_fit(fit, ds) -> dict:
     out = dict(zip(names, values))
     out.update({"stderr_" + n[:-4]: e for n, e in zip(names, stderrs)})
     out["converged"] = res.status >= 1
+    out["chi2"] = chi2
     return out
 
 
@@ -423,6 +424,21 @@ class TestSolverMatchesMinpack:
         assert ours.S_hat == analysis.RATE_BOUNDS[0]
         assert reference["S_hat"] < ours.S_hat
         assert ours.B0_hat == pytest.approx(reference["B0_hat"], rel=1e-7)
+
+    def test_flat_curve_converges_where_minpack_runs_out_of_budget(self):
+        # An alternating flat curve: lmder spends its 200 evaluations
+        # trading A against p near 0, the search stops at the lower rate
+        # bound with a cost no higher and the same B.
+        grid = RB_GRID
+        means = 0.5 + 0.004 * (-1.0) ** np.arange(len(grid))
+        ds = lb.DecayDataset(grid, means, np.full(len(grid), 0.004), 40, 200)
+        ours = lb.fit_rb_decay(ds)
+        reference = minpack_fit(lb.fit_rb_decay, ds)
+        assert not reference["converged"]
+        assert ours.converged and ours.n_iterations < analysis.MAX_ITERATIONS
+        assert ours.p_hat == analysis.RATE_BOUNDS[0]
+        assert ours.chi2_per_dof * (len(grid) - 3) <= reference["chi2"] * (1 + 1e-12)
+        assert ours.B_hat == pytest.approx(reference["B_hat"], rel=1e-7)
 
 
 class TestFitCalibration:
