@@ -1,9 +1,11 @@
-"""Dense complex linear algebra for small Hilbert spaces (d <= ~8).
+"""Dense linear algebra for small Hilbert spaces (d <= ~8).
 
 States, channels and measurement operators are thin immutable wrappers
 around complex numpy matrices.  States may be sub-normalized (trace < 1):
 lossy channels shrink the trace and nothing in this package ever
-renormalizes silently.
+renormalizes silently.  For composing many channels, :func:`coordinates`
+and :func:`transfer_matrix` express Hermitian operators and Kraus maps as
+real vectors and real matrices in one orthonormal Hermitian operator basis.
 
 Tolerance conventions:
   * 1e-12 for properties guaranteed by construction (hermiticity,
@@ -12,6 +14,7 @@ Tolerance conventions:
     (trace-non-increase of composed channels, probability clamping).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,27 @@ TRACE_ATOL = 1e-12
 ARITHMETIC_ATOL = 1e-10
 
 
+def key_words(*key: int) -> np.ndarray:
+    """The uint32 entropy words numpy's SeedSequence takes from an integer key.
+
+    Each nonnegative integer contributes its little-endian 32-bit words (at
+    least one), concatenated in key order, so ``default_rng(key_words(*key))``
+    and ``default_rng(key)`` are the same stream.  Handing numpy the words
+    skips its per-call coercion of the tuple, and rows of a uint32 array
+    built from these words seed many streams at once.
+    """
+    words = []
+    for k in key:
+        k = operator.index(k)
+        if k < 0:
+            raise ValueError(f"stream keys must be nonnegative, got {k}")
+        words.append(k & 0xFFFFFFFF)
+        while k > 0xFFFFFFFF:
+            k >>= 32
+            words.append(k & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def stream(*key: int) -> np.random.Generator:
     """Return an RNG stream keyed by a tuple of nonnegative integers.
 
@@ -30,7 +54,7 @@ def stream(*key: int) -> np.random.Generator:
     on the order in which tasks run.  One stream per logical task; streams
     are stateful and must not be shared across tasks.
     """
-    return np.random.default_rng(key)
+    return np.random.default_rng(key_words(*key))
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -232,19 +256,57 @@ def survival_operator(channel: QuantumChannel) -> np.ndarray:
     return hermitian_part(survival_operator_matrix(channel.kraus))
 
 
-def liouville(kraus) -> np.ndarray:
-    """Row-major Liouville matrix sum_i K_i (x) conj(K_i) of a Kraus map.
+def hermitian_basis(dim: int) -> np.ndarray:
+    """An orthonormal basis of the d x d Hermitian operators, shape (d^2, d, d).
 
-    With states vectorized row-major, vec(rho) = rho.reshape(-1), the
-    identity vec(A rho B) = (A (x) B^T) vec(rho) turns rho -> sum_i K_i rho
-    K_i^H into this d^2 x d^2 matrix, and composing maps into multiplying
-    their matrices.
+    The units are |i><i| for each level i, then for each pair i < j
+    (|i><j| + |j><i|)/sqrt(2) and i(|j><i| - |i><j|)/sqrt(2).  They are
+    orthonormal under Tr(A^H B), and every Hermitian operator is a real
+    combination of them.
     """
-    return sum(np.kron(k, k.conj()) for k in kraus)
+    units = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    units[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    a = dim
+    half = np.sqrt(0.5)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            units[a, i, j] = units[a, j, i] = half
+            units[a + 1, j, i] = 1j * half
+            units[a + 1, i, j] = -1j * half
+            a += 2
+    return units
+
+
+def coordinates(matrix) -> np.ndarray:
+    """The real coordinates Tr(E_a M) of a Hermitian M in :func:`hermitian_basis`.
+
+    M = sum_a r_a E_a, and for Hermitian A and B, Tr(A B) is the dot product
+    of their coordinate vectors.  The imaginary parts, which vanish for
+    Hermitian M, are dropped.
+    """
+    matrix = np.asarray(matrix)
+    basis = hermitian_basis(matrix.shape[0])
+    return np.einsum("aji,ij->a", basis, matrix).real
+
+
+def transfer_matrix(kraus) -> np.ndarray:
+    """The real d^2 x d^2 transfer matrix of the map rho -> sum_i K_i rho K_i^H.
+
+    Entry (a, b) is Tr(E_a K(E_b)) in :func:`hermitian_basis`, so the map
+    sends coordinates r to T r, and composing maps multiplies their
+    matrices.  With B the unitary whose row a is conj(vec(E_a)) for
+    row-major vec, T = B (sum_i K_i (x) conj(K_i)) B^H.  Any Kraus map keeps
+    operators Hermitian, so T is real; the imaginary rounding residue is
+    dropped.
+    """
+    kraus = np.asarray(kraus, dtype=np.complex128)
+    basis = hermitian_basis(kraus.shape[-1])
+    images = sum(k @ basis @ k.conj().T for k in kraus)
+    return np.einsum("aji,bij->ab", basis, images).real
 
 
 def click_probabilities(traces) -> np.ndarray:
-    """Checked click probabilities Re Tr(Q rho) from complex traces Tr(Q rho).
+    """Checked click probabilities Re Tr(Q rho) from traces Tr(Q rho), real or complex.
 
     Values straying past [0, 1] by at most 1e-10 (arithmetic noise) are
     clamped; anything worse, or an imaginary part above 1e-10, signals

@@ -5,11 +5,12 @@ benchmarking variant (inversion gate appended before measurement) over a
 grid of sequence lengths, in exact-expectation or finite-shot mode.
 
 Noise convention: the imperfect implementation of gate g is "noise first,
-then g", one d^2 x d^2 Liouville matrix per gate.  All (length, sequence)
-tasks evolve together as rows of one array of vectorized states.  Every
-task draws its gate word and its shots from its own RNG streams keyed by
-(master_seed, length_index, sequence_index), so datasets are
-bit-reproducible regardless of the order in which tasks are evaluated.
+then g", one real d^2 x d^2 transfer matrix per gate in an orthonormal
+Hermitian operator basis (:func:`lossbench.core.transfer_matrix`).  All
+(length, sequence) tasks evolve together as rows of one real array of state
+coordinates.  Every task draws its gate word and its shots from its own RNG
+streams keyed by (master_seed, length_index, sequence_index), so datasets
+are bit-reproducible regardless of the order in which tasks are evaluated.
 :func:`execute_sequence` simulates one sequence at a time by Kraus
 operators and is kept as the scalar reference.
 """
@@ -23,15 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    HERMITICITY_ATOL,
     DensityMatrix,
     MeasurementOperator,
     QuantumChannel,
     _apply_kraus,
     click_probabilities,
+    coordinates,
     expectation,
-    liouville,
+    key_words,
     sample_clicks,
-    stream,
+    transfer_matrix,
 )
 from .gates import GateSet, inverse_gate, inverse_indices
 
@@ -51,6 +54,8 @@ class ProtocolConfig:
 
     ``shots=None`` requests exact per-sequence expectation values; a
     positive integer requests that many binomial shots per sequence.
+    ``rho0`` must be Hermitian: the engine carries states as real
+    coordinates, which have no room for an anti-Hermitian part.
     """
 
     gateset: GateSet
@@ -78,6 +83,10 @@ class ProtocolConfig:
         }
         if len(set(dims.values())) != 1:
             raise ValueError(f"dimension mismatch across config: {dims}")
+        rho = self.rho0.matrix
+        asym = float(np.max(np.abs(rho - rho.conj().T)))
+        if not asym <= HERMITICITY_ATOL:
+            raise ValueError(f"rho0 is not Hermitian (deviation {asym:.3e})")
         if self.n_sequences < 1:
             raise ValueError(f"n_sequences must be positive, got {self.n_sequences}")
         if self.shots is not None and self.shots < 1:
@@ -274,59 +283,78 @@ def execute_sequence(
 
 
 def _gate_superoperators(cfg: ProtocolConfig) -> np.ndarray:
-    """Liouville matrices of "noise, then gate g" for every g: (|G|, d^2, d^2)."""
-    noise = liouville(cfg.noise.kraus)
-    return np.stack([np.kron(u, u.conj()) @ noise for u in cfg.gateset.gates])
+    """Transfer matrices of "noise, then gate g" for every g: (|G|, d^2, d^2)."""
+    noise = cfg.noise.kraus
+    return np.stack([transfer_matrix([u @ k for k in noise]) for u in cfg.gateset.gates])
 
 
 def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     """Run the full protocol over the length grid.
 
-    Every (length, sequence) task is one row of a (tasks, d^2) array of
-    vectorized states, and each gate step is one gathered superoperator
-    product over the rows still running.  Rows are ordered longest sequence
-    first, so the rows still running at any step are a prefix of the array.
-    The benchmarking variant carries the ideal product of each word beside
-    its state and ends with one step of the inversion gate.
+    Every (length, sequence) task is one row of a (tasks, d^2) array of real
+    state coordinates.  Each gate step is one real matrix product of the
+    rows still running with all |G| transfer matrices side by side, from
+    which every row keeps the block of its own gate.  Rows are ordered
+    longest sequence first, so the rows still running at any step are a
+    prefix of the array.  The benchmarking variant carries the ideal
+    product of each word beside its state and ends with one step of the
+    inversion gate.  Each task's streams are seeded from one row of a uint32
+    key array holding the words of (master_seed, length_index,
+    sequence_index, tag), the entropy :func:`lossbench.core.stream` derives
+    from the same key.
     """
     n = cfg.n_sequences
     n_lengths = len(cfg.m_grid)
+    n_gates = len(cfg.gateset)
     # m_grid is strictly increasing, so reversing it orders tasks longest first.
-    tasks = [(mi, si) for mi in reversed(range(n_lengths)) for si in range(n)]
-    lengths = np.array([cfg.m_grid[mi] for mi, _ in tasks])
+    length_index = np.repeat(np.arange(n_lengths)[::-1], n)
+    lengths = np.array(cfg.m_grid)[length_index]
+    n_tasks = len(lengths)
+    seed_words = key_words(cfg.master_seed)
+    keys = np.empty((n_tasks, seed_words.size + 3), dtype=np.uint32)
+    keys[:, : seed_words.size] = seed_words
+    keys[:, -3] = length_index
+    keys[:, -2] = np.tile(np.arange(n), n_lengths)
+    keys[:, -1] = _GATE_DRAWS
     # Step-major gate table: row s holds every task's gate at step s.
-    words = np.zeros(
-        (lengths[0], len(tasks)), dtype=np.min_scalar_type(len(cfg.gateset) - 1)
-    )
-    for t, (mi, si) in enumerate(tasks):
-        gate_rng = stream(cfg.master_seed, mi, si, _GATE_DRAWS)
-        words[: lengths[t], t] = sample_sequence(cfg.gateset, lengths[t], gate_rng)
+    words = np.zeros((lengths[0], n_tasks), dtype=np.min_scalar_type(n_gates - 1))
+    for t, (key, m) in enumerate(zip(keys, lengths.tolist())):
+        words[:m, t] = sample_sequence(cfg.gateset, m, np.random.default_rng(key))
     # running[s] = number of tasks longer than s, a prefix of the rows
     running = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
 
-    supers = _gate_superoperators(cfg)
-    states = np.tile(cfg.rho0.matrix.reshape(-1), (len(tasks), 1))
+    transfers = _gate_superoperators(cfg)
+    dd = transfers.shape[1]
+    # Column block g of `stacked` is T_g^T, so row t of states @ stacked
+    # holds T_g r_t for every g at t * n_gates + g of the reshaped product.
+    stacked = transfers.transpose(2, 0, 1).reshape(dd, n_gates * dd)
+    offsets = np.arange(n_tasks) * n_gates
+    states = np.tile(coordinates(cfg.rho0.matrix), (n_tasks, 1))
+
+    def advance(k, g):
+        """Rows [:k] of states after the step with gates g."""
+        blocks = (states[:k] @ stacked).reshape(k * n_gates, dd)
+        return blocks.take(offsets[:k] + g, axis=0)
+
     rb = cfg.variant == VARIANT_RB
     if rb:
         unitaries = np.stack(cfg.gateset.gates)
-        products = np.tile(np.eye(cfg.gateset.dim, dtype=np.complex128), (len(tasks), 1, 1))
+        products = np.tile(np.eye(cfg.gateset.dim, dtype=np.complex128), (n_tasks, 1, 1))
     for step, k in zip(words, running):
         g = step[:k]
-        states[:k] = (supers[g] @ states[:k, :, np.newaxis])[:, :, 0]
+        states[:k] = advance(k, g)
         if rb:
             products[:k] = unitaries[g] @ products[:k]
     if rb:
-        inverses = inverse_indices(cfg.gateset, products)
-        states = (supers[inverses] @ states[:, :, np.newaxis])[:, :, 0]
+        states = advance(n_tasks, inverse_indices(cfg.gateset, products))
 
-    # Tr(Q rho) = sum_ij Q_ji rho_ij
-    probs = click_probabilities(states @ cfg.q_op.matrix.T.reshape(-1))
+    probs = click_probabilities(states @ coordinates(cfg.q_op.matrix))
     if cfg.shots is None:
         values = probs
     else:
+        keys[:, -1] = _SHOT_DRAWS
         clicks = [
-            stream(cfg.master_seed, mi, si, _SHOT_DRAWS).binomial(cfg.shots, p)
-            for (mi, si), p in zip(tasks, probs)
+            np.random.default_rng(key).binomial(cfg.shots, p) for key, p in zip(keys, probs)
         ]
         values = np.array(clicks) / cfg.shots
     # Back to (length, sequence) order.
@@ -369,7 +397,7 @@ def exact_sequence_average(cfg: ProtocolConfig, m: int) -> float:
     """The sequence-averaged signal at length m, computed without sampling.
 
     Averaging over all |G|^m sequences factorizes into m applications of
-    the group-averaged step |G|^-1 sum_g L_g, because the m gate draws are
+    the group-averaged step |G|^-1 sum_g T_g, because the m gate draws are
     independent.  This holds for any gate set; when the set is a unitary
     1-design the result collapses to the closed-form single-exponential
     decay.  Always evaluates the loss variant (no inversion gate).
@@ -377,7 +405,7 @@ def exact_sequence_average(cfg: ProtocolConfig, m: int) -> float:
     if m < 1:
         raise ValueError(f"sequence length must be >= 1, got {m}")
     average = _gate_superoperators(cfg).mean(axis=0)
-    state = cfg.rho0.matrix.reshape(-1)
+    state = coordinates(cfg.rho0.matrix)
     for _ in range(m):
         state = average @ state
-    return float(click_probabilities(state @ cfg.q_op.matrix.T.reshape(-1)))
+    return float(click_probabilities(state @ coordinates(cfg.q_op.matrix)))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.core import click_probabilities, hermitian_part, survival_operator_matrix
+from lossbench.core import (
+    click_probabilities,
+    coordinates,
+    hermitian_basis,
+    hermitian_part,
+    key_words,
+    survival_operator_matrix,
+)
 
 
 def test_stream_is_deterministic_and_key_separated():
@@ -11,6 +18,40 @@ def test_stream_is_deterministic_and_key_separated():
     c = lb.stream(3, 1, 5).normal(size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize(
+    "key, words",
+    [
+        ((0,), [0]),
+        ((3, 1, 4), [3, 1, 4]),
+        ((2**32 - 1, 0, 2, 1), [2**32 - 1, 0, 2, 1]),
+        ((2**32, 5, 0, 0), [0, 1, 5, 0, 0]),
+        ((2**64 + 5, 1, 2, 1), [5, 0, 1, 1, 2, 1]),
+    ],
+)
+def test_stream_is_numpy_seeding_by_the_key_words(key, words):
+    assert key_words(*key).tolist() == words
+    draws = lb.stream(*key).integers(0, 2**62, size=8)
+    assert np.array_equal(draws, np.random.default_rng(key).integers(0, 2**62, size=8))
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5])
+def test_stream_rejects_keys_that_are_not_nonnegative_integers(bad):
+    with pytest.raises((ValueError, TypeError)):
+        lb.stream(3, bad)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hermitian_basis_is_orthonormal_and_spans(dim):
+    basis = hermitian_basis(dim)
+    assert basis.shape == (dim * dim, dim, dim)
+    assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+    gram = np.einsum("aij,bij->ab", basis.conj(), basis)
+    assert np.allclose(gram, np.eye(dim * dim), rtol=0.0, atol=1e-15)
+    a = lb.stream(dim, 9).normal(size=(2, dim, dim))
+    h = hermitian_part(a[0] + 1j * a[1])
+    assert np.allclose(np.einsum("a,aij->ij", coordinates(h), basis), h, rtol=0.0, atol=1e-14)
 
 
 def test_hermitian_part():

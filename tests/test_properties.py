@@ -1,5 +1,6 @@
 """Property tests: the config parser's error contract, the CSV round trip, the
-loss bound on random channels and the decay fits' global minimum."""
+loss bound and the real transfer matrix on random channels, and the decay
+fits' global minimum."""
 
 import copy
 import json
@@ -9,6 +10,7 @@ import pytest
 
 import lossbench as lb
 from lossbench import analysis
+from lossbench.core import coordinates, hermitian_basis, transfer_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -147,6 +149,26 @@ def test_loss_bound_holds_on_random_channels(channel):
     assert report.satisfied
     assert report.slack >= -analysis.BOUND_ATOL
     assert -1e-12 <= report.complement_survival <= 1.0 + 1e-12
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(channel=lossy_channels(), data=st.data())
+def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
+    dim = channel.dim
+    # B has rows conj(vec(E_a)); B L B^H is the transfer matrix before its
+    # imaginary rounding residue is dropped.
+    b = hermitian_basis(dim).conj().reshape(dim * dim, dim * dim)
+    liouville = sum(np.kron(k, k.conj()) for k in channel.kraus)
+    complex_t = b @ liouville @ b.conj().T
+    assert np.max(np.abs(complex_t.imag)) <= 1e-15
+    t = transfer_matrix(channel.kraus)
+    assert t.dtype == np.float64
+    assert np.max(np.abs(t - complex_t.real)) <= 1e-15
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    parts = np.array(data.draw(st.lists(entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
+    rho = lb.DensityMatrix(dim, lb.core.hermitian_part((parts[0::2] + 1j * parts[1::2]).reshape(dim, dim)))
+    image = coordinates(lb.apply_channel(channel, rho).matrix)
+    assert np.max(np.abs(t @ coordinates(rho.matrix) - image)) <= 1e-13
 
 
 _LOSS_GRID = np.arange(5.0, 151.0, 5.0)

@@ -34,6 +34,12 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="dimension mismatch"):
             fig1_style_config(rho0=lb.maximally_mixed(3))
 
+    def test_non_hermitian_rho0_raises(self):
+        skew = np.array([[0.5, 1e-9], [0.0, 0.5]])
+        with pytest.raises(ValueError, match=r"rho0 is not Hermitian \(deviation 1\.000e-09\)"):
+            fig1_style_config(rho0=lb.DensityMatrix(2, skew))
+        fig1_style_config(rho0=lb.DensityMatrix(2, skew * 1e-4))
+
     def test_counts_validated(self):
         with pytest.raises(ValueError, match="n_sequences"):
             fig1_style_config(n_sequences=0)
@@ -230,6 +236,27 @@ class TestBatchedEngineOracle:
                     assert out.value == ref.value  # identical click counts
         values = np.array([o.value for o in ds.raw]).reshape(len(cfg.m_grid), -1)
         assert np.array_equal(ds.means, values.mean(axis=1))
+
+    # Seeds of one, two and three 32-bit words, at the edges between them.
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize(
+        "gates, variant, shots",
+        [("pauli", "loss", None), ("clifford", "rb", None), ("clifford", "loss", 25), ("pauli", "rb", 25)],
+    )
+    def test_streams_are_the_keyed_streams(self, seed, gates, variant, shots):
+        cfg = ORACLE_CONFIGS[gates](
+            m_grid=(1, 4, 9), n_sequences=3, master_seed=seed, shots=shots, variant=variant
+        )
+        ds = lb.run_protocol(cfg, keep_raw=True)
+        outcomes = iter(ds.raw)
+        for mi, m in enumerate(cfg.m_grid):
+            for si in range(cfg.n_sequences):
+                out = next(outcomes)
+                word = lb.stream(seed, mi, si, 0).integers(0, len(cfg.gateset), size=m)
+                assert out.sequence_indices == tuple(word.tolist())
+                if shots is not None:
+                    ref = lb.execute_sequence(cfg, word, lb.stream(seed, mi, si, 1))
+                    assert out.value == ref.value  # identical click counts
 
     def test_batched_inversion_matches_inverse_gate(self):
         g = lb.clifford_gateset()
