@@ -10,7 +10,7 @@ import pytest
 
 import lossbench as lb
 from lossbench import analysis
-from lossbench.core import coordinates, hermitian_basis, transfer_matrix
+from lossbench.core import coordinates, hermitian_basis, hermitian_part, transfer_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -166,7 +166,7 @@ def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
     assert np.max(np.abs(t - complex_t.real)) <= 1e-15
     entries = st.floats(-1.0, 1.0, allow_nan=False)
     parts = np.array(data.draw(st.lists(entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
-    rho = lb.DensityMatrix(dim, lb.core.hermitian_part((parts[0::2] + 1j * parts[1::2]).reshape(dim, dim)))
+    rho = lb.DensityMatrix(dim, hermitian_part((parts[0::2] + 1j * parts[1::2]).reshape(dim, dim)))
     image = coordinates(lb.apply_channel(channel, rho).matrix)
     assert np.max(np.abs(t @ coordinates(rho.matrix) - image)) <= 1e-13
 
