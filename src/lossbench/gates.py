@@ -2,8 +2,9 @@
 
 Provides the single-qubit Pauli set (a unitary 1-design) and the 24-element
 single-qubit Clifford group (a unitary 2-design), plus the group-average
-(twirl) map, sequence composition/inversion, and the qutrit embedding used
-to study leakage outside the qubit subspace.
+(twirl) map, sequence composition/inversion, the group multiplication
+table, and the qutrit embedding used to study leakage outside the qubit
+subspace.
 
 Global phase is physically irrelevant and is quotiented everywhere: gates
 are stored in a canonical form whose first nonzero entry is real positive,
@@ -166,27 +167,31 @@ def inverse_gate(gateset: GateSet, indices) -> int:
     inversion (true for the Pauli and Clifford sets); raises otherwise.
     """
     seq = compose_sequence(gateset, indices)
-    return int(inverse_indices(gateset, seq[np.newaxis])[0])
+    for j, u in enumerate(gateset.gates):
+        if phase_equal(u @ seq, np.eye(gateset.dim)):
+            return j
+    raise ValueError("gate set contains no inverse for this sequence (not closed under inversion)")
 
 
-def inverse_indices(gateset: GateSet, products: np.ndarray) -> np.ndarray:
-    """:func:`inverse_gate` for a stack of composed sequences, shape (n, d, d).
+def multiplication_table(gateset: GateSet) -> tuple:
+    """Integer arrays ``(table, inverse)``: U_table[a, b] ~ U_a U_b, U_inverse[c] ~ U_c^H.
 
-    Raises ValueError, as :func:`inverse_gate` does, when any product has no
-    inverse in the set.
+    All |G|^2 products are matched against the set, up to phase, by one
+    batched overlap.  Raises ValueError when a product is missing; a finite
+    set closed under products is a group, so then every gate has an inverse.
     """
-    d = gateset.dim
-    # U_j = phase * P^H  <=>  |Tr(U_j P)| = d
-    overlaps = np.abs(np.einsum("jab,nba->nj", np.stack(gateset.gates), products)) / d
-    best = np.argmax(overlaps, axis=1)
-    best_overlap = overlaps[np.arange(len(best)), best]
-    missing = np.abs(best_overlap - 1.0) > PHASE_MATCH_ATOL
-    if missing.any():
-        raise ValueError(
-            "gate set contains no inverse for this sequence (not closed under "
-            f"inversion; best overlap {float(best_overlap[missing][0])!r})"
-        )
-    return best
+    u = np.stack(gateset.gates)
+    n, d = u.shape[0], gateset.dim
+    products = u[:, np.newaxis] @ u[np.newaxis]
+    # U_c = phase * P  <=>  |Tr(U_c^H P)| = d
+    overlaps = np.abs(products.reshape(n, n, d * d) @ u.reshape(n, d * d).conj().T) / d
+    missing = np.argwhere(np.abs(overlaps.max(axis=2) - 1.0) > PHASE_MATCH_ATOL)
+    if missing.size:
+        a, b = (gateset.labels[i] for i in missing[0])
+        raise ValueError(f"gate set is not a group up to phase: {a} times {b} is missing")
+    # U_b = phase * U_c^H  <=>  |Tr(U_b U_c)| = d
+    inverse = np.argmax(np.abs(np.trace(products, axis1=2, axis2=3)), axis=0)
+    return np.argmax(overlaps, axis=2), inverse
 
 
 def embed_in_qutrit(u: np.ndarray, theta: float) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Randomized-sequence execution engine.
 
 Runs the loss protocol (random gate sequences, no inversion) and its
-benchmarking variant (inversion gate appended before measurement) over a
+benchmarking variant (each word's inverse appended as one more gate) over a
 grid of sequence lengths, in exact-expectation or finite-shot mode.
 
 Noise convention: the imperfect implementation of gate g is "noise first,
@@ -36,7 +36,7 @@ from .core import (
     sample_clicks,
     transfer_matrix,
 )
-from .gates import GateSet, inverse_gate, inverse_indices
+from .gates import GateSet, inverse_gate, multiplication_table
 
 VARIANT_LOSS = "loss"
 VARIANT_RB = "rb"
@@ -93,6 +93,8 @@ class ProtocolConfig:
             raise ValueError(f"shots must be positive or None, got {self.shots}")
         if self.variant not in (VARIANT_LOSS, VARIANT_RB):
             raise ValueError(f"variant must be 'loss' or 'rb', got {self.variant!r}")
+        if self.variant == VARIANT_RB:
+            multiplication_table(self.gateset)  # raises unless a group up to phase
 
     def fingerprint(self) -> str:
         """SHA-256 over a canonical byte encoding of the full configuration."""
@@ -257,17 +259,11 @@ def execute_sequence(
     for k in indices:
         if not 0 <= k < n:
             raise IndexError(f"gate index {k} out of range [0, {n})")
-    kraus = cfg.noise.kraus
-    gates = cfg.gateset.gates
+    inverse = [inverse_gate(cfg.gateset, indices)] if cfg.variant == VARIANT_RB else []
     mat = cfg.rho0.matrix
-    for k in indices:
-        mat = _apply_kraus(kraus, mat)
-        u = gates[k]
-        mat = u @ mat @ u.conj().T
-    if cfg.variant == VARIANT_RB:
-        inv = inverse_gate(cfg.gateset, indices)
-        mat = _apply_kraus(kraus, mat)
-        u = gates[inv]
+    for k in indices + inverse:
+        mat = _apply_kraus(cfg.noise.kraus, mat)
+        u = cfg.gateset.gates[k]
         mat = u @ mat @ u.conj().T
     final = DensityMatrix(cfg.gateset.dim, mat)
     if cfg.shots is None:
@@ -296,12 +292,12 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     rows still running with all |G| transfer matrices side by side, from
     which every row keeps the block of its own gate.  Rows are ordered
     longest sequence first, so the rows still running at any step are a
-    prefix of the array.  The benchmarking variant carries the ideal
-    product of each word beside its state and ends with one step of the
-    inversion gate.  Each task's streams are seeded from one row of a uint32
-    key array holding the words of (master_seed, length_index,
-    sequence_index, tag), the entropy :func:`lossbench.core.stream` derives
-    from the same key.
+    prefix of the array.  The benchmarking variant appends to each word, as
+    one more step, the inverse of the element the word folds to in the gate
+    set's multiplication table.  Each task's streams are seeded from one
+    row of a uint32 key array holding the words of (master_seed,
+    length_index, sequence_index, tag), the entropy
+    :func:`lossbench.core.stream` derives from the same key.
     """
     n = cfg.n_sequences
     n_lengths = len(cfg.m_grid)
@@ -309,6 +305,7 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     # m_grid is strictly increasing, so reversing it orders tasks longest first.
     length_index = np.repeat(np.arange(n_lengths)[::-1], n)
     lengths = np.array(cfg.m_grid)[length_index]
+    steps = lengths + (cfg.variant == VARIANT_RB)
     n_tasks = len(lengths)
     seed_words = key_words(cfg.master_seed)
     keys = np.empty((n_tasks, seed_words.size + 3), dtype=np.uint32)
@@ -317,11 +314,18 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     keys[:, -2] = np.tile(np.arange(n), n_lengths)
     keys[:, -1] = _GATE_DRAWS
     # Step-major gate table: row s holds every task's gate at step s.
-    words = np.zeros((lengths[0], n_tasks), dtype=np.min_scalar_type(n_gates - 1))
+    words = np.zeros((steps[0], n_tasks), dtype=np.min_scalar_type(n_gates - 1))
     for t, (key, m) in enumerate(zip(keys, lengths.tolist())):
         words[:m, t] = sample_sequence(cfg.gateset, m, np.random.default_rng(key))
-    # running[s] = number of tasks longer than s, a prefix of the rows
-    running = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+    # running[s] = number of tasks with more than s steps, a prefix of the rows
+    running = np.searchsorted(-steps, -np.arange(steps[0]), side="left")
+    if cfg.variant == VARIANT_RB:
+        table, inverse = multiplication_table(cfg.gateset)
+        product = words[0].astype(np.intp)
+        # Gate s is part of the word for the running[s + 1] tasks longer than s.
+        for step, k in zip(words[1:], running[2:]):
+            product[:k] = table[step[:k], product[:k]]
+        words[lengths, np.arange(n_tasks)] = inverse[product]
 
     transfers = _gate_superoperators(cfg)
     dd = transfers.shape[1]
@@ -331,22 +335,9 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     offsets = np.arange(n_tasks) * n_gates
     states = np.tile(coordinates(cfg.rho0.matrix), (n_tasks, 1))
 
-    def advance(k, g):
-        """Rows [:k] of states after the step with gates g."""
-        blocks = (states[:k] @ stacked).reshape(k * n_gates, dd)
-        return blocks.take(offsets[:k] + g, axis=0)
-
-    rb = cfg.variant == VARIANT_RB
-    if rb:
-        unitaries = np.stack(cfg.gateset.gates)
-        products = np.tile(np.eye(cfg.gateset.dim, dtype=np.complex128), (n_tasks, 1, 1))
     for step, k in zip(words, running):
-        g = step[:k]
-        states[:k] = advance(k, g)
-        if rb:
-            products[:k] = unitaries[g] @ products[:k]
-    if rb:
-        states = advance(n_tasks, inverse_indices(cfg.gateset, products))
+        blocks = (states[:k] @ stacked).reshape(k * n_gates, dd)
+        states[:k] = blocks.take(offsets[:k] + step[:k], axis=0)
 
     probs = click_probabilities(states @ coordinates(cfg.q_op.matrix))
     if cfg.shots is None:
@@ -365,7 +356,7 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
 
     raw = None
     if keep_raw:
-        words = words.reshape(lengths[0], n_lengths, n)[:, ::-1]
+        words = words.reshape(steps[0], n_lengths, n)[:, ::-1]
         raw = tuple(
             SequenceOutcome(m, tuple(words[:m, mi, si].tolist()), float(values[mi, si]), cfg.shots)
             for mi, m in enumerate(cfg.m_grid)
@@ -400,8 +391,10 @@ def exact_sequence_average(cfg: ProtocolConfig, m: int) -> float:
     the group-averaged step |G|^-1 sum_g T_g, because the m gate draws are
     independent.  This holds for any gate set; when the set is a unitary
     1-design the result collapses to the closed-form single-exponential
-    decay.  Always evaluates the loss variant (no inversion gate).
+    decay.  Loss variant only: the RB closed form is open work in ROADMAP.md.
     """
+    if cfg.variant != VARIANT_LOSS:
+        raise ValueError(f"exact_sequence_average has no oracle for variant {cfg.variant!r}")
     if m < 1:
         raise ValueError(f"sequence length must be >= 1, got {m}")
     average = _gate_superoperators(cfg).mean(axis=0)

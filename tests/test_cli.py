@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ class TestSimulate:
         assert proc.returncode == 1
         assert "config error" in proc.stderr
         assert "noise: required section is missing" in proc.stderr
+
+    def test_leakage_rb_config_rejected_before_running(self, tmp_path):
+        # The embedded qutrit gates are not a group, so "rb" has no inverse gate.
+        doc = json.loads(resources.files("lossbench").joinpath("configs", "fig2.config").read_text())
+        doc["protocol"]["variant"] = "rb"
+        path = tmp_path / "fig2-rb.config"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("simulate", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "lossbench: config error: protocol: gate set is not a group" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_output_collision_is_io_error(self, loss_config, tmp_path):
         blocker = tmp_path / "blocked"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.gates import canonical_phase, phase_equal
+from lossbench.gates import canonical_phase, multiplication_table, phase_equal
 
 
 def frame_potential(gateset, t):
@@ -140,6 +140,39 @@ class TestSequenceAlgebra:
         g = lb.GateSet(2, (s,), 0, ("S",))
         with pytest.raises(ValueError, match="no inverse"):
             lb.inverse_gate(g, [0])
+
+
+class TestMultiplicationTable:
+    @pytest.mark.parametrize("make", [lb.pauli_gateset, lb.clifford_gateset])
+    def test_every_product_and_inverse(self, make):
+        g = make()
+        table, inverse = multiplication_table(g)
+        assert table.shape == (len(g), len(g)) and inverse.shape == (len(g),)
+        for a, u in enumerate(g.gates):
+            for b, v in enumerate(g.gates):
+                assert phase_equal(g.gates[table[a, b]], u @ v)
+            assert phase_equal(g.gates[inverse[a]] @ u, np.eye(2))
+
+    @pytest.mark.parametrize("make", [lb.pauli_gateset, lb.clifford_gateset])
+    def test_fold_matches_inverse_gate(self, make):
+        g = make()
+        table, inverse = multiplication_table(g)
+        for m in range(1, 40):
+            word = lb.sample_sequence(g, m, lb.stream(3, m))
+            product = word[0]
+            for k in word[1:]:
+                product = table[k, product]
+            assert inverse[product] == lb.inverse_gate(g, word)
+
+    def test_non_group_raises(self):
+        s = np.diag([1.0, 1.0j])
+        not_groups = [
+            lb.GateSet(2, (np.eye(2), s), 0, ("I", "S")),
+            lb.embed_gateset(lb.pauli_gateset(), 0.3),
+        ]
+        for g in not_groups:
+            with pytest.raises(ValueError, match="not a group up to phase"):
+                multiplication_table(g)
 
 
 class TestQutritEmbedding:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.gates import inverse_indices, phase_equal
 from support import enumerate_average, enumerate_average_naive, random_density, random_povm
 
 
@@ -258,26 +257,14 @@ class TestBatchedEngineOracle:
                     ref = lb.execute_sequence(cfg, word, lb.stream(seed, mi, si, 1))
                     assert out.value == ref.value  # identical click counts
 
-    def test_batched_inversion_matches_inverse_gate(self):
-        g = lb.clifford_gateset()
-        words = [lb.sample_sequence(g, m, lb.stream(3, m)) for m in range(1, 40)]
-        products = np.stack([lb.compose_sequence(g, w) for w in words])
-        batched = inverse_indices(g, products)
-        for word, j in zip(words, batched):
-            assert j == lb.inverse_gate(g, word)
-            undone = g.gates[j] @ lb.compose_sequence(g, word)
-            assert phase_equal(undone, np.eye(2))
-
     def test_set_not_closed_under_inversion_raises(self):
+        # Rejected when the config is built, before any sequence runs.
         s_gate = np.diag([1.0, 1.0j])
         g = lb.GateSet(2, (np.eye(2), s_gate), 0, ("I", "S"))
-        not_closed = [
-            fig1_style_config(gateset=g, variant="rb", m_grid=(1, 5), n_sequences=4),
-            qutrit_leakage_config(variant="rb", m_grid=(1, 5), n_sequences=4),
-        ]
-        for cfg in not_closed:
-            with pytest.raises(ValueError, match="no inverse"):
-                lb.run_protocol(cfg)
+        with pytest.raises(ValueError, match="not a group up to phase"):
+            fig1_style_config(gateset=g, variant="rb", m_grid=(1, 5), n_sequences=4)
+        with pytest.raises(ValueError, match="not a group up to phase"):
+            qutrit_leakage_config(variant="rb", m_grid=(1, 5), n_sequences=4)
 
 
 class TestExactSequenceAverage:
@@ -332,6 +319,10 @@ class TestExactSequenceAverage:
     def test_short_length_raises(self):
         with pytest.raises(ValueError, match="length"):
             lb.exact_sequence_average(fig1_style_config(), 0)
+
+    def test_rb_variant_raises(self):
+        with pytest.raises(ValueError, match="variant 'rb'"):
+            lb.exact_sequence_average(fig1_style_config(variant="rb"), 3)
 
 
 class TestCsvRoundTrip:
