@@ -31,9 +31,9 @@ from .core import (
     DensityMatrix,
     MeasurementOperator,
     QuantumChannel,
-    _apply_kraus,
-    hermitian_part,
+    coordinates,
     survival_operator,
+    transfer_matrix,
 )
 from .protocol import DecayDataset
 
@@ -53,6 +53,11 @@ FLAG_PLATEAU = "PLATEAU"
 
 # Fewest sequence lengths plateau_test accepts; `lossbench fit` skips the test below it.
 PLATEAU_MIN_LENGTHS = 8
+# plateau_test flags a fit whose chi2/dof exceeds PLATEAU_CHI2, or whose mean
+# excess over the last PLATEAU_TAIL_POINTS lengths exceeds PLATEAU_TAIL_Z sigma.
+PLATEAU_CHI2 = 4.0
+PLATEAU_TAIL_Z = 3.0
+PLATEAU_TAIL_POINTS = 5
 
 # Floor for z-score denominators so exact-mode data (sigma = 0) yields
 # z = 0 instead of a 0/0.
@@ -419,19 +424,14 @@ def detector_efficiency(
     )
 
 
-def plateau_test(
-    ds: DecayDataset,
-    fit: DecayFit,
-    chi2_threshold: float = 4.0,
-    tail_z_threshold: float = 3.0,
-    tail_points: int = 5,
-) -> PlateauReport:
+def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     """Flag non-exponential tails in a single-exponential fit.
 
-    Checks the fit's chi-squared per degree of freedom and the z-score of
-    the excess of the last ``tail_points`` data means over the fitted
-    curve.  Coherent leakage produces exactly this signature: the signal
-    first tracks an exponential, then flattens above it.
+    Checks the fit's chi-squared per degree of freedom against PLATEAU_CHI2
+    and the z-score of the excess of the last PLATEAU_TAIL_POINTS data means
+    over the fitted curve against PLATEAU_TAIL_Z.  Coherent leakage produces
+    exactly this signature: the signal first tracks an exponential, then
+    flattens above it.
     """
     m = np.array(ds.m_values, dtype=float)
     y = np.array(ds.means, dtype=float)
@@ -440,20 +440,20 @@ def plateau_test(
             f"plateau test needs >= {PLATEAU_MIN_LENGTHS} sequence lengths, got {m.size}"
         )
     model = fit.B0_hat * fit.S_hat ** (m - 1.0)
-    tail = slice(-tail_points, None)
+    tail = slice(-PLATEAU_TAIL_POINTS, None)
     excess = float(np.mean(y[tail]) - np.mean(model[tail]))
     if _fit_weights(ds.sems)[1]:
-        sigma_tail = float(np.sqrt(np.sum(ds.sems[tail] ** 2))) / tail_points
+        sigma_tail = float(np.sqrt(np.sum(ds.sems[tail] ** 2))) / PLATEAU_TAIL_POINTS
     else:
         # Unit-weight fits carry no per-point sigma; use the fit's own
         # residual scale for the tail mean.
         residual_scale = math.sqrt(max(fit.chi2_per_dof, 0.0))
-        sigma_tail = residual_scale / math.sqrt(tail_points)
+        sigma_tail = residual_scale / math.sqrt(PLATEAU_TAIL_POINTS)
     z = excess / max(sigma_tail, 1e-15)
     return PlateauReport(
         chi2_per_dof=fit.chi2_per_dof,
         tail_excess_z=z,
-        flagged=bool(fit.chi2_per_dof > chi2_threshold or z > tail_z_threshold),
+        flagged=bool(fit.chi2_per_dof > PLATEAU_CHI2 or z > PLATEAU_TAIL_Z),
     )
 
 
@@ -496,11 +496,12 @@ def markovianity_tests(
 
     ``loss_m1`` is the (mean, sem) of the loss-protocol signal at m = 1,
     which equals the benchmarking curve's offset B when the noise is one
-    fixed channel per gate.  B - A must be nonnegative for such noise (it
-    equals the click probability of the state orthogonal to the ideal
-    preparation, after one noise application).  When the true channel is
-    supplied along with a qubit preparation and measurement, that exact
-    value is reported for comparison.
+    fixed channel per gate.  B - A must be nonnegative for such noise.
+    When the true channel is supplied along with the preparation rho and
+    measurement Q, the model value of B - A for any d is reported for
+    comparison: with B = Tr(Lambda rho) Tr(Q)/d and A = Tr(Q Lambda rho) - B,
+    it is 2 Tr(Lambda rho) Tr(Q)/d - Tr(Q Lambda rho), from the channel's
+    transfer matrix.
 
     A flat benchmarking curve (fitted p at a bound of RATE_BOUNDS, or decay
     amplitude ~ 0) does not identify the split between A and B, so the two
@@ -519,10 +520,10 @@ def markovianity_tests(
         flags.append(FLAG_PLATEAU)
 
     exact = None
-    if channel is not None and rho0 is not None and q_op is not None and channel.dim == 2:
-        rho_perp = np.eye(2, dtype=np.complex128) - rho0.matrix
-        evolved = _apply_kraus(channel.kraus, hermitian_part(rho_perp))
-        exact = float(np.real(np.trace(q_op.matrix @ evolved)))
+    if channel is not None and rho0 is not None and q_op is not None:
+        evolved = transfer_matrix(channel.kraus) @ coordinates(rho0.matrix)
+        survived = float(coordinates(np.eye(channel.dim)) @ evolved)
+        exact = 2.0 * survived * average_response(q_op) - float(coordinates(q_op.matrix) @ evolved)
 
     return MarkovReport(
         b_minus_a=b_minus_a,

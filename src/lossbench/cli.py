@@ -62,18 +62,8 @@ def _load_config_text(name: str) -> str:
     raise FileNotFoundError(f"config not found: {name}")
 
 
-def _config_arg(args) -> str:
-    positional = getattr(args, "config", None)
-    flagged = getattr(args, "config_flag", None)
-    if (positional is None) == (flagged is None):
-        raise SystemExit(
-            _fail(EXIT_USAGE, "give a config path (positional or --config, not both)")
-        )
-    return positional if positional is not None else flagged
-
-
 def _parse_run_config(args):
-    name = _config_arg(args)
+    name = args.config
     try:
         text = _load_config_text(name)
     except FileNotFoundError as exc:
@@ -81,7 +71,7 @@ def _parse_run_config(args):
     except OSError as exc:
         raise SystemExit(_fail(EXIT_IO, f"cannot read {name}: {exc}")) from None
     try:
-        return parse_config(text, seed_override=getattr(args, "seed", None))
+        return parse_config(text, seed_override=args.seed)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"lossbench: config error: {line}", file=sys.stderr)
@@ -214,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a config and write decay.csv")
-    sim.add_argument("config", nargs="?", help="config path or bundled config name")
-    sim.add_argument("--config", dest="config_flag", metavar="PATH", help="config path")
+    sim.add_argument("config", help="config path or bundled config name")
     sim.add_argument("--seed", type=int, help="override the config's master seed")
     sim.add_argument("--out", metavar="DIR", help="output directory")
     sim.set_defaults(func=_cmd_simulate)
@@ -227,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=_cmd_fit)
 
     chk = sub.add_parser("check-channel", help="report the loss bound for a config's noise")
-    chk.add_argument("config", nargs="?", help="config path or bundled config name")
-    chk.add_argument("--config", dest="config_flag", metavar="PATH", help="config path")
+    chk.add_argument("config", help="config path or bundled config name")
     chk.add_argument("--seed", type=int, help="override the config's master seed")
     chk.set_defaults(func=_cmd_check_channel)
     return parser

@@ -330,7 +330,7 @@ def _assemble(sections: dict, output_dir) -> RunConfig:
         if theta == "random":
             theta = float(stream(seed, _THETA_STREAM_TAG).uniform(0.0, 2.0 * math.pi))
         resolved_theta = theta
-        noise = coherent_leakage_error(LeakageModelSpec(epsilon, theta, hamiltonian_seed))
+        noise = coherent_leakage_error(LeakageModelSpec(epsilon, hamiltonian_seed))
         gateset = embed_gateset(gateset, theta)
         rho0 = DensityMatrix(3, pad_to_qutrit(rho0.matrix))
         q_op = MeasurementOperator(3, pad_to_qutrit(q_op.matrix))

@@ -15,7 +15,7 @@ Tolerance conventions:
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,11 +102,13 @@ class QuantumChannel:
     """A completely positive trace-non-increasing map given by Kraus operators.
 
     The map acts as rho -> sum_i K_i rho K_i^H.  Validity (sum_i K_i^H K_i
-    bounded above by the identity) is enforced at construction.
+    bounded above by the identity) is enforced at construction, which keeps
+    that sum, made exactly Hermitian, as ``survival_operator``.
     """
 
     dim: int
     kraus: tuple
+    survival_operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -119,18 +121,21 @@ class QuantumChannel:
             raise ValueError("QuantumChannel needs at least one Kraus operator")
         object.__setattr__(self, "kraus", ops)
 
-        m = survival_operator_matrix(ops)
+        m = sum(k.conj().T @ k for k in ops)
         asym = np.max(np.abs(m - m.conj().T))
         if not asym <= HERMITICITY_ATOL:  # NaN, from overflow, fails too
             raise ValueError(
                 f"QuantumChannel: sum K^H K is not Hermitian (deviation {asym:.3e})"
             )
-        top = float(np.linalg.eigvalsh(hermitian_part(m))[-1])
+        m = hermitian_part(m)
+        top = float(np.linalg.eigvalsh(m)[-1])
         if top > 1.0 + ARITHMETIC_ATOL:
             raise ValueError(
                 f"QuantumChannel is trace-increasing: largest eigenvalue of "
                 f"sum K^H K is {top!r} > 1"
             )
+        m.setflags(write=False)
+        object.__setattr__(self, "survival_operator", m)
 
 
 @dataclass(frozen=True)
@@ -236,24 +241,14 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho.dim, _apply_kraus(channel.kraus, rho.matrix))
 
 
-def survival_operator_matrix(kraus) -> np.ndarray:
-    """sum_i K_i^H K_i for a plain sequence of Kraus matrices."""
-    first = np.asarray(kraus[0])
-    out = np.zeros_like(first, dtype=np.complex128)
-    for k in kraus:
-        k = np.asarray(k)
-        out += k.conj().T @ k
-    return out
-
-
 def survival_operator(channel: QuantumChannel) -> np.ndarray:
     """The Hermitian operator M = sum_i K_i^H K_i, with 0 <= M <= identity.
 
     M carries all trace behaviour of the channel: the trace surviving the
     channel on any state rho is Tr(rho M), so the survival rate of rho is
-    Tr(rho M) / Tr(rho).
+    Tr(rho M) / Tr(rho).  Computed once, when the channel is built.
     """
-    return hermitian_part(survival_operator_matrix(channel.kraus))
+    return channel.survival_operator
 
 
 def hermitian_basis(dim: int) -> np.ndarray:

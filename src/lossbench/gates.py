@@ -12,6 +12,7 @@ and equality tests compare |<A, B>|/d against 1.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,32 @@ class GateSet:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @cached_property
+    def group(self) -> tuple:
+        """Integer arrays ``(table, inverse)``: U_table[a, b] ~ U_a U_b, U_inverse[c] ~ U_c^H.
+
+        All |G|^2 products are matched against the set, up to phase, by one
+        batched overlap the first time the property is read; the read-only
+        result is cached on the set.  Raises ValueError when a product is
+        missing; a finite set closed under products is a group, so then
+        every gate has an inverse.
+        """
+        u = np.stack(self.gates)
+        n, d = u.shape[0], self.dim
+        products = u[:, np.newaxis] @ u[np.newaxis]
+        # U_c = phase * P  <=>  |Tr(U_c^H P)| = d
+        overlaps = np.abs(products.reshape(n, n, d * d) @ u.reshape(n, d * d).conj().T) / d
+        missing = np.argwhere(np.abs(overlaps.max(axis=2) - 1.0) > PHASE_MATCH_ATOL)
+        if missing.size:
+            a, b = (self.labels[i] for i in missing[0])
+            raise ValueError(f"gate set is not a group up to phase: {a} times {b} is missing")
+        # U_b = phase * U_c^H  <=>  |Tr(U_b U_c)| = d
+        table = np.argmax(overlaps, axis=2)
+        inverse = np.argmax(np.abs(np.trace(products, axis1=2, axis2=3)), axis=0)
+        table.setflags(write=False)
+        inverse.setflags(write=False)
+        return table, inverse
+
 
 def canonical_phase(u: np.ndarray) -> np.ndarray:
     """Rescale a unitary so its first nonzero entry is real positive."""
@@ -80,10 +107,10 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
     return u * (abs(pivot) / pivot)
 
 
-def phase_equal(a: np.ndarray, b: np.ndarray, atol: float = PHASE_MATCH_ATOL) -> bool:
-    """True when a = e^{i phi} b for some global phase phi."""
+def phase_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a = e^{i phi} b for some global phase phi, to PHASE_MATCH_ATOL."""
     d = a.shape[0]
-    return abs(abs(np.trace(a.conj().T @ b)) / d - 1.0) < atol
+    return abs(abs(np.trace(a.conj().T @ b)) / d - 1.0) < PHASE_MATCH_ATOL
 
 
 def pauli_gateset() -> GateSet:
@@ -171,27 +198,6 @@ def inverse_gate(gateset: GateSet, indices) -> int:
         if phase_equal(u @ seq, np.eye(gateset.dim)):
             return j
     raise ValueError("gate set contains no inverse for this sequence (not closed under inversion)")
-
-
-def multiplication_table(gateset: GateSet) -> tuple:
-    """Integer arrays ``(table, inverse)``: U_table[a, b] ~ U_a U_b, U_inverse[c] ~ U_c^H.
-
-    All |G|^2 products are matched against the set, up to phase, by one
-    batched overlap.  Raises ValueError when a product is missing; a finite
-    set closed under products is a group, so then every gate has an inverse.
-    """
-    u = np.stack(gateset.gates)
-    n, d = u.shape[0], gateset.dim
-    products = u[:, np.newaxis] @ u[np.newaxis]
-    # U_c = phase * P  <=>  |Tr(U_c^H P)| = d
-    overlaps = np.abs(products.reshape(n, n, d * d) @ u.reshape(n, d * d).conj().T) / d
-    missing = np.argwhere(np.abs(overlaps.max(axis=2) - 1.0) > PHASE_MATCH_ATOL)
-    if missing.size:
-        a, b = (gateset.labels[i] for i in missing[0])
-        raise ValueError(f"gate set is not a group up to phase: {a} times {b} is missing")
-    # U_b = phase * U_c^H  <=>  |Tr(U_b U_c)| = d
-    inverse = np.argmax(np.abs(np.trace(products, axis1=2, axis2=3)), axis=0)
-    return np.argmax(overlaps, axis=2), inverse
 
 
 def embed_in_qutrit(u: np.ndarray, theta: float) -> np.ndarray:

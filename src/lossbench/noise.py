@@ -77,14 +77,9 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class LeakageModelSpec:
-    """Coherent qutrit error: strength ``epsilon`` of a seeded random unitary.
-
-    ``theta`` is the fixed relative phase the embedded ideal gates imprint on
-    the leakage level; it is carried here so one spec pins down a full run.
-    """
+    """Coherent qutrit error: strength ``epsilon`` of a seeded random unitary."""
 
     epsilon: float
-    theta: float
     hamiltonian_seed: int
 
     def __post_init__(self):

@@ -36,7 +36,7 @@ from .core import (
     sample_clicks,
     transfer_matrix,
 )
-from .gates import GateSet, inverse_gate, multiplication_table
+from .gates import GateSet, inverse_gate
 
 VARIANT_LOSS = "loss"
 VARIANT_RB = "rb"
@@ -94,7 +94,7 @@ class ProtocolConfig:
         if self.variant not in (VARIANT_LOSS, VARIANT_RB):
             raise ValueError(f"variant must be 'loss' or 'rb', got {self.variant!r}")
         if self.variant == VARIANT_RB:
-            multiplication_table(self.gateset)  # raises unless a group up to phase
+            self.gateset.group  # raises unless a group up to phase; cached for run_protocol
 
     def fingerprint(self) -> str:
         """SHA-256 over a canonical byte encoding of the full configuration."""
@@ -176,9 +176,9 @@ def read_decay_csv(path) -> DecayDataset:
     """Load a dataset written by :meth:`DecayDataset.to_csv`.
 
     Rejects, with a ``path:line:`` message, rows whose length m is below 1
-    or not strictly above the previous row's, non-finite means, and
-    infinite or negative sems.  A NaN or zero sem is valid: single-sequence
-    and exact datasets write them.
+    or not strictly above the previous row's, non-finite means, infinite or
+    negative sems, and n_sequences or integer shots below 1.  A NaN or zero
+    sem is valid: single-sequence and exact datasets write them.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -210,6 +210,10 @@ def read_decay_csv(path) -> DecayDataset:
                     f"{path}:{lineno}: sequence lengths must be strictly increasing, "
                     f"got {m} after {m_values[-1]}"
                 )
+            if n_seq < 1:
+                raise ValueError(f"{path}:{lineno}: n_sequences must be >= 1, got {n_seq}")
+            if sh is not None and sh < 1:
+                raise ValueError(f"{path}:{lineno}: shots must be >= 1 or 'exact', got {sh}")
             if not math.isfinite(mean):
                 raise ValueError(f"{path}:{lineno}: mean must be finite, got {mean!r}")
             if math.isinf(sem) or sem < 0.0:
@@ -294,9 +298,9 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     longest sequence first, so the rows still running at any step are a
     prefix of the array.  The benchmarking variant appends to each word, as
     one more step, the inverse of the element the word folds to in the gate
-    set's multiplication table.  Each task's streams are seeded from one
-    row of a uint32 key array holding the words of (master_seed,
-    length_index, sequence_index, tag), the entropy
+    set's multiplication table, :attr:`GateSet.group`.  Each task's streams
+    are seeded from one row of a uint32 key array holding the words of
+    (master_seed, length_index, sequence_index, tag), the entropy
     :func:`lossbench.core.stream` derives from the same key.
     """
     n = cfg.n_sequences
@@ -320,7 +324,7 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     # running[s] = number of tasks with more than s steps, a prefix of the rows
     running = np.searchsorted(-steps, -np.arange(steps[0]), side="left")
     if cfg.variant == VARIANT_RB:
-        table, inverse = multiplication_table(cfg.gateset)
+        table, inverse = cfg.gateset.group
         product = words[0].astype(np.intp)
         # Gate s is part of the word for the running[s + 1] tasks longer than s.
         for step, k in zip(words[1:], running[2:]):

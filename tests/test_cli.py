@@ -91,17 +91,6 @@ class TestSimulate:
         assert (b / "decay.csv").read_bytes() != base
         assert (c / "decay.csv").read_bytes() == base
 
-    def test_config_flag_form(self, loss_config, tmp_path):
-        out = tmp_path / "out"
-        proc = run_cli("simulate", "--config", str(loss_config), "--out", str(out))
-        assert proc.returncode == 0
-        assert (out / "decay.csv").exists()
-
-    def test_positional_and_flag_together_rejected(self, loss_config):
-        proc = run_cli("simulate", str(loss_config), "--config", str(loss_config))
-        assert proc.returncode == 1
-        assert "not both" in proc.stderr
-
     def test_missing_config_argument_rejected(self):
         assert run_cli("simulate").returncode == 1
 
@@ -228,6 +217,10 @@ class TestFit:
              "bad.csv:3: sem must be NaN or finite and >= 0"),
             ("1,0.9,0.01,5,exact\n2,0.8,0.01,5,exact\n3,0.7,-0.01,5,exact\n",
              "bad.csv:4: sem must be NaN or finite and >= 0"),
+            ("1,0.9,0.01,-3,0\n2,0.8,0.01,-3,0\n3,0.7,0.01,-3,0\n",
+             "bad.csv:2: n_sequences must be >= 1"),
+            ("1,0.9,0.01,5,0\n2,0.8,0.01,5,0\n3,0.7,0.01,5,0\n",
+             "bad.csv:2: shots must be >= 1"),
         ],
     )
     def test_bad_rows_are_usage_errors_with_line(self, tmp_path, rows, message):

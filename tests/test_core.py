@@ -8,7 +8,6 @@ from lossbench.core import (
     hermitian_basis,
     hermitian_part,
     key_words,
-    survival_operator_matrix,
 )
 
 
@@ -177,9 +176,11 @@ class TestSurvivalOperator:
 
     def test_matrix_helper_matches(self):
         ch = lb.random_lossy_channel(2, 0.4, 11)
-        assert np.allclose(
-            lb.survival_operator(ch), survival_operator_matrix(ch.kraus)
-        )
+        m = lb.survival_operator(ch)
+        assert np.allclose(m, sum(k.conj().T @ k for k in ch.kraus))
+        # Stored when the channel is built, not recomputed per call.
+        assert m is ch.survival_operator is lb.survival_operator(ch)
+        assert not m.flags.writeable
 
 
 class TestExpectation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.gates import canonical_phase, multiplication_table, phase_equal
+from lossbench.gates import canonical_phase, phase_equal
 
 
 def frame_potential(gateset, t):
@@ -146,7 +146,7 @@ class TestMultiplicationTable:
     @pytest.mark.parametrize("make", [lb.pauli_gateset, lb.clifford_gateset])
     def test_every_product_and_inverse(self, make):
         g = make()
-        table, inverse = multiplication_table(g)
+        table, inverse = g.group
         assert table.shape == (len(g), len(g)) and inverse.shape == (len(g),)
         for a, u in enumerate(g.gates):
             for b, v in enumerate(g.gates):
@@ -156,7 +156,7 @@ class TestMultiplicationTable:
     @pytest.mark.parametrize("make", [lb.pauli_gateset, lb.clifford_gateset])
     def test_fold_matches_inverse_gate(self, make):
         g = make()
-        table, inverse = multiplication_table(g)
+        table, inverse = g.group
         for m in range(1, 40):
             word = lb.sample_sequence(g, m, lb.stream(3, m))
             product = word[0]
@@ -172,7 +172,7 @@ class TestMultiplicationTable:
         ]
         for g in not_groups:
             with pytest.raises(ValueError, match="not a group up to phase"):
-                multiplication_table(g)
+                g.group
 
 
 class TestQutritEmbedding:

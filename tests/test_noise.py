@@ -115,26 +115,26 @@ class TestDepolarizingChannel:
 class TestCoherentLeakageError:
     def test_unitary_and_trace_preserving(self):
         ch = lb.coherent_leakage_error(
-            lb.LeakageModelSpec(epsilon=0.1, theta=0.0, hamiltonian_seed=5)
+            lb.LeakageModelSpec(epsilon=0.1, hamiltonian_seed=5)
         )
         assert ch.dim == 3
         assert len(ch.kraus) == 1
         assert np.allclose(lb.survival_operator(ch), np.eye(3), atol=1e-12)
 
     def test_deterministic(self):
-        spec = lb.LeakageModelSpec(epsilon=0.2, theta=0.0, hamiltonian_seed=8)
+        spec = lb.LeakageModelSpec(epsilon=0.2, hamiltonian_seed=8)
         a = lb.coherent_leakage_error(spec)
         b = lb.coherent_leakage_error(spec)
         assert np.array_equal(a.kraus[0], b.kraus[0])
 
     def test_small_epsilon_is_near_identity(self):
         # |exp(-i eps H) - 1| <= eps for |H| = 1
-        spec = lb.LeakageModelSpec(epsilon=1e-3, theta=0.0, hamiltonian_seed=5)
+        spec = lb.LeakageModelSpec(epsilon=1e-3, hamiltonian_seed=5)
         v = lb.coherent_leakage_error(spec).kraus[0]
         assert np.max(np.abs(v - np.eye(3))) < 2e-3
 
     def test_moves_population_out_of_qubit_subspace(self):
-        spec = lb.LeakageModelSpec(epsilon=0.3, theta=0.0, hamiltonian_seed=5)
+        spec = lb.LeakageModelSpec(epsilon=0.3, hamiltonian_seed=5)
         ch = lb.coherent_leakage_error(spec)
         rho = lb.DensityMatrix(3, lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
         out = lb.apply_channel(ch, rho)
@@ -151,10 +151,10 @@ class TestCoherentLeakageError:
             h = (a + a.conj().T) / 2.0
             h = h / np.max(np.abs(np.linalg.eigvalsh(h)))
             for epsilon in (1e-3, 0.1, 0.5, 2.0):
-                spec = lb.LeakageModelSpec(epsilon=epsilon, theta=0.0, hamiltonian_seed=seed)
+                spec = lb.LeakageModelSpec(epsilon=epsilon, hamiltonian_seed=seed)
                 v = lb.coherent_leakage_error(spec).kraus[0]
                 assert np.max(np.abs(v - expm(-1j * epsilon * h))) < 1e-14
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
-            lb.LeakageModelSpec(epsilon=0.0, theta=0.0, hamiltonian_seed=0)
+            lb.LeakageModelSpec(epsilon=0.0, hamiltonian_seed=0)

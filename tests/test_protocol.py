@@ -121,11 +121,10 @@ class TestExecuteSequence:
 
 def qutrit_leakage_config(**overrides):
     """fig2-style run: embedded Paulis, coherent leakage, padded state and detector."""
-    spec = lb.LeakageModelSpec(epsilon=0.1, theta=0.0, hamiltonian_seed=64)
     qubit = fig1_style_config()
     defaults = dict(
-        gateset=lb.embed_gateset(lb.pauli_gateset(), spec.theta),
-        noise=lb.coherent_leakage_error(spec),
+        gateset=lb.embed_gateset(lb.pauli_gateset(), 0.0),
+        noise=lb.coherent_leakage_error(lb.LeakageModelSpec(epsilon=0.1, hamiltonian_seed=64)),
         rho0=lb.DensityMatrix(3, lb.pad_to_qutrit(qubit.rho0.matrix)),
         q_op=lb.MeasurementOperator(3, lb.pad_to_qutrit(qubit.q_op.matrix)),
     )
@@ -266,6 +265,18 @@ class TestBatchedEngineOracle:
         with pytest.raises(ValueError, match="not a group up to phase"):
             qutrit_leakage_config(variant="rb", m_grid=(1, 5), n_sequences=4)
 
+    def test_group_table_is_built_once(self, monkeypatch):
+        builds = []
+        build = lb.GateSet.group.func
+        monkeypatch.setattr(lb.GateSet.group, "func", lambda g: builds.append(g) or build(g))
+        gateset = lb.clifford_gateset()
+        fig1_style_config(gateset=gateset)
+        assert "group" not in gateset.__dict__
+        cfg = fig1_style_config(gateset=gateset, variant="rb", m_grid=(1, 5), n_sequences=4)
+        assert "group" in gateset.__dict__
+        lb.run_protocol(cfg)
+        assert len(builds) == 1 and builds[0] is gateset
+
 
 class TestExactSequenceAverage:
     def test_matches_closed_form_for_1_design(self):
@@ -380,6 +391,10 @@ class TestCsvRoundTrip:
             ("2,0.5,0.1,3,exact\n1,0.4,0.1,3,exact\n", "bad.csv:3: .* strictly increasing"),
             ("1,0.5,inf,3,exact\n", "bad.csv:2: sem must be NaN or finite and >= 0"),
             ("1,0.5,0.1,3,exact\n2,0.4,-0.01,3,exact\n", "bad.csv:3: sem must be NaN or finite"),
+            ("1,0.5,0.1,0,exact\n", "bad.csv:2: n_sequences must be >= 1"),
+            ("1,0.5,0.1,-3,exact\n", "bad.csv:2: n_sequences must be >= 1"),
+            ("1,0.5,0.1,3,0\n", "bad.csv:2: shots must be >= 1"),
+            ("1,0.5,0.1,3,-7\n", "bad.csv:2: shots must be >= 1"),
         ],
     )
     def test_bad_rows_raise_with_line(self, tmp_path, rows, message):
