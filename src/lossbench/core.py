@@ -121,9 +121,16 @@ class QuantumChannel:
             raise ValueError("QuantumChannel needs at least one Kraus operator")
         object.__setattr__(self, "kraus", ops)
 
+        # Every entry of a valid Kraus operator has modulus <= 1; checking the
+        # real and imaginary parts first keeps sum K^H K from overflowing.
+        part = float(np.max(np.abs(np.stack(ops).view(np.float64))))
+        if not part <= 1.0 + ARITHMETIC_ATOL:  # NaN fails too
+            raise ValueError(
+                f"QuantumChannel is trace-increasing: a Kraus entry has a part {part!r} > 1"
+            )
         m = sum(k.conj().T @ k for k in ops)
         asym = np.max(np.abs(m - m.conj().T))
-        if not asym <= HERMITICITY_ATOL:  # NaN, from overflow, fails too
+        if asym > HERMITICITY_ATOL:
             raise ValueError(
                 f"QuantumChannel: sum K^H K is not Hermitian (deviation {asym:.3e})"
             )

@@ -64,8 +64,9 @@ class DetectorSpec:
             basis = np.array(self.basis, dtype=np.complex128)
             if basis.shape != (d, d):
                 raise ValueError(f"basis must be {d}x{d}, got {basis.shape}")
-            dev = np.max(np.abs(basis.conj().T @ basis - np.eye(d)))
-            if not dev <= 1e-12:  # NaN, from overflow, fails too
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev = np.max(np.abs(basis.conj().T @ basis - np.eye(d)))
+            if not dev <= 1e-12:  # inf or NaN, from overflow, fails too
                 raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
             basis.setflags(write=False)
             object.__setattr__(self, "basis", basis)

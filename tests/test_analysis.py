@@ -587,13 +587,13 @@ class TestMarkovianityTests:
         # 2 Tr(L rho) Tr(Q)/d - Tr(Q L rho), with L rho from the Kraus images
         rho = lb.DensityMatrix(3, lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
         q = lb.MeasurementOperator(3, lb.pad_to_qutrit(np.eye(2)))
+        response = np.trace(q.matrix).real / 3.0
         channels = [
             lb.coherent_leakage_error(lb.LeakageModelSpec(epsilon=0.1, hamiltonian_seed=3)),
             lb.random_lossy_channel(3, 0.4, 21),
         ]
         for channel in channels:
             evolved = lb.apply_channel(channel, rho).matrix
-            response = np.trace(q.matrix).real / 3.0
             expected = 2.0 * evolved.trace().real * response - np.trace(q.matrix @ evolved).real
             report = lb.markovianity_tests(
                 converged_rb(0.49, 0.5, 0.98), (0.5, 0.01), channel=channel, rho0=rho, q_op=q
@@ -601,8 +601,8 @@ class TestMarkovianityTests:
             assert report.exact_b_minus_a == pytest.approx(expected, abs=1e-12)
 
     def test_exact_value_for_non_unital_channel(self):
-        # Trace-preserving amplitude damping fixes |0><0|, so B - A = 0.  The
-        # value Tr(Q L(I - rho)) = gamma holds only for unital channels.
+        # Trace-preserving amplitude damping fixes |0><0|, so B - A = 0, while
+        # Tr(Q L(I - rho)) = gamma: that form equals B - A only for unital L.
         gamma = 0.1
         channel = lb.QuantumChannel(
             2,

@@ -131,6 +131,10 @@ class TestQuantumChannel:
     def test_trace_increasing_raises(self):
         with pytest.raises(ValueError, match="trace-increasing"):
             lb.QuantumChannel(2, (np.diag([1.1, 1.0]),))
+        # Rejected before sum K^H K overflows, which the suite turns into an error.
+        for huge in (9.5e153, 1.35e154, 1e300j):
+            with pytest.raises(ValueError, match="trace-increasing"):
+                lb.QuantumChannel(2, (np.diag([huge, 0.0]), np.eye(2)))
 
     def test_empty_kraus_raises(self):
         with pytest.raises(ValueError, match="at least one"):

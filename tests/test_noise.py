@@ -66,6 +66,9 @@ class TestDetectorModel:
             lb.DetectorSpec(eigenvalues=(0.5, 0.5), basis_seed=0, basis=np.eye(2))
         with pytest.raises(ValueError, match="not unitary"):
             lb.DetectorSpec(eigenvalues=(0.5, 0.5), basis=np.ones((2, 2)))
+        # B^H B overflows; the suite turns the overflow warning into an error.
+        with pytest.raises(ValueError, match="not unitary"):
+            lb.DetectorSpec(eigenvalues=(0.5, 0.5), basis=np.diag([1.5e154, 1.0]))
 
     def test_dim_property(self):
         assert lb.DetectorSpec(eigenvalues=(1.0, 1.0, 1.0), basis_seed=0).dim == 3
