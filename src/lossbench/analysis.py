@@ -59,6 +59,8 @@ PLATEAU_CHI2 = 4.0
 PLATEAU_TAIL_Z = 3.0
 PLATEAU_TAIL_POINTS = 5
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 # Floor for z-score denominators so exact-mode data (sigma = 0) yields
 # z = 0 instead of a 0/0.
 _SIGMA_FLOOR = 1e-12
@@ -282,10 +284,32 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray, offset: boo
             phi = phi - (phi @ w2)[:, None] / w_sum
         wphi = phi * w2
         norm2 = (wphi * phi).sum(axis=1)
+        # sum(w^2 phi^2) underflows for a column below about 1e-160, as in loss
+        # fits near the lower rate bound whose shortest length is 25 or more.
+        # Such a row projects onto its column divided by its largest entry,
+        # and phi and norm2 hold that scaled column.  (The list test costs a
+        # fraction of a numpy reduction.)
+        scale = None
+        if 0.0 in norm2.tolist():
+            tiny = norm2 == 0.0
+            scale = np.ones_like(norm2)
+            scale[tiny] = np.abs(phi[tiny]).max(axis=1)
+            scale[scale == 0.0] = 1.0  # a zero column keeps c = 0
+            phi = phi / scale[:, None]
+            wphi = phi * w2
+            norm2 = (wphi * phi).sum(axis=1)
         c = np.divide(wphi @ yc, norm2, out=np.zeros_like(norm2), where=norm2 > 0.0)
         if not offset:
             c = np.maximum(c, 0.0)  # B0 is a detector response times a survival
+        if scale is not None:
+            # c / scale is multiplied by |x| in a Gauss-Newton step and by
+            # sqrt_w as well in the Jacobian; a row where that would overflow
+            # keeps c = 0.
+            reach = max(float(np.abs(x).max()), 1.0) * max(float(sqrt_w.max()), 1.0)
+            c[tiny & (np.abs(c) >= scale * (_FLOAT_MAX / reach))] = 0.0
         res = yc - c[:, None] * phi
+        if scale is not None:
+            c = c / scale  # the amplitude of the unscaled column r^x
         return (res * res) @ w2, c, res, phi, norm2, xt
 
     costs, cs, ress, phis, norm2s, xts = project(_LOG_RATE_GRID)

@@ -182,6 +182,16 @@ class TestFitLossDecay:
         assert fit.converged
         assert fit.S_hat == pytest.approx(0.99, rel=1e-12)
 
+    def test_underflowing_column_keeps_its_amplitude(self):
+        # At rates below about 1e-4, S^39 squared underflows: sum(w^2 phi^2)
+        # is 0, yet the curve B0 * S^39 with B0 ~ 1e233 meets the first mean.
+        ds = lb.DecayDataset((40, 45, 50), np.array([0.2, -0.1, 0.0]), np.full(3, 0.05), 5, None)
+        fit = lb.fit_loss_decay(ds)
+        assert fit.converged
+        assert fit.chi2_per_dof == pytest.approx(4.0, rel=1e-9)  # only -0.1 left unfit
+        assert fit.B0_hat * fit.S_hat**39 == pytest.approx(0.2, rel=1e-9)
+        assert np.isfinite(fit.stderr_S) and np.isfinite(fit.stderr_B0)
+
     def test_mostly_nonpositive_falls_back(self):
         ds = lb.DecayDataset(
             m_values=(1, 2, 3, 4),
