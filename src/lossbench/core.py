@@ -7,6 +7,12 @@ renormalizes silently.  For composing many channels, :func:`coordinates`
 and :func:`transfer_matrix` express Hermitian operators and Kraus maps as
 real vectors and real matrices in one orthonormal Hermitian operator basis.
 
+Random draws come from numpy's PCG64 streams keyed by integer tuples
+(:func:`stream`, which seeds through ``default_rng``).  For many streams at
+once, :func:`seed_states` runs numpy's SeedSequence hash over all key rows in
+one batch and :func:`bit_generator` seeds numpy's own PCG64 from a row; the
+draws are those of ``default_rng(key)``.
+
 Tolerance conventions:
   * 1e-12 for properties guaranteed by construction (hermiticity,
     positivity of freshly built operators),
@@ -18,6 +24,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 HERMITICITY_ATOL = 1e-12
 EIGENVALUE_ATOL = 1e-12
@@ -55,6 +62,89 @@ def stream(*key: int) -> np.random.Generator:
     are stateful and must not be shared across tasks.
     """
     return np.random.default_rng(key_words(*key))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): pool size,
+# the two hash multiplier chains and the mixing multipliers.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def seed_states(keys) -> np.ndarray:
+    """PCG64 seed states of many streams: ``SeedSequence(row).generate_state(4, np.uint64)``.
+
+    ``keys`` is a (streams, words) uint32 array whose rows are entropy words,
+    such as those of :func:`key_words`.  numpy's pool hash runs once over all
+    rows in wrapping uint32 array arithmetic: its hash constants advance the
+    same way for every row, so only the data are per row.  Returns a
+    C-contiguous (streams, 4) uint64 array; each row seeds
+    :func:`bit_generator`.
+    """
+    keys = np.asarray(keys, dtype=np.uint32)
+    if keys.ndim != 2:
+        raise ValueError(f"keys must be a (streams, words) array, got shape {keys.shape}")
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ value >> _XSHIFT
+
+    zero = np.zeros(len(keys), dtype=np.uint32)
+    n_words = keys.shape[1]
+    pool = [hashmix(keys[:, i] if i < n_words else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(keys[:, src]))
+
+    const = _INIT_B
+    state = np.empty((len(keys), 8), dtype="<u4")
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        state[:, i] = value ^ value >> _XSHIFT
+    return state.view("<u8").astype(np.uint64)
+
+
+class _Seeded(ISpawnableSeedSequence):
+    """A seed sequence whose state is already computed, for PCG64 to read."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+    def spawn(self, n_children):
+        raise NotImplementedError("a precomputed seed state cannot spawn")
+
+
+def bit_generator(state) -> np.random.PCG64:
+    """numpy's PCG64 seeded with one row of :func:`seed_states`.
+
+    ``bit_generator(seed_states([words])[0])`` is the bit generator of
+    ``default_rng(words)``, draw for draw: numpy's own PCG64 seeds itself
+    from the precomputed state instead of hashing the words again.
+    """
+    # PCG64 reads the state through its data pointer: 4 contiguous uint64.
+    state = np.ascontiguousarray(state, dtype=np.uint64)
+    if state.shape != (4,):
+        raise ValueError(f"a seed state is 4 uint64 words, got shape {state.shape}")
+    return np.random.PCG64(_Seeded(state))
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:

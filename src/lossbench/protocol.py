@@ -11,8 +11,13 @@ Hermitian operator basis (:func:`lossbench.core.transfer_matrix`).  All
 coordinates.  Every task draws its gate word and its shots from its own RNG
 streams keyed by (master_seed, length_index, sequence_index), so datasets
 are bit-reproducible regardless of the order in which tasks are evaluated.
-:func:`execute_sequence` simulates one sequence at a time by Kraus
-operators and is kept as the scalar reference.
+The engine seeds all streams with one batched SeedSequence hash
+(:func:`lossbench.core.seed_states`) and maps each length's gate draws in
+bulk, as ``Generator.integers`` maps them; every draw equals the one
+``default_rng(key)`` gives.  :func:`execute_sequence` and
+:func:`sample_sequence` take one sequence at a time, through
+``default_rng`` streams and Kraus operators, and are kept as the scalar
+reference.
 """
 
 import csv
@@ -29,11 +34,13 @@ from .core import (
     MeasurementOperator,
     QuantumChannel,
     _apply_kraus,
+    bit_generator,
     click_probabilities,
     coordinates,
     expectation,
     key_words,
     sample_clicks,
+    seed_states,
     transfer_matrix,
 )
 from .gates import GateSet, inverse_gate
@@ -282,6 +289,25 @@ def execute_sequence(
     return SequenceOutcome(len(indices), tuple(indices), value, shots_used)
 
 
+def _sample_words(states: np.ndarray, keys: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Each key row's word ``default_rng(key).integers(0, n, size=m)``, as (rows, m).
+
+    ``states`` holds the rows' :func:`lossbench.core.seed_states`.  Each
+    stream gives ceil(m/2) 64-bit outputs, and each of their 32-bit halves u,
+    low half first, maps to (u n) >> 32, as ``Generator.integers`` maps it
+    (Lemire's method).  A row where the low 32 bits of some u n fall below
+    (2^32 - n) % n, a draw ``integers`` would reject and replace, is drawn
+    again with ``default_rng``.
+    """
+    raw = np.array([bit_generator(state).random_raw((m + 1) // 2) for state in states])
+    scaled = raw.astype("<u8", copy=False).view("<u4")[:, :m].astype(np.uint64) * np.uint64(n)
+    words = scaled >> np.uint64(32)
+    rejected = (scaled & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
+    for row in np.flatnonzero(rejected.any(axis=1)):
+        words[row] = np.random.default_rng(keys[row]).integers(0, n, size=m)
+    return words
+
+
 def _gate_superoperators(cfg: ProtocolConfig) -> np.ndarray:
     """Transfer matrices of "noise, then gate g" for every g: (|G|, d^2, d^2)."""
     noise = cfg.noise.kraus
@@ -301,7 +327,9 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     set's multiplication table, :attr:`GateSet.group`.  Each task's streams
     are seeded from one row of a uint32 key array holding the words of
     (master_seed, length_index, sequence_index, tag), the entropy
-    :func:`lossbench.core.stream` derives from the same key.
+    :func:`lossbench.core.stream` derives from the same key, by one
+    :func:`lossbench.core.seed_states` call per tag; words are drawn one
+    length at a time by :func:`_sample_words`.
     """
     n = cfg.n_sequences
     n_lengths = len(cfg.m_grid)
@@ -317,10 +345,14 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     keys[:, -3] = length_index
     keys[:, -2] = np.tile(np.arange(n), n_lengths)
     keys[:, -1] = _GATE_DRAWS
-    # Step-major gate table: row s holds every task's gate at step s.
+    states = seed_states(keys)
+    # Step-major gate table: row s holds every task's gate at step s.  The
+    # tasks of one length are n consecutive rows, drawn as one block.
     words = np.zeros((steps[0], n_tasks), dtype=np.min_scalar_type(n_gates - 1))
-    for t, (key, m) in enumerate(zip(keys, lengths.tolist())):
-        words[:m, t] = sample_sequence(cfg.gateset, m, np.random.default_rng(key))
+    for start in range(0, n_tasks, n):
+        rows = slice(start, start + n)
+        m = int(lengths[start])
+        words[:m, rows] = _sample_words(states[rows], keys[rows], m, n_gates).T
     # running[s] = number of tasks with more than s steps, a prefix of the rows
     running = np.searchsorted(-steps, -np.arange(steps[0]), side="left")
     if cfg.variant == VARIANT_RB:
@@ -349,7 +381,8 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     else:
         keys[:, -1] = _SHOT_DRAWS
         clicks = [
-            np.random.default_rng(key).binomial(cfg.shots, p) for key, p in zip(keys, probs)
+            np.random.Generator(bit_generator(state)).binomial(cfg.shots, p)
+            for state, p in zip(seed_states(keys), probs)
         ]
         values = np.array(clicks) / cfg.shots
     # Back to (length, sequence) order.

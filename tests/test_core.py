@@ -3,11 +3,13 @@ import pytest
 
 import lossbench as lb
 from lossbench.core import (
+    bit_generator,
     click_probabilities,
     coordinates,
     hermitian_basis,
     hermitian_part,
     key_words,
+    seed_states,
 )
 
 
@@ -33,6 +35,19 @@ def test_stream_is_numpy_seeding_by_the_key_words(key, words):
     assert key_words(*key).tolist() == words
     draws = lb.stream(*key).integers(0, 2**62, size=8)
     assert np.array_equal(draws, np.random.default_rng(key).integers(0, 2**62, size=8))
+
+
+def test_bit_generator_takes_only_a_seed_state():
+    state = seed_states([[1, 2, 3, 4]])
+    # A strided row is copied to the contiguous words PCG64 reads.
+    strided = np.repeat(state, 2, axis=1)[0, ::2]
+    assert np.array_equal(bit_generator(strided).random_raw(3), bit_generator(state[0]).random_raw(3))
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        bit_generator(state[0, :3])
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        bit_generator(state)
+    with pytest.raises(ValueError, match=r"\(streams, words\)"):
+        seed_states([1, 2, 3])
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5])

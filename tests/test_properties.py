@@ -1,6 +1,6 @@
 """Property tests: the config parser's error contract, the CSV round trip, the
-loss bound and the real transfer matrix on random channels, and the decay
-fits' global minimum."""
+loss bound and the real transfer matrix on random channels, the decay fits'
+global minimum, and the batched stream seeding against numpy's."""
 
 import copy
 import json
@@ -10,7 +10,14 @@ import pytest
 
 import lossbench as lb
 from lossbench import analysis
-from lossbench.core import coordinates, hermitian_basis, hermitian_part, transfer_matrix
+from lossbench.core import (
+    bit_generator,
+    coordinates,
+    hermitian_basis,
+    hermitian_part,
+    seed_states,
+    transfer_matrix,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -222,3 +229,28 @@ def test_fit_reaches_the_global_minimum(case):
     assert fit.converged
     cost = fit.chi2_per_dof * (len(ds.m_values) - n_params)
     assert cost <= scanned_cost(model, ds) * (1.0 + 1e-12)
+
+
+# Key words drawn anywhere in uint32, with both ends often.
+_KEY_WORDS = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def key_arrays(draw):
+    """(rows, width) uint32 key arrays, 1 to 8 words wide: narrower than,
+    as wide as and wider than SeedSequence's pool of 4 words."""
+    rows = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 8))
+    words = draw(st.lists(_KEY_WORDS, min_size=rows * width, max_size=rows * width))
+    return np.array(words, dtype=np.uint32).reshape(rows, width)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(keys=key_arrays(), k=st.integers(1, 9))
+def test_seed_states_are_numpy_seed_sequence_states(keys, k):
+    states = seed_states(keys)
+    assert states.dtype == np.uint64 and states.shape == (len(keys), 4)
+    for row, state in zip(keys, states):
+        assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
+        reference = np.random.default_rng(row).bit_generator.random_raw(k)
+        assert np.array_equal(bit_generator(state).random_raw(k), reference)

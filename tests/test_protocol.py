@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import lossbench as lb
+from lossbench.core import key_words, seed_states
+from lossbench.protocol import _sample_words
 from support import enumerate_average, enumerate_average_naive, random_density, random_povm
 
 
@@ -239,7 +241,13 @@ class TestBatchedEngineOracle:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize(
         "gates, variant, shots",
-        [("pauli", "loss", None), ("clifford", "rb", None), ("clifford", "loss", 25), ("pauli", "rb", 25)],
+        [
+            ("pauli", "loss", None),
+            ("clifford", "rb", None),
+            ("clifford", "loss", 25),
+            ("pauli", "rb", 25),
+            ("clifford", "rb", 100),
+        ],
     )
     def test_streams_are_the_keyed_streams(self, seed, gates, variant, shots):
         cfg = ORACLE_CONFIGS[gates](
@@ -255,6 +263,24 @@ class TestBatchedEngineOracle:
                 if shots is not None:
                     ref = lb.execute_sequence(cfg, word, lb.stream(seed, mi, si, 1))
                     assert out.value == ref.value  # identical click counts
+
+    # n = 3 * 2**30 rejects a quarter of all draws, so most rows are drawn again.
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 3 * 2**30])
+    @pytest.mark.parametrize("m", [1, 2, 7, 10])
+    def test_word_mapping_is_integers(self, n, m, monkeypatch):
+        keys = np.array([key_words(2**32 + 3, 5, si, 0) for si in range(40)])
+        redrawn = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda key: redrawn.append(key) or default_rng(key))
+        words = _sample_words(seed_states(keys), keys, m, n)
+        monkeypatch.undo()
+        assert words.shape == (len(keys), m)
+        for key, word in zip(keys, words):
+            assert np.array_equal(word, np.random.default_rng(key).integers(0, n, size=m))
+        if n == 3 * 2**30:
+            assert 0 < len(redrawn) < len(keys)
+        else:
+            assert not redrawn
 
     def test_set_not_closed_under_inversion_raises(self):
         # Rejected when the config is built, before any sequence runs.
