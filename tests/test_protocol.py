@@ -264,7 +264,7 @@ class TestBatchedEngineOracle:
                     ref = lb.execute_sequence(cfg, word, lb.stream(seed, mi, si, 1))
                     assert out.value == ref.value  # identical click counts
 
-    # n = 3 * 2**30 rejects a quarter of all draws, so most rows are drawn again.
+    # n = 3 * 2**30 rejects a quarter of all draws, so many rows are drawn again.
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 3 * 2**30])
     @pytest.mark.parametrize("m", [1, 2, 7, 10])
     def test_word_mapping_is_integers(self, n, m, monkeypatch):
