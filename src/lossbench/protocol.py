@@ -345,14 +345,14 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     keys[:, -3] = length_index
     keys[:, -2] = np.tile(np.arange(n), n_lengths)
     keys[:, -1] = _GATE_DRAWS
-    states = seed_states(keys)
+    seeds = seed_states(keys)
     # Step-major gate table: row s holds every task's gate at step s.  The
     # tasks of one length are n consecutive rows, drawn as one block.
     words = np.zeros((steps[0], n_tasks), dtype=np.min_scalar_type(n_gates - 1))
     for start in range(0, n_tasks, n):
         rows = slice(start, start + n)
         m = int(lengths[start])
-        words[:m, rows] = _sample_words(states[rows], keys[rows], m, n_gates).T
+        words[:m, rows] = _sample_words(seeds[rows], keys[rows], m, n_gates).T
     # running[s] = number of tasks with more than s steps, a prefix of the rows
     running = np.searchsorted(-steps, -np.arange(steps[0]), side="left")
     if cfg.variant == VARIANT_RB:
