@@ -381,7 +381,9 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
     sqrt_w, absolute_sigma = _fit_weights(ds.sems)
     s_hat, b0_hat, _, chi2, nfev, converged = _separable_fit(m - 1.0, y, sqrt_w, offset=False)
     curve = s_hat ** (m - 1.0)
-    jac = np.array([sqrt_w * curve, sqrt_w * b0_hat * (m - 1.0) * curve / s_hat]).T
+    # sqrt_w times the model, not times b0_hat alone: a huge b0_hat at a tiny
+    # rate would overflow against large weights before the curve shrinks it.
+    jac = np.array([sqrt_w * curve, sqrt_w * (b0_hat * curve) * (m - 1.0) / s_hat]).T
     dof = max(m.size - 2, 1)
     cov = _covariance(jac, chi2, dof, absolute_sigma)
     return DecayFit(

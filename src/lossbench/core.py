@@ -5,7 +5,8 @@ around complex numpy matrices.  States may be sub-normalized (trace < 1):
 lossy channels shrink the trace and nothing in this package ever
 renormalizes silently.  For composing many channels, :func:`coordinates`
 and :func:`transfer_matrix` express Hermitian operators and Kraus maps as
-real vectors and real matrices in one orthonormal Hermitian operator basis.
+real vectors and real matrices in one orthonormal Hermitian operator basis;
+:func:`transfer_matrix` takes a whole stack of Kraus sets in one call.
 
 Random draws come from numpy's PCG64 streams keyed by integer tuples
 (:func:`stream`, which seeds through ``default_rng``).  For many streams at
@@ -382,19 +383,28 @@ def coordinates(matrix) -> np.ndarray:
 
 
 def transfer_matrix(kraus) -> np.ndarray:
-    """The real d^2 x d^2 transfer matrix of the map rho -> sum_i K_i rho K_i^H.
+    """The real d^2 x d^2 transfer matrices of maps rho -> sum_i K_i rho K_i^H.
 
-    Entry (a, b) is Tr(E_a K(E_b)) in :func:`hermitian_basis`, so the map
-    sends coordinates r to T r, and composing maps multiplies their
-    matrices.  With B the unitary whose row a is conj(vec(E_a)) for
-    row-major vec, T = B (sum_i K_i (x) conj(K_i)) B^H.  Any Kraus map keeps
-    operators Hermitian, so T is real; the imaginary rounding residue is
-    dropped.
+    ``kraus`` is one Kraus set, shaped (n_kraus, d, d), or a stack of them
+    with leading axes, shaped (..., n_kraus, d, d); the result is a
+    C-contiguous (..., d^2, d^2) real array.  Entry (a, b) is
+    Tr(E_a K(E_b)) in :func:`hermitian_basis`, so the map sends coordinates
+    r to T r, and composing maps multiplies their matrices.  With B the
+    unitary whose row a is conj(vec(E_a)) for row-major vec,
+    T = B (sum_i K_i (x) conj(K_i)) B^H.  Any Kraus map keeps operators
+    Hermitian, so T is real; the imaginary rounding residue is dropped.
+    Every set's matrix has the bytes a call on that set alone gives.
     """
     kraus = np.asarray(kraus, dtype=np.complex128)
-    basis = hermitian_basis(kraus.shape[-1])
-    images = sum(k @ basis @ k.conj().T for k in kraus)
-    return np.einsum("aji,bij->ab", basis, images).real
+    lead, (n_kraus, dim) = kraus.shape[:-3], kraus.shape[-3:-1]
+    basis = hermitian_basis(dim)
+    sets = kraus.reshape(-1, n_kraus, 1, dim, dim)
+    # A Python sum over the Kraus index of (K E_b) K^H, in the same order for
+    # a stack as for one set; one einsum over all terms differs in the last bit.
+    images = sum(k @ basis @ k.conj().swapaxes(-1, -2) for k in sets.swapaxes(0, 1))
+    dd = dim * dim
+    flat = np.einsum("aji,bij->ab", basis, images.reshape(-1, dim, dim)).real
+    return np.ascontiguousarray(flat.reshape(dd, -1, dd).swapaxes(0, 1)).reshape(*lead, dd, dd)
 
 
 def click_probabilities(traces) -> np.ndarray:

@@ -192,6 +192,15 @@ class TestFitLossDecay:
         assert fit.B0_hat * fit.S_hat**39 == pytest.approx(0.2, rel=1e-9)
         assert np.isfinite(fit.stderr_S) and np.isfinite(fit.stderr_B0)
 
+    def test_huge_intercept_keeps_a_finite_jacobian(self):
+        # The fit sits at the rate bound 1e-6 with B0 = 0.5e234.  Weights of
+        # 1e80 times that B0 overflow unless the curve S^39 scales it first.
+        ds = lb.DecayDataset((40, 50, 60, 70), np.array([0.5, 0.0, 0.0, 0.0]), np.full(4, 1e-80), 30, None)
+        fit = lb.fit_loss_decay(ds)
+        assert fit.B0_hat * fit.S_hat**39 == pytest.approx(0.5, rel=1e-9)
+        # Only the m = 40 row moves with S: dS = S / (sqrt_w * model * (m - 1)).
+        assert fit.stderr_S == pytest.approx(fit.S_hat / (1e80 * 0.5 * 39.0), rel=1e-9)
+
     def test_mostly_nonpositive_falls_back(self):
         ds = lb.DecayDataset(
             m_values=(1, 2, 3, 4),

@@ -1,6 +1,7 @@
 """Property tests: the config parser's error contract, the CSV round trip, the
-loss bound and the real transfer matrix on random channels, the decay fits'
-global minimum, and the batched stream seeding against numpy's."""
+loss bound and the real transfer matrix on random channels and stacks of
+Kraus sets, the decay fits' global minimum, and the batched stream seeding
+against numpy's."""
 
 import copy
 import json
@@ -176,6 +177,34 @@ def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
     rho = lb.DensityMatrix(dim, hermitian_part((parts[0::2] + 1j * parts[1::2]).reshape(dim, dim)))
     image = coordinates(lb.apply_channel(channel, rho).matrix)
     assert np.max(np.abs(t @ coordinates(rho.matrix) - image)) <= 1e-13
+
+
+@st.composite
+def kraus_stacks(draw):
+    """Complex (..., n_kraus, d, d) arrays with leading axes (), (G,) or (a, b)."""
+    dim = draw(st.integers(1, 4))
+    n_kraus = draw(st.integers(1, 5))
+    lead = draw(
+        st.one_of(
+            st.just(()),
+            st.tuples(st.integers(1, 29)),
+            st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (*lead, n_kraus, dim, dim)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(kraus=kraus_stacks())
+def test_transfer_matrix_of_a_stack_is_the_per_set_matrices(kraus):
+    dd = kraus.shape[-1] ** 2
+    t = transfer_matrix(kraus)
+    assert t.shape == (*kraus.shape[:-3], dd, dd)
+    assert t.dtype == np.float64 and t.flags.c_contiguous
+    sets = kraus.reshape(-1, *kraus.shape[-3:])
+    assert t.tobytes() == np.stack([transfer_matrix(k) for k in sets]).tobytes()
 
 
 _LOSS_GRID = np.arange(5.0, 151.0, 5.0)

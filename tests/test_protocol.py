@@ -1,9 +1,11 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.core import key_words, seed_states
-from lossbench.protocol import _sample_words
+from lossbench.core import key_words, seed_states, transfer_matrix
+from lossbench.protocol import _gate_superoperators, _sample_words
 from support import enumerate_average, enumerate_average_naive, random_density, random_povm
 
 
@@ -302,6 +304,23 @@ class TestBatchedEngineOracle:
         assert "group" in gateset.__dict__
         lb.run_protocol(cfg)
         assert len(builds) == 1 and builds[0] is gateset
+
+
+class TestGateSuperoperators:
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "saturation", "clifford"])
+    def test_batched_call_matches_the_per_gate_form(self, name):
+        if name == "clifford":
+            cfg = ORACLE_CONFIGS["clifford"]()
+            assert len(cfg.noise.kraus) == 4
+        else:
+            text = resources.files("lossbench").joinpath("configs", f"{name}.config").read_text()
+            cfg = lb.parse_config(text).protocol
+        # The form the engine used before its one batched call, kept as the reference.
+        noise = cfg.noise.kraus
+        per_gate = np.stack([transfer_matrix([u @ k for k in noise]) for u in cfg.gateset.gates])
+        transfers = _gate_superoperators(cfg)
+        assert transfers.flags.c_contiguous
+        assert transfers.tobytes() == per_gate.tobytes()
 
 
 class TestExactSequenceAverage:
