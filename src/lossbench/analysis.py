@@ -9,7 +9,7 @@ exponential.
 Fits run weighted least squares (weights 1/sem^2, or unit weights when any
 sem is zero or missing) by variable projection.  The amplitudes (B0, or A
 and B) enter linearly and come from closed-form weighted normal equations at
-each rate, with B0 held at 0 or above, so only the rate r (S or p) is
+each rate, with B0 held in [0, 1e300], so only the rate r (S or p) is
 searched, as t = log r.  The rate stays inside (0, 1], within RATE_BOUNDS =
 [1e-6, 1 - 1e-9].  A fixed grid of 48 rates, geometric in -t, brackets the
 minimum; safeguarded Gauss-Newton steps with Kaufman's Jacobian (secant
@@ -18,7 +18,11 @@ the residual vector is at most GRADIENT_TOL = 1e-10 or the bracket closes.
 A minimum beyond a bound is reported at the bound, and a fit is unconverged
 only when MAX_ITERATIONS = 200 evaluations run out.  ``n_iterations`` counts
 reduced-cost evaluations: 48 for the grid plus one per step.  Standard
-errors come from the full Jacobian at the solution, on the natural scale.
+errors come from the full Jacobian at the solution.  Fits run in normalised
+units: the weights' square roots are divided by a power of two that puts the
+largest near 1, and the loss column is r^(m - m_min), 1 at the shortest
+length, so the products inside a fit stay in range.  chi^2, the stderrs
+and the covariance are scaled back exactly; beyond the float range they are inf.
 """
 
 import math
@@ -59,7 +63,9 @@ PLATEAU_CHI2 = 4.0
 PLATEAU_TAIL_Z = 3.0
 PLATEAU_TAIL_POINTS = 5
 
-_FLOAT_MAX = float(np.finfo(float).max)
+# A loss fit holds B0, a detector response times a survival, in [0, _B0_MAX]:
+# B0 = c r^-x0 grows without bound as r -> 0 when the shortest length exceeds 1.
+_B0_MAX = 1e300
 
 # Floor for z-score denominators so exact-mode data (sigma = 0) yields
 # z = 0 instead of a 0/0.
@@ -222,35 +228,23 @@ def prop1_check(channel: QuantumChannel) -> BoundReport:
 
 
 def _fit_weights(sems: np.ndarray) -> tuple:
-    """Return (sqrt_weights, absolute_sigma) per the weighting rule.
+    """Return (sqrt_weights, e, absolute_sigma) per the weighting rule.
 
     Weights are 1/sem^2 when every sem is finite and positive; otherwise
     unit weights, and standard errors are then scaled by the residual
-    variance instead of taken as absolute.
+    variance instead of taken as absolute.  The returned square roots of the
+    weights are 2^-e times the true ones, the largest in (1/2, 1]; e comes
+    from the smallest sem, so subnormal sems work too.
     """
     sems = np.asarray(sems, dtype=float)
     if sems.size and np.all(np.isfinite(sems)) and np.all(sems > 0):
-        return 1.0 / sems, True
-    return np.ones_like(sems), False
+        e = 1 - math.frexp(float(sems.min()))[1]
+        return 2.0**-e / sems, e, True
+    return np.ones_like(sems), 0, False
 
 
-def _covariance(jac: np.ndarray, chi2: float, dof: int, absolute_sigma: bool) -> np.ndarray:
-    """(J^T J)^-1 from the SVD of J, so an undetermined direction keeps its huge variance.
-
-    Singular values are floored at eps times the largest (and at eps^2), so
-    that variance is huge but finite where J has an exactly null direction.
-    """
-    _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    eps = np.finfo(float).eps
-    s = np.maximum(s, eps * max(s[0], eps))
-    cov = (vt.T / s**2) @ vt
-    if not absolute_sigma and dof > 0:
-        cov = cov * (chi2 / dof)
-    return cov
-
-
-def _separable_fit(x: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray, offset: bool) -> tuple:
-    """Weighted least squares of y ~ c * r^x (+ b when ``offset``) over r in RATE_BOUNDS.
+def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool) -> tuple:
+    """Weighted least squares of y ~ a * r^x (+ b when ``offset``) over r in RATE_BOUNDS.
 
     Variable projection (Golub-Pereyra): for each rate the amplitudes come
     from the closed-form weighted normal equations, so only t = log r is
@@ -262,74 +256,64 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray, offset: boo
     longer moves t.  A best grid point at an end of the grid where the cost
     still falls outward is returned at once, at that bound.
 
-    Returns (r, c, b, cost, nfev, converged): the rate, the amplitude of r^x,
-    the constant (0.0 without ``offset``), the weighted sum of squared
-    residuals, the number of rates whose reduced cost was evaluated, and
-    whether a stop rule, not the MAX_ITERATIONS budget, ended the search.
+    The fit runs in normalised units (see the module docstring and
+    _fit_weights).  With an offset the column is r^x - 1 (expm1 keeps its
+    digits as r -> 1), centred on its weighted mean, which projects out the
+    constant column.  Without one it is r^(x - x0), x0 the smallest x, and
+    its amplitude c is clipped to 0 <= c r^-x0 <= _B0_MAX: for one linear
+    amplitude the clip is the exact constrained least-squares solution.
+
+    Returns (params, stderrs, chi2_per_dof, cov, nfev, converged): params and
+    stderrs are (a, b, r), or (a, r) without an offset, with a = c r^-x0;
+    cov is that of (c, b, r) or (c, r), from the Jacobian columns sqrt_w
+    r^(x - x0), sqrt_w and sqrt_w c x r^(x - x0) / r (x0 = 0 with an offset).
+    nfev counts the rates whose reduced cost was evaluated, and converged
+    says whether a stop rule, not the MAX_ITERATIONS budget, ended the search.
     """
     if not np.all(np.isfinite(y)):
         raise ValueError("means are not finite")
+    sqrt_w, e, absolute_sigma = _fit_weights(sems)
     w2 = sqrt_w * sqrt_w
     w_sum = float(w2.sum())
     mean = float(w2 @ y) / w_sum if offset else 0.0
     yc = y - mean
+    x0 = 0.0 if offset else float(x.min())
+    u = x - x0
 
-    def project(t):
-        # With an offset the column is r^x - 1 (expm1 keeps its digits as
-        # r -> 1), centred on its weighted mean, which projects out the
-        # constant column; c then solves the remaining 1x1 normal equation.
-        xt = np.multiply.outer(t, x)
-        phi = np.expm1(xt) if offset else np.exp(xt)
+    def project(t, c_max):
+        # c solves phi's 1x1 normal equation; without an offset it is clipped.
+        ut = np.multiply.outer(t, u)
+        phi = np.expm1(ut) if offset else np.exp(ut)
         if offset:
             phi = phi - (phi @ w2)[:, None] / w_sum
         wphi = phi * w2
         norm2 = (wphi * phi).sum(axis=1)
-        # sum(w^2 phi^2) underflows for a column below about 1e-160, as in loss
-        # fits near the lower rate bound whose shortest length is 25 or more.
-        # Such a row projects onto its column divided by its largest entry,
-        # and phi and norm2 hold that scaled column.  (The list test costs a
-        # fraction of a numpy reduction.)
-        scale = None
-        if 0.0 in norm2.tolist():
-            tiny = norm2 == 0.0
-            scale = np.ones_like(norm2)
-            scale[tiny] = np.abs(phi[tiny]).max(axis=1)
-            scale[scale == 0.0] = 1.0  # a zero column keeps c = 0
-            phi = phi / scale[:, None]
-            wphi = phi * w2
-            norm2 = (wphi * phi).sum(axis=1)
-        c = np.divide(wphi @ yc, norm2, out=np.zeros_like(norm2), where=norm2 > 0.0)
+        c = np.divide(wphi @ yc, norm2, out=np.zeros(norm2.shape), where=norm2 > 0.0)
         if not offset:
-            c = np.maximum(c, 0.0)  # B0 is a detector response times a survival
-        if scale is not None:
-            # c / scale is multiplied by |x| in a Gauss-Newton step and by
-            # sqrt_w as well in the Jacobian; a row where that would overflow
-            # keeps c = 0.
-            reach = max(float(np.abs(x).max()), 1.0) * max(float(sqrt_w.max()), 1.0)
-            c[tiny & (np.abs(c) >= scale * (_FLOAT_MAX / reach))] = 0.0
+            c = np.minimum(np.maximum(c, 0.0), c_max)
         res = yc - c[:, None] * phi
-        if scale is not None:
-            c = c / scale  # the amplitude of the unscaled column r^x
-        return (res * res) @ w2, c, res, phi, norm2, xt
+        return (res * res) @ w2, c, res, phi, norm2, ut
 
-    costs, cs, ress, phis, norm2s, xts = project(_LOG_RATE_GRID)
+    c_maxs = _B0_MAX * np.exp(x0 * _LOG_RATE_GRID)
+    costs, cs, ress, phis, norm2s, uts = project(_LOG_RATE_GRID, c_maxs)
     k = int(np.argmin(costs))
     nfev = _LOG_RATE_GRID.size
     lo = _LOG_RATE_GRID[max(k - 1, 0)]
     hi = _LOG_RATE_GRID[min(k + 1, nfev - 1)]
-    t, cost, c, res, phi, norm2, xt = (
-        _LOG_RATE_GRID[k], costs[k], cs[k], ress[k], phis[k], norm2s[k], xts[k]
+    t, cost, c, c_max, res, phi, norm2, ut = (
+        _LOG_RATE_GRID[k], costs[k], cs[k], c_maxs[k], ress[k], phis[k], norm2s[k], uts[k]
     )
     converged = True
     t_prev = g_prev = None
     while True:
-        # v = d(model)/dt at fixed c.  Kaufman's Jacobian is -P v, v
-        # projected off the columns; the gradient of the reduced cost is
-        # -2 <res, v> = -2 <res, P v> exactly (res is orthogonal to the
-        # columns), and the P v form keeps rounding in res out of it.  The
-        # Gauss-Newton step is <res, P v> / |P v|^2.
-        pv = c * x * np.exp(xt)
-        if c != 0.0:
+        # v = d(model)/dt at fixed B0 (or A and B) is c x r^(x - x0).  For a
+        # free c Kaufman's Jacobian is -P v, v projected off the columns; the
+        # gradient of the reduced cost is -2 <res, v> = -2 <res, P v> exactly
+        # (res is orthogonal to the columns), and the P v form keeps rounding
+        # in res out of it.  A clipped c holds B0 at 0 or _B0_MAX, so v is
+        # the Jacobian itself.  The Gauss-Newton step is <res, P v> / |P v|^2.
+        pv = c * x * np.exp(ut)
+        if c != 0.0 and (offset or c < c_max):
             pv = pv - (float((w2 * pv) @ phi) / norm2) * phi
         if offset:
             pv = pv - float(w2 @ pv) / w_sum
@@ -359,11 +343,34 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray, offset: boo
         if nfev >= MAX_ITERATIONS:
             converged = False
             break
-        cost, c, res, phi, norm2, xt = (part[0] for part in project(np.array([trial])))
+        c_max = _B0_MAX * math.exp(x0 * trial)
+        cost, c, res, phi, norm2, ut = (part[0] for part in project(np.array([trial]), c_max))
         t = trial
         nfev += 1
-    b = mean - c * (1.0 + float(w2 @ np.expm1(x * t)) / w_sum) if offset else 0.0
-    return float(np.exp(t)), float(c), b, float(cost), nfev, converged
+
+    r = float(np.exp(t))
+    curve = r**u
+    cols = [sqrt_w * curve] + [sqrt_w] * offset + [sqrt_w * c * x * curve / r]
+    dof = max(y.size - len(cols), 1)
+    # (J^T J)^-1 from the SVD of J, with singular values floored at eps times
+    # the largest (and at eps^2): an undetermined direction keeps a huge but
+    # finite variance.
+    _, sv, vt = np.linalg.svd(np.array(cols).T, full_matrices=False)
+    eps = np.finfo(float).eps
+    sv = np.maximum(sv, eps * max(sv[0], eps))
+    cov = (vt.T / sv**2) @ vt
+    if not absolute_sigma:
+        cov = cov * (cost / dof)
+    unit = 2.0**-e  # a double for any e; Python floats overflow to inf without a warning
+    stderrs = [math.sqrt(v) * unit for v in cov.diagonal().tolist()]
+    rx0 = math.exp(x0 * t)  # 0 only where c is held at 0
+    params = [float(c) / rx0 if rx0 else 0.0, r]
+    stderrs[0] = stderrs[0] / rx0 if rx0 else math.inf
+    if offset:
+        params.insert(1, float(mean - c * (1.0 + float(w2 @ np.expm1(u * t)) / w_sum)))
+    with np.errstate(over="ignore"):
+        cov = np.ldexp(cov, -2 * e)
+    return params, stderrs, float(cost) / unit / unit / dof, cov, nfev, converged
 
 
 def fit_loss_decay(ds: DecayDataset) -> DecayFit:
@@ -377,21 +384,15 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
         raise ValueError(f"need >= 3 distinct sequence lengths, got {len(set(ds.m_values))}")
     if np.all(y <= 0):
         raise ValueError("all means are non-positive; nothing to fit")
-
-    sqrt_w, absolute_sigma = _fit_weights(ds.sems)
-    s_hat, b0_hat, _, chi2, nfev, converged = _separable_fit(m - 1.0, y, sqrt_w, offset=False)
-    curve = s_hat ** (m - 1.0)
-    # sqrt_w times the model, not times b0_hat alone: a huge b0_hat at a tiny
-    # rate would overflow against large weights before the curve shrinks it.
-    jac = np.array([sqrt_w * curve, sqrt_w * (b0_hat * curve) * (m - 1.0) / s_hat]).T
-    dof = max(m.size - 2, 1)
-    cov = _covariance(jac, chi2, dof, absolute_sigma)
+    (b0_hat, s_hat), (stderr_b0, stderr_s), chi2_per_dof, _, nfev, converged = _separable_fit(
+        m - 1.0, y, ds.sems, offset=False
+    )
     return DecayFit(
         S_hat=s_hat,
         B0_hat=b0_hat,
-        stderr_S=math.sqrt(max(cov[1, 1], 0.0)),
-        stderr_B0=math.sqrt(max(cov[0, 0], 0.0)),
-        chi2_per_dof=chi2 / dof,
+        stderr_S=stderr_s,
+        stderr_B0=stderr_b0,
+        chi2_per_dof=chi2_per_dof,
         converged=converged,
         n_iterations=nfev,
     )
@@ -403,21 +404,17 @@ def fit_rb_decay(ds: DecayDataset) -> RBFit:
     y = np.array(ds.means, dtype=float)
     if len(set(ds.m_values)) < 4:
         raise ValueError(f"need >= 4 distinct sequence lengths, got {len(set(ds.m_values))}")
-
-    sqrt_w, absolute_sigma = _fit_weights(ds.sems)
-    p_hat, a_hat, b_hat, chi2, nfev, converged = _separable_fit(m, y, sqrt_w, offset=True)
-    curve = p_hat**m
-    jac = np.array([sqrt_w * curve, sqrt_w, sqrt_w * a_hat * m * curve / p_hat]).T
-    dof = max(m.size - 3, 1)
-    cov = _covariance(jac, chi2, dof, absolute_sigma)
+    (a_hat, b_hat, p_hat), (stderr_a, stderr_b, stderr_p), chi2_per_dof, cov, nfev, converged = (
+        _separable_fit(m, y, ds.sems, offset=True)
+    )
     return RBFit(
         A_hat=a_hat,
         B_hat=b_hat,
         p_hat=p_hat,
-        stderr_A=math.sqrt(max(cov[0, 0], 0.0)),
-        stderr_B=math.sqrt(max(cov[1, 1], 0.0)),
-        stderr_p=math.sqrt(max(cov[2, 2], 0.0)),
-        chi2_per_dof=chi2 / dof,
+        stderr_A=stderr_a,
+        stderr_B=stderr_b,
+        stderr_p=stderr_p,
+        chi2_per_dof=chi2_per_dof,
         converged=converged,
         n_iterations=nfev,
         covariance=cov,
@@ -468,7 +465,7 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     model = fit.B0_hat * fit.S_hat ** (m - 1.0)
     tail = slice(-PLATEAU_TAIL_POINTS, None)
     excess = float(np.mean(y[tail]) - np.mean(model[tail]))
-    if _fit_weights(ds.sems)[1]:
+    if _fit_weights(ds.sems)[2]:
         sigma_tail = float(np.sqrt(np.sum(ds.sems[tail] ** 2))) / PLATEAU_TAIL_POINTS
     else:
         # Unit-weight fits carry no per-point sigma; use the fit's own
@@ -520,7 +517,7 @@ def markovianity_tests(
 ) -> MarkovReport:
     """Cross-protocol consistency checks on a converged benchmarking fit.
 
-    ``loss_m1`` is the (mean, sem) of the loss-protocol signal at m = 1,
+    ``loss_m1`` is the (mean, sem >= 0) of the loss-protocol signal at m = 1,
     which equals the benchmarking curve's offset B when the noise is one
     fixed channel per gate.  B - A must be nonnegative for such noise.
     When the true channel is supplied along with the preparation rho and
@@ -536,6 +533,8 @@ def markovianity_tests(
     if not rb.converged:
         raise ValueError("benchmarking fit did not converge; checks need a valid fit")
     m1_mean, m1_sem = float(loss_m1[0]), float(loss_m1[1])
+    if not m1_sem >= 0.0:
+        raise ValueError(f"the sem of loss_m1 must be a number >= 0, got {m1_sem!r}")
 
     b_minus_a, b_minus_a_sigma, negative = b_minus_a_test(rb)
     flags = [FLAG_B_MINUS_A_NEGATIVE] if negative else []

@@ -183,8 +183,9 @@ class TestFitLossDecay:
         assert fit.S_hat == pytest.approx(0.99, rel=1e-12)
 
     def test_underflowing_column_keeps_its_amplitude(self):
-        # At rates below about 1e-4, S^39 squared underflows: sum(w^2 phi^2)
-        # is 0, yet the curve B0 * S^39 with B0 ~ 1e233 meets the first mean.
+        # Near the 1e-6 rate bound S^39 squared underflows, yet the curve
+        # B0 * S^39 with B0 ~ 1e233 meets the first mean: the fit's column
+        # S^(m - 40) is 1 at m = 40, and B0 = c S^-39 is formed at the end.
         ds = lb.DecayDataset((40, 45, 50), np.array([0.2, -0.1, 0.0]), np.full(3, 0.05), 5, None)
         fit = lb.fit_loss_decay(ds)
         assert fit.converged
@@ -192,9 +193,21 @@ class TestFitLossDecay:
         assert fit.B0_hat * fit.S_hat**39 == pytest.approx(0.2, rel=1e-9)
         assert np.isfinite(fit.stderr_S) and np.isfinite(fit.stderr_B0)
 
+    def test_intercept_is_held_at_its_largest_reportable_value(self):
+        # Meeting the first mean needs B0 * S^199 = 0.5: B0 beyond the float
+        # range at most rates.  The fit holds B0 at 1e300 and finds the rate
+        # where that curve meets it.
+        ds = lb.DecayDataset((200, 210, 220), np.array([0.5, 0.0, 0.0]), np.full(3, 0.05), 5, None)
+        fit = lb.fit_loss_decay(ds)
+        assert fit.converged
+        assert fit.B0_hat == pytest.approx(analysis._B0_MAX, rel=1e-12)
+        assert fit.B0_hat * fit.S_hat**199 == pytest.approx(0.5, rel=1e-9)
+        assert fit.chi2_per_dof < 1e-20
+
     def test_huge_intercept_keeps_a_finite_jacobian(self):
         # The fit sits at the rate bound 1e-6 with B0 = 0.5e234.  Weights of
-        # 1e80 times that B0 overflow unless the curve S^39 scales it first.
+        # 1e80 times that B0 would overflow; the fit's weights are at most 1
+        # and its amplitude is that of S^(m - 40), 0.5.
         ds = lb.DecayDataset((40, 50, 60, 70), np.array([0.5, 0.0, 0.0, 0.0]), np.full(4, 1e-80), 30, None)
         fit = lb.fit_loss_decay(ds)
         assert fit.B0_hat * fit.S_hat**39 == pytest.approx(0.5, rel=1e-9)
@@ -313,6 +326,47 @@ class TestFitRBDecay:
         assert fit.converged
         assert fit.p_hat == analysis.RATE_BOUNDS[1]
         assert not analysis._identifiable(fit)
+
+
+def overflow_scan_dataset(index):
+    """Dataset ``index`` of a seeded scan with sems spread over 150 decades."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        lo = int(rng.integers(20, 60))
+        m_values = tuple(range(lo, 121, 10))
+        sems = 10 ** rng.uniform(-150, 0, len(m_values))
+        means = rng.normal(size=len(m_values))
+    means[0] = abs(means[0])
+    return lb.DecayDataset(m_values, means, sems, 30, None)
+
+
+class TestNormalisedUnits:
+    """Weights near 1e150 once overflowed inside a fit (a RuntimeWarning fails the suite)."""
+
+    @pytest.mark.parametrize(
+        "fit, index",
+        [
+            (lb.fit_rb_decay, 1),
+            (lb.fit_loss_decay, 128),
+            (lb.fit_rb_decay, 15),
+            (lb.fit_rb_decay, 100),
+        ],
+        ids=["rb-covariance", "loss-covariance", "rb-projection", "rb-projection-sum"],
+    )
+    def test_spread_sems_fit_in_range(self, fit, index):
+        ds = overflow_scan_dataset(index)
+        result = fit(ds)
+        assert result.converged
+        stderrs = [v for k, v in vars(result).items() if k.startswith("stderr_")]
+        assert all(0.0 < v < math.inf for v in stderrs)
+        assert math.isfinite(result.chi2_per_dof)
+        # The same data in units 2^-300 smaller: the same fit, bit for bit.
+        scaled = fit(dataclasses.replace(ds, sems=np.ldexp(ds.sems, -300)))
+        for name, value in vars(result).items():
+            if name.endswith("_hat") or name == "n_iterations":
+                assert getattr(scaled, name) == value, name
+            elif name.startswith("stderr_"):
+                assert getattr(scaled, name) == math.ldexp(value, -300), name
 
 
 def hard_floor_dataset():
@@ -578,6 +632,14 @@ class TestMarkovianityTests:
         assert report.flags == ()
         report = lb.markovianity_tests(converged_rb(1e-12, 0.45, 0.9), (0.9, 0.001))
         assert report.flags == ()
+
+    def test_nan_m1_sem_raises(self):
+        # Single-sequence data write NaN sems; max(nan, floor) would be NaN
+        # and skip the M1_MISMATCH comparison without a word.
+        fit = converged_rb(0.4, 0.55, 0.9)
+        assert lb.markovianity_tests(fit, (0.2, 0.0)).flags == ("M1_MISMATCH",)
+        with pytest.raises(ValueError, match="sem of loss_m1"):
+            lb.markovianity_tests(fit, (0.2, math.nan))
 
     def test_plateau_report_is_folded_in(self):
         plateau = lb.PlateauReport(chi2_per_dof=9.0, tail_excess_z=5.0, flagged=True)

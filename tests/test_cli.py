@@ -194,6 +194,31 @@ class TestFit:
             "flags",
         }
 
+    @pytest.mark.parametrize("model", ["loss", "rb"])
+    @pytest.mark.parametrize("sem", [1e-200, 1e-310])
+    def test_tiny_sems_fit_as_their_scaled_copy(self, tmp_path, model, sem):
+        # 1/sem^2 is beyond the float range; the fit must not care.  The
+        # copy's sems are 2^700 times larger, so its stderrs are too (to the
+        # digits a subnormal stderr keeps).
+        m = np.array([1, 2, 3, 5, 8, 12, 17, 25, 40], dtype=float)
+        means = 0.9 * 0.97 ** (m - 1.0) + 0.002 * np.sin(m)
+        reports = []
+        for scale in (0, 700):
+            sems = np.full(m.size, math.ldexp(sem, scale))
+            ds = lb.DecayDataset(tuple(int(v) for v in m), means, sems, 30, None)
+            out = tmp_path / str(scale)
+            out.mkdir()
+            ds.to_csv(out / "decay.csv")
+            assert cli.main(["fit", str(out / "decay.csv"), "--model", model, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "fit.json").read_text()))
+        tiny, copy = reports
+        assert tiny["chi2_per_dof"] == math.inf
+        for key in tiny:
+            if key.endswith("_hat") or key in ("converged", "n_iterations"):
+                assert tiny[key] == copy[key], key
+            elif key.endswith("_stderr"):
+                assert math.ldexp(tiny[key], 700) == pytest.approx(copy[key], rel=1e-12), key
+
     def test_missing_csv(self, tmp_path):
         proc = run_cli("fit", str(tmp_path / "none.csv"))
         assert proc.returncode == 1

@@ -1,7 +1,7 @@
 """Property tests: the config parser's error contract, the CSV round trip, the
 loss bound and the real transfer matrix on random channels and stacks of
-Kraus sets, the decay fits' global minimum, and the batched stream seeding
-against numpy's."""
+Kraus sets, the decay fits' global minimum and their independence of the unit
+of the sems, and the batched stream seeding against numpy's."""
 
 import copy
 import json
@@ -258,6 +258,22 @@ def test_fit_reaches_the_global_minimum(case):
     assert fit.converged
     cost = fit.chi2_per_dof * (len(ds.m_values) - n_params)
     assert cost <= scanned_cost(model, ds) * (1.0 + 1e-12)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(case=decaying_datasets(), k=st.integers(-900, 60))
+def test_fits_do_not_depend_on_the_unit_of_the_sems(case, k):
+    # Scaling every sem by 2^k scales every weight by 2^-2k exactly: the
+    # estimates must not move and the stderrs must scale by 2^k.
+    model, ds = case
+    fit = lb.fit_loss_decay if model == "loss" else lb.fit_rb_decay
+    base = fit(ds)
+    scaled = fit(lb.DecayDataset(ds.m_values, ds.means, np.ldexp(ds.sems, k), 30, None))
+    for name, value in vars(base).items():
+        if name.startswith("stderr_"):
+            assert getattr(scaled, name) == np.ldexp(value, k), name
+        elif name.endswith("_hat") or name in ("converged", "n_iterations"):
+            assert getattr(scaled, name) == value, name
 
 
 # Key words drawn anywhere in uint32, with both ends often.
