@@ -36,7 +36,6 @@ from .core import (
     MeasurementOperator,
     QuantumChannel,
     coordinates,
-    survival_operator,
     transfer_matrix,
 )
 from .protocol import DecayDataset
@@ -169,28 +168,25 @@ def state_survival(channel: QuantumChannel, rho: DensityMatrix) -> float:
     tr = rho.trace
     if tr <= 0.0:
         raise ValueError(f"state must have positive trace, got {tr!r}")
-    m = survival_operator(channel)
-    val = float(np.real(np.trace(rho.matrix @ m))) / tr
+    val = float(np.real(np.trace(rho.matrix @ channel.survival_operator))) / tr
     if val < -ARITHMETIC_ATOL or val > 1.0 + ARITHMETIC_ATOL:
         raise ValueError(f"survival rate {val!r} outside [0, 1]")
     return min(max(val, 0.0), 1.0)
 
 
 def average_survival(channel: QuantumChannel) -> float:
-    """Survival rate of the maximally mixed state, Tr(M)/d."""
-    m = survival_operator(channel)
-    val = float(np.real(np.trace(m))) / channel.dim
+    """Survival rate of the maximally mixed state, Tr(M)/d, clamped to [0, 1]."""
+    val = float(np.real(np.trace(channel.survival_operator))) / channel.dim
     return min(max(val, 0.0), 1.0)
 
 
 def worst_case_loss(channel: QuantumChannel) -> float:
     """Largest loss over all input states: 1 - (smallest eigenvalue of M).
 
-    The maximizing state is the eigenvector of the survival operator with
-    the minimal eigenvalue.
+    Clamped to [0, 1].  The maximizing state is the eigenvector of the
+    survival operator with the minimal eigenvalue.
     """
-    m = survival_operator(channel)
-    lam_min = float(np.linalg.eigvalsh(m)[0])
+    lam_min = float(channel.survival_spectrum[0][0])
     return min(max(1.0 - lam_min, 0.0), 1.0)
 
 
@@ -201,20 +197,21 @@ def prop1_check(channel: QuantumChannel) -> BoundReport:
     survival operator's eigenvalues all sit in [0, 1]: the d-1 eigenvalues
     other than the minimum can each hide at most 1/d of the average
     survival deficit.  Equality requires every non-minimal eigenvalue to be
-    exactly 1 (loss concentrated on a single direction).
+    exactly 1 (loss concentrated on a single direction).  The two losses
+    are those of :func:`average_survival` and :func:`worst_case_loss`.
     """
-    m = survival_operator(channel)
-    eigs, vecs = np.linalg.eigh(m)
     d = channel.dim
-    avg_loss = 1.0 - float(np.real(np.trace(m))) / d
-    worst_loss = 1.0 - float(eigs[0])
+    avg_loss = 1.0 - average_survival(channel)
+    worst_loss = worst_case_loss(channel)
     bound = d * avg_loss
     slack = bound - worst_loss
     if d >= 2:
-        v = vecs[:, 0]
+        v = channel.survival_spectrum[1][:, 0]
         rho_star = np.outer(v, v.conj())
         rho_complement = (np.eye(d) - rho_star) / (d - 1)
-        complement_survival = float(np.real(np.trace(rho_complement @ m)))
+        complement_survival = float(
+            np.real(np.trace(rho_complement @ channel.survival_operator))
+        )
     else:
         complement_survival = None
     return BoundReport(

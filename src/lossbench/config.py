@@ -28,14 +28,7 @@ from .core import (
     validate_state,
 )
 from .gates import clifford_gateset, embed_gateset, pad_to_qutrit, pauli_gateset
-from .noise import (
-    DetectorSpec,
-    LeakageModelSpec,
-    LossModelSpec,
-    basis_loss_channel,
-    coherent_leakage_error,
-    detector_model,
-)
+from .noise import basis_loss_channel, coherent_leakage_error, detector_model
 from .protocol import ProtocolConfig
 
 REQUIRED_SECTIONS = ("gateset", "noise", "state", "detector", "protocol", "seed")
@@ -121,7 +114,7 @@ def _validate_noise(value) -> tuple:
             errors.append(f"noise.level: expected 0 or 1 (qubit basis level), got {level!r}")
         if errors:
             raise ConfigError(errors)
-        return "loss", basis_loss_channel(LossModelSpec(float(alpha), int(level), dim=2))
+        return "loss", basis_loss_channel(float(alpha), int(level), dim=2)
     if ntype == "leakage":
         errors = _check_keys(value, "noise", ("type", "epsilon", "theta", "hamiltonian_seed"))
         epsilon = value.get("epsilon")
@@ -207,7 +200,7 @@ def _validate_detector(value) -> MeasurementOperator:
     if errors:
         raise ConfigError(errors)
     try:
-        return detector_model(DetectorSpec(tuple(eigs), value.get("basis_seed"), basis))
+        return detector_model(eigs, value.get("basis_seed"), basis)
     except ValueError as exc:
         raise ConfigError([f"detector: {exc}"]) from None
 
@@ -330,7 +323,7 @@ def _assemble(sections: dict, output_dir) -> RunConfig:
         if theta == "random":
             theta = float(stream(seed, _THETA_STREAM_TAG).uniform(0.0, 2.0 * math.pi))
         resolved_theta = theta
-        noise = coherent_leakage_error(LeakageModelSpec(epsilon, hamiltonian_seed))
+        noise = coherent_leakage_error(epsilon, hamiltonian_seed)
         gateset = embed_gateset(gateset, theta)
         rho0 = DensityMatrix(3, pad_to_qutrit(rho0.matrix))
         q_op = MeasurementOperator(3, pad_to_qutrit(q_op.matrix))

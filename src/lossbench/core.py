@@ -3,10 +3,13 @@
 States, channels and measurement operators are thin immutable wrappers
 around complex numpy matrices.  States may be sub-normalized (trace < 1):
 lossy channels shrink the trace and nothing in this package ever
-renormalizes silently.  For composing many channels, :func:`coordinates`
-and :func:`transfer_matrix` express Hermitian operators and Kraus maps as
-real vectors and real matrices in one orthonormal Hermitian operator basis;
-:func:`transfer_matrix` takes a whole stack of Kraus sets in one call.
+renormalizes silently.  Hermiticity and unitarity are measured by
+:func:`hermiticity_deviation` and :func:`unitarity_deviation` alone, and a
+NaN or overflowing deviation fails its check.  For composing many channels,
+:func:`coordinates` and :func:`transfer_matrix` express Hermitian operators
+and Kraus maps as real vectors and real matrices in one orthonormal
+Hermitian operator basis; :func:`transfer_matrix` takes a whole stack of
+Kraus sets in one call.
 
 Random draws come from numpy's PCG64 streams keyed by integer tuples
 (:func:`stream`, which seeds through ``default_rng``).  For many streams at
@@ -16,7 +19,7 @@ draws are those of ``default_rng(key)``.
 
 Tolerance conventions:
   * 1e-12 for properties guaranteed by construction (hermiticity,
-    positivity of freshly built operators),
+    unitarity, positivity of freshly built operators),
   * 1e-10 for properties degraded by accumulated arithmetic
     (trace-non-increase of composed channels, probability clamping).
 """
@@ -28,6 +31,7 @@ import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 HERMITICITY_ATOL = 1e-12
+UNITARITY_ATOL = 1e-12
 EIGENVALUE_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 ARITHMETIC_ATOL = 1e-10
@@ -149,8 +153,20 @@ def bit_generator(state) -> np.random.PCG64:
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """(A + A^H)/2; keeps eigensolvers robust against ~1e-15 asymmetry."""
-    return (matrix + matrix.conj().T) / 2.0
+    """(A + A^H)/2, halved first so that no finite entry overflows; steadies eigensolvers."""
+    return matrix / 2.0 + matrix.conj().T / 2.0
+
+
+def hermiticity_deviation(matrix: np.ndarray) -> float:
+    """max |M - M^H|: NaN for a NaN entry, inf where the difference overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(matrix - matrix.conj().T)))
+
+
+def unitarity_deviation(matrix: np.ndarray) -> float:
+    """max |U^H U - I|: NaN for a NaN entry, inf where the product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(len(matrix)))))
 
 
 def _as_square_complex(matrix, dim: int, what: str) -> np.ndarray:
@@ -194,12 +210,15 @@ class QuantumChannel:
 
     The map acts as rho -> sum_i K_i rho K_i^H.  Validity (sum_i K_i^H K_i
     bounded above by the identity) is enforced at construction, which keeps
-    that sum, made exactly Hermitian, as ``survival_operator``.
+    that sum M, made exactly Hermitian, as ``survival_operator`` and its
+    ``eigh`` pair (ascending eigenvalues, eigenvector columns) as
+    ``survival_spectrum``.  Tr(rho M) is the trace surviving on a state rho.
     """
 
     dim: int
     kraus: tuple
     survival_operator: np.ndarray = field(init=False, repr=False, compare=False)
+    survival_spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -220,20 +239,22 @@ class QuantumChannel:
                 f"QuantumChannel is trace-increasing: a Kraus entry has a part {part!r} > 1"
             )
         m = sum(k.conj().T @ k for k in ops)
-        asym = np.max(np.abs(m - m.conj().T))
-        if asym > HERMITICITY_ATOL:
+        asym = hermiticity_deviation(m)
+        if not asym <= HERMITICITY_ATOL:
             raise ValueError(
                 f"QuantumChannel: sum K^H K is not Hermitian (deviation {asym:.3e})"
             )
         m = hermitian_part(m)
-        top = float(np.linalg.eigvalsh(m)[-1])
-        if top > 1.0 + ARITHMETIC_ATOL:
+        eigs, vecs = np.linalg.eigh(m)
+        if eigs[-1] > 1.0 + ARITHMETIC_ATOL:
             raise ValueError(
                 f"QuantumChannel is trace-increasing: largest eigenvalue of "
-                f"sum K^H K is {top!r} > 1"
+                f"sum K^H K is {float(eigs[-1])!r} > 1"
             )
-        m.setflags(write=False)
+        for a in (m, eigs, vecs):
+            a.setflags(write=False)
         object.__setattr__(self, "survival_operator", m)
+        object.__setattr__(self, "survival_spectrum", (eigs, vecs))
 
 
 @dataclass(frozen=True)
@@ -247,12 +268,12 @@ class MeasurementOperator:
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         mat = _as_square_complex(self.matrix, self.dim, "MeasurementOperator")
-        asym = np.max(np.abs(mat - mat.conj().T))
-        if asym > HERMITICITY_ATOL:
+        asym = hermiticity_deviation(mat)
+        if not asym <= HERMITICITY_ATOL:
             raise ValueError(
                 f"MeasurementOperator is not Hermitian (deviation {asym:.3e})"
             )
-        eigs = np.linalg.eigvalsh(hermitian_part(mat))
+        eigs = np.linalg.eigvalsh(hermitian_part(mat)).tolist()
         if eigs[0] < -EIGENVALUE_ATOL or eigs[-1] > 1.0 + EIGENVALUE_ATOL:
             raise ValueError(
                 f"MeasurementOperator eigenvalues outside [0, 1]: "
@@ -288,24 +309,24 @@ def validate_state(rho: DensityMatrix) -> list:
     """Check all density-matrix invariants and report every violation.
 
     Returns an empty list when ``rho`` is a valid (possibly sub-normalized)
-    state.  Checked invariants: hermiticity to 1e-12, eigenvalues >= -1e-12,
-    and 0 < trace <= 1 + 1e-12.
+    state.  Checked invariants: hermiticity to 1e-12 (a NaN entry fails it),
+    eigenvalues >= -1e-12, and 0 < trace <= 1 + 1e-12.
     """
     violations = []
     mat = rho.matrix
 
-    asym = float(np.max(np.abs(mat - mat.conj().T)))
-    if asym > HERMITICITY_ATOL:
+    asym = hermiticity_deviation(mat)
+    if not asym <= HERMITICITY_ATOL:
         violations.append(
             Violation("not_hermitian", asym, f"max |rho - rho^H| = {asym:.3e}")
         )
 
-    eigs = np.linalg.eigvalsh(hermitian_part(mat))
+    eigs = np.linalg.eigvalsh(hermitian_part(mat)).tolist()
     if eigs[0] < -EIGENVALUE_ATOL:
         violations.append(
             Violation(
                 "negative_eigenvalue",
-                float(eigs[0]),
+                eigs[0],
                 f"smallest eigenvalue {eigs[0]!r} < -{EIGENVALUE_ATOL}",
             )
         )
@@ -337,16 +358,6 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
             f"dimension mismatch: channel dim {channel.dim}, state dim {rho.dim}"
         )
     return DensityMatrix(rho.dim, _apply_kraus(channel.kraus, rho.matrix))
-
-
-def survival_operator(channel: QuantumChannel) -> np.ndarray:
-    """The Hermitian operator M = sum_i K_i^H K_i, with 0 <= M <= identity.
-
-    M carries all trace behaviour of the channel: the trace surviving the
-    channel on any state rho is Tr(rho M), so the survival rate of rho is
-    Tr(rho M) / Tr(rho).  Computed once, when the channel is built.
-    """
-    return channel.survival_operator
 
 
 def hermitian_basis(dim: int) -> np.ndarray:

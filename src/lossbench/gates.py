@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-UNITARITY_ATOL = 1e-12
+from .core import UNITARITY_ATOL, unitarity_deviation
+
 PHASE_MATCH_ATOL = 1e-10
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -46,19 +47,20 @@ class GateSet:
     labels: tuple
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be positive, got {self.dim}")
         gates = tuple(np.array(g, dtype=np.complex128) for g in self.gates)
         if not gates:
             raise ValueError("GateSet needs at least one gate")
         if self.design_order not in (0, 1, 2):
             raise ValueError(f"design_order must be 0, 1 or 2, got {self.design_order}")
-        eye = np.eye(self.dim)
         for i, g in enumerate(gates):
             if g.shape != (self.dim, self.dim):
                 raise ValueError(
                     f"gate {i}: expected {self.dim}x{self.dim}, got {g.shape}"
                 )
-            dev = np.max(np.abs(g.conj().T @ g - eye))
-            if dev > UNITARITY_ATOL:
+            dev = unitarity_deviation(g)
+            if not dev <= UNITARITY_ATOL:
                 raise ValueError(f"gate {i} is not unitary (deviation {dev:.3e})")
             g.setflags(write=False)
         labels = tuple(str(s) for s in self.labels)

@@ -5,99 +5,42 @@ largest state-to-state loss variation), imperfect detectors over a seeded
 random orthonormal basis, random lossy channels for property sweeps,
 depolarizing noise, and the coherent-leakage qutrit error.
 
-All constructors are pure and fully seeded: the same spec always produces
-bitwise-identical operators.
+All constructors are pure and fully seeded: the same arguments always
+produce bitwise-identical operators.  Each raises ``ValueError`` naming the
+argument at fault.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QuantumChannel, MeasurementOperator, hermitian_part, stream
+from .core import (
+    UNITARITY_ATOL,
+    MeasurementOperator,
+    QuantumChannel,
+    hermitian_part,
+    stream,
+    unitarity_deviation,
+)
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class LossModelSpec:
-    """Amplitude loss from one basis level: retained amplitude ``alpha``."""
-
-    alpha: float
-    level: int
-    dim: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0 <= self.level < self.dim:
-            raise ValueError(
-                f"level must be in [0, {self.dim}), got {self.level}"
-            )
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """A detector POVM element given by eigenvalues over some basis.
-
-    The basis is either drawn reproducibly from ``basis_seed`` or supplied
-    explicitly; exactly one of the two must be given.
-    """
-
-    eigenvalues: tuple
-    basis_seed: int | None = None
-    basis: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        eigs = tuple(float(e) for e in self.eigenvalues)
-        if not eigs:
-            raise ValueError("eigenvalues must be nonempty")
-        for i, e in enumerate(eigs):
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"eigenvalues[{i}] = {e} outside [0, 1]")
-        object.__setattr__(self, "eigenvalues", eigs)
-        if (self.basis_seed is None) == (self.basis is None):
-            raise ValueError("give exactly one of basis_seed and basis")
-        if self.basis is not None:
-            d = len(eigs)
-            basis = np.array(self.basis, dtype=np.complex128)
-            if basis.shape != (d, d):
-                raise ValueError(f"basis must be {d}x{d}, got {basis.shape}")
-            with np.errstate(over="ignore", invalid="ignore"):
-                dev = np.max(np.abs(basis.conj().T @ basis - np.eye(d)))
-            if not dev <= 1e-12:  # inf or NaN, from overflow, fails too
-                raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
-            basis.setflags(write=False)
-            object.__setattr__(self, "basis", basis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-
-@dataclass(frozen=True)
-class LeakageModelSpec:
-    """Coherent qutrit error: strength ``epsilon`` of a seeded random unitary."""
-
-    epsilon: float
-    hamiltonian_seed: int
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-
-
-def basis_loss_channel(spec: LossModelSpec) -> QuantumChannel:
+def basis_loss_channel(alpha: float, level: int, dim: int) -> QuantumChannel:
     """Single-Kraus channel K = identity + (alpha - 1)|level><level|.
 
-    Population on ``level`` survives with probability alpha^2 while every
-    other basis level is untouched, so the worst-case loss is exactly d
-    times the average loss: the extreme point of the worst/average bound.
+    ``alpha`` in [0, 1] is the amplitude retained on ``level``, so
+    population there survives with probability alpha^2 while every other
+    basis level is untouched.  The worst-case loss is then exactly d times
+    the average loss: the extreme point of the worst/average bound.
     """
-    k = np.eye(spec.dim, dtype=np.complex128)
-    k[spec.level, spec.level] = spec.alpha
-    return QuantumChannel(spec.dim, (k,))
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if not 0 <= level < dim:
+        raise ValueError(f"level must be in [0, {dim}), got {level}")
+    k = np.eye(dim, dtype=np.complex128)
+    k[level, level] = alpha
+    return QuantumChannel(dim, (k,))
 
 
 def random_orthonormal_basis(dim: int, seed: int) -> np.ndarray:
@@ -109,15 +52,33 @@ def random_orthonormal_basis(dim: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def detector_model(spec: DetectorSpec) -> MeasurementOperator:
-    """Imperfect detector Q = sum_i e_i |b_i><b_i| over the spec's basis.
+def detector_model(eigenvalues, basis_seed: int | None = None, basis=None) -> MeasurementOperator:
+    """Imperfect detector Q = sum_i e_i |b_i><b_i| with eigenvalues e_i in [0, 1].
 
+    The basis columns b_i are either drawn reproducibly from ``basis_seed``
+    or given as the unitary ``basis``; exactly one of the two must be given.
     The average detector response over all states is the eigenvalue mean
     Tr(Q)/d, independent of the basis.
     """
-    d = spec.dim
-    basis = spec.basis if spec.basis is not None else random_orthonormal_basis(d, spec.basis_seed)
-    q = basis @ np.diag(spec.eigenvalues).astype(np.complex128) @ basis.conj().T
+    eigs = tuple(float(e) for e in eigenvalues)
+    if not eigs:
+        raise ValueError("eigenvalues must be nonempty")
+    for i, e in enumerate(eigs):
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"eigenvalues[{i}] = {e} outside [0, 1]")
+    if (basis_seed is None) == (basis is None):
+        raise ValueError("give exactly one of basis_seed and basis")
+    d = len(eigs)
+    if basis is None:
+        basis = random_orthonormal_basis(d, basis_seed)
+    else:
+        basis = np.array(basis, dtype=np.complex128)
+        if basis.shape != (d, d):
+            raise ValueError(f"basis must be {d}x{d}, got {basis.shape}")
+        dev = unitarity_deviation(basis)
+        if not dev <= UNITARITY_ATOL:
+            raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
+    q = basis @ np.diag(eigs).astype(np.complex128) @ basis.conj().T
     return MeasurementOperator(d, hermitian_part(q))
 
 
@@ -155,19 +116,21 @@ def depolarizing_channel(q: float) -> QuantumChannel:
     return QuantumChannel(2, (k0, kx, ky, kz))
 
 
-def coherent_leakage_error(spec: LeakageModelSpec) -> QuantumChannel:
+def coherent_leakage_error(epsilon: float, hamiltonian_seed: int) -> QuantumChannel:
     """Fixed random qutrit unitary V = exp(-i epsilon H), a single Kraus.
 
-    H is a seeded random Hermitian (Gaussian entries) normalized to unit
-    spectral norm.  The channel is exactly trace-preserving on the qutrit;
-    apparent loss arises only because measurements act on the qubit
-    subspace while V coherently moves population in and out of it.  V is
-    built from the eigendecomposition H = U diag(w) U^dagger as
-    U diag(exp(-i epsilon w)) U^dagger.
+    H is a Hermitian with Gaussian entries drawn from ``hamiltonian_seed``,
+    normalized to unit spectral norm, and ``epsilon`` > 0.  The channel is
+    exactly trace-preserving on the qutrit; apparent loss arises only
+    because measurements act on the qubit subspace while V coherently moves
+    population in and out of it.  V is built from the eigendecomposition
+    H = U diag(w) U^dagger as U diag(exp(-i epsilon w)) U^dagger.
     """
-    rng = stream(spec.hamiltonian_seed)
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    rng = stream(hamiltonian_seed)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     w, u = np.linalg.eigh(hermitian_part(a))
     w = w / np.max(np.abs(w))
-    v = (u * np.exp(-1j * spec.epsilon * w)) @ u.conj().T
+    v = (u * np.exp(-1j * epsilon * w)) @ u.conj().T
     return QuantumChannel(3, (v,))

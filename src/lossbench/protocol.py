@@ -26,6 +26,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ from .core import (
     click_probabilities,
     coordinates,
     expectation,
+    hermiticity_deviation,
     key_words,
     sample_clicks,
     seed_states,
@@ -63,6 +65,8 @@ class ProtocolConfig:
 
     ``shots=None`` requests exact per-sequence expectation values; a
     positive integer requests that many binomial shots per sequence.
+    ``n_sequences``, ``master_seed`` (nonnegative) and ``shots`` must be
+    integers; numpy integers are stored as Python ints.
     ``rho0`` must be Hermitian: the engine carries states as real
     coordinates, which have no room for an anti-Hermitian part.
     """
@@ -92,14 +96,20 @@ class ProtocolConfig:
         }
         if len(set(dims.values())) != 1:
             raise ValueError(f"dimension mismatch across config: {dims}")
-        rho = self.rho0.matrix
-        asym = float(np.max(np.abs(rho - rho.conj().T)))
+        asym = hermiticity_deviation(self.rho0.matrix)
         if not asym <= HERMITICITY_ATOL:
             raise ValueError(f"rho0 is not Hermitian (deviation {asym:.3e})")
-        if self.n_sequences < 1:
-            raise ValueError(f"n_sequences must be positive, got {self.n_sequences}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be positive or None, got {self.shots}")
+        for name, least in (("n_sequences", 1), ("master_seed", 0), ("shots", 1)):
+            value = getattr(self, name)
+            if name == "shots" and value is None:
+                continue
+            try:
+                count = operator.index(value)
+            except TypeError:
+                count = None
+            if count is None or count < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, count)
         if self.variant not in (VARIANT_LOSS, VARIANT_RB):
             raise ValueError(f"variant must be 'loss' or 'rb', got {self.variant!r}")
         if self.variant == VARIANT_RB:

@@ -94,7 +94,7 @@ def test_criterion_3_worst_case_bound_and_its_saturation():
 
     worst_saturation_gap = 0.0
     for alpha in np.linspace(0.05, 0.95, 10):
-        ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=float(alpha), level=0, dim=2))
+        ch = lb.basis_loss_channel(alpha=float(alpha), level=0, dim=2)
         report = lb.prop1_check(ch)
         worst_saturation_gap = max(worst_saturation_gap, abs(report.slack))
 

@@ -16,7 +16,7 @@ class TestSurvivalRates:
         assert lb.average_response(q) == pytest.approx(0.91, abs=1e-15)
 
     def test_state_survival_on_basis_loss(self):
-        ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=0.99, level=1, dim=2))
+        ch = lb.basis_loss_channel(alpha=0.99, level=1, dim=2)
         assert lb.state_survival(ch, lb.basis_state(2, 0)) == pytest.approx(1.0)
         assert lb.state_survival(ch, lb.basis_state(2, 1)) == pytest.approx(0.9801)
         assert lb.state_survival(ch, lb.maximally_mixed(2)) == pytest.approx(0.99005)
@@ -48,7 +48,7 @@ class TestSurvivalRates:
 
 class TestWorstCaseLoss:
     def test_basis_loss_value(self):
-        ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=0.99, level=1, dim=2))
+        ch = lb.basis_loss_channel(alpha=0.99, level=1, dim=2)
         assert lb.worst_case_loss(ch) == pytest.approx(1.0 - 0.9801, abs=1e-15)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -74,7 +74,7 @@ class TestProp1Check:
 
     def test_single_level_loss_saturates_bound(self):
         for alpha in np.linspace(0.1, 0.99, 10):
-            ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=alpha, level=0, dim=2))
+            ch = lb.basis_loss_channel(alpha=alpha, level=0, dim=2)
             report = lb.prop1_check(ch)
             assert report.satisfied
             assert report.slack == pytest.approx(0.0, abs=1e-12)
@@ -91,6 +91,17 @@ class TestProp1Check:
     def test_one_dimensional_channel_has_no_complement(self):
         ch = lb.QuantumChannel(1, (np.array([[0.9]]),))
         assert lb.prop1_check(ch).complement_survival is None
+
+    def test_losses_are_the_clamped_survival_functions(self):
+        # Trace-preserving leakage unitaries sit at the clamp: unclamped,
+        # epsilon = 0.1 with seed 3 gives an average loss of -1.1e-15.
+        channels = [lb.random_lossy_channel(d, 0.5, seed) for d in (2, 3) for seed in range(100)]
+        channels += [lb.coherent_leakage_error(0.1, seed) for seed in range(50)]
+        for ch in channels:
+            report = lb.prop1_check(ch)
+            assert report.worst_loss == lb.worst_case_loss(ch)
+            assert report.avg_loss == 1.0 - lb.average_survival(ch)
+            assert report.avg_loss >= 0.0 and report.worst_loss >= 0.0
 
 
 def synthetic_loss_dataset(b0, s, sems=None, m_grid=None, seed=None):
@@ -670,7 +681,7 @@ class TestMarkovianityTests:
         q = lb.MeasurementOperator(3, lb.pad_to_qutrit(np.eye(2)))
         response = np.trace(q.matrix).real / 3.0
         channels = [
-            lb.coherent_leakage_error(lb.LeakageModelSpec(epsilon=0.1, hamiltonian_seed=3)),
+            lb.coherent_leakage_error(epsilon=0.1, hamiltonian_seed=3),
             lb.random_lossy_channel(3, 0.4, 21),
         ]
         for channel in channels:

@@ -75,6 +75,14 @@ def test_hermitian_part():
     assert np.allclose(h, [[1.0, 1.0 + 0.5j], [1.0 - 0.5j, 3.0]])
 
 
+def test_hermitian_part_halves_before_adding():
+    a = lb.stream(4, 2).normal(size=(2, 3, 3))
+    m = a[0] + 1j * a[1]
+    assert np.array_equal(hermitian_part(m), (m + m.conj().T) / 2.0)
+    big = np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
+    assert np.array_equal(hermitian_part(big), big)
+
+
 class TestDensityMatrix:
     def test_trace_property(self):
         rho = lb.DensityMatrix(2, np.diag([0.3, 0.45]))
@@ -134,6 +142,11 @@ class TestValidateState:
         codes = [v.code for v in lb.validate_state(rho)]
         assert "trace_out_of_range" in codes
 
+    def test_nan_entry_is_not_hermitian(self):
+        rho = lb.DensityMatrix(2, np.array([[0.5, np.nan], [np.nan, 0.5]]))
+        codes = [v.code for v in lb.validate_state(rho)]
+        assert codes == ["not_hermitian"]
+
 
 class TestQuantumChannel:
     def test_valid_amplitude_damping(self):
@@ -141,7 +154,7 @@ class TestQuantumChannel:
         k0 = np.diag([1.0, np.sqrt(1 - g)])
         k1 = np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])
         ch = lb.QuantumChannel(2, (k0, k1))
-        assert np.allclose(lb.survival_operator(ch), np.eye(2))
+        assert np.allclose(ch.survival_operator, np.eye(2))
 
     def test_trace_increasing_raises(self):
         with pytest.raises(ValueError, match="trace-increasing"):
@@ -164,14 +177,25 @@ class TestQuantumChannel:
         assert len(ch.kraus) == 1
 
 
+class TestMeasurementOperator:
+    def test_nan_entry_raises(self):
+        with pytest.raises(ValueError, match=r"not Hermitian \(deviation nan\)"):
+            lb.MeasurementOperator(2, np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+    def test_huge_off_diagonal_raises_without_overflow(self):
+        # (Q + Q^H)/2 would overflow; the suite turns the warning into an error.
+        with pytest.raises(ValueError, match="eigenvalues outside"):
+            lb.MeasurementOperator(2, np.array([[0.0, 1e308], [1e308, 0.0]]))
+
+
 class TestApplyChannel:
     def test_lossy_channel_shrinks_trace(self):
-        ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=0.5, level=1, dim=2))
+        ch = lb.basis_loss_channel(alpha=0.5, level=1, dim=2)
         out = lb.apply_channel(ch, lb.basis_state(2, 1))
         assert out.trace == pytest.approx(0.25)
 
     def test_unaffected_state_keeps_trace(self):
-        ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=0.5, level=1, dim=2))
+        ch = lb.basis_loss_channel(alpha=0.5, level=1, dim=2)
         out = lb.apply_channel(ch, lb.basis_state(2, 0))
         assert out.trace == pytest.approx(1.0)
 
@@ -183,23 +207,25 @@ class TestApplyChannel:
 
 class TestSurvivalOperator:
     def test_basis_loss_survival_operator(self):
-        ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=0.99, level=1, dim=2))
-        assert np.allclose(lb.survival_operator(ch), np.diag([1.0, 0.9801]))
+        ch = lb.basis_loss_channel(alpha=0.99, level=1, dim=2)
+        assert np.allclose(ch.survival_operator, np.diag([1.0, 0.9801]))
 
     def test_bounded_by_identity_for_random_channels(self):
         for seed in range(5):
             ch = lb.random_lossy_channel(3, 0.6, seed)
-            eigs = np.linalg.eigvalsh(lb.survival_operator(ch))
+            eigs = np.linalg.eigvalsh(ch.survival_operator)
             assert eigs[0] >= -1e-12
             assert eigs[-1] <= 1.0 + 1e-10
 
     def test_matrix_helper_matches(self):
         ch = lb.random_lossy_channel(2, 0.4, 11)
-        m = lb.survival_operator(ch)
+        m = ch.survival_operator
         assert np.allclose(m, sum(k.conj().T @ k for k in ch.kraus))
-        # Stored when the channel is built, not recomputed per call.
-        assert m is ch.survival_operator is lb.survival_operator(ch)
-        assert not m.flags.writeable
+        # Stored when the channel is built, with its eigendecomposition.
+        eigs, vecs = ch.survival_spectrum
+        assert np.allclose(vecs @ np.diag(eigs) @ vecs.conj().T, m, rtol=0.0, atol=1e-15)
+        assert np.array_equal(eigs, np.linalg.eigh(m)[0])
+        assert not any(a.flags.writeable for a in (m, eigs, vecs))
 
 
 class TestExpectation:

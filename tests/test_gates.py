@@ -19,6 +19,19 @@ class TestGateSet:
         with pytest.raises(ValueError, match="not unitary"):
             lb.GateSet(2, (np.diag([1.0, 0.5]),), 0, ("bad",))
 
+    @pytest.mark.parametrize(
+        "gate, deviation",
+        [(np.diag([1.0, np.nan]), "nan"), (np.diag([1e200, 1.0]), "inf")],
+    )
+    def test_non_finite_deviation_raises(self, gate, deviation):
+        # U^H U overflows for 1e200; the suite turns the warning into an error.
+        with pytest.raises(ValueError, match=rf"not unitary \(deviation {deviation}\)"):
+            lb.GateSet(2, (gate,), 0, ("bad",))
+
+    def test_nonpositive_dim_raises(self):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            lb.GateSet(0, (np.zeros((0, 0)),), 0, ("empty",))
+
     def test_duplicate_labels_raise(self):
         with pytest.raises(ValueError, match="unique"):
             lb.GateSet(2, (np.eye(2), np.eye(2)), 0, ("I", "I"))

@@ -6,25 +6,25 @@ import lossbench as lb
 
 class TestBasisLossChannel:
     def test_survival_operator_is_diagonal_attenuation(self):
-        ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=0.8, level=0, dim=3))
-        assert np.allclose(lb.survival_operator(ch), np.diag([0.64, 1.0, 1.0]))
+        ch = lb.basis_loss_channel(alpha=0.8, level=0, dim=3)
+        assert np.allclose(ch.survival_operator, np.diag([0.64, 1.0, 1.0]))
 
     def test_saturates_worst_equals_dim_times_average(self):
         for alpha in (0.2, 0.9, 0.99):
-            ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=alpha, level=1, dim=2))
+            ch = lb.basis_loss_channel(alpha=alpha, level=1, dim=2)
             assert lb.worst_case_loss(ch) == pytest.approx(
                 2.0 * (1.0 - lb.average_survival(ch)), abs=1e-12
             )
 
     def test_alpha_one_is_identity(self):
-        ch = lb.basis_loss_channel(lb.LossModelSpec(alpha=1.0, level=0, dim=2))
+        ch = lb.basis_loss_channel(alpha=1.0, level=0, dim=2)
         assert np.allclose(ch.kraus[0], np.eye(2))
 
-    def test_spec_validation(self):
+    def test_argument_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            lb.LossModelSpec(alpha=1.5, level=0, dim=2)
+            lb.basis_loss_channel(alpha=1.5, level=0, dim=2)
         with pytest.raises(ValueError, match="level"):
-            lb.LossModelSpec(alpha=0.5, level=2, dim=2)
+            lb.basis_loss_channel(alpha=0.5, level=2, dim=2)
 
 
 class TestRandomOrthonormalBasis:
@@ -42,36 +42,33 @@ class TestRandomOrthonormalBasis:
 
 class TestDetectorModel:
     def test_eigenvalues_recovered(self):
-        spec = lb.DetectorSpec(eigenvalues=(0.87, 0.95), basis_seed=7)
-        q = lb.detector_model(spec)
+        q = lb.detector_model(eigenvalues=(0.87, 0.95), basis_seed=7)
         assert np.allclose(np.linalg.eigvalsh(q.matrix), [0.87, 0.95])
 
     def test_average_response_is_basis_independent(self):
         for seed in (0, 7, 200):
-            spec = lb.DetectorSpec(eigenvalues=(0.87, 0.95), basis_seed=seed)
-            q = lb.detector_model(spec)
+            q = lb.detector_model(eigenvalues=(0.87, 0.95), basis_seed=seed)
             assert lb.average_response(q) == pytest.approx(0.91, abs=1e-12)
 
     def test_explicit_identity_basis(self):
-        spec = lb.DetectorSpec(eigenvalues=(0.3, 0.6), basis=np.eye(2))
-        q = lb.detector_model(spec)
+        q = lb.detector_model(eigenvalues=(0.3, 0.6), basis=np.eye(2))
         assert np.allclose(q.matrix, np.diag([0.3, 0.6]))
 
-    def test_spec_validation(self):
+    def test_argument_validation(self):
         with pytest.raises(ValueError, match="outside"):
-            lb.DetectorSpec(eigenvalues=(0.5, 1.2), basis_seed=0)
+            lb.detector_model(eigenvalues=(0.5, 1.2), basis_seed=0)
         with pytest.raises(ValueError, match="exactly one"):
-            lb.DetectorSpec(eigenvalues=(0.5, 0.5))
+            lb.detector_model(eigenvalues=(0.5, 0.5))
         with pytest.raises(ValueError, match="exactly one"):
-            lb.DetectorSpec(eigenvalues=(0.5, 0.5), basis_seed=0, basis=np.eye(2))
+            lb.detector_model(eigenvalues=(0.5, 0.5), basis_seed=0, basis=np.eye(2))
         with pytest.raises(ValueError, match="not unitary"):
-            lb.DetectorSpec(eigenvalues=(0.5, 0.5), basis=np.ones((2, 2)))
+            lb.detector_model(eigenvalues=(0.5, 0.5), basis=np.ones((2, 2)))
         # B^H B overflows; the suite turns the overflow warning into an error.
         with pytest.raises(ValueError, match="not unitary"):
-            lb.DetectorSpec(eigenvalues=(0.5, 0.5), basis=np.diag([1.5e154, 1.0]))
+            lb.detector_model(eigenvalues=(0.5, 0.5), basis=np.diag([1.5e154, 1.0]))
 
     def test_dim_property(self):
-        assert lb.DetectorSpec(eigenvalues=(1.0, 1.0, 1.0), basis_seed=0).dim == 3
+        assert lb.detector_model(eigenvalues=(1.0, 1.0, 1.0), basis_seed=0).dim == 3
 
 
 class TestRandomLossyChannel:
@@ -84,7 +81,7 @@ class TestRandomLossyChannel:
         for seed in range(5):
             ch = lb.random_lossy_channel(2, 0.5, seed)
             assert lb.average_survival(ch) < 1.0
-            eigs = np.linalg.eigvalsh(lb.survival_operator(ch))
+            eigs = np.linalg.eigvalsh(ch.survival_operator)
             assert eigs[0] > 0.0
 
     def test_kraus_count(self):
@@ -108,7 +105,7 @@ class TestDepolarizingChannel:
 
     def test_trace_preserving(self):
         ch = lb.depolarizing_channel(0.1)
-        assert np.allclose(lb.survival_operator(ch), np.eye(2), atol=1e-12)
+        assert np.allclose(ch.survival_operator, np.eye(2), atol=1e-12)
 
     def test_q_validation(self):
         with pytest.raises(ValueError, match="q must be"):
@@ -117,28 +114,23 @@ class TestDepolarizingChannel:
 
 class TestCoherentLeakageError:
     def test_unitary_and_trace_preserving(self):
-        ch = lb.coherent_leakage_error(
-            lb.LeakageModelSpec(epsilon=0.1, hamiltonian_seed=5)
-        )
+        ch = lb.coherent_leakage_error(epsilon=0.1, hamiltonian_seed=5)
         assert ch.dim == 3
         assert len(ch.kraus) == 1
-        assert np.allclose(lb.survival_operator(ch), np.eye(3), atol=1e-12)
+        assert np.allclose(ch.survival_operator, np.eye(3), atol=1e-12)
 
     def test_deterministic(self):
-        spec = lb.LeakageModelSpec(epsilon=0.2, hamiltonian_seed=8)
-        a = lb.coherent_leakage_error(spec)
-        b = lb.coherent_leakage_error(spec)
+        a = lb.coherent_leakage_error(epsilon=0.2, hamiltonian_seed=8)
+        b = lb.coherent_leakage_error(epsilon=0.2, hamiltonian_seed=8)
         assert np.array_equal(a.kraus[0], b.kraus[0])
 
     def test_small_epsilon_is_near_identity(self):
         # |exp(-i eps H) - 1| <= eps for |H| = 1
-        spec = lb.LeakageModelSpec(epsilon=1e-3, hamiltonian_seed=5)
-        v = lb.coherent_leakage_error(spec).kraus[0]
+        v = lb.coherent_leakage_error(epsilon=1e-3, hamiltonian_seed=5).kraus[0]
         assert np.max(np.abs(v - np.eye(3))) < 2e-3
 
     def test_moves_population_out_of_qubit_subspace(self):
-        spec = lb.LeakageModelSpec(epsilon=0.3, hamiltonian_seed=5)
-        ch = lb.coherent_leakage_error(spec)
+        ch = lb.coherent_leakage_error(epsilon=0.3, hamiltonian_seed=5)
         rho = lb.DensityMatrix(3, lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
         out = lb.apply_channel(ch, rho)
         qubit_weight = float(np.real(out.matrix[0, 0] + out.matrix[1, 1]))
@@ -154,10 +146,9 @@ class TestCoherentLeakageError:
             h = (a + a.conj().T) / 2.0
             h = h / np.max(np.abs(np.linalg.eigvalsh(h)))
             for epsilon in (1e-3, 0.1, 0.5, 2.0):
-                spec = lb.LeakageModelSpec(epsilon=epsilon, hamiltonian_seed=seed)
-                v = lb.coherent_leakage_error(spec).kraus[0]
+                v = lb.coherent_leakage_error(epsilon=epsilon, hamiltonian_seed=seed).kraus[0]
                 assert np.max(np.abs(v - expm(-1j * epsilon * h))) < 1e-14
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
-            lb.LeakageModelSpec(epsilon=0.0, hamiltonian_seed=0)
+            lb.coherent_leakage_error(epsilon=0.0, hamiltonian_seed=0)

@@ -1,10 +1,13 @@
 """Property tests: the config parser's error contract, the CSV round trip, the
 loss bound and the real transfer matrix on random channels and stacks of
-Kraus sets, the decay fits' global minimum and their independence of the unit
-of the sems, and the batched stream seeding against numpy's."""
+Kraus sets, the Hermiticity and unitarity checks on NaN and huge entries, the
+decay fits' global minimum and their independence of the unit of the sems,
+and the batched stream seeding against numpy's."""
 
 import copy
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +180,69 @@ def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
     rho = lb.DensityMatrix(dim, hermitian_part((parts[0::2] + 1j * parts[1::2]).reshape(dim, dim)))
     image = coordinates(lb.apply_channel(channel, rho).matrix)
     assert np.max(np.abs(t @ coordinates(rho.matrix) - image)) <= 1e-13
+
+
+def _protocol_with_state(matrix):
+    dim = len(matrix)
+    return lb.ProtocolConfig(
+        gateset=lb.GateSet(dim, (np.eye(dim),), 0, ("I",)),
+        noise=lb.QuantumChannel(dim, (np.eye(dim),)),
+        rho0=lb.DensityMatrix(dim, matrix),
+        q_op=lb.MeasurementOperator(dim, np.eye(dim)),
+        m_grid=(1,),
+        n_sequences=1,
+        master_seed=0,
+    )
+
+
+def _raise_on_violation(matrix):
+    violations = lb.validate_state(lb.DensityMatrix(len(matrix), matrix))
+    if violations:
+        raise ValueError(violations[0].message)
+
+
+# Each matrix check, with a valid d x d input for it.
+_MATRIX_CHECKS = {
+    "GateSet": (lambda m: lb.GateSet(len(m), (m,), 0, ("U",)), np.eye),
+    "QuantumChannel": (lambda m: lb.QuantumChannel(len(m), (m,)), np.eye),
+    "MeasurementOperator": (lambda m: lb.MeasurementOperator(len(m), m), np.eye),
+    "detector_model": (lambda m: lb.detector_model((0.5,) * len(m), basis=m), np.eye),
+    "ProtocolConfig": (_protocol_with_state, lambda d: np.eye(d) / d),
+    "validate_state": (_raise_on_violation, lambda d: np.eye(d) / d),
+}
+
+
+@st.composite
+def perturbed_inputs(draw, values):
+    """(check, valid input with the real or imaginary part of one entry drawn from ``values``)."""
+    check, valid = _MATRIX_CHECKS[draw(st.sampled_from(sorted(_MATRIX_CHECKS)))]
+    dim = draw(st.integers(1, 3))
+    matrix = valid(dim).astype(np.complex128)
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    x = draw(values)
+    z = matrix[i, j]
+    matrix[i, j] = complex(x, z.imag) if draw(st.booleans()) else complex(z.real, x)
+    return check, matrix
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(case=perturbed_inputs(st.just(math.nan)))
+def test_a_nan_entry_fails_every_matrix_check(case):
+    check, matrix = case
+    with pytest.raises(ValueError):
+        check(matrix)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(case=perturbed_inputs(st.floats(-1.7e308, 1.7e308)))
+def test_finite_entries_never_overflow_a_matrix_check(case):
+    check, matrix = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            check(matrix)
+        except ValueError:
+            pass
 
 
 @st.composite

@@ -13,9 +13,9 @@ def fig1_style_config(**overrides):
     """Basis loss alpha=0.99 on level 1, imperfect detector, Pauli gates."""
     defaults = dict(
         gateset=lb.pauli_gateset(),
-        noise=lb.basis_loss_channel(lb.LossModelSpec(alpha=0.99, level=1, dim=2)),
+        noise=lb.basis_loss_channel(alpha=0.99, level=1, dim=2),
         rho0=lb.basis_state(2, 0),
-        q_op=lb.detector_model(lb.DetectorSpec(eigenvalues=(0.87, 0.95), basis_seed=7)),
+        q_op=lb.detector_model(eigenvalues=(0.87, 0.95), basis_seed=7),
         m_grid=(1, 2, 3),
         n_sequences=5,
         master_seed=0,
@@ -50,6 +50,26 @@ class TestProtocolConfig:
             fig1_style_config(shots=0)
         with pytest.raises(ValueError, match="variant"):
             fig1_style_config(variant="other")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shots", 2.5),
+            ("n_sequences", 2.5),
+            ("master_seed", -1),
+            ("master_seed", 1.5),
+            ("n_sequences", "30"),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= [01], got"):
+            fig1_style_config(**{field: value})
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        counts = dict(n_sequences=30, master_seed=42, shots=100)
+        cfg = fig1_style_config(**{k: np.int64(v) for k, v in counts.items()})
+        assert all(type(getattr(cfg, k)) is int for k in counts)
+        assert cfg.fingerprint() == fig1_style_config(**counts).fingerprint()
 
     def test_fingerprint_tracks_config(self):
         a = fig1_style_config()
@@ -128,7 +148,7 @@ def qutrit_leakage_config(**overrides):
     qubit = fig1_style_config()
     defaults = dict(
         gateset=lb.embed_gateset(lb.pauli_gateset(), 0.0),
-        noise=lb.coherent_leakage_error(lb.LeakageModelSpec(epsilon=0.1, hamiltonian_seed=64)),
+        noise=lb.coherent_leakage_error(epsilon=0.1, hamiltonian_seed=64),
         rho0=lb.DensityMatrix(3, lb.pad_to_qutrit(qubit.rho0.matrix)),
         q_op=lb.MeasurementOperator(3, lb.pad_to_qutrit(qubit.q_op.matrix)),
     )
