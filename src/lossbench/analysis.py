@@ -12,9 +12,10 @@ and B) enter linearly and come from closed-form weighted normal equations at
 each rate, with B0 held in [0, 1e300], so only the rate r (S or p) is
 searched, as t = log r.  The rate stays inside (0, 1], within RATE_BOUNDS =
 [1e-6, 1 - 1e-9].  A fixed grid of 48 rates, geometric in -t, brackets the
-minimum; safeguarded Gauss-Newton steps with Kaufman's Jacobian (secant
-curvature after the first step) refine it until that Jacobian's cosine with
-the residual vector is at most GRADIENT_TOL = 1e-10 or the bracket closes.
+minimum in one batched evaluation; safeguarded Gauss-Newton steps with
+Kaufman's Jacobian (secant curvature after the first step), each one
+single-rate evaluation, refine it until that Jacobian's cosine with the
+residual vector is at most GRADIENT_TOL = 1e-10 or the bracket closes.
 A minimum beyond a bound is reported at the bound, and a fit is unconverged
 only when MAX_ITERATIONS = 200 evaluations run out.  ``n_iterations`` counts
 reduced-cost evaluations: 48 for the grid plus one per step.  Standard
@@ -224,20 +225,70 @@ def prop1_check(channel: QuantumChannel) -> BoundReport:
     )
 
 
+def _absolute_weights(sems: np.ndarray) -> bool:
+    """The weighting rule: weights 1/sem^2 when every sem is finite and positive."""
+    return sems.size > 0 and bool(np.isfinite(sems).all() and (sems > 0).all())
+
+
 def _fit_weights(sems: np.ndarray) -> tuple:
     """Return (sqrt_weights, e, absolute_sigma) per the weighting rule.
 
-    Weights are 1/sem^2 when every sem is finite and positive; otherwise
-    unit weights, and standard errors are then scaled by the residual
-    variance instead of taken as absolute.  The returned square roots of the
-    weights are 2^-e times the true ones, the largest in (1/2, 1]; e comes
-    from the smallest sem, so subnormal sems work too.
+    Weights are 1/sem^2 when _absolute_weights holds; otherwise unit
+    weights, and standard errors are then scaled by the residual variance
+    instead of taken as absolute.  The returned square roots of the weights
+    are 2^-e times the true ones, the largest in (1/2, 1]; e comes from the
+    smallest sem, so subnormal sems work too.
     """
     sems = np.asarray(sems, dtype=float)
-    if sems.size and np.all(np.isfinite(sems)) and np.all(sems > 0):
+    if _absolute_weights(sems):
         e = 1 - math.frexp(float(sems.min()))[1]
         return 2.0**-e / sems, e, True
     return np.ones_like(sems), 0, False
+
+
+def _project_rates(t, c_max, u, yc, w2, w_sum, offset):
+    """Reduced cost of y ~ c phi(r) (+ b) at every t = log r of a 1-D array, in one call.
+
+    phi is r^u, or r^u - 1 centred on its weighted mean with an offset.
+    Returns (cost, c, res, phi, norm2), one entry or row per rate: c solves
+    phi's 1x1 weighted normal equation (norm2 = sum w^2 phi^2), clipped to
+    [0, c_max] without an offset; res = yc - c phi and cost = sum w^2 res^2.
+    """
+    ut = np.multiply.outer(t, u)
+    phi = np.expm1(ut) if offset else np.exp(ut)
+    if offset:
+        phi = phi - (phi @ w2)[:, None] / w_sum
+    wphi = phi * w2
+    norm2 = (wphi * phi).sum(axis=1)
+    c = np.divide(wphi @ yc, norm2, out=np.zeros(norm2.shape), where=norm2 > 0.0)
+    if not offset:
+        c = np.minimum(np.maximum(c, 0.0), c_max)
+    res = yc - c[:, None] * phi
+    return (res * res) @ w2, c, res, phi, norm2
+
+
+def _project_rate(t, c_max, u, yc, w2, w_sum, offset):
+    """_project_rates at the single float t, on 1-D arrays with float scalars.
+
+    The same operations in the same order give a one-rate call's results
+    bit for bit, with cost, c and norm2 as floats.  Also returns exp(u t),
+    the curve of the gradient.
+    """
+    ut = t * u
+    curve = np.exp(ut)
+    if offset:
+        phi = np.expm1(ut)
+        phi = phi - float(phi @ w2) / w_sum
+    else:
+        phi = curve
+    wphi = phi * w2
+    norm2 = float((wphi * phi).sum())
+    c = float(wphi @ yc) / norm2 if norm2 > 0.0 else 0.0
+    if not offset:
+        # As np.maximum then np.minimum: -0.0 becomes 0.0 and NaN passes.
+        c = 0.0 if c <= 0.0 else min(c, c_max)
+    res = yc - c * phi
+    return float((res * res) @ w2), c, res, phi, norm2, curve
 
 
 def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool) -> tuple:
@@ -246,12 +297,13 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     Variable projection (Golub-Pereyra): for each rate the amplitudes come
     from the closed-form weighted normal equations, so only t = log r is
     searched.  The reduced cost of every point of _LOG_RATE_GRID is taken in
-    one call, and the best point brackets the minimum between its
-    neighbours.  Safeguarded Gauss-Newton steps on t, with Kaufman's
-    Jacobian and the exact gradient, refine it until the cosine of that
-    Jacobian with the residual vector is at most GRADIENT_TOL or the step no
-    longer moves t.  A best grid point at an end of the grid where the cost
-    still falls outward is returned at once, at that bound.
+    one _project_rates call, and the best point brackets the minimum between
+    its neighbours.  Safeguarded Gauss-Newton steps on t, with Kaufman's
+    Jacobian and the exact gradient, refine it, one _project_rate call per
+    step, until the cosine of that Jacobian with the residual vector is at
+    most GRADIENT_TOL or the step no longer moves t.  A best grid point at an
+    end of the grid where the cost still falls outward is returned at once,
+    at that bound.
 
     The fit runs in normalised units (see the module docstring and
     _fit_weights).  With an offset the column is r^x - 1 (expm1 keeps its
@@ -267,7 +319,7 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     nfev counts the rates whose reduced cost was evaluated, and converged
     says whether a stop rule, not the MAX_ITERATIONS budget, ended the search.
     """
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("means are not finite")
     sqrt_w, e, absolute_sigma = _fit_weights(sems)
     w2 = sqrt_w * sqrt_w
@@ -277,29 +329,19 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     x0 = 0.0 if offset else float(x.min())
     u = x - x0
 
-    def project(t, c_max):
-        # c solves phi's 1x1 normal equation; without an offset it is clipped.
-        ut = np.multiply.outer(t, u)
-        phi = np.expm1(ut) if offset else np.exp(ut)
-        if offset:
-            phi = phi - (phi @ w2)[:, None] / w_sum
-        wphi = phi * w2
-        norm2 = (wphi * phi).sum(axis=1)
-        c = np.divide(wphi @ yc, norm2, out=np.zeros(norm2.shape), where=norm2 > 0.0)
-        if not offset:
-            c = np.minimum(np.maximum(c, 0.0), c_max)
-        res = yc - c[:, None] * phi
-        return (res * res) @ w2, c, res, phi, norm2, ut
-
     c_maxs = _B0_MAX * np.exp(x0 * _LOG_RATE_GRID)
-    costs, cs, ress, phis, norm2s, uts = project(_LOG_RATE_GRID, c_maxs)
+    args = (u, yc, w2, w_sum, offset)
+    costs, cs, ress, phis, norm2s = _project_rates(_LOG_RATE_GRID, c_maxs, *args)
     k = int(np.argmin(costs))
     nfev = _LOG_RATE_GRID.size
-    lo = _LOG_RATE_GRID[max(k - 1, 0)]
-    hi = _LOG_RATE_GRID[min(k + 1, nfev - 1)]
-    t, cost, c, c_max, res, phi, norm2, ut = (
-        _LOG_RATE_GRID[k], costs[k], cs[k], c_maxs[k], ress[k], phis[k], norm2s[k], uts[k]
+    lo = float(_LOG_RATE_GRID[max(k - 1, 0)])
+    hi = float(_LOG_RATE_GRID[min(k + 1, nfev - 1)])
+    # The search starts from the grid's own row k: a row of the batched
+    # product is not always bit-equal to _project_rate's single dot.
+    t, cost, c, c_max, norm2 = (
+        float(v[k]) for v in (_LOG_RATE_GRID, costs, cs, c_maxs, norm2s)
     )
+    res, phi, curve = ress[k], phis[k], np.exp(t * u)
     converged = True
     t_prev = g_prev = None
     while True:
@@ -309,7 +351,7 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
         # (res is orthogonal to the columns), and the P v form keeps rounding
         # in res out of it.  A clipped c holds B0 at 0 or _B0_MAX, so v is
         # the Jacobian itself.  The Gauss-Newton step is <res, P v> / |P v|^2.
-        pv = c * x * np.exp(ut)
+        pv = c * x * curve
         if c != 0.0 and (offset or c < c_max):
             pv = pv - (float((w2 * pv) @ phi) / norm2) * phi
         if offset:
@@ -341,7 +383,7 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
             converged = False
             break
         c_max = _B0_MAX * math.exp(x0 * trial)
-        cost, c, res, phi, norm2, ut = (part[0] for part in project(np.array([trial]), c_max))
+        cost, c, res, phi, norm2, curve = _project_rate(trial, c_max, *args)
         t = trial
         nfev += 1
 
@@ -373,13 +415,16 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
 def fit_loss_decay(ds: DecayDataset) -> DecayFit:
     """Weighted least-squares fit of y(m) = B0 * S^(m-1), S in RATE_BOUNDS.
 
-    Non-convergence is reported in the result, not raised.
+    Non-convergence is reported in the result, not raised.  The minimum
+    bracketed by the rate grid is the global one for data that decay; on
+    data that do not (noise around zero), the refinement can stop in a local
+    minimum of the reduced cost.
     """
     m = np.array(ds.m_values, dtype=float)
     y = np.array(ds.means, dtype=float)
     if len(set(ds.m_values)) < 3:
         raise ValueError(f"need >= 3 distinct sequence lengths, got {len(set(ds.m_values))}")
-    if np.all(y <= 0):
+    if (y <= 0).all():
         raise ValueError("all means are non-positive; nothing to fit")
     (b0_hat, s_hat), (stderr_b0, stderr_s), chi2_per_dof, _, nfev, converged = _separable_fit(
         m - 1.0, y, ds.sems, offset=False
@@ -461,8 +506,9 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
         )
     model = fit.B0_hat * fit.S_hat ** (m - 1.0)
     tail = slice(-PLATEAU_TAIL_POINTS, None)
-    excess = float(np.mean(y[tail]) - np.mean(model[tail]))
-    if _fit_weights(ds.sems)[2]:
+    n_tail = PLATEAU_TAIL_POINTS
+    excess = float(y[tail].sum() / n_tail - model[tail].sum() / n_tail)
+    if _absolute_weights(ds.sems):
         sigma_tail = float(np.sqrt(np.sum(ds.sems[tail] ** 2))) / PLATEAU_TAIL_POINTS
     else:
         # Unit-weight fits carry no per-point sigma; use the fit's own

@@ -201,7 +201,9 @@ class DensityMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        """Real part of the trace; inf where the diagonal sums past the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.real(np.trace(self.matrix)))
 
 
 @dataclass(frozen=True)

@@ -380,6 +380,67 @@ class TestNormalisedUnits:
                 assert getattr(scaled, name) == math.ldexp(value, -300), name
 
 
+def evaluator_case(x, a, r, sems, offset, b=0.0):
+    """(x, y, sems, offset) as a fit passes them to _separable_fit, y = a r^x + b."""
+    x = np.array(x, dtype=float)
+    return x, a * r**x + b, sems, offset
+
+
+_EVALUATOR_CASES = {
+    "loss-free": evaluator_case(range(4, 150, 5), 0.9, 0.98, 0.01, False),
+    "loss-negative": evaluator_case(range(12), -0.5, 0.9, 0.05, False),
+    "loss-clip-binding": (np.array([59.0, 69.0, 79.0]), np.array([0.5, 0.0, 0.0]), 0.05, False),
+    "loss-unit-weights": evaluator_case(range(20), 0.8, 0.97, 0.0, False),
+    "loss-subnormal-sems": evaluator_case(range(9, 60, 5), 0.7, 0.95, 1e-310, False),
+    "rb": evaluator_case(RB_GRID, 0.4, 0.93, 0.004, True, b=0.5),
+    "rb-unit-weights": evaluator_case(RB_GRID, 0.4, 0.93, 0.0, True, b=0.5),
+    "rb-subnormal-sems": evaluator_case(RB_GRID, -0.3, 0.8, 3e-311, True, b=0.5),
+}
+
+
+class TestRateEvaluators:
+    """A refinement step's single-rate evaluation against the grid's batched one."""
+
+    # Both ends of RATE_BOUNDS and rates in between.
+    RATES = (*analysis.RATE_BOUNDS, 1e-3, 0.3, 0.8, 0.93, 0.98, 1.0 - 1e-6)
+
+    @staticmethod
+    def compare(x, y, sems, offset) -> list:
+        sems = np.full(x.size, sems, dtype=float)
+        # Weights and centring as in _separable_fit.
+        w2 = analysis._fit_weights(sems)[0] ** 2
+        w_sum = float(w2.sum())
+        mean = float(w2 @ y) / w_sum if offset else 0.0
+        x0 = 0.0 if offset else float(x.min())
+        args = (x - x0, y - mean, w2, w_sum, offset)
+        amplitudes = []
+        for t in map(math.log, TestRateEvaluators.RATES):
+            c_max = analysis._B0_MAX * math.exp(x0 * t)
+            cost, c, res, phi, norm2, curve = analysis._project_rate(t, c_max, *args)
+            costs, cs, ress, phis, norm2s = analysis._project_rates(np.array([t]), c_max, *args)
+            assert [repr(v) for v in (cost, c, norm2)] == [
+                repr(float(v[0])) for v in (costs, cs, norm2s)
+            ], t
+            assert res.tobytes() == ress[0].tobytes(), t
+            assert phi.tobytes() == phis[0].tobytes(), t
+            assert curve.tobytes() == np.exp(t * args[0]).tobytes(), t
+            amplitudes.append((c, c_max))
+        return amplitudes
+
+    @pytest.mark.parametrize("case", sorted(_EVALUATOR_CASES))
+    def test_single_rate_matches_the_batch_bit_for_bit(self, case):
+        self.compare(*_EVALUATOR_CASES[case])
+
+    def test_cases_reach_both_clips_and_a_free_amplitude(self):
+        amplitudes = [
+            a for x, y, sems, offset in _EVALUATOR_CASES.values() if not offset
+            for a in self.compare(x, y, sems, offset)
+        ]
+        assert any(c == 0.0 for c, _ in amplitudes)
+        assert any(c == c_max for c, c_max in amplitudes)
+        assert any(0.0 < c < c_max for c, c_max in amplitudes)
+
+
 def hard_floor_dataset():
     # A decay that levels off at 0.05: a plateau no single exponential fits.
     m = np.arange(1, 21, dtype=float)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,13 @@ class TestStateSection:
         matrix = [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
         errs = errors_of(base_doc(state={"matrix": matrix}))
         assert any(e.startswith("state.matrix:") for e in errs)
+
+    def test_overflowing_trace_names_the_field(self):
+        matrix = [[[1.7e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.7e308, 0.0]]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            errs = errors_of(base_doc(state={"matrix": matrix}))
+        assert errs == ("state.matrix: trace inf outside (0, 1]",)
 
     def test_matrix_shape_checked(self):
         errs = errors_of(base_doc(state={"matrix": [[[1.0, 0.0]]]}))

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,14 @@ class TestValidateState:
         violations = lb.validate_state(rho)
         assert [v.code for v in violations] == ["trace_out_of_range"]
         assert violations[0].deviation == pytest.approx(1.6)
+
+    def test_overflowing_trace_is_out_of_range_without_a_warning(self):
+        rho = lb.DensityMatrix(2, np.diag([1.7e308, 1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            violations = lb.validate_state(rho)
+        assert [v.code for v in violations] == ["trace_out_of_range"]
+        assert violations[0].deviation == math.inf
 
     def test_zero_trace_detected(self):
         rho = lb.DensityMatrix(2, np.zeros((2, 2)))
