@@ -509,13 +509,19 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     n_tail = PLATEAU_TAIL_POINTS
     excess = float(y[tail].sum() / n_tail - model[tail].sum() / n_tail)
     if _absolute_weights(ds.sems):
-        sigma_tail = float(np.sqrt(np.sum(ds.sems[tail] ** 2))) / PLATEAU_TAIL_POINTS
+        # Squared subnormal sems underflow, so the root is taken of the sems
+        # scaled by a power of two, which is exact, and scaled back.  Only
+        # tail sems near 5e-324 take the floor of the smallest float.
+        _, e = math.frexp(float(ds.sems[tail].max()))
+        root = math.sqrt(float(np.sum(np.ldexp(ds.sems[tail], -e) ** 2)))
+        sigma_tail = max(math.ldexp(root / PLATEAU_TAIL_POINTS, e), math.ulp(0.0))
     else:
         # Unit-weight fits carry no per-point sigma; use the fit's own
-        # residual scale for the tail mean.
+        # residual scale for the tail mean, which is 0 for a perfect fit.
         residual_scale = math.sqrt(max(fit.chi2_per_dof, 0.0))
-        sigma_tail = residual_scale / math.sqrt(PLATEAU_TAIL_POINTS)
-    z = excess / max(sigma_tail, 1e-15)
+        sigma_tail = max(residual_scale / math.sqrt(PLATEAU_TAIL_POINTS), 1e-15)
+    # Python floats: a z beyond the float range is inf, without a warning.
+    z = excess / sigma_tail
     return PlateauReport(
         chi2_per_dof=fit.chi2_per_dof,
         tail_excess_z=z,

@@ -182,16 +182,7 @@ def _cmd_fit(args) -> int:
 def _cmd_check_channel(args) -> int:
     rc = _parse_run_config(args)
     report = prop1_check(rc.protocol.noise)
-    payload = {
-        "dim": rc.protocol.noise.dim,
-        "avg_loss": report.avg_loss,
-        "worst_loss": report.worst_loss,
-        "bound": report.bound,
-        "slack": report.slack,
-        "satisfied": report.satisfied,
-        "complement_survival": report.complement_survival,
-    }
-    print(_json_dumps(payload), end="")
+    print(_json_dumps({"dim": rc.protocol.noise.dim, **asdict(report)}), end="")
     return EXIT_OK
 
 

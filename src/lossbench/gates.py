@@ -2,15 +2,17 @@
 
 Provides the single-qubit Pauli set (a unitary 1-design) and the 24-element
 single-qubit Clifford group (a unitary 2-design), plus the group-average
-(twirl) map, sequence composition/inversion, the group multiplication
-table, and the qutrit embedding used to study leakage outside the qubit
-subspace.
+(twirl) map, the group multiplication table, the inverse of a gate word
+(folded through that table), and the qutrit embedding used to study leakage
+outside the qubit subspace.
 
 Global phase is physically irrelevant and is quotiented everywhere: gates
 are stored in a canonical form whose first nonzero entry is real positive,
-and equality tests compare |<A, B>|/d against 1.
+and the multiplication table matches products by comparing |<A, B>|/d
+against 1.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,12 +111,6 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
     return u * (abs(pivot) / pivot)
 
 
-def phase_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when a = e^{i phi} b for some global phase phi, to PHASE_MATCH_ATOL."""
-    d = a.shape[0]
-    return abs(abs(np.trace(a.conj().T @ b)) / d - 1.0) < PHASE_MATCH_ATOL
-
-
 def pauli_gateset() -> GateSet:
     """The four single-qubit Paulis {I, X, Y, Z}, a unitary 1-design."""
     names = ("I", "X", "Y", "Z")
@@ -173,33 +169,23 @@ def twirl(gateset: GateSet, a: np.ndarray) -> np.ndarray:
     return out / len(gateset)
 
 
-def compose_sequence(gateset: GateSet, indices) -> np.ndarray:
-    """Product U_{k_m} ... U_{k_1} for a 0-based index sequence.
-
-    The first index acts first (rightmost factor).  An empty sequence
-    composes to the identity.
-    """
-    out = np.eye(gateset.dim, dtype=np.complex128)
-    n = len(gateset)
-    for k in indices:
-        if not 0 <= k < n:
-            raise IndexError(f"gate index {k} out of range [0, {n})")
-        out = gateset.gates[k] @ out
-    return out
-
-
 def inverse_gate(gateset: GateSet, indices) -> int:
     """Index of the gate undoing a sequence up to global phase.
 
-    Returns j such that U_j @ compose_sequence(gateset, indices) is
-    proportional to the identity.  Requires the set to be closed under
-    inversion (true for the Pauli and Clifford sets); raises otherwise.
+    Folds the word, first index first, through the multiplication table of
+    :attr:`GateSet.group` and returns the inverse of the element it lands
+    on, so U_j U_{k_m} ... U_{k_1} is proportional to the identity.  An
+    empty word folds to the identity.  Raises ValueError unless the set is
+    a group up to phase (true for the Pauli and Clifford sets).
     """
-    seq = compose_sequence(gateset, indices)
-    for j, u in enumerate(gateset.gates):
-        if phase_equal(u @ seq, np.eye(gateset.dim)):
-            return j
-    raise ValueError("gate set contains no inverse for this sequence (not closed under inversion)")
+    table, inverse = gateset.group
+    n = len(gateset)
+    product = table[inverse[0], 0]
+    for k in map(operator.index, indices):
+        if not 0 <= k < n:
+            raise IndexError(f"gate index {k} out of range [0, {n})")
+        product = table[k, product]
+    return int(inverse[product])
 
 
 def embed_in_qutrit(u: np.ndarray, theta: float) -> np.ndarray:

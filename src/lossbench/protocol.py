@@ -16,10 +16,9 @@ bit-reproducible regardless of the order in which tasks are evaluated.
 The engine seeds all streams with one batched SeedSequence hash
 (:func:`lossbench.core.seed_states`) and maps each length's gate draws in
 bulk, as ``Generator.integers`` maps them; every draw equals the one
-``default_rng(key)`` gives.  :func:`execute_sequence` and
-:func:`sample_sequence` take one sequence at a time, through
-``default_rng`` streams and Kraus operators, and are kept as the scalar
-reference.
+``default_rng(key)`` gives.  :func:`sample_sequence` draws one word from
+one ``default_rng`` stream; the one-sequence Kraus reference engine the
+batched engine is tested against lives with the test oracles.
 """
 
 import csv
@@ -36,18 +35,15 @@ from .core import (
     DensityMatrix,
     MeasurementOperator,
     QuantumChannel,
-    _apply_kraus,
     bit_generator,
     click_probabilities,
     coordinates,
-    expectation,
     hermiticity_deviation,
     key_words,
-    sample_clicks,
     seed_states,
     transfer_matrix,
 )
-from .gates import GateSet, inverse_gate
+from .gates import GateSet
 
 VARIANT_LOSS = "loss"
 VARIANT_RB = "rb"
@@ -65,8 +61,8 @@ class ProtocolConfig:
 
     ``shots=None`` requests exact per-sequence expectation values; a
     positive integer requests that many binomial shots per sequence.
-    ``n_sequences``, ``master_seed`` (nonnegative) and ``shots`` must be
-    integers; numpy integers are stored as Python ints.
+    ``m_grid`` entries, ``n_sequences``, ``master_seed`` (nonnegative) and
+    ``shots`` must be integers; numpy integers are stored as Python ints.
     ``rho0`` must be Hermitian: the engine carries states as real
     coordinates, which have no room for an anti-Hermitian part.
     """
@@ -82,7 +78,10 @@ class ProtocolConfig:
     variant: str = VARIANT_LOSS
 
     def __post_init__(self):
-        grid = tuple(int(m) for m in self.m_grid)
+        try:
+            grid = tuple(operator.index(m) for m in self.m_grid)
+        except TypeError:
+            raise ValueError(f"m_grid entries must be integers, got {self.m_grid!r}") from None
         if not grid:
             raise ValueError("m_grid must be nonempty")
         if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -263,42 +262,6 @@ def sample_sequence(gateset: GateSet, m: int, rng: np.random.Generator) -> np.nd
     if m < 1:
         raise ValueError(f"sequence length must be >= 1, got {m}")
     return rng.integers(0, len(gateset), size=m)
-
-
-def execute_sequence(
-    cfg: ProtocolConfig,
-    indices,
-    rng: np.random.Generator | None = None,
-) -> SequenceOutcome:
-    """Simulate one sequence: noise then gate, per index, then measure.
-
-    The benchmarking variant appends the sequence's inverse gate (preceded,
-    like every gate, by one application of the noise) before measuring.
-    In exact mode the outcome value is the expectation of the measurement;
-    in shot mode it is the click fraction drawn from ``rng``.
-    """
-    indices = [int(k) for k in indices]
-    n = len(cfg.gateset)
-    for k in indices:
-        if not 0 <= k < n:
-            raise IndexError(f"gate index {k} out of range [0, {n})")
-    inverse = [inverse_gate(cfg.gateset, indices)] if cfg.variant == VARIANT_RB else []
-    mat = cfg.rho0.matrix
-    for k in indices + inverse:
-        mat = _apply_kraus(cfg.noise.kraus, mat)
-        u = cfg.gateset.gates[k]
-        mat = u @ mat @ u.conj().T
-    final = DensityMatrix(cfg.gateset.dim, mat)
-    if cfg.shots is None:
-        value = expectation(cfg.q_op, final)
-        shots_used = None
-    else:
-        if rng is None:
-            raise ValueError("shot mode needs an RNG stream")
-        clicks = sample_clicks(cfg.q_op, final, cfg.shots, rng)
-        value = clicks / cfg.shots
-        shots_used = cfg.shots
-    return SequenceOutcome(len(indices), tuple(indices), value, shots_used)
 
 
 def _sample_words(states: np.ndarray, keys: np.ndarray, m: int, n: int) -> np.ndarray:

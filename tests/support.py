@@ -2,8 +2,10 @@
 
 Everything here is deliberately independent of the library internals it is
 used to check: the sequence averages are computed by brute-force branching
-over every gate word, and the survival statistics by direct Monte Carlo
-over Haar-random pure states.
+over every gate word, single sequences by composing Kraus operators and
+unitaries one gate at a time (the inverse gate found by matching the
+composed word against every gate up to phase, without the group table), and
+the survival statistics by direct Monte Carlo over Haar-random pure states.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import numpy as np
 
 import lossbench as lb
 from lossbench.core import _apply_kraus, hermitian_part
+from lossbench.gates import PHASE_MATCH_ATOL
 
 
 def enumerate_average(gateset, channel, rho, q, m):
@@ -43,6 +46,72 @@ def enumerate_average_naive(gateset, channel, rho, q, m):
             mat = u @ mat @ u.conj().T
         values.append(float(np.real(np.trace(q.matrix @ mat))))
     return float(np.mean(values))
+
+
+def phase_equal(a, b):
+    """True when a = e^{i phi} b for some global phase phi, to PHASE_MATCH_ATOL."""
+    d = a.shape[0]
+    return abs(abs(np.trace(a.conj().T @ b)) / d - 1.0) < PHASE_MATCH_ATOL
+
+
+def compose_sequence(gateset, indices):
+    """Product U_{k_m} ... U_{k_1} for a 0-based index sequence.
+
+    The first index acts first (rightmost factor).  An empty sequence
+    composes to the identity.
+    """
+    out = np.eye(gateset.dim, dtype=np.complex128)
+    n = len(gateset)
+    for k in indices:
+        if not 0 <= k < n:
+            raise IndexError(f"gate index {k} out of range [0, {n})")
+        out = gateset.gates[k] @ out
+    return out
+
+
+def inverse_by_phase_match(gateset, indices):
+    """Index of the gate undoing a sequence, by trying every gate up to phase.
+
+    Returns j such that U_j @ compose_sequence(gateset, indices) is
+    proportional to the identity; raises unless some gate does.
+    """
+    seq = compose_sequence(gateset, indices)
+    for j, u in enumerate(gateset.gates):
+        if phase_equal(u @ seq, np.eye(gateset.dim)):
+            return j
+    raise ValueError("gate set contains no inverse for this sequence (not closed under inversion)")
+
+
+def execute_sequence(cfg, indices, rng=None):
+    """Simulate one sequence: noise then gate, per index, then measure.
+
+    The benchmarking variant appends the sequence's inverse gate (preceded,
+    like every gate, by one application of the noise) before measuring.
+    In exact mode the outcome value is the expectation of the measurement;
+    in shot mode it is the click fraction drawn from ``rng``.
+    """
+    indices = [int(k) for k in indices]
+    n = len(cfg.gateset)
+    for k in indices:
+        if not 0 <= k < n:
+            raise IndexError(f"gate index {k} out of range [0, {n})")
+    inverse = [inverse_by_phase_match(cfg.gateset, indices)] if cfg.variant == "rb" else []
+    mat = cfg.rho0.matrix
+    for k in indices + inverse:
+        mat = _apply_kraus(cfg.noise.kraus, mat)
+        u = cfg.gateset.gates[k]
+        mat = u @ mat @ u.conj().T
+    final = lb.DensityMatrix(cfg.gateset.dim, mat)
+    if cfg.shots is None:
+        value = lb.expectation(cfg.q_op, final)
+        shots_used = None
+    else:
+        if rng is None:
+            raise ValueError("shot mode needs an RNG stream")
+        clicks = lb.sample_clicks(cfg.q_op, final, cfg.shots, rng)
+        value = clicks / cfg.shots
+        shots_used = cfg.shots
+    return lb.SequenceOutcome(len(indices), tuple(indices), value, shots_used)
 
 
 def haar_states(dim, n, seed):

@@ -641,6 +641,20 @@ class TestPlateauTest:
         report = lb.plateau_test(ds, lb.fit_loss_decay(ds))
         assert report.flagged
 
+    @pytest.mark.parametrize("scale", [-1029, 1023])
+    def test_tail_sigma_survives_squaring(self, scale):
+        # Squared, sems near 2^-1029 underflow to 0 and sems near 2^1023
+        # overflow.  Sems scaled by a power of two give the same weighted
+        # fit and the same excess, so z scales by its inverse.
+        means = np.array([0.6071, 0.4488, 0.3294, 0.2434, 0.1794,
+                          0.1335, 0.0969, 0.0727, 0.0533, 0.0401])
+        sems = np.linspace(0.5, 0.95, 10)
+        z = {}
+        for e in (scale, -10):
+            ds = lb.DecayDataset(tuple(range(10, 101, 10)), means, np.ldexp(sems, e), 30, None)
+            z[e] = lb.plateau_test(ds, lb.fit_loss_decay(ds)).tail_excess_z
+        assert z[scale] == pytest.approx(math.ldexp(z[-10], -10 - scale), rel=1e-12)
+
     def test_too_few_lengths_raises(self):
         ds = synthetic_loss_dataset(0.9, 0.99, m_grid=[1, 2, 3, 4, 5])
         fit = lb.fit_loss_decay(ds)

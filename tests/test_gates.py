@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.gates import canonical_phase, phase_equal
+from lossbench.gates import canonical_phase
+from support import compose_sequence, inverse_by_phase_match, phase_equal
 
 
 def frame_potential(gateset, t):
@@ -128,15 +129,15 @@ class TestSequenceAlgebra:
         g = lb.clifford_gateset()
         h, s = g.labels.index("H"), g.labels.index("S")
         assert np.allclose(
-            lb.compose_sequence(g, [h, s]), g.gates[s] @ g.gates[h]
+            compose_sequence(g, [h, s]), g.gates[s] @ g.gates[h]
         )
 
     def test_empty_sequence_is_identity(self):
-        assert np.allclose(lb.compose_sequence(lb.pauli_gateset(), []), np.eye(2))
+        assert np.allclose(compose_sequence(lb.pauli_gateset(), []), np.eye(2))
 
     def test_out_of_range_index_raises(self):
         with pytest.raises(IndexError, match="out of range"):
-            lb.compose_sequence(lb.pauli_gateset(), [4])
+            compose_sequence(lb.pauli_gateset(), [4])
 
     @pytest.mark.parametrize("make", [lb.pauli_gateset, lb.clifford_gateset])
     def test_inverse_gate_undoes_sequence(self, make):
@@ -145,13 +146,25 @@ class TestSequenceAlgebra:
         for _ in range(10):
             idx = rng.integers(0, len(g), size=6)
             j = lb.inverse_gate(g, idx)
-            total = g.gates[j] @ lb.compose_sequence(g, idx)
+            total = g.gates[j] @ compose_sequence(g, idx)
             assert phase_equal(total, np.eye(2))
+
+    @pytest.mark.parametrize("make", [lb.pauli_gateset, lb.clifford_gateset])
+    def test_inverse_gate_out_of_range_index_raises(self, make):
+        # Without the check, -1 would wrap around in the table lookup.
+        g = make()
+        for index in (-1, len(g)):
+            with pytest.raises(IndexError, match="out of range"):
+                lb.inverse_gate(g, [0, index])
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            lb.inverse_gate(g, [0, 1.0])
 
     def test_set_not_closed_under_inversion_raises(self):
         s = np.diag([1.0, 1.0j])
         g = lb.GateSet(2, (s,), 0, ("S",))
         with pytest.raises(ValueError, match="no inverse"):
+            inverse_by_phase_match(g, [0])
+        with pytest.raises(ValueError, match="not a group up to phase"):
             lb.inverse_gate(g, [0])
 
 
@@ -168,14 +181,12 @@ class TestMultiplicationTable:
 
     @pytest.mark.parametrize("make", [lb.pauli_gateset, lb.clifford_gateset])
     def test_fold_matches_inverse_gate(self, make):
+        # The table fold in inverse_gate against the table-free phase match;
+        # m = 0 is the empty word.
         g = make()
-        table, inverse = g.group
-        for m in range(1, 40):
-            word = lb.sample_sequence(g, m, lb.stream(3, m))
-            product = word[0]
-            for k in word[1:]:
-                product = table[k, product]
-            assert inverse[product] == lb.inverse_gate(g, word)
+        for m in range(40):
+            word = lb.sample_sequence(g, m, lb.stream(3, m)) if m else []
+            assert lb.inverse_gate(g, word) == inverse_by_phase_match(g, word)
 
     def test_non_group_raises(self):
         s = np.diag([1.0, 1.0j])

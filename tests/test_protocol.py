@@ -6,7 +6,14 @@ import pytest
 import lossbench as lb
 from lossbench.core import key_words, seed_states, transfer_matrix
 from lossbench.protocol import _gate_superoperators, _sample_words
-from support import enumerate_average, enumerate_average_naive, random_density, random_povm
+from support import (
+    compose_sequence,
+    enumerate_average,
+    enumerate_average_naive,
+    execute_sequence,
+    random_density,
+    random_povm,
+)
 
 
 def fig1_style_config(**overrides):
@@ -32,6 +39,11 @@ class TestProtocolConfig:
             fig1_style_config(m_grid=(0, 1))
         with pytest.raises(ValueError, match="nonempty"):
             fig1_style_config(m_grid=())
+
+    @pytest.mark.parametrize("grid", [(1, 2.7, 4), (1.0, 2.0), ("1", "2"), 5])
+    def test_m_grid_entries_must_be_integers(self, grid):
+        with pytest.raises(ValueError, match=r"^m_grid entries must be integers"):
+            fig1_style_config(m_grid=grid)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -67,8 +79,10 @@ class TestProtocolConfig:
 
     def test_numpy_integer_counts_are_stored_as_ints(self):
         counts = dict(n_sequences=30, master_seed=42, shots=100)
-        cfg = fig1_style_config(**{k: np.int64(v) for k, v in counts.items()})
+        numpy_counts = {k: np.int64(v) for k, v in counts.items()}
+        cfg = fig1_style_config(m_grid=np.arange(1, 4), **numpy_counts)
         assert all(type(getattr(cfg, k)) is int for k in counts)
+        assert all(type(m) is int for m in cfg.m_grid)
         assert cfg.fingerprint() == fig1_style_config(**counts).fingerprint()
 
     def test_fingerprint_tracks_config(self):
@@ -96,8 +110,8 @@ class TestExecuteSequence:
         identity = lb.QuantumChannel(2, (np.eye(2),))
         cfg = fig1_style_config(noise=identity)
         indices = [1, 3, 2, 0, 1]
-        out = lb.execute_sequence(cfg, indices)
-        u = lb.compose_sequence(cfg.gateset, indices)
+        out = execute_sequence(cfg, indices)
+        u = compose_sequence(cfg.gateset, indices)
         rho = lb.DensityMatrix(2, u @ cfg.rho0.matrix @ u.conj().T)
         assert out.value == pytest.approx(lb.expectation(cfg.q_op, rho), abs=1e-14)
         assert out.m == 5
@@ -111,7 +125,7 @@ class TestExecuteSequence:
         )
         for seed in range(5):
             indices = lb.sample_sequence(cfg.gateset, 7, lb.stream(seed))
-            out = lb.execute_sequence(cfg, indices)
+            out = execute_sequence(cfg, indices)
             assert out.value == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_identity_gate_decays_by_survival_power(self):
@@ -121,18 +135,18 @@ class TestExecuteSequence:
             q_op=lb.MeasurementOperator(2, np.eye(2)),
         )
         for m in (1, 4, 9):
-            out = lb.execute_sequence(cfg, [0] * m)
+            out = execute_sequence(cfg, [0] * m)
             assert out.value == pytest.approx(0.9801**m, abs=1e-12)
 
     def test_shot_mode_needs_rng(self):
         cfg = fig1_style_config(shots=10)
         with pytest.raises(ValueError, match="RNG"):
-            lb.execute_sequence(cfg, [0])
+            execute_sequence(cfg, [0])
 
     def test_shot_mode_is_click_fraction(self):
         cfg = fig1_style_config(shots=1000)
-        a = lb.execute_sequence(cfg, [1, 2], lb.stream(8))
-        b = lb.execute_sequence(cfg, [1, 2], lb.stream(8))
+        a = execute_sequence(cfg, [1, 2], lb.stream(8))
+        b = execute_sequence(cfg, [1, 2], lb.stream(8))
         assert a.value == b.value
         assert a.shots_used == 1000
         assert 0.0 <= a.value <= 1.0
@@ -140,7 +154,7 @@ class TestExecuteSequence:
 
     def test_bad_index_raises(self):
         with pytest.raises(IndexError, match="out of range"):
-            lb.execute_sequence(fig1_style_config(), [7])
+            execute_sequence(fig1_style_config(), [7])
 
 
 def qutrit_leakage_config(**overrides):
@@ -246,7 +260,7 @@ class TestBatchedEngineOracle:
                 indices = lb.sample_sequence(
                     cfg.gateset, m, lb.stream(cfg.master_seed, mi, si, 0)
                 )
-                ref = lb.execute_sequence(
+                ref = execute_sequence(
                     cfg, indices, lb.stream(cfg.master_seed, mi, si, 1)
                 )
                 assert out.m == m
@@ -283,7 +297,7 @@ class TestBatchedEngineOracle:
                 word = lb.stream(seed, mi, si, 0).integers(0, len(cfg.gateset), size=m)
                 assert out.sequence_indices == tuple(word.tolist())
                 if shots is not None:
-                    ref = lb.execute_sequence(cfg, word, lb.stream(seed, mi, si, 1))
+                    ref = execute_sequence(cfg, word, lb.stream(seed, mi, si, 1))
                     assert out.value == ref.value  # identical click counts
 
     # n = 3 * 2**30 rejects a quarter of all draws, so many rows are drawn again.
