@@ -62,7 +62,6 @@ from .noise import (
 from .protocol import (
     DecayDataset,
     ProtocolConfig,
-    SequenceOutcome,
     exact_sequence_average,
     read_decay_csv,
     run_protocol,
@@ -85,7 +84,6 @@ __all__ = [
     "QuantumChannel",
     "RBFit",
     "RunConfig",
-    "SequenceOutcome",
     "Violation",
     "apply_channel",
     "average_response",

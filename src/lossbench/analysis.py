@@ -89,8 +89,10 @@ class DecayFit:
 class RBFit:
     """Benchmarking-curve fit y(m) = A * p^m + B.
 
-    ``covariance`` is the 3x3 covariance of (A, B, p) on the natural scale,
-    kept so downstream combinations (such as B - A) propagate correlations.
+    ``covariance`` is the 3x3 covariance of (A, B, p) on the natural scale;
+    its entries underflow or overflow for sems near the ends of the float
+    range, while ``stderr_B_minus_A``, the standard error of B - A, is taken
+    in the fit's normalised units like the other stderrs and does not.
     """
 
     A_hat: float
@@ -99,6 +101,7 @@ class RBFit:
     stderr_A: float
     stderr_B: float
     stderr_p: float
+    stderr_B_minus_A: float
     chi2_per_dof: float
     converged: bool
     n_iterations: int
@@ -312,8 +315,9 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     its amplitude c is clipped to 0 <= c r^-x0 <= _B0_MAX: for one linear
     amplitude the clip is the exact constrained least-squares solution.
 
-    Returns (params, stderrs, chi2_per_dof, cov, nfev, converged): params and
-    stderrs are (a, b, r), or (a, r) without an offset, with a = c r^-x0;
+    Returns (params, stderrs, chi2_per_dof, cov, nfev, converged): params are
+    (a, b, r), or (a, r) without an offset, with a = c r^-x0, and stderrs
+    are theirs, followed with an offset by that of b - a;
     cov is that of (c, b, r) or (c, r), from the Jacobian columns sqrt_w
     r^(x - x0), sqrt_w and sqrt_w c x r^(x - x0) / r (x0 = 0 with an offset).
     nfev counts the rates whose reduced cost was evaluated, and converged
@@ -407,6 +411,9 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     stderrs[0] = stderrs[0] / rx0 if rx0 else math.inf
     if offset:
         params.insert(1, float(mean - c * (1.0 + float(w2 @ np.expm1(u * t)) / w_sum)))
+        # Rooted before the scale goes back on, as above: var(b - a) = var(b - c).
+        var = float(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
+        stderrs.append(math.sqrt(max(var, 0.0)) * unit)
     with np.errstate(over="ignore"):
         cov = np.ldexp(cov, -2 * e)
     return params, stderrs, float(cost) / unit / unit / dof, cov, nfev, converged
@@ -446,9 +453,10 @@ def fit_rb_decay(ds: DecayDataset) -> RBFit:
     y = np.array(ds.means, dtype=float)
     if len(set(ds.m_values)) < 4:
         raise ValueError(f"need >= 4 distinct sequence lengths, got {len(set(ds.m_values))}")
-    (a_hat, b_hat, p_hat), (stderr_a, stderr_b, stderr_p), chi2_per_dof, cov, nfev, converged = (
-        _separable_fit(m, y, ds.sems, offset=True)
+    (a_hat, b_hat, p_hat), stderrs, chi2_per_dof, cov, nfev, converged = _separable_fit(
+        m, y, ds.sems, offset=True
     )
+    stderr_a, stderr_b, stderr_p, stderr_b_minus_a = stderrs
     return RBFit(
         A_hat=a_hat,
         B_hat=b_hat,
@@ -456,6 +464,7 @@ def fit_rb_decay(ds: DecayDataset) -> RBFit:
         stderr_A=stderr_a,
         stderr_B=stderr_b,
         stderr_p=stderr_p,
+        stderr_B_minus_A=stderr_b_minus_a,
         chi2_per_dof=chi2_per_dof,
         converged=converged,
         n_iterations=nfev,
@@ -546,8 +555,7 @@ def b_minus_a_test(rb: RBFit) -> tuple:
     :func:`markovianity_tests` apply this one rule.
     """
     b_minus_a = rb.B_hat - rb.A_hat
-    var = rb.covariance[0, 0] + rb.covariance[1, 1] - 2.0 * rb.covariance[0, 1]
-    sigma = math.sqrt(max(var, 0.0))
+    sigma = rb.stderr_B_minus_A
     flagged = (
         rb.converged
         and _identifiable(rb)
@@ -566,9 +574,10 @@ def markovianity_tests(
 ) -> MarkovReport:
     """Cross-protocol consistency checks on a converged benchmarking fit.
 
-    ``loss_m1`` is the (mean, sem >= 0) of the loss-protocol signal at m = 1,
-    which equals the benchmarking curve's offset B when the noise is one
-    fixed channel per gate.  B - A must be nonnegative for such noise.
+    ``loss_m1`` is the (mean, sem) of the loss-protocol signal at m = 1,
+    both finite and the sem >= 0 (ValueError otherwise).  It equals the
+    benchmarking curve's offset B when the noise is one fixed channel per
+    gate.  B - A must be nonnegative for such noise.
     When the true channel is supplied along with the preparation rho and
     measurement Q, the model value of B - A for any d is reported for
     comparison: with B = Tr(Lambda rho) Tr(Q)/d and A = Tr(Q Lambda rho) - B,
@@ -582,12 +591,14 @@ def markovianity_tests(
     if not rb.converged:
         raise ValueError("benchmarking fit did not converge; checks need a valid fit")
     m1_mean, m1_sem = float(loss_m1[0]), float(loss_m1[1])
-    if not m1_sem >= 0.0:
-        raise ValueError(f"the sem of loss_m1 must be a number >= 0, got {m1_sem!r}")
+    if not math.isfinite(m1_mean):
+        raise ValueError(f"the mean of loss_m1 must be finite, got {m1_mean!r}")
+    if not 0.0 <= m1_sem < math.inf:
+        raise ValueError(f"the sem of loss_m1 must be finite and >= 0, got {m1_sem!r}")
 
     b_minus_a, b_minus_a_sigma, negative = b_minus_a_test(rb)
     flags = [FLAG_B_MINUS_A_NEGATIVE] if negative else []
-    combined = math.sqrt(rb.stderr_B**2 + m1_sem**2)
+    combined = math.hypot(rb.stderr_B, m1_sem)
     if _identifiable(rb) and abs(rb.B_hat - m1_mean) > 3.0 * max(combined, _SIGMA_FLOOR):
         flags.append(FLAG_M1_MISMATCH)
     if plateau is not None and plateau.flagged:

@@ -8,8 +8,8 @@ outside the qubit subspace.
 
 Global phase is physically irrelevant and is quotiented everywhere: gates
 are stored in a canonical form whose first nonzero entry is real positive,
-and the multiplication table matches products by comparing |<A, B>|/d
-against 1.
+and both the Clifford enumeration and the multiplication table match
+products by one rule, |<A, B>|/d within PHASE_MATCH_ATOL of 1.
 """
 
 import operator
@@ -120,37 +120,27 @@ def pauli_gateset() -> GateSet:
 def clifford_gateset() -> GateSet:
     """The 24 single-qubit Clifford unitaries, a unitary 2-design.
 
-    Enumerated as products of {I, H, S} words, reduced up to global phase;
-    each element is stored in canonical phase and labeled by the shortest
-    generating word found.
+    Enumerated breadth-first as products of {H, S} words.  A product is new
+    unless it matches a found element up to phase, |Tr(A^H B)|/d within
+    PHASE_MATCH_ATOL of 1, the rule of :attr:`GateSet.group`.  Each element
+    is stored in canonical phase and labeled by the shortest generating
+    word found.
     """
     generators = {"H": _H, "S": _S}
-    elements = {_phase_key(np.eye(2, dtype=np.complex128)): ("I", np.eye(2, dtype=np.complex128))}
-    frontier = [("I", np.eye(2, dtype=np.complex128))]
-    while frontier:
-        new_frontier = []
-        for word, mat in frontier:
-            for gname, gmat in generators.items():
-                prod = canonical_phase(gmat @ mat)
-                key = _phase_key(prod)
-                if key not in elements:
-                    new_word = gname if word == "I" else gname + word
-                    elements[key] = (new_word, prod)
-                    new_frontier.append((new_word, prod))
-        frontier = new_frontier
-    if len(elements) != 24:
-        raise RuntimeError(f"Clifford enumeration produced {len(elements)} elements")
-    items = sorted(elements.values(), key=lambda kv: (len(kv[0]), kv[0]))
+    words, mats = ["I"], [np.eye(2, dtype=np.complex128)]
+    # Breadth-first: both lists grow while they are walked.
+    for word, mat in zip(words, mats):
+        for gname, gmat in generators.items():
+            prod = canonical_phase(gmat @ mat)
+            if all(abs(abs(np.vdot(u, prod)) / 2 - 1.0) > PHASE_MATCH_ATOL for u in mats):
+                words.append(gname if word == "I" else gname + word)
+                mats.append(prod)
+    if len(mats) != 24:
+        raise RuntimeError(f"Clifford enumeration produced {len(mats)} elements")
+    items = sorted(zip(words, mats), key=lambda kv: (len(kv[0]), kv[0]))
     labels = tuple(word for word, _ in items)
     gates = tuple(mat for _, mat in items)
     return GateSet(2, gates, 2, labels)
-
-
-def _phase_key(u: np.ndarray) -> bytes:
-    # Canonical-phase entries of Clifford matrices sit on a coarse grid,
-    # so rounding to 9 decimals is collision- and split-free.  Adding 0.0
-    # folds -0.0 into +0.0, which would otherwise split keys.
-    return (np.round(canonical_phase(u), 9) + 0.0).tobytes()
 
 
 def twirl(gateset: GateSet, a: np.ndarray) -> np.ndarray:

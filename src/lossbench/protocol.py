@@ -2,7 +2,9 @@
 
 Runs the loss protocol (random gate sequences, no inversion) and its
 benchmarking variant (each word's inverse appended as one more gate) over a
-grid of sequence lengths, in exact-expectation or finite-shot mode.
+grid of sequence lengths, in exact-expectation or finite-shot mode.  A run
+returns only what ``decay.csv`` and ``metadata.json`` hold: per-length means
+and standard errors, and the run record.
 
 Noise convention: the imperfect implementation of gate g is "noise first,
 then g", one real d^2 x d^2 transfer matrix per gate in an orthonormal
@@ -143,22 +145,13 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class SequenceOutcome:
-    """Measured signal for one random sequence at one length."""
-
-    m: int
-    sequence_indices: tuple
-    value: float
-    shots_used: int | None
-
-
-@dataclass(frozen=True)
 class DecayDataset:
-    """Per-length statistics of the measured signal.
+    """Per-length statistics of the measured signal, plus the run record.
 
     ``sems`` holds the standard error of the mean over sequences
     (sample standard deviation with the n-1 convention, divided by
     sqrt(n)); it is NaN when fewer than two sequences were run.
+    ``metadata`` is :func:`run_protocol`'s run record, or a CSV's path.
     """
 
     m_values: tuple
@@ -167,7 +160,6 @@ class DecayDataset:
     n_sequences: int
     shots: int | None
     metadata: dict = field(default_factory=dict)
-    raw: tuple | None = None
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
@@ -288,7 +280,7 @@ def _gate_superoperators(cfg: ProtocolConfig) -> np.ndarray:
     return transfer_matrix(np.array(cfg.gateset.gates)[:, None] @ np.array(cfg.noise.kraus)[None])
 
 
-def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
+def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     """Run the full protocol over the length grid.
 
     Every (length, sequence) task is one row of a (tasks, d^2) array of real
@@ -304,6 +296,9 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     sequence_index, tag), the entropy :func:`lossbench.core.stream` derives
     from the same key, by one :func:`lossbench.core.seed_states` call per
     tag; words are drawn one length at a time by :func:`_sample_words`.
+
+    Returns each length's mean and standard error over its sequences, with
+    the run record in ``metadata``; per-sequence values are not kept.
     """
     n = cfg.n_sequences
     n_lengths = len(cfg.m_grid)
@@ -366,15 +361,6 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
     means = values.mean(axis=1)
     sems = values.std(axis=1, ddof=1) / np.sqrt(n) if n >= 2 else np.full(n_lengths, np.nan)
 
-    raw = None
-    if keep_raw:
-        words = words.reshape(steps[0], n_lengths, n)[:, ::-1]
-        raw = tuple(
-            SequenceOutcome(m, tuple(words[:m, mi, si].tolist()), float(values[mi, si]), cfg.shots)
-            for mi, m in enumerate(cfg.m_grid)
-            for si in range(n)
-        )
-
     metadata = {
         "master_seed": cfg.master_seed,
         "config_fingerprint": cfg.fingerprint(),
@@ -392,7 +378,6 @@ def run_protocol(cfg: ProtocolConfig, keep_raw: bool = False) -> DecayDataset:
         n_sequences=cfg.n_sequences,
         shots=cfg.shots,
         metadata=metadata,
-        raw=raw,
     )
 
 

@@ -87,8 +87,8 @@ def execute_sequence(cfg, indices, rng=None):
 
     The benchmarking variant appends the sequence's inverse gate (preceded,
     like every gate, by one application of the noise) before measuring.
-    In exact mode the outcome value is the expectation of the measurement;
-    in shot mode it is the click fraction drawn from ``rng``.
+    Returns a float: in exact mode the expectation of the measurement, in
+    shot mode the click fraction drawn from ``rng``.
     """
     indices = [int(k) for k in indices]
     n = len(cfg.gateset)
@@ -103,15 +103,10 @@ def execute_sequence(cfg, indices, rng=None):
         mat = u @ mat @ u.conj().T
     final = lb.DensityMatrix(cfg.gateset.dim, mat)
     if cfg.shots is None:
-        value = lb.expectation(cfg.q_op, final)
-        shots_used = None
-    else:
-        if rng is None:
-            raise ValueError("shot mode needs an RNG stream")
-        clicks = lb.sample_clicks(cfg.q_op, final, cfg.shots, rng)
-        value = clicks / cfg.shots
-        shots_used = cfg.shots
-    return lb.SequenceOutcome(len(indices), tuple(indices), value, shots_used)
+        return lb.expectation(cfg.q_op, final)
+    if rng is None:
+        raise ValueError("shot mode needs an RNG stream")
+    return lb.sample_clicks(cfg.q_op, final, cfg.shots, rng) / cfg.shots
 
 
 def haar_states(dim, n, seed):

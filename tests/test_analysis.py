@@ -287,6 +287,8 @@ class TestFitRBDecay:
         assert np.allclose(fit.covariance, fit.covariance.T)
         assert fit.stderr_A == pytest.approx(np.sqrt(fit.covariance[0, 0]))
         assert fit.stderr_p == pytest.approx(np.sqrt(fit.covariance[2, 2]))
+        cov = fit.covariance
+        assert fit.stderr_B_minus_A == np.sqrt(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
 
     def test_too_few_lengths_raises(self):
         ds = rb_dataset(0.5, 0.5, 0.9, [1, 2, 3])
@@ -671,6 +673,7 @@ def converged_rb(a, b, p, sigma=1e-3):
         stderr_A=sigma,
         stderr_B=sigma,
         stderr_p=sigma,
+        stderr_B_minus_A=math.sqrt(2.0) * sigma,
         chi2_per_dof=1.0,
         converged=True,
         n_iterations=10,
@@ -687,6 +690,23 @@ class TestBMinusATest:
         b_minus_a, _, flagged = lb.b_minus_a_test(dataclasses.replace(fit, converged=False))
         assert b_minus_a == pytest.approx(-16.3)
         assert not flagged
+
+    @pytest.mark.parametrize("scale", [-1029, 664])
+    def test_sigma_survives_squaring(self, scale):
+        # Sems near 1e-310 (2^-1029) square to 0 and near 1e200 (2^664)
+        # overflow.  Sems scaled by a power of two give the same weighted
+        # fit, so every sigma scales with them; m = 1 joins with its own sem.
+        sems = np.linspace(0.5, 1.0, 16)
+        means = rb_dataset(0.45, 0.5, 0.9, RB_GRID, sems=np.ldexp(sems, -10), seed=3).means
+        sigmas = {}
+        for e in (scale, -10):
+            ds = lb.DecayDataset(RB_GRID, means, np.ldexp(sems, e), 30, None)
+            rb = lb.fit_rb_decay(ds)
+            report = lb.markovianity_tests(rb, (rb.B_hat, math.ldexp(0.75, e)))
+            assert report.b_minus_a_sigma == lb.b_minus_a_test(rb)[1]
+            sigmas[e] = (report.b_minus_a_sigma, report.rb_b_sigma)
+        for extreme, normal in zip(sigmas[scale], sigmas[-10]):
+            assert extreme == pytest.approx(math.ldexp(normal, scale + 10), rel=1e-12, abs=0.0)
 
 
 class TestMarkovianityTests:
@@ -727,6 +747,17 @@ class TestMarkovianityTests:
         with pytest.raises(ValueError, match="sem of loss_m1"):
             lb.markovianity_tests(fit, (0.2, math.nan))
 
+    @pytest.mark.parametrize(
+        "loss_m1, part",
+        [((math.nan, 0.01), "mean"), ((-math.inf, 0.01), "mean"), ((0.2, math.inf), "sem")],
+    )
+    def test_non_finite_m1_input_raises(self, loss_m1, part):
+        # A NaN mean or an infinite sem would pass every comparison as False
+        # and drop M1_MISMATCH without a word.
+        rb = lb.fit_rb_decay(rb_dataset(0.49, 0.5, 0.98, range(2, 61, 2)))
+        with pytest.raises(ValueError, match=f"^the {part} of loss_m1 must be finite"):
+            lb.markovianity_tests(rb, loss_m1)
+
     def test_plateau_report_is_folded_in(self):
         plateau = lb.PlateauReport(chi2_per_dof=9.0, tail_excess_z=5.0, flagged=True)
         report = lb.markovianity_tests(
@@ -742,6 +773,7 @@ class TestMarkovianityTests:
             stderr_A=0.1,
             stderr_B=0.1,
             stderr_p=0.1,
+            stderr_B_minus_A=0.1,
             chi2_per_dof=1.0,
             converged=False,
             n_iterations=200,

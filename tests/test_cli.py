@@ -319,11 +319,11 @@ class TestFlagRule:
 
     def test_guard_is_what_suppresses_the_negative_offset(self):
         # The flat negative-offset curve fits A = 0 with p at a rate bound.
-        # Even with a covariance that puts B - A far below -3 sigma, the
+        # Even with a B - A stderr that puts it far below -3 sigma, the
         # identifiability guard keeps it unflagged.
         fit = lb.fit_rb_decay(_flat_rb_dataset(-0.01, 0.001))
         assert fit.p_hat in analysis.RATE_BOUNDS
-        tight = dataclasses.replace(fit, covariance=np.diag([1e-6, 1e-6, 1e-6]))
+        tight = dataclasses.replace(fit, stderr_B_minus_A=math.sqrt(2e-6))
         b_minus_a, sigma, flagged = lb.b_minus_a_test(tight)
         assert b_minus_a / sigma < -3.0
         assert abs(fit.A_hat) < 1e-9

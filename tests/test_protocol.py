@@ -1,3 +1,4 @@
+import json
 from importlib import resources
 
 import numpy as np
@@ -85,6 +86,24 @@ class TestProtocolConfig:
         assert all(type(m) is int for m in cfg.m_grid)
         assert cfg.fingerprint() == fig1_style_config(**counts).fingerprint()
 
+    # Pinned digests: any drift in gate, Kraus, state or detector bytes fails.
+    @pytest.mark.parametrize(
+        "name, clifford_rb, digest",
+        [
+            ("fig1", False, "7d62f43e651ec5e73a9f690ebdc5dcd66f8c36fe3490178230da557ce8f4d42e"),
+            ("fig2", False, "0132b8a36094f047c454747d78742caf7afc66a1677240c657d2345e92d9b140"),
+            ("saturation", False, "97e4be8dac65864ca10fed099349d3a7f5da74f0d52a687e914b0457af0a964b"),
+            ("fig1", True, "f6e594924a4c94d58c15f7eb7596c656ce8f51e694e9edd4fb1326a02075a5dd"),
+        ],
+    )
+    def test_bundled_fingerprints_are_pinned(self, name, clifford_rb, digest):
+        text = resources.files("lossbench").joinpath("configs", f"{name}.config").read_text()
+        doc = json.loads(text)
+        if clifford_rb:
+            doc["gateset"] = "clifford"
+            doc["protocol"]["variant"] = "rb"
+        assert lb.parse_config(json.dumps(doc)).protocol.fingerprint() == digest
+
     def test_fingerprint_tracks_config(self):
         a = fig1_style_config()
         assert a.fingerprint() == fig1_style_config().fingerprint()
@@ -110,12 +129,11 @@ class TestExecuteSequence:
         identity = lb.QuantumChannel(2, (np.eye(2),))
         cfg = fig1_style_config(noise=identity)
         indices = [1, 3, 2, 0, 1]
-        out = execute_sequence(cfg, indices)
+        value = execute_sequence(cfg, indices)
         u = compose_sequence(cfg.gateset, indices)
         rho = lb.DensityMatrix(2, u @ cfg.rho0.matrix @ u.conj().T)
-        assert out.value == pytest.approx(lb.expectation(cfg.q_op, rho), abs=1e-14)
-        assert out.m == 5
-        assert out.shots_used is None
+        assert type(value) is float
+        assert value == pytest.approx(lb.expectation(cfg.q_op, rho), abs=1e-14)
 
     def test_rb_variant_with_identity_noise_returns_to_start(self):
         identity = lb.QuantumChannel(2, (np.eye(2),))
@@ -125,8 +143,7 @@ class TestExecuteSequence:
         )
         for seed in range(5):
             indices = lb.sample_sequence(cfg.gateset, 7, lb.stream(seed))
-            out = execute_sequence(cfg, indices)
-            assert out.value == pytest.approx(1.0, abs=1e-12)
+            assert execute_sequence(cfg, indices) == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_identity_gate_decays_by_survival_power(self):
         # all-identity sequence on |1><1| with alpha=0.99: 0.9801 per step
@@ -135,8 +152,7 @@ class TestExecuteSequence:
             q_op=lb.MeasurementOperator(2, np.eye(2)),
         )
         for m in (1, 4, 9):
-            out = execute_sequence(cfg, [0] * m)
-            assert out.value == pytest.approx(0.9801**m, abs=1e-12)
+            assert execute_sequence(cfg, [0] * m) == pytest.approx(0.9801**m, abs=1e-12)
 
     def test_shot_mode_needs_rng(self):
         cfg = fig1_style_config(shots=10)
@@ -147,10 +163,10 @@ class TestExecuteSequence:
         cfg = fig1_style_config(shots=1000)
         a = execute_sequence(cfg, [1, 2], lb.stream(8))
         b = execute_sequence(cfg, [1, 2], lb.stream(8))
-        assert a.value == b.value
-        assert a.shots_used == 1000
-        assert 0.0 <= a.value <= 1.0
-        assert a.value * 1000 == round(a.value * 1000)
+        assert type(a) is float
+        assert a == b
+        assert 0.0 <= a <= 1.0
+        assert a * 1000 == round(a * 1000)
 
     def test_bad_index_raises(self):
         with pytest.raises(IndexError, match="out of range"):
@@ -184,11 +200,10 @@ ORACLE_CONFIGS = {
 class TestRunProtocol:
     def test_reruns_are_identical(self):
         cfg = fig1_style_config(m_grid=(1, 3, 6), n_sequences=8, shots=50)
-        first = lb.run_protocol(cfg, keep_raw=True)
-        again = lb.run_protocol(cfg, keep_raw=True)
+        first = lb.run_protocol(cfg)
+        again = lb.run_protocol(cfg)
         assert np.array_equal(first.means, again.means)
         assert np.array_equal(first.sems, again.sems)
-        assert first.raw == again.raw
 
     def test_single_sequence_has_nan_sem(self):
         ds = lb.run_protocol(fig1_style_config(n_sequences=1))
@@ -204,14 +219,6 @@ class TestRunProtocol:
         assert ds.metadata["gateset_labels"] == ["I", "X", "Y", "Z"]
         assert ds.metadata["shots"] == "exact"
         assert lb.run_protocol(cfg).metadata == ds.metadata
-
-    def test_keep_raw_records_every_sequence(self):
-        cfg = fig1_style_config(m_grid=(2, 4), n_sequences=3)
-        ds = lb.run_protocol(cfg, keep_raw=True)
-        assert len(ds.raw) == 6
-        assert [o.m for o in ds.raw] == [2, 2, 2, 4, 4, 4]
-        values = np.array([o.value for o in ds.raw[:3]])
-        assert ds.means[0] == pytest.approx(values.mean())
 
     def test_sample_mean_converges_to_exact_average(self):
         # RMS deviation from the exact sequence average shrinks ~ 1/sqrt(n)
@@ -238,7 +245,31 @@ class TestRunProtocol:
 
 
 class TestBatchedEngineOracle:
-    """Every batched outcome against execute_sequence on the same streams."""
+    """The engine's means and sems against execute_sequence on the same streams."""
+
+    @staticmethod
+    def assert_matches_reference(cfg, word):
+        # The engine's reductions over the reference values of each
+        # (length, sequence) task, its word drawn by word(mi, si, m).
+        values = np.array(
+            [
+                [
+                    execute_sequence(cfg, word(mi, si, m), lb.stream(cfg.master_seed, mi, si, 1))
+                    for si in range(cfg.n_sequences)
+                ]
+                for mi, m in enumerate(cfg.m_grid)
+            ]
+        )
+        means = values.mean(axis=1)
+        sems = values.std(axis=1, ddof=1) / np.sqrt(cfg.n_sequences)
+        ds = lb.run_protocol(cfg)
+        if cfg.shots is None:
+            assert np.abs(ds.means - means).max() <= 1e-12
+            assert np.abs(ds.sems - sems).max() <= 1e-12
+        else:
+            # Identical click counts give identical statistics.
+            assert ds.means.tobytes() == means.tobytes()
+            assert ds.sems.tobytes() == sems.tobytes()
 
     # The embedded qutrit Paulis are not closed under inversion up to a
     # global phase, so they run the loss variant only.
@@ -251,27 +282,10 @@ class TestBatchedEngineOracle:
         cfg = ORACLE_CONFIGS[gates](
             m_grid=(1, 2, 7, 30), n_sequences=6, master_seed=11, shots=shots, variant=variant
         )
-        ds = lb.run_protocol(cfg, keep_raw=True)
-        assert len(ds.raw) == len(cfg.m_grid) * cfg.n_sequences
-        outcomes = iter(ds.raw)
-        for mi, m in enumerate(cfg.m_grid):
-            for si in range(cfg.n_sequences):
-                out = next(outcomes)
-                indices = lb.sample_sequence(
-                    cfg.gateset, m, lb.stream(cfg.master_seed, mi, si, 0)
-                )
-                ref = execute_sequence(
-                    cfg, indices, lb.stream(cfg.master_seed, mi, si, 1)
-                )
-                assert out.m == m
-                assert out.sequence_indices == tuple(indices.tolist())
-                assert out.shots_used == shots
-                if shots is None:
-                    assert abs(out.value - ref.value) <= 1e-12
-                else:
-                    assert out.value == ref.value  # identical click counts
-        values = np.array([o.value for o in ds.raw]).reshape(len(cfg.m_grid), -1)
-        assert np.array_equal(ds.means, values.mean(axis=1))
+        self.assert_matches_reference(
+            cfg,
+            lambda mi, si, m: lb.sample_sequence(cfg.gateset, m, lb.stream(cfg.master_seed, mi, si, 0)),
+        )
 
     # Seeds of one, two and three 32-bit words, at the edges between them.
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
@@ -289,16 +303,10 @@ class TestBatchedEngineOracle:
         cfg = ORACLE_CONFIGS[gates](
             m_grid=(1, 4, 9), n_sequences=3, master_seed=seed, shots=shots, variant=variant
         )
-        ds = lb.run_protocol(cfg, keep_raw=True)
-        outcomes = iter(ds.raw)
-        for mi, m in enumerate(cfg.m_grid):
-            for si in range(cfg.n_sequences):
-                out = next(outcomes)
-                word = lb.stream(seed, mi, si, 0).integers(0, len(cfg.gateset), size=m)
-                assert out.sequence_indices == tuple(word.tolist())
-                if shots is not None:
-                    ref = execute_sequence(cfg, word, lb.stream(seed, mi, si, 1))
-                    assert out.value == ref.value  # identical click counts
+        n_gates = len(cfg.gateset)
+        self.assert_matches_reference(
+            cfg, lambda mi, si, m: lb.stream(seed, mi, si, 0).integers(0, n_gates, size=m)
+        )
 
     # n = 3 * 2**30 rejects a quarter of all draws, so many rows are drawn again.
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 3 * 2**30])
