@@ -57,6 +57,30 @@ _GATE_DRAWS = 0
 _SHOT_DRAWS = 1
 
 
+def _lengths(name: str, values) -> tuple:
+    """``values`` as a tuple of ints, strictly increasing from >= 1; ValueError otherwise."""
+    try:
+        lengths = tuple(operator.index(m) for m in values)
+    except TypeError:
+        raise ValueError(f"{name} entries must be integers, got {values!r}") from None
+    if not lengths:
+        raise ValueError(f"{name} must be nonempty")
+    if lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError(f"{name} must be strictly increasing positive, got {lengths}")
+    return lengths
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; ValueError naming ``name`` otherwise."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything that pins down one protocol run.
@@ -80,15 +104,7 @@ class ProtocolConfig:
     variant: str = VARIANT_LOSS
 
     def __post_init__(self):
-        try:
-            grid = tuple(operator.index(m) for m in self.m_grid)
-        except TypeError:
-            raise ValueError(f"m_grid entries must be integers, got {self.m_grid!r}") from None
-        if not grid:
-            raise ValueError("m_grid must be nonempty")
-        if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"m_grid must be strictly increasing positive, got {grid}")
-        object.__setattr__(self, "m_grid", grid)
+        object.__setattr__(self, "m_grid", _lengths("m_grid", self.m_grid))
         dims = {
             "gateset": self.gateset.dim,
             "noise": self.noise.dim,
@@ -102,15 +118,8 @@ class ProtocolConfig:
             raise ValueError(f"rho0 is not Hermitian (deviation {asym:.3e})")
         for name, least in (("n_sequences", 1), ("master_seed", 0), ("shots", 1)):
             value = getattr(self, name)
-            if name == "shots" and value is None:
-                continue
-            try:
-                count = operator.index(value)
-            except TypeError:
-                count = None
-            if count is None or count < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, count)
+            if not (name == "shots" and value is None):
+                object.__setattr__(self, name, _count(name, value, least))
         if self.variant not in (VARIANT_LOSS, VARIANT_RB):
             raise ValueError(f"variant must be 'loss' or 'rb', got {self.variant!r}")
         if self.variant == VARIANT_RB:
@@ -152,6 +161,11 @@ class DecayDataset:
     (sample standard deviation with the n-1 convention, divided by
     sqrt(n)); it is NaN when fewer than two sequences were run.
     ``metadata`` is :func:`run_protocol`'s run record, or a CSV's path.
+    The constructor raises ValueError on the first row or count that
+    :func:`read_decay_csv` would reject, so :meth:`to_csv` writes only files
+    it reads back: lengths must be integers, strictly increasing from 1,
+    means finite, sems NaN or finite and >= 0, and ``n_sequences`` and
+    integer ``shots`` at least 1.
     """
 
     m_values: tuple
@@ -162,13 +176,23 @@ class DecayDataset:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        m_values = _lengths("m_values", self.m_values)
         means = np.asarray(self.means, dtype=float)
         sems = np.asarray(self.sems, dtype=float)
-        if not (len(self.m_values) == means.size == sems.size):
+        if not means.shape == sems.shape == (len(m_values),):
             raise ValueError("m_values, means and sems must have equal length")
+        bad = ~np.isfinite(means)
+        if bad.any():
+            raise ValueError(f"means must be finite, got {float(means[bad][0])!r}")
+        bad = np.isinf(sems) | (sems < 0.0)
+        if bad.any():
+            raise ValueError(f"sems must be NaN or finite and >= 0, got {float(sems[bad][0])!r}")
+        object.__setattr__(self, "n_sequences", _count("n_sequences", self.n_sequences, 1))
+        if self.shots is not None:
+            object.__setattr__(self, "shots", _count("shots", self.shots, 1))
         means.setflags(write=False)
         sems.setflags(write=False)
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        object.__setattr__(self, "m_values", m_values)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sems", sems)
 

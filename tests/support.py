@@ -4,8 +4,9 @@ Everything here is deliberately independent of the library internals it is
 used to check: the sequence averages are computed by brute-force branching
 over every gate word, single sequences by composing Kraus operators and
 unitaries one gate at a time (the inverse gate found by matching the
-composed word against every gate up to phase, without the group table), and
-the survival statistics by direct Monte Carlo over Haar-random pure states.
+composed word against every gate up to phase, without the group table),
+the benchmarking curve's B - A from the channel's Kraus image of the state,
+and the survival statistics by direct Monte Carlo over Haar-random pure states.
 """
 
 import itertools
@@ -107,6 +108,18 @@ def execute_sequence(cfg, indices, rng=None):
     if rng is None:
         raise ValueError("shot mode needs an RNG stream")
     return lb.sample_clicks(cfg.q_op, final, cfg.shots, rng) / cfg.shots
+
+
+def exact_b_minus_a(channel, rho0, q_op):
+    """B - A of the benchmarking curve of one fixed channel, for any d.
+
+    Over a unitary 2-design the signal is A p^m + B S^m with
+    B = Tr(L rho) Tr(Q)/d and A = Tr(Q L rho) - B, so B - A is
+    2 Tr(L rho) Tr(Q)/d - Tr(Q L rho), here from the Kraus image L rho.
+    """
+    evolved = _apply_kraus(channel.kraus, rho0.matrix)
+    response = np.trace(q_op.matrix).real / q_op.dim
+    return float(2.0 * np.trace(evolved).real * response - np.trace(q_op.matrix @ evolved).real)
 
 
 def haar_states(dim, n, seed):

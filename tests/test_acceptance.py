@@ -15,7 +15,7 @@ import numpy as np
 
 import lossbench as lb
 from conftest import record_criterion
-from support import enumerate_average, random_density, random_povm
+from support import enumerate_average, exact_b_minus_a, random_density, random_povm
 
 
 def bundled_config(name):
@@ -160,25 +160,18 @@ def test_criterion_5_benchmarking_agrees_with_loss_protocol():
         variant="loss",
     )
     m1_ds = lb.run_protocol(m1_cfg)
-    report = lb.markovianity_tests(
-        rb_fit,
-        (m1_ds.means[0], m1_ds.sems[0]),
-        channel=channel,
-        rho0=rho0,
-        q_op=q_proj,
-    )
+    report = lb.markovianity_tests(rb_fit, (m1_ds.means[0], m1_ds.sems[0]))
 
     p_ok = abs(rb_fit.p_hat - 0.98) <= 1e-4
     offset_ok = report.b_minus_a >= -3.0 * report.b_minus_a_sigma
-    combined = np.sqrt(report.rb_b_sigma**2 + report.m1_sigma**2)
-    intercept_ok = abs(report.rb_b - report.m1_intercept) <= 3.0 * max(combined, 1e-12)
+    intercept_ok = abs(report.b_minus_m1) <= 3.0 * report.b_minus_m1_sigma
     ok = p_ok and offset_ok and intercept_ok and report.flags == ()
     line = verdict(
         5,
         ok,
         f"p_hat={rb_fit.p_hat:.6f}, B-A={report.b_minus_a:.6f} "
-        f"(exact {report.exact_b_minus_a:.6f}), "
-        f"|B-m1|={abs(report.rb_b - report.m1_intercept):.2e}, flags={list(report.flags)}",
+        f"(exact {exact_b_minus_a(channel, rho0, q_proj):.6f}), "
+        f"|B-m1|={abs(report.b_minus_m1):.2e}, flags={list(report.flags)}",
     )
     assert ok, line
 

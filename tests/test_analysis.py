@@ -7,7 +7,8 @@ import pytest
 import lossbench as lb
 from lossbench import analysis
 from lossbench.analysis import RBFit
-from support import haar_states, random_density
+from lossbench.core import coordinates, transfer_matrix
+from support import exact_b_minus_a, haar_states, random_density
 
 
 class TestSurvivalRates:
@@ -34,6 +35,22 @@ class TestSurvivalRates:
         ch = lb.depolarizing_channel(0.1)
         with pytest.raises(ValueError, match="positive trace"):
             lb.state_survival(ch, lb.DensityMatrix(2, np.zeros((2, 2))))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.diag([np.nan, 0.5]), "positive trace"),
+            (np.diag([1.7e308, 1.7e308]), "positive trace"),
+            (np.array([[0.5, np.nan], [np.nan, 0.5]]), "outside"),
+        ],
+        ids=["nan-trace", "overflowing-trace", "nan-rate"],
+    )
+    def test_non_finite_state_raises(self, matrix, message):
+        # A NaN or overflowing trace fails 0 < trace < inf, and a NaN rate
+        # fails the range test; none may come back as NaN or warn.
+        ch = lb.depolarizing_channel(0.1)
+        with pytest.raises(ValueError, match=message):
+            lb.state_survival(ch, lb.DensityMatrix(2, matrix))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_average_survival_matches_haar_mean(self, dim):
@@ -167,14 +184,6 @@ class TestFitLossDecay:
         with pytest.raises(ValueError, match="non-positive"):
             lb.fit_loss_decay(ds)
 
-    def test_non_finite_mean_raises(self):
-        ds = synthetic_loss_dataset(0.9, 0.99)
-        means = ds.means.copy()
-        means[3] = np.nan
-        ds = lb.DecayDataset(ds.m_values, means, ds.sems, 30, None)
-        with pytest.raises(ValueError, match="not finite"):
-            lb.fit_loss_decay(ds)
-
     @pytest.mark.parametrize(
         "means",
         [[0.01, -0.2, -0.3, -0.2], [0.05, -0.1, -0.05, -0.1, -0.08], [-0.2, 0.01, -0.1, -0.3]],
@@ -281,14 +290,19 @@ class TestFitRBDecay:
         assert fit.p_hat == pytest.approx(0.9, abs=1e-7)
 
     def test_covariance_is_symmetric_and_matches_stderr(self):
+        # (J^T J)^-1 from the weighted Jacobian of A p^m + B in natural units
+        # at the fitted (A, B, p).
         ds = rb_dataset(0.49, 0.5, 0.98, range(2, 61, 2), sems=0.003, seed=12)
         fit = lb.fit_rb_decay(ds)
-        assert fit.covariance.shape == (3, 3)
-        assert np.allclose(fit.covariance, fit.covariance.T)
-        assert fit.stderr_A == pytest.approx(np.sqrt(fit.covariance[0, 0]))
-        assert fit.stderr_p == pytest.approx(np.sqrt(fit.covariance[2, 2]))
-        cov = fit.covariance
-        assert fit.stderr_B_minus_A == np.sqrt(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
+        m = np.array(ds.m_values, dtype=float)
+        a, p = fit.A_hat, fit.p_hat
+        jac = np.column_stack([p**m, np.ones_like(m), a * m * p ** (m - 1.0)]) / ds.sems[:, None]
+        cov = np.linalg.inv(jac.T @ jac)
+        assert np.allclose(cov, cov.T, rtol=1e-12, atol=0.0)
+        var_b_minus_a = cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1]
+        expected = [*np.sqrt(cov.diagonal()), math.sqrt(var_b_minus_a)]
+        stderrs = [fit.stderr_A, fit.stderr_B, fit.stderr_p, fit.stderr_B_minus_A]
+        assert stderrs == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_too_few_lengths_raises(self):
         ds = rb_dataset(0.5, 0.5, 0.9, [1, 2, 3])
@@ -328,7 +342,8 @@ class TestFitRBDecay:
         ds = lb.DecayDataset(grid, np.full(len(grid), -0.01), np.full(len(grid), 0.001), 40, 200)
         fit = lb.fit_rb_decay(ds)
         assert fit.A_hat == 0.0
-        assert np.all(np.isfinite(fit.covariance))
+        stderrs = [fit.stderr_A, fit.stderr_B, fit.stderr_p, fit.stderr_B_minus_A]
+        assert all(math.isfinite(v) for v in stderrs)
         assert fit.stderr_p >= 1.0
 
     def test_rates_stay_inside_the_bounds(self):
@@ -626,6 +641,12 @@ class TestDetectorEfficiency:
         q = lb.MeasurementOperator(2, np.eye(2))
         with pytest.raises(ValueError, match="S_hat"):
             lb.detector_efficiency(0.9, 0.0, q)
+        for s_hat in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^S_hat must be positive and finite"):
+                lb.detector_efficiency(0.9, s_hat, q)
+        for b0_hat in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^B0_hat must be finite"):
+                lb.detector_efficiency(b0_hat, 0.9, q)
         zero_q = lb.MeasurementOperator(2, np.zeros((2, 2)))
         with pytest.raises(ValueError, match="non-positive average response"):
             lb.detector_efficiency(0.9, 0.99, zero_q)
@@ -665,7 +686,6 @@ class TestPlateauTest:
 
 
 def converged_rb(a, b, p, sigma=1e-3):
-    cov = np.diag([sigma**2, sigma**2, sigma**2])
     return RBFit(
         A_hat=a,
         B_hat=b,
@@ -677,7 +697,6 @@ def converged_rb(a, b, p, sigma=1e-3):
         chi2_per_dof=1.0,
         converged=True,
         n_iterations=10,
-        covariance=cov,
     )
 
 
@@ -704,7 +723,7 @@ class TestBMinusATest:
             rb = lb.fit_rb_decay(ds)
             report = lb.markovianity_tests(rb, (rb.B_hat, math.ldexp(0.75, e)))
             assert report.b_minus_a_sigma == lb.b_minus_a_test(rb)[1]
-            sigmas[e] = (report.b_minus_a_sigma, report.rb_b_sigma)
+            sigmas[e] = (report.b_minus_a_sigma, report.b_minus_m1_sigma)
         for extreme, normal in zip(sigmas[scale], sigmas[-10]):
             assert extreme == pytest.approx(math.ldexp(normal, scale + 10), rel=1e-12, abs=0.0)
 
@@ -713,16 +732,17 @@ class TestMarkovianityTests:
     def test_consistent_depolarizing_data_has_no_flags(self):
         ds = rb_dataset(0.49, 0.5, 0.98, range(2, 61, 2))
         rb = lb.fit_rb_decay(ds)
-        report = lb.markovianity_tests(
-            rb,
-            (0.5, 0.016),
-            channel=lb.depolarizing_channel(0.02),
-            rho0=lb.basis_state(2, 0),
-            q_op=lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
-        )
+        report = lb.markovianity_tests(rb, (0.5, 0.016))
         assert report.flags == ()
         assert report.b_minus_a == pytest.approx(0.01, abs=1e-7)
-        assert report.exact_b_minus_a == pytest.approx(0.01, abs=1e-12)
+        assert report.b_minus_m1 == rb.B_hat - 0.5
+        assert report.b_minus_m1_sigma == math.hypot(rb.stderr_B, 0.016)
+        exact = exact_b_minus_a(
+            lb.depolarizing_channel(0.02),
+            lb.basis_state(2, 0),
+            lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
+        )
+        assert exact == pytest.approx(0.01, abs=1e-12)
 
     def test_negative_offset_gap_is_flagged(self):
         report = lb.markovianity_tests(converged_rb(0.55, 0.45, 0.9), (0.45, 0.01))
@@ -758,13 +778,6 @@ class TestMarkovianityTests:
         with pytest.raises(ValueError, match=f"^the {part} of loss_m1 must be finite"):
             lb.markovianity_tests(rb, loss_m1)
 
-    def test_plateau_report_is_folded_in(self):
-        plateau = lb.PlateauReport(chi2_per_dof=9.0, tail_excess_z=5.0, flagged=True)
-        report = lb.markovianity_tests(
-            converged_rb(0.49, 0.5, 0.98), (0.5, 0.01), plateau=plateau
-        )
-        assert report.flags == ("PLATEAU",)
-
     def test_non_converged_fit_raises(self):
         bad = RBFit(
             A_hat=0.5,
@@ -777,27 +790,25 @@ class TestMarkovianityTests:
             chi2_per_dof=1.0,
             converged=False,
             n_iterations=200,
-            covariance=np.eye(3),
         )
         with pytest.raises(ValueError, match="converge"):
             lb.markovianity_tests(bad, (0.5, 0.01))
 
     def test_exact_value_for_qutrit_channels(self):
-        # 2 Tr(L rho) Tr(Q)/d - Tr(Q L rho), with L rho from the Kraus images
+        # The Kraus-image oracle against the same value from the channel's
+        # transfer matrix acting on state coordinates.
         rho = lb.DensityMatrix(3, lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
         q = lb.MeasurementOperator(3, lb.pad_to_qutrit(np.eye(2)))
-        response = np.trace(q.matrix).real / 3.0
         channels = [
             lb.coherent_leakage_error(epsilon=0.1, hamiltonian_seed=3),
             lb.random_lossy_channel(3, 0.4, 21),
         ]
         for channel in channels:
-            evolved = lb.apply_channel(channel, rho).matrix
-            expected = 2.0 * evolved.trace().real * response - np.trace(q.matrix @ evolved).real
-            report = lb.markovianity_tests(
-                converged_rb(0.49, 0.5, 0.98), (0.5, 0.01), channel=channel, rho0=rho, q_op=q
-            )
-            assert report.exact_b_minus_a == pytest.approx(expected, abs=1e-12)
+            evolved = transfer_matrix(channel.kraus) @ coordinates(rho.matrix)
+            survived = float(coordinates(np.eye(3)) @ evolved)
+            observed = float(coordinates(q.matrix) @ evolved)
+            expected = 2.0 * survived * lb.average_response(q) - observed
+            assert exact_b_minus_a(channel, rho, q) == pytest.approx(expected, abs=1e-12)
 
     def test_exact_value_for_non_unital_channel(self):
         # Trace-preserving amplitude damping fixes |0><0|, so B - A = 0, while
@@ -814,7 +825,29 @@ class TestMarkovianityTests:
         )
         rb = lb.fit_rb_decay(lb.run_protocol(cfg))
         # The loss signal at m = 1 is Tr(L rho) Tr(Q)/d = 1/2 exactly.
-        report = lb.markovianity_tests(rb, (0.5, 0.0), channel=channel, rho0=rho, q_op=q)
-        assert report.exact_b_minus_a == pytest.approx(0.0, abs=1e-12)
-        assert abs(report.b_minus_a - report.exact_b_minus_a) < 3.0 * report.b_minus_a_sigma
+        report = lb.markovianity_tests(rb, (0.5, 0.0))
+        exact = exact_b_minus_a(channel, rho, q)
+        assert exact == pytest.approx(0.0, abs=1e-12)
+        assert abs(report.b_minus_a - exact) < 3.0 * report.b_minus_a_sigma
         assert report.flags == ()
+
+    def test_sigma_floor_covers_rounding_in_exact_fits(self):
+        # Criterion 5's exact Clifford RB run: rounding leaves sems near
+        # 1e-16, so the absolutely weighted fit's stderr_B sits below the
+        # rounding error of B itself.  Without the floor, B against the
+        # exact m = 1 value 1/2 would raise a false M1_MISMATCH.
+        cfg = lb.ProtocolConfig(
+            lb.clifford_gateset(),
+            lb.depolarizing_channel(0.02),
+            lb.basis_state(2, 0),
+            lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
+            tuple(range(2, 61, 2)),
+            30,
+            9,
+            variant="rb",
+        )
+        ds = lb.run_protocol(cfg)
+        rb = lb.fit_rb_decay(ds)
+        assert analysis._absolute_weights(ds.sems) and ds.sems.max() < 1e-15
+        assert abs(rb.B_hat - 0.5) > 3.0 * rb.stderr_B
+        assert lb.markovianity_tests(rb, (0.5, 0.0)).flags == ()

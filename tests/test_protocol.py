@@ -423,6 +423,50 @@ class TestExactSequenceAverage:
             lb.exact_sequence_average(fig1_style_config(variant="rb"), 3)
 
 
+class TestDecayDataset:
+    """The constructor rejects what read_decay_csv rejects, on the first problem."""
+
+    def test_non_finite_mean_raises(self):
+        means = np.array([0.9, 0.8, 0.7, np.nan, 0.5])
+        with pytest.raises(ValueError, match=r"^means must be finite, got nan"):
+            lb.DecayDataset(tuple(range(1, 6)), means, np.full(5, 0.01), 30, None)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(m_values=(3, 1, 2)), "m_values must be strictly increasing positive"),
+            (dict(m_values=(0, 1, 2)), "m_values must be strictly increasing positive"),
+            (dict(m_values=(1, 2.7, 4)), "m_values entries must be integers"),
+            (dict(m_values=(), means=[], sems=[]), "m_values must be nonempty"),
+            (dict(means=[0.5, np.inf, 0.3]), "means must be finite, got inf"),
+            (dict(sems=[0.1, -1.0, 0.1]), r"sems must be NaN or finite and >= 0, got -1\.0"),
+            (dict(sems=[0.1, 0.1, np.inf]), "sems must be NaN or finite and >= 0, got inf"),
+            (dict(means=[[0.5, 0.4, 0.3]]), "m_values, means and sems must have equal length"),
+            (dict(n_sequences=0), "n_sequences must be an integer >= 1, got 0"),
+            (dict(n_sequences=2.7), "n_sequences must be an integer >= 1, got 2.7"),
+            (dict(shots=0), "shots must be an integer >= 1, got 0"),
+            (dict(shots="100"), "shots must be an integer >= 1, got '100'"),
+        ],
+        ids=[
+            "unsorted", "zero-length", "float-length", "empty", "inf-mean", "negative-sem",
+            "inf-sem", "2d-means", "zero-sequences", "float-sequences", "zero-shots",
+            "string-shots",
+        ],
+    )
+    def test_invalid_fields_raise(self, fields, message):
+        # Without the check, none of these survives a to_csv/read_decay_csv round trip.
+        args = dict(m_values=(1, 2, 3), means=[0.5, 0.4, 0.3], sems=[0.1, 0.1, 0.1],
+                    n_sequences=30, shots=None)
+        with pytest.raises(ValueError, match="^" + message):
+            lb.DecayDataset(**{**args, **fields})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        ds = lb.DecayDataset(np.arange(1, 4), [0.5, 0.4, 0.3], [0.1, np.nan, 0.0],
+                             np.int64(30), np.int32(100))
+        assert all(type(m) is int for m in ds.m_values)
+        assert type(ds.n_sequences) is int and type(ds.shots) is int
+
+
 class TestCsvRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):
         ds = lb.run_protocol(fig1_style_config(m_grid=(1, 5, 9), n_sequences=4))
