@@ -419,8 +419,8 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
     """
     m = np.array(ds.m_values, dtype=float)
     y = np.array(ds.means, dtype=float)
-    if len(set(ds.m_values)) < 3:
-        raise ValueError(f"need >= 3 distinct sequence lengths, got {len(set(ds.m_values))}")
+    if len(m) < 3:
+        raise ValueError(f"need >= 3 distinct sequence lengths, got {len(m)}")
     if (y <= 0).all():
         raise ValueError("all means are non-positive; nothing to fit")
     (b0_hat, s_hat), (stderr_b0, stderr_s), chi2_per_dof, nfev, converged = _separable_fit(
@@ -441,8 +441,8 @@ def fit_rb_decay(ds: DecayDataset) -> RBFit:
     """Weighted least-squares fit of y(m) = A * p^m + B, p in RATE_BOUNDS."""
     m = np.array(ds.m_values, dtype=float)
     y = np.array(ds.means, dtype=float)
-    if len(set(ds.m_values)) < 4:
-        raise ValueError(f"need >= 4 distinct sequence lengths, got {len(set(ds.m_values))}")
+    if len(m) < 4:
+        raise ValueError(f"need >= 4 distinct sequence lengths, got {len(m)}")
     (a_hat, b_hat, p_hat), stderrs, chi2_per_dof, nfev, converged = _separable_fit(
         m, y, ds.sems, offset=True
     )

@@ -37,6 +37,30 @@ TRACE_ATOL = 1e-12
 ARITHMETIC_ATOL = 1e-10
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; ValueError naming ``name`` otherwise."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
+def _lengths(name: str, values) -> tuple:
+    """``values`` as a tuple of ints, strictly increasing from >= 1; ValueError otherwise."""
+    try:
+        lengths = tuple(operator.index(m) for m in values)
+    except TypeError:
+        raise ValueError(f"{name} entries must be integers, got {values!r}") from None
+    if not lengths:
+        raise ValueError(f"{name} must be nonempty")
+    if lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError(f"{name} must be strictly increasing positive, got {lengths}")
+    return lengths
+
+
 def key_words(*key: int) -> np.ndarray:
     """The uint32 entropy words numpy's SeedSequence takes from an integer key.
 
@@ -48,9 +72,7 @@ def key_words(*key: int) -> np.ndarray:
     """
     words = []
     for k in key:
-        k = operator.index(k)
-        if k < 0:
-            raise ValueError(f"stream keys must be nonnegative, got {k}")
+        k = _count("stream key", k, 0)
         words.append(k & 0xFFFFFFFF)
         while k > 0xFFFFFFFF:
             k >>= 32
@@ -170,7 +192,13 @@ def unitarity_deviation(matrix: np.ndarray) -> float:
 
 
 def _as_square_complex(matrix, dim: int, what: str) -> np.ndarray:
-    mat = np.array(matrix, dtype=np.complex128)
+    """A read-only complex (dim, dim) copy of ``matrix``; ValueError naming ``what`` otherwise."""
+    try:
+        mat = np.array(matrix, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{what}: expected a {dim}x{dim} matrix of numbers, got {matrix!r}"
+        ) from None
     if mat.shape != (dim, dim):
         raise ValueError(
             f"{what}: expected a {dim}x{dim} matrix, got shape {mat.shape}"
@@ -193,8 +221,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
         object.__setattr__(
             self, "matrix", _as_square_complex(self.matrix, self.dim, "DensityMatrix")
         )
@@ -223,8 +250,7 @@ class QuantumChannel:
     survival_spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
         ops = tuple(
             _as_square_complex(k, self.dim, f"QuantumChannel kraus[{i}]")
             for i, k in enumerate(self.kraus)
@@ -267,8 +293,7 @@ class MeasurementOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
         mat = _as_square_complex(self.matrix, self.dim, "MeasurementOperator")
         asym = hermiticity_deviation(mat)
         if not asym <= HERMITICITY_ATOL:
@@ -463,7 +488,6 @@ def sample_clicks(
 
     ``rng`` is consumed; identical stream states give identical draws.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    shots = _count("shots", shots, 1)
     p = expectation(q, rho)
     return int(rng.binomial(shots, p))

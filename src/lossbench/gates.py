@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import UNITARITY_ATOL, unitarity_deviation
+from .core import UNITARITY_ATOL, _apply_kraus, _as_square_complex, _count, unitarity_deviation
 
 PHASE_MATCH_ATOL = 1e-10
 
@@ -49,27 +49,22 @@ class GateSet:
     labels: tuple
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        gates = tuple(np.array(g, dtype=np.complex128) for g in self.gates)
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
+        gates = tuple(_as_square_complex(g, self.dim, f"gate {i}") for i, g in enumerate(self.gates))
         if not gates:
             raise ValueError("GateSet needs at least one gate")
         if self.design_order not in (0, 1, 2):
             raise ValueError(f"design_order must be 0, 1 or 2, got {self.design_order}")
         for i, g in enumerate(gates):
-            if g.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"gate {i}: expected {self.dim}x{self.dim}, got {g.shape}"
-                )
             dev = unitarity_deviation(g)
             if not dev <= UNITARITY_ATOL:
                 raise ValueError(f"gate {i} is not unitary (deviation {dev:.3e})")
-            g.setflags(write=False)
         labels = tuple(str(s) for s in self.labels)
         if len(labels) != len(gates):
             raise ValueError("labels and gates must have the same length")
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be unique")
+        repeated = sorted({s for s in labels if labels.count(s) > 1})
+        if repeated:
+            raise ValueError(f"labels must be unique, got {repeated} more than once")
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "labels", labels)
 
@@ -153,10 +148,7 @@ def twirl(gateset: GateSet, a: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: gate set dim {gateset.dim}, matrix shape {a.shape}"
         )
-    out = np.zeros_like(a)
-    for u in gateset.gates:
-        out += u @ a @ u.conj().T
-    return out / len(gateset)
+    return _apply_kraus(gateset.gates, a) / len(gateset)
 
 
 def inverse_gate(gateset: GateSet, indices) -> int:
@@ -184,11 +176,7 @@ def embed_in_qutrit(u: np.ndarray, theta: float) -> np.ndarray:
     The extra level picks up only the relative phase theta, so the embedded
     gate acts trivially on population outside the qubit subspace.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 unitary, got shape {u.shape}")
-    out = np.zeros((3, 3), dtype=np.complex128)
-    out[:2, :2] = u
+    out = pad_to_qutrit(u)
     out[2, 2] = np.exp(1j * theta)
     return out
 
@@ -206,9 +194,6 @@ def embed_gateset(gateset: GateSet, theta: float) -> GateSet:
 
 def pad_to_qutrit(matrix: np.ndarray) -> np.ndarray:
     """Pad a 2x2 operator with a zero row/column for the leakage level."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {matrix.shape}")
     out = np.zeros((3, 3), dtype=np.complex128)
-    out[:2, :2] = matrix
+    out[:2, :2] = _as_square_complex(matrix, 2, "pad_to_qutrit")
     return out

@@ -16,14 +16,13 @@ from .core import (
     UNITARITY_ATOL,
     MeasurementOperator,
     QuantumChannel,
+    _as_square_complex,
+    _count,
     hermitian_part,
     stream,
     unitarity_deviation,
 )
-
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+from .gates import _PAULIS
 
 
 def basis_loss_channel(alpha: float, level: int, dim: int) -> QuantumChannel:
@@ -72,9 +71,7 @@ def detector_model(eigenvalues, basis_seed: int | None = None, basis=None) -> Me
     if basis is None:
         basis = random_orthonormal_basis(d, basis_seed)
     else:
-        basis = np.array(basis, dtype=np.complex128)
-        if basis.shape != (d, d):
-            raise ValueError(f"basis must be {d}x{d}, got {basis.shape}")
+        basis = _as_square_complex(basis, d, "basis")
         dev = unitarity_deviation(basis)
         if not dev <= UNITARITY_ATOL:
             raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
@@ -89,8 +86,7 @@ def random_lossy_channel(dim: int, loss_scale: float, seed: int) -> QuantumChann
     a complex Gaussian), followed by a diagonal amplitude attenuation with
     factors drawn from [1 - loss_scale, 1].
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    dim = _count("dim", dim, 2)
     if not 0.0 < loss_scale < 1.0:
         raise ValueError(f"loss_scale must be in (0, 1), got {loss_scale}")
     rng = stream(seed)
@@ -110,10 +106,7 @@ def depolarizing_channel(q: float) -> QuantumChannel:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     k0 = np.sqrt(1.0 - 3.0 * q / 4.0) * np.eye(2, dtype=np.complex128)
-    kx = np.sqrt(q / 4.0) * _PAULI_X
-    ky = np.sqrt(q / 4.0) * _PAULI_Y
-    kz = np.sqrt(q / 4.0) * _PAULI_Z
-    return QuantumChannel(2, (k0, kx, ky, kz))
+    return QuantumChannel(2, (k0, *(np.sqrt(q / 4.0) * _PAULIS[p] for p in "XYZ")))
 
 
 def coherent_leakage_error(epsilon: float, hamiltonian_seed: int) -> QuantumChannel:

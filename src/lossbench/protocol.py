@@ -27,23 +27,23 @@ import csv
 import hashlib
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    HERMITICITY_ATOL,
     DensityMatrix,
     MeasurementOperator,
     QuantumChannel,
+    _count,
+    _lengths,
     bit_generator,
     click_probabilities,
     coordinates,
-    hermiticity_deviation,
     key_words,
     seed_states,
     transfer_matrix,
+    validate_state,
 )
 from .gates import GateSet
 
@@ -57,30 +57,6 @@ _GATE_DRAWS = 0
 _SHOT_DRAWS = 1
 
 
-def _lengths(name: str, values) -> tuple:
-    """``values`` as a tuple of ints, strictly increasing from >= 1; ValueError otherwise."""
-    try:
-        lengths = tuple(operator.index(m) for m in values)
-    except TypeError:
-        raise ValueError(f"{name} entries must be integers, got {values!r}") from None
-    if not lengths:
-        raise ValueError(f"{name} must be nonempty")
-    if lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError(f"{name} must be strictly increasing positive, got {lengths}")
-    return lengths
-
-
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; ValueError naming ``name`` otherwise."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or count < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return count
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything that pins down one protocol run.
@@ -89,7 +65,8 @@ class ProtocolConfig:
     positive integer requests that many binomial shots per sequence.
     ``m_grid`` entries, ``n_sequences``, ``master_seed`` (nonnegative) and
     ``shots`` must be integers; numpy integers are stored as Python ints.
-    ``rho0`` must be Hermitian: the engine carries states as real
+    ``rho0`` must pass :func:`lossbench.core.validate_state`; among other
+    things it must be Hermitian, since the engine carries states as real
     coordinates, which have no room for an anti-Hermitian part.
     """
 
@@ -111,11 +88,11 @@ class ProtocolConfig:
             "state": self.rho0.dim,
             "measurement": self.q_op.dim,
         }
-        if len(set(dims.values())) != 1:
+        if set(dims.values()) != {self.gateset.dim}:
             raise ValueError(f"dimension mismatch across config: {dims}")
-        asym = hermiticity_deviation(self.rho0.matrix)
-        if not asym <= HERMITICITY_ATOL:
-            raise ValueError(f"rho0 is not Hermitian (deviation {asym:.3e})")
+        violations = validate_state(self.rho0)
+        if violations:
+            raise ValueError(f"rho0 is not a state: {violations[0].message}")
         for name, least in (("n_sequences", 1), ("master_seed", 0), ("shots", 1)):
             value = getattr(self, name)
             if not (name == "shots" and value is None):
@@ -165,7 +142,8 @@ class DecayDataset:
     :func:`read_decay_csv` would reject, so :meth:`to_csv` writes only files
     it reads back: lengths must be integers, strictly increasing from 1,
     means finite, sems NaN or finite and >= 0, and ``n_sequences`` and
-    integer ``shots`` at least 1.
+    integer ``shots`` at least 1.  ``means`` and ``sems`` are stored as
+    read-only copies; the caller's arrays are left as they were.
     """
 
     m_values: tuple
@@ -177,8 +155,8 @@ class DecayDataset:
 
     def __post_init__(self):
         m_values = _lengths("m_values", self.m_values)
-        means = np.asarray(self.means, dtype=float)
-        sems = np.asarray(self.sems, dtype=float)
+        means = np.array(self.means, dtype=float)
+        sems = np.array(self.sems, dtype=float)
         if not means.shape == sems.shape == (len(m_values),):
             raise ValueError("m_values, means and sems must have equal length")
         bad = ~np.isfinite(means)
@@ -235,6 +213,9 @@ def read_decay_csv(path) -> DecayDataset:
                 m, mean, sem = int(row[0]), float(row[1]), float(row[2])
                 n_seq = int(row[3])
                 sh = None if row[4] == "exact" else int(row[4])
+                if n_sequences is None:
+                    n_sequences = _count("n_sequences", n_seq, 1)
+                    shots = sh if sh is None else _count("shots", sh, 1)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if m < 1:
@@ -244,10 +225,6 @@ def read_decay_csv(path) -> DecayDataset:
                     f"{path}:{lineno}: sequence lengths must be strictly increasing, "
                     f"got {m} after {m_values[-1]}"
                 )
-            if n_seq < 1:
-                raise ValueError(f"{path}:{lineno}: n_sequences must be >= 1, got {n_seq}")
-            if sh is not None and sh < 1:
-                raise ValueError(f"{path}:{lineno}: shots must be >= 1 or 'exact', got {sh}")
             if not math.isfinite(mean):
                 raise ValueError(f"{path}:{lineno}: mean must be finite, got {mean!r}")
             if math.isinf(sem) or sem < 0.0:
@@ -257,16 +234,14 @@ def read_decay_csv(path) -> DecayDataset:
             m_values.append(m)
             means.append(mean)
             sems.append(sem)
-            if n_sequences is None:
-                n_sequences, shots = n_seq, sh
-            elif (n_sequences, shots) != (n_seq, sh):
+            if (n_sequences, shots) != (n_seq, sh):
                 raise ValueError(f"{path}:{lineno}: inconsistent n_sequences/shots")
     if not m_values:
         raise ValueError(f"{path}: no data rows")
     return DecayDataset(
         m_values=tuple(m_values),
-        means=np.array(means),
-        sems=np.array(sems),
+        means=means,
+        sems=sems,
         n_sequences=n_sequences,
         shots=shots,
         metadata={"source": str(path)},
@@ -275,9 +250,7 @@ def read_decay_csv(path) -> DecayDataset:
 
 def sample_sequence(gateset: GateSet, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw m i.i.d. uniform gate indices from the given stream."""
-    if m < 1:
-        raise ValueError(f"sequence length must be >= 1, got {m}")
-    return rng.integers(0, len(gateset), size=m)
+    return rng.integers(0, len(gateset), size=_count("sequence length", m, 1))
 
 
 def _sample_words(states: np.ndarray, keys: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -416,8 +389,7 @@ def exact_sequence_average(cfg: ProtocolConfig, m: int) -> float:
     """
     if cfg.variant != VARIANT_LOSS:
         raise ValueError(f"exact_sequence_average has no oracle for variant {cfg.variant!r}")
-    if m < 1:
-        raise ValueError(f"sequence length must be >= 1, got {m}")
+    m = _count("sequence length", m, 1)
     average = _gate_superoperators(cfg).mean(axis=0)
     state = coordinates(cfg.rho0.matrix)
     for _ in range(m):

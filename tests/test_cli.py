@@ -243,9 +243,9 @@ class TestFit:
             ("1,0.9,0.01,5,exact\n2,0.8,0.01,5,exact\n3,0.7,-0.01,5,exact\n",
              "bad.csv:4: sem must be NaN or finite and >= 0"),
             ("1,0.9,0.01,-3,0\n2,0.8,0.01,-3,0\n3,0.7,0.01,-3,0\n",
-             "bad.csv:2: n_sequences must be >= 1"),
+             "bad.csv:2: n_sequences must be an integer >= 1, got -3"),
             ("1,0.9,0.01,5,0\n2,0.8,0.01,5,0\n3,0.7,0.01,5,0\n",
-             "bad.csv:2: shots must be >= 1"),
+             "bad.csv:2: shots must be an integer >= 1, got 0"),
         ],
     )
     def test_bad_rows_are_usage_errors_with_line(self, tmp_path, rows, message):

@@ -55,8 +55,33 @@ def test_bit_generator_takes_only_a_seed_state():
 
 @pytest.mark.parametrize("bad", [-1, 1.5])
 def test_stream_rejects_keys_that_are_not_nonnegative_integers(bad):
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError, match=rf"^stream key must be an integer >= 0, got {bad}$"):
         lb.stream(3, bad)
+
+
+# The four types that carry a dim, each built from one 2x2 matrix.
+DIM_TYPES = {
+    "DensityMatrix": (lambda d, m: lb.DensityMatrix(d, m), "DensityMatrix"),
+    "QuantumChannel": (lambda d, m: lb.QuantumChannel(d, (m,)), r"QuantumChannel kraus\[0\]"),
+    "MeasurementOperator": (lambda d, m: lb.MeasurementOperator(d, m), "MeasurementOperator"),
+    "GateSet": (lambda d, m: lb.GateSet(d, (m,), 0, ("I",)), "gate 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIM_TYPES))
+def test_dim_is_an_integer_stored_as_int(name):
+    build, _ = DIM_TYPES[name]
+    assert type(build(np.int64(2), np.eye(2)).dim) is int
+    with pytest.raises(ValueError, match=r"^dim must be an integer >= 1, got 2\.5$"):
+        build(2.5, np.eye(2))
+
+
+@pytest.mark.parametrize("matrix", [[[1, 0], [0]], [["x", 0], [0, 1]]], ids=["ragged", "string"])
+@pytest.mark.parametrize("name", sorted(DIM_TYPES))
+def test_unconvertible_matrix_names_its_field(name, matrix):
+    build, what = DIM_TYPES[name]
+    with pytest.raises(ValueError, match=rf"^{what}: expected a 2x2 matrix of numbers, got \["):
+        build(2, matrix)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -96,7 +121,7 @@ class TestDensityMatrix:
             lb.DensityMatrix(2, np.eye(3))
 
     def test_nonpositive_dim_raises(self):
-        with pytest.raises(ValueError, match="dim must be positive"):
+        with pytest.raises(ValueError, match=r"dim must be an integer >= 1, got 0"):
             lb.DensityMatrix(0, np.zeros((0, 0)))
 
     def test_matrix_is_read_only(self):
@@ -305,3 +330,8 @@ class TestSampleClicks:
         q = lb.MeasurementOperator(2, np.eye(2))
         with pytest.raises(ValueError, match="shots"):
             lb.sample_clicks(q, lb.maximally_mixed(2), 0, lb.stream(1))
+
+    def test_non_integer_shots_raises(self):
+        q = lb.MeasurementOperator(2, np.eye(2))
+        with pytest.raises(ValueError, match=r"^shots must be an integer >= 1, got 2\.5$"):
+            lb.sample_clicks(q, lb.maximally_mixed(2), 2.5, lb.stream(1))

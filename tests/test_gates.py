@@ -30,7 +30,7 @@ class TestGateSet:
             lb.GateSet(2, (gate,), 0, ("bad",))
 
     def test_nonpositive_dim_raises(self):
-        with pytest.raises(ValueError, match="dim must be positive"):
+        with pytest.raises(ValueError, match=r"dim must be an integer >= 1, got 0"):
             lb.GateSet(0, (np.zeros((0, 0)),), 0, ("empty",))
 
     def test_duplicate_labels_raise(self):

@@ -66,6 +66,10 @@ class TestDetectorModel:
         # B^H B overflows; the suite turns the overflow warning into an error.
         with pytest.raises(ValueError, match="not unitary"):
             lb.detector_model(eigenvalues=(0.5, 0.5), basis=np.diag([1.5e154, 1.0]))
+        with pytest.raises(ValueError, match=r"^basis: expected a 2x2 matrix, got shape \(3, 3\)$"):
+            lb.detector_model(eigenvalues=(0.5, 0.5), basis=np.eye(3))
+        with pytest.raises(ValueError, match=r"^basis: expected a 2x2 matrix of numbers, got \["):
+            lb.detector_model(eigenvalues=(0.5, 0.5), basis=[[1, 0], [0]])
 
     def test_dim_property(self):
         assert lb.detector_model(eigenvalues=(1.0, 1.0, 1.0), basis_seed=0).dim == 3

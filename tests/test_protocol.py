@@ -52,9 +52,31 @@ class TestProtocolConfig:
 
     def test_non_hermitian_rho0_raises(self):
         skew = np.array([[0.5, 1e-9], [0.0, 0.5]])
-        with pytest.raises(ValueError, match=r"rho0 is not Hermitian \(deviation 1\.000e-09\)"):
+        with pytest.raises(ValueError, match=r"^rho0 is not a state: max \|rho - rho\^H\| = 1\.000e-09$"):
             fig1_style_config(rho0=lb.DensityMatrix(2, skew))
         fig1_style_config(rho0=lb.DensityMatrix(2, skew * 1e-4))
+
+    @pytest.mark.parametrize(
+        "diagonal, message",
+        [
+            ((1.3, -0.3), r"smallest eigenvalue -0\.3\d* < -1e-12"),
+            ((1.5, 0.0), r"trace 1\.5 outside \(0, 1\]"),
+            ((0.0, 0.0), r"trace 0\.0 outside \(0, 1\]"),
+        ],
+        ids=["negative-eigenvalue", "trace-above-one", "zero"],
+    )
+    def test_rho0_must_be_a_state(self, diagonal, message):
+        # Each of these used to run: to a fit, to a click-probability error, to all-zero means.
+        with pytest.raises(ValueError, match=rf"^rho0 is not a state: {message}$"):
+            fig1_style_config(rho0=lb.DensityMatrix(2, np.diag(diagonal)))
+
+    def test_numpy_integer_dim_is_stored_as_int_and_runs(self):
+        pauli = lb.pauli_gateset()
+        gateset = lb.GateSet(np.int64(2), pauli.gates, 1, pauli.labels)
+        assert type(gateset.dim) is int
+        ds = lb.run_protocol(fig1_style_config(gateset=gateset))
+        assert json.loads(json.dumps(ds.metadata))["dim"] == 2
+        assert ds.metadata["config_fingerprint"] == fig1_style_config().fingerprint()
 
     def test_counts_validated(self):
         with pytest.raises(ValueError, match="n_sequences"):
@@ -122,6 +144,10 @@ class TestSampleSequence:
     def test_short_length_raises(self):
         with pytest.raises(ValueError, match="length"):
             lb.sample_sequence(lb.pauli_gateset(), 0, lb.stream(0))
+
+    def test_non_integer_length_raises(self):
+        with pytest.raises(ValueError, match=r"^sequence length must be an integer >= 1, got 2\.5$"):
+            lb.sample_sequence(lb.pauli_gateset(), 2.5, lb.stream(0))
 
 
 class TestExecuteSequence:
@@ -418,6 +444,10 @@ class TestExactSequenceAverage:
         with pytest.raises(ValueError, match="length"):
             lb.exact_sequence_average(fig1_style_config(), 0)
 
+    def test_non_integer_length_raises(self):
+        with pytest.raises(ValueError, match=r"^sequence length must be an integer >= 1, got 2\.5$"):
+            lb.exact_sequence_average(fig1_style_config(), 2.5)
+
     def test_rb_variant_raises(self):
         with pytest.raises(ValueError, match="variant 'rb'"):
             lb.exact_sequence_average(fig1_style_config(variant="rb"), 3)
@@ -459,6 +489,15 @@ class TestDecayDataset:
                     n_sequences=30, shots=None)
         with pytest.raises(ValueError, match="^" + message):
             lb.DecayDataset(**{**args, **fields})
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        means, sems = np.array([0.5, 0.4, 0.3]), np.array([0.1, 0.1, 0.1])
+        ds = lb.DecayDataset((1, 2, 3), means, sems, 30, None)
+        assert ds.means is not means and ds.sems is not sems
+        means[0], sems[0] = 0.9, 0.2
+        assert ds.means[0] == 0.5 and ds.sems[0] == 0.1
+        with pytest.raises(ValueError, match="read-only"):
+            ds.means[0] = 0.9
 
     def test_numpy_integers_are_stored_as_ints(self):
         ds = lb.DecayDataset(np.arange(1, 4), [0.5, 0.4, 0.3], [0.1, np.nan, 0.0],
@@ -522,10 +561,10 @@ class TestCsvRoundTrip:
             ("2,0.5,0.1,3,exact\n1,0.4,0.1,3,exact\n", "bad.csv:3: .* strictly increasing"),
             ("1,0.5,inf,3,exact\n", "bad.csv:2: sem must be NaN or finite and >= 0"),
             ("1,0.5,0.1,3,exact\n2,0.4,-0.01,3,exact\n", "bad.csv:3: sem must be NaN or finite"),
-            ("1,0.5,0.1,0,exact\n", "bad.csv:2: n_sequences must be >= 1"),
-            ("1,0.5,0.1,-3,exact\n", "bad.csv:2: n_sequences must be >= 1"),
-            ("1,0.5,0.1,3,0\n", "bad.csv:2: shots must be >= 1"),
-            ("1,0.5,0.1,3,-7\n", "bad.csv:2: shots must be >= 1"),
+            ("1,0.5,0.1,0,exact\n", "bad.csv:2: n_sequences must be an integer >= 1"),
+            ("1,0.5,0.1,-3,exact\n", "bad.csv:2: n_sequences must be an integer >= 1"),
+            ("1,0.5,0.1,3,0\n", "bad.csv:2: shots must be an integer >= 1"),
+            ("1,0.5,0.1,3,-7\n", "bad.csv:2: shots must be an integer >= 1"),
         ],
     )
     def test_bad_rows_raise_with_line(self, tmp_path, rows, message):
