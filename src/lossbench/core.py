@@ -14,8 +14,8 @@ Kraus sets in one call.
 Random draws come from numpy's PCG64 streams keyed by integer tuples
 (:func:`stream`, which seeds through ``default_rng``).  For many streams at
 once, :func:`seed_states` runs numpy's SeedSequence hash over all key rows in
-one batch and :func:`bit_generator` seeds numpy's own PCG64 from a row; the
-draws are those of ``default_rng(key)``.
+one batch and :func:`bit_generators` seeds numpy's own PCG64 from each row;
+the draws are those of ``default_rng(key)``.
 
 Tolerance conventions:
   * 1e-12 for properties guaranteed by construction (hermiticity,
@@ -25,6 +25,7 @@ Tolerance conventions:
 """
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,51 +101,54 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
 
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """A hash constant and its next ``count`` multiples, as a (count + 1, 1) uint32 column."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
 def seed_states(keys) -> np.ndarray:
     """PCG64 seed states of many streams: ``SeedSequence(row).generate_state(4, np.uint64)``.
 
     ``keys`` is a (streams, words) uint32 array whose rows are entropy words,
     such as those of :func:`key_words`.  numpy's pool hash runs once over all
-    rows in wrapping uint32 array arithmetic: its hash constants advance the
-    same way for every row, so only the data are per row.  Returns a
-    C-contiguous (streams, 4) uint64 array; each row seeds
-    :func:`bit_generator`.
+    rows on a (4, streams) uint32 pool: its hash constants advance the same
+    way for every row, so one source word's hashmixes into the other pool
+    words are one broadcast against consecutive constants.  Returns a
+    C-contiguous (streams, 4) uint64 array for :func:`bit_generators`.
     """
     keys = np.asarray(keys, dtype=np.uint32)
     if keys.ndim != 2:
         raise ValueError(f"keys must be a (streams, words) array, got shape {keys.shape}")
-    const = _INIT_A
+    n_words = keys.shape[1]
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * max(n_words, _POOL_SIZE))
+    used = 0
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & 0xFFFFFFFF
-        value = value * np.uint32(const)
+    def hashmix(value, count):
+        nonlocal used
+        value = (value ^ chain[used : used + count]) * chain[used + 1 : used + 1 + count]
+        used += count
         return value ^ value >> _XSHIFT
 
     def mix(x, y):
         value = _MIX_MULT_L * x - _MIX_MULT_R * y
         return value ^ value >> _XSHIFT
 
-    zero = np.zeros(len(keys), dtype=np.uint32)
-    n_words = keys.shape[1]
-    pool = [hashmix(keys[:, i] if i < n_words else zero) for i in range(_POOL_SIZE)]
+    pool = np.zeros((_POOL_SIZE, len(keys)), dtype=np.uint32)
+    pool[:n_words] = keys[:, :_POOL_SIZE].T
+    pool = hashmix(pool, _POOL_SIZE)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
     for src in range(_POOL_SIZE, n_words):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(keys[:, src]))
+        pool = mix(pool, hashmix(keys[:, src], _POOL_SIZE))
 
-    const = _INIT_B
-    state = np.empty((len(keys), 8), dtype="<u4")
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        state[:, i] = value ^ value >> _XSHIFT
-    return state.view("<u8").astype(np.uint64)
+    chain = _hash_chain(_INIT_B, _MULT_B, 8)
+    value = (np.tile(pool, (2, 1)) ^ chain[:-1]) * chain[1:]
+    state = np.ascontiguousarray((value ^ value >> _XSHIFT).T, dtype="<u4")
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 class _Seeded(ISpawnableSeedSequence):
@@ -160,18 +164,20 @@ class _Seeded(ISpawnableSeedSequence):
         raise NotImplementedError("a precomputed seed state cannot spawn")
 
 
-def bit_generator(state) -> np.random.PCG64:
-    """numpy's PCG64 seeded with one row of :func:`seed_states`.
+def bit_generators(states) -> Iterator[np.random.PCG64]:
+    """numpy's PCG64 seeded from each row of a :func:`seed_states` array, one at a time.
 
-    ``bit_generator(seed_states([words])[0])`` is the bit generator of
-    ``default_rng(words)``, draw for draw: numpy's own PCG64 seeds itself
-    from the precomputed state instead of hashing the words again.
+    The i-th generator of ``bit_generators(seed_states(keys))`` draws as
+    ``default_rng(keys[i])``'s bit generator: numpy's own PCG64 seeds itself
+    from the precomputed state instead of hashing the words again.  The
+    shape is checked when called, before any generator is made.
     """
-    # PCG64 reads the state through its data pointer: 4 contiguous uint64.
-    state = np.ascontiguousarray(state, dtype=np.uint64)
-    if state.shape != (4,):
-        raise ValueError(f"a seed state is 4 uint64 words, got shape {state.shape}")
-    return np.random.PCG64(_Seeded(state))
+    # PCG64 reads each state through its data pointer: 4 contiguous uint64.
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    if states.ndim != 2 or states.shape[1] != 4:
+        raise ValueError(f"seed states are (streams, 4) uint64 words, got shape {states.shape}")
+    # One _Seeded per row: each PCG64 keeps its seed sequence as ``seed_seq``.
+    return (np.random.PCG64(_Seeded(row)) for row in states)
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:

@@ -143,11 +143,7 @@ def twirl(gateset: GateSet, a: np.ndarray) -> np.ndarray:
 
     For any unitary 1-design this projects A onto Tr(A) * identity / d.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (gateset.dim, gateset.dim):
-        raise ValueError(
-            f"dimension mismatch: gate set dim {gateset.dim}, matrix shape {a.shape}"
-        )
+    a = _as_square_complex(a, gateset.dim, "twirl")
     return _apply_kraus(gateset.gates, a) / len(gateset)
 
 

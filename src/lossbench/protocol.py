@@ -15,11 +15,12 @@ one matrix product against the C-ordered side-by-side transfer matrices.
 Every task draws its gate word and its shots from its own RNG streams keyed
 by (master_seed, length_index, sequence_index), so datasets are
 bit-reproducible regardless of the order in which tasks are evaluated.
-The engine seeds all streams with one batched SeedSequence hash
-(:func:`lossbench.core.seed_states`) and maps each length's gate draws in
-bulk, as ``Generator.integers`` maps them; every draw equals the one
-``default_rng(key)`` gives.  :func:`sample_sequence` draws one word from
-one ``default_rng`` stream; the one-sequence Kraus reference engine the
+The engine seeds all of a run's streams, gate and shot, with one batched
+SeedSequence hash (:func:`lossbench.core.seed_states`), hands the states to
+numpy's PCG64 (:func:`lossbench.core.bit_generators`) and maps each length's
+gate draws in bulk, as ``Generator.integers`` maps them; every draw equals
+the one ``default_rng(key)`` gives.  :func:`sample_sequence` draws one word
+from one ``default_rng`` stream; the one-sequence Kraus reference engine the
 batched engine is tested against lives with the test oracles.
 """
 
@@ -37,7 +38,7 @@ from .core import (
     QuantumChannel,
     _count,
     _lengths,
-    bit_generator,
+    bit_generators,
     click_probabilities,
     coordinates,
     key_words,
@@ -263,7 +264,9 @@ def _sample_words(states: np.ndarray, keys: np.ndarray, m: int, n: int) -> np.nd
     (2^32 - n) % n, a draw ``integers`` would reject and replace, is drawn
     again with ``default_rng``.
     """
-    raw = np.array([bit_generator(state).random_raw((m + 1) // 2) for state in states])
+    raw = np.empty((len(states), (m + 1) // 2), dtype=np.uint64)
+    for row, bits in zip(raw, bit_generators(states)):
+        row[:] = bits.random_raw(row.size)
     scaled = raw.astype("<u8", copy=False).view("<u4")[:, :m].astype(np.uint64) * np.uint64(n)
     words = scaled >> np.uint64(32)
     rejected = (scaled & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
@@ -291,8 +294,10 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     :attr:`GateSet.group`.  Each task's streams are seeded from one row of a
     uint32 key array holding the words of (master_seed, length_index,
     sequence_index, tag), the entropy :func:`lossbench.core.stream` derives
-    from the same key, by one :func:`lossbench.core.seed_states` call per
-    tag; words are drawn one length at a time by :func:`_sample_words`.
+    from the same key.  One :func:`lossbench.core.seed_states` call hashes
+    every key row of the run, gate streams first and then, with shots, the
+    shot streams; words are drawn one length at a time by
+    :func:`_sample_words`.
 
     Returns each length's mean and standard error over its sequences, with
     the run record in ``metadata``; per-sequence values are not kept.
@@ -306,11 +311,12 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     steps = lengths + (cfg.variant == VARIANT_RB)
     n_tasks = len(lengths)
     seed_words = key_words(cfg.master_seed)
-    keys = np.empty((n_tasks, seed_words.size + 3), dtype=np.uint32)
+    tags = [_GATE_DRAWS] if cfg.shots is None else [_GATE_DRAWS, _SHOT_DRAWS]
+    keys = np.empty((len(tags) * n_tasks, seed_words.size + 3), dtype=np.uint32)
     keys[:, : seed_words.size] = seed_words
-    keys[:, -3] = length_index
-    keys[:, -2] = np.tile(np.arange(n), n_lengths)
-    keys[:, -1] = _GATE_DRAWS
+    keys[:, -3] = np.tile(length_index, len(tags))
+    keys[:, -2] = np.tile(np.arange(n), len(tags) * n_lengths)
+    keys[:, -1] = np.repeat(tags, n_tasks)
     seeds = seed_states(keys)
     # Step-major gate table: row s holds every task's gate at step s.  The
     # tasks of one length are n consecutive rows, drawn as one block.
@@ -346,10 +352,9 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     if cfg.shots is None:
         values = probs
     else:
-        keys[:, -1] = _SHOT_DRAWS
         clicks = [
-            np.random.Generator(bit_generator(state)).binomial(cfg.shots, p)
-            for state, p in zip(seed_states(keys), probs.tolist())
+            np.random.Generator(bits).binomial(cfg.shots, p)
+            for bits, p in zip(bit_generators(seeds[n_tasks:]), probs.tolist())
         ]
         values = np.array(clicks) / cfg.shots
     # Back to (length, sequence) order.

@@ -6,7 +6,7 @@ import pytest
 
 import lossbench as lb
 from lossbench.core import (
-    bit_generator,
+    bit_generators,
     click_probabilities,
     coordinates,
     hermitian_basis,
@@ -40,17 +40,43 @@ def test_stream_is_numpy_seeding_by_the_key_words(key, words):
     assert np.array_equal(draws, np.random.default_rng(key).integers(0, 2**62, size=8))
 
 
-def test_bit_generator_takes_only_a_seed_state():
-    state = seed_states([[1, 2, 3, 4]])
-    # A strided row is copied to the contiguous words PCG64 reads.
-    strided = np.repeat(state, 2, axis=1)[0, ::2]
-    assert np.array_equal(bit_generator(strided).random_raw(3), bit_generator(state[0]).random_raw(3))
-    with pytest.raises(ValueError, match="4 uint64 words"):
-        bit_generator(state[0, :3])
-    with pytest.raises(ValueError, match="4 uint64 words"):
-        bit_generator(state)
+def test_bit_generators_take_only_seed_states():
+    states = seed_states([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
+    # Shapes are checked by the call itself, before any generator is used.
+    for bad in (states[0], states[:, :3], np.hstack((states, states[:, :1]))):
+        with pytest.raises(ValueError, match=r"^seed states are \(streams, 4\) uint64 words, got shape"):
+            bit_generators(bad)
     with pytest.raises(ValueError, match=r"\(streams, words\)"):
         seed_states([1, 2, 3])
+
+
+def test_bit_generators_copy_strided_and_other_dtypes_to_contiguous_uint64():
+    states = seed_states([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
+    reference = [bits.random_raw(5) for bits in bit_generators(states)]
+    # PCG64 reads each state through its data pointer, so each of these
+    # must be copied to contiguous native uint64 rows first.
+    for same in (
+        np.repeat(states, 2, axis=1)[:, ::2],
+        np.asfortranarray(states),
+        states.astype(">u8"),
+        states.view(np.int64),
+        states.tolist(),
+    ):
+        draws = [bits.random_raw(5) for bits in bit_generators(same)]
+        assert np.array_equal(draws, reference)
+
+
+def test_each_bit_generator_keeps_its_own_seed_state():
+    states = seed_states([[1], [2], [3]])
+    seeded = [bits.seed_seq.generate_state(4, np.uint64) for bits in bit_generators(states)]
+    assert np.array_equal(seeded, states)
+
+
+def test_seed_states_of_no_keys_is_empty():
+    for width in (1, 3, 6):
+        states = seed_states(np.zeros((0, width), dtype=np.uint32))
+        assert states.shape == (0, 4) and states.dtype == np.uint64
+        assert list(bit_generators(states)) == []
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5])

@@ -120,8 +120,12 @@ class TestTwirl:
         assert np.allclose(lb.twirl(g, a), expected, atol=1e-12)
 
     def test_dim_mismatch_raises(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match=r"twirl: expected a 2x2 matrix, got shape \(3, 3\)"):
             lb.twirl(lb.pauli_gateset(), np.eye(3))
+
+    def test_unconvertible_matrix_raises(self):
+        with pytest.raises(ValueError, match=r"^twirl: expected a 2x2 matrix of numbers, got \[\[1, 0\], \[0\]\]$"):
+            lb.twirl(lb.pauli_gateset(), [[1, 0], [0]])
 
 
 class TestSequenceAlgebra:

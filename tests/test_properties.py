@@ -15,7 +15,7 @@ import pytest
 import lossbench as lb
 from lossbench import analysis
 from lossbench.core import (
-    bit_generator,
+    bit_generators,
     coordinates,
     hermitian_basis,
     hermitian_part,
@@ -378,7 +378,7 @@ def key_arrays(draw):
 def test_seed_states_are_numpy_seed_sequence_states(keys, k):
     states = seed_states(keys)
     assert states.dtype == np.uint64 and states.shape == (len(keys), 4)
-    for row, state in zip(keys, states):
+    for row, state, bits in zip(keys, states, bit_generators(states)):
         assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
         reference = np.random.default_rng(row).bit_generator.random_raw(k)
-        assert np.array_equal(bit_generator(state).random_raw(k), reference)
+        assert np.array_equal(bits.random_raw(k), reference)
