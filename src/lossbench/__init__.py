@@ -33,7 +33,6 @@ from .core import (
     MeasurementOperator,
     QuantumChannel,
     Violation,
-    apply_channel,
     basis_state,
     expectation,
     maximally_mixed,
@@ -45,18 +44,14 @@ from .gates import (
     GateSet,
     clifford_gateset,
     embed_gateset,
-    embed_in_qutrit,
     inverse_gate,
     pad_to_qutrit,
     pauli_gateset,
-    twirl,
 )
 from .noise import (
     basis_loss_channel,
     coherent_leakage_error,
-    depolarizing_channel,
     detector_model,
-    random_lossy_channel,
     random_orthonormal_basis,
 )
 from .protocol import (
@@ -85,7 +80,6 @@ __all__ = [
     "RBFit",
     "RunConfig",
     "Violation",
-    "apply_channel",
     "average_response",
     "average_survival",
     "b_minus_a_test",
@@ -93,11 +87,9 @@ __all__ = [
     "basis_state",
     "clifford_gateset",
     "coherent_leakage_error",
-    "depolarizing_channel",
     "detector_efficiency",
     "detector_model",
     "embed_gateset",
-    "embed_in_qutrit",
     "exact_sequence_average",
     "expectation",
     "fit_loss_decay",
@@ -110,7 +102,6 @@ __all__ = [
     "pauli_gateset",
     "plateau_test",
     "prop1_check",
-    "random_lossy_channel",
     "random_orthonormal_basis",
     "read_decay_csv",
     "run_protocol",
@@ -118,7 +109,6 @@ __all__ = [
     "sample_sequence",
     "state_survival",
     "stream",
-    "twirl",
     "validate_state",
     "worst_case_loss",
 ]

@@ -5,11 +5,11 @@ around complex numpy matrices.  States may be sub-normalized (trace < 1):
 lossy channels shrink the trace and nothing in this package ever
 renormalizes silently.  Hermiticity and unitarity are measured by
 :func:`hermiticity_deviation` and :func:`unitarity_deviation` alone, and a
-NaN or overflowing deviation fails its check.  For composing many channels,
-:func:`coordinates` and :func:`transfer_matrix` express Hermitian operators
-and Kraus maps as real vectors and real matrices in one orthonormal
-Hermitian operator basis; :func:`transfer_matrix` takes a whole stack of
-Kraus sets in one call.
+NaN or overflowing deviation fails its check.  Channels act on states only
+through :func:`coordinates` and :func:`transfer_matrix`: real vectors and
+real matrices in one orthonormal Hermitian operator basis, a whole stack of
+Kraus sets per call.  The one-state Kraus sum (``apply_channel``) is a test
+reference in ``tests/support.py``.
 
 Random draws come from numpy's PCG64 streams keyed by integer tuples
 (:func:`stream`, which seeds through ``default_rng``).  For many streams at
@@ -317,7 +317,8 @@ class MeasurementOperator:
 
 def basis_state(dim: int, level: int) -> DensityMatrix:
     """The pure state |level><level| on a d-dimensional space."""
-    if not 0 <= level < dim:
+    dim, level = _count("dim", dim, 1), _count("level", level, 0)
+    if not level < dim:
         raise ValueError(f"level must be in [0, {dim}), got {level}")
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[level, level] = 1.0
@@ -326,6 +327,7 @@ def basis_state(dim: int, level: int) -> DensityMatrix:
 
 def maximally_mixed(dim: int) -> DensityMatrix:
     """The maximally mixed state, identity/d."""
+    dim = _count("dim", dim, 1)
     return DensityMatrix(dim, np.eye(dim, dtype=np.complex128) / dim)
 
 
@@ -370,27 +372,6 @@ def validate_state(rho: DensityMatrix) -> list:
             Violation("trace_out_of_range", tr, f"trace {tr!r} outside (0, 1]")
         )
     return violations
-
-
-def _apply_kraus(kraus, mat: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for k in kraus:
-        out += k @ mat @ k.conj().T
-    return out
-
-
-def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the channel: returns sum_i K_i rho K_i^H as a new state.
-
-    The output trace never exceeds the input trace (up to 1e-12); it shrinks
-    exactly by the loss the channel inflicts on ``rho``.  The output is not
-    re-validated, so a deliberately invalid input propagates.
-    """
-    if channel.dim != rho.dim:
-        raise ValueError(
-            f"dimension mismatch: channel dim {channel.dim}, state dim {rho.dim}"
-        )
-    return DensityMatrix(rho.dim, _apply_kraus(channel.kraus, rho.matrix))
 
 
 def hermitian_basis(dim: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Finite unitary gate sets and sequence algebra.
 
 Provides the single-qubit Pauli set (a unitary 1-design) and the 24-element
-single-qubit Clifford group (a unitary 2-design), plus the group-average
-(twirl) map, the group multiplication table, the inverse of a gate word
-(folded through that table), and the qutrit embedding used to study leakage
-outside the qubit subspace.
+single-qubit Clifford group (a unitary 2-design), plus the group
+multiplication table, the inverse of a gate word (folded through that
+table), and the qutrit embedding used to study leakage outside the qubit
+subspace.  The group-average (twirl) map is a test reference in
+``tests/support.py``.
 
 Global phase is physically irrelevant and is quotiented everywhere: gates
 are stored in a canonical form whose first nonzero entry is real positive,
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import UNITARITY_ATOL, _apply_kraus, _as_square_complex, _count, unitarity_deviation
+from .core import UNITARITY_ATOL, _as_square_complex, _count, unitarity_deviation
 
 PHASE_MATCH_ATOL = 1e-10
 
@@ -138,15 +139,6 @@ def clifford_gateset() -> GateSet:
     return GateSet(2, gates, 2, labels)
 
 
-def twirl(gateset: GateSet, a: np.ndarray) -> np.ndarray:
-    """Group average |G|^-1 sum_g U_g A U_g^H.
-
-    For any unitary 1-design this projects A onto Tr(A) * identity / d.
-    """
-    a = _as_square_complex(a, gateset.dim, "twirl")
-    return _apply_kraus(gateset.gates, a) / len(gateset)
-
-
 def inverse_gate(gateset: GateSet, indices) -> int:
     """Index of the gate undoing a sequence up to global phase.
 
@@ -166,25 +158,20 @@ def inverse_gate(gateset: GateSet, indices) -> int:
     return int(inverse[product])
 
 
-def embed_in_qutrit(u: np.ndarray, theta: float) -> np.ndarray:
-    """Block-embed a qubit unitary into a qutrit: U (+) e^{i theta}.
-
-    The extra level picks up only the relative phase theta, so the embedded
-    gate acts trivially on population outside the qubit subspace.
-    """
-    out = pad_to_qutrit(u)
-    out[2, 2] = np.exp(1j * theta)
-    return out
-
-
 def embed_gateset(gateset: GateSet, theta: float) -> GateSet:
-    """Embed every gate of a qubit set into a qutrit with one shared phase.
+    """Embed every gate of a qubit set into a qutrit: U (+) e^{i theta}.
 
-    The embedded set is not a unitary design on d=3, so design_order is 0.
+    The extra level picks up only the shared finite phase ``theta``, so the
+    gates act trivially on population outside the qubit subspace.  The
+    embedded set is not a unitary design on d=3, so design_order is 0.
     """
     if gateset.dim != 2:
         raise ValueError("only qubit gate sets can be embedded into a qutrit")
-    gates = tuple(embed_in_qutrit(u, theta) for u in gateset.gates)
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    gates = tuple(pad_to_qutrit(u) for u in gateset.gates)
+    for gate in gates:
+        gate[2, 2] = np.exp(1j * theta)
     return GateSet(3, gates, 0, gateset.labels)
 
 

@@ -2,8 +2,8 @@
 
 Covers single-basis-level amplitude loss (the channel family with the
 largest state-to-state loss variation), imperfect detectors over a seeded
-random orthonormal basis, random lossy channels for property sweeps,
-depolarizing noise, and the coherent-leakage qutrit error.
+random orthonormal basis, and the coherent-leakage qutrit error.  The random
+lossy and depolarizing test channels are factories in ``tests/support.py``.
 
 All constructors are pure and fully seeded: the same arguments always
 produce bitwise-identical operators.  Each raises ``ValueError`` naming the
@@ -22,7 +22,6 @@ from .core import (
     stream,
     unitarity_deviation,
 )
-from .gates import _PAULIS
 
 
 def basis_loss_channel(alpha: float, level: int, dim: int) -> QuantumChannel:
@@ -35,7 +34,8 @@ def basis_loss_channel(alpha: float, level: int, dim: int) -> QuantumChannel:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not 0 <= level < dim:
+    dim, level = _count("dim", dim, 1), _count("level", level, 0)
+    if not level < dim:
         raise ValueError(f"level must be in [0, {dim}), got {level}")
     k = np.eye(dim, dtype=np.complex128)
     k[level, level] = alpha
@@ -44,7 +44,8 @@ def basis_loss_channel(alpha: float, level: int, dim: int) -> QuantumChannel:
 
 def random_orthonormal_basis(dim: int, seed: int) -> np.ndarray:
     """Orthonormal basis from the QR step of a seeded complex Gaussian."""
-    rng = stream(seed)
+    dim = _count("dim", dim, 1)
+    rng = stream(_count("seed", seed, 0))
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     # Fix the column phases so the factorization is unique.
@@ -69,7 +70,7 @@ def detector_model(eigenvalues, basis_seed: int | None = None, basis=None) -> Me
         raise ValueError("give exactly one of basis_seed and basis")
     d = len(eigs)
     if basis is None:
-        basis = random_orthonormal_basis(d, basis_seed)
+        basis = random_orthonormal_basis(d, _count("basis_seed", basis_seed, 0))
     else:
         basis = _as_square_complex(basis, d, "basis")
         dev = unitarity_deviation(basis)
@@ -79,49 +80,19 @@ def detector_model(eigenvalues, basis_seed: int | None = None, basis=None) -> Me
     return MeasurementOperator(d, hermitian_part(q))
 
 
-def random_lossy_channel(dim: int, loss_scale: float, seed: int) -> QuantumChannel:
-    """A seeded random trace-non-increasing channel, strictly lossy somewhere.
-
-    Construction: a random CPTP channel (Kraus blocks of the QR isometry of
-    a complex Gaussian), followed by a diagonal amplitude attenuation with
-    factors drawn from [1 - loss_scale, 1].
-    """
-    dim = _count("dim", dim, 2)
-    if not 0.0 < loss_scale < 1.0:
-        raise ValueError(f"loss_scale must be in (0, 1), got {loss_scale}")
-    rng = stream(seed)
-    n_kraus = dim * dim
-    a = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
-    isometry, _ = np.linalg.qr(a)  # isometry^H isometry = identity
-    factors = rng.uniform(1.0 - loss_scale, 1.0, size=dim)
-    attenuation = np.diag(factors).astype(np.complex128)
-    kraus = tuple(
-        attenuation @ isometry[i * dim : (i + 1) * dim, :] for i in range(n_kraus)
-    )
-    return QuantumChannel(dim, kraus)
-
-
-def depolarizing_channel(q: float) -> QuantumChannel:
-    """Qubit depolarizing noise rho -> (1-q) rho + q Tr(rho) I/2."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    k0 = np.sqrt(1.0 - 3.0 * q / 4.0) * np.eye(2, dtype=np.complex128)
-    return QuantumChannel(2, (k0, *(np.sqrt(q / 4.0) * _PAULIS[p] for p in "XYZ")))
-
-
 def coherent_leakage_error(epsilon: float, hamiltonian_seed: int) -> QuantumChannel:
     """Fixed random qutrit unitary V = exp(-i epsilon H), a single Kraus.
 
     H is a Hermitian with Gaussian entries drawn from ``hamiltonian_seed``,
-    normalized to unit spectral norm, and ``epsilon`` > 0.  The channel is
+    normalized to unit spectral norm, and 0 < ``epsilon`` < inf.  The channel is
     exactly trace-preserving on the qutrit; apparent loss arises only
     because measurements act on the qubit subspace while V coherently moves
     population in and out of it.  V is built from the eigendecomposition
     H = U diag(w) U^dagger as U diag(exp(-i epsilon w)) U^dagger.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    rng = stream(hamiltonian_seed)
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be in (0, inf), got {epsilon}")
+    rng = stream(_count("hamiltonian_seed", hamiltonian_seed, 0))
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     w, u = np.linalg.eigh(hermitian_part(a))
     w = w / np.max(np.abs(w))

@@ -7,6 +7,11 @@ unitaries one gate at a time (the inverse gate found by matching the
 composed word against every gate up to phase, without the group table),
 the benchmarking curve's B - A from the channel's Kraus image of the state,
 and the survival statistics by direct Monte Carlo over Haar-random pure states.
+
+It also holds the test references and channel factories that no library
+code calls: the one-state Kraus sum (``apply_channel``), the group average
+(``twirl``), and the random lossy and depolarizing channels of the
+property sweeps.
 """
 
 import itertools
@@ -14,8 +19,75 @@ import itertools
 import numpy as np
 
 import lossbench as lb
-from lossbench.core import _apply_kraus, hermitian_part
-from lossbench.gates import PHASE_MATCH_ATOL
+from lossbench.core import (
+    DensityMatrix,
+    QuantumChannel,
+    _as_square_complex,
+    _count,
+    hermitian_part,
+    stream,
+)
+from lossbench.gates import PHASE_MATCH_ATOL, GateSet, _PAULIS
+
+
+def _apply_kraus(kraus, mat: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(mat)
+    for k in kraus:
+        out += k @ mat @ k.conj().T
+    return out
+
+
+def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Apply the channel: returns sum_i K_i rho K_i^H as a new state.
+
+    The output trace never exceeds the input trace (up to 1e-12); it shrinks
+    exactly by the loss the channel inflicts on ``rho``.  The output is not
+    re-validated, so a deliberately invalid input propagates.
+    """
+    if channel.dim != rho.dim:
+        raise ValueError(
+            f"dimension mismatch: channel dim {channel.dim}, state dim {rho.dim}"
+        )
+    return DensityMatrix(rho.dim, _apply_kraus(channel.kraus, rho.matrix))
+
+
+def twirl(gateset: GateSet, a: np.ndarray) -> np.ndarray:
+    """Group average |G|^-1 sum_g U_g A U_g^H.
+
+    For any unitary 1-design this projects A onto Tr(A) * identity / d.
+    """
+    a = _as_square_complex(a, gateset.dim, "twirl")
+    return _apply_kraus(gateset.gates, a) / len(gateset)
+
+
+def random_lossy_channel(dim: int, loss_scale: float, seed: int) -> QuantumChannel:
+    """A seeded random trace-non-increasing channel, strictly lossy somewhere.
+
+    Construction: a random CPTP channel (Kraus blocks of the QR isometry of
+    a complex Gaussian), followed by a diagonal amplitude attenuation with
+    factors drawn from [1 - loss_scale, 1].
+    """
+    dim = _count("dim", dim, 2)
+    if not 0.0 < loss_scale < 1.0:
+        raise ValueError(f"loss_scale must be in (0, 1), got {loss_scale}")
+    rng = stream(seed)
+    n_kraus = dim * dim
+    a = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
+    isometry, _ = np.linalg.qr(a)  # isometry^H isometry = identity
+    factors = rng.uniform(1.0 - loss_scale, 1.0, size=dim)
+    attenuation = np.diag(factors).astype(np.complex128)
+    kraus = tuple(
+        attenuation @ isometry[i * dim : (i + 1) * dim, :] for i in range(n_kraus)
+    )
+    return QuantumChannel(dim, kraus)
+
+
+def depolarizing_channel(q: float) -> QuantumChannel:
+    """Qubit depolarizing noise rho -> (1-q) rho + q Tr(rho) I/2."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    k0 = np.sqrt(1.0 - 3.0 * q / 4.0) * np.eye(2, dtype=np.complex128)
+    return QuantumChannel(2, (k0, *(np.sqrt(q / 4.0) * _PAULIS[p] for p in "XYZ")))
 
 
 def enumerate_average(gateset, channel, rho, q, m):

@@ -15,7 +15,14 @@ import numpy as np
 
 import lossbench as lb
 from conftest import record_criterion
-from support import enumerate_average, exact_b_minus_a, random_density, random_povm
+from support import (
+    depolarizing_channel,
+    enumerate_average,
+    exact_b_minus_a,
+    random_density,
+    random_lossy_channel,
+    random_povm,
+)
 
 
 def bundled_config(name):
@@ -55,7 +62,7 @@ def test_criterion_2_sequence_average_identities():
     pauli = lb.pauli_gateset()
     worst = 0.0
     for i in range(20):
-        channel = lb.random_lossy_channel(2, 0.4, 100 + i)
+        channel = random_lossy_channel(2, 0.4, 100 + i)
         rho = random_density(2, 200 + i)
         q = random_povm(2, 300 + i)
         cfg = lb.ProtocolConfig(
@@ -88,7 +95,7 @@ def test_criterion_3_worst_case_bound_and_its_saturation():
     min_slack = np.inf
     for dim in (2, 3, 4):
         for seed in range(1000):
-            report = lb.prop1_check(lb.random_lossy_channel(dim, 0.7, seed))
+            report = lb.prop1_check(random_lossy_channel(dim, 0.7, seed))
             min_slack = min(min_slack, report.slack)
             assert report.satisfied, f"dim={dim} seed={seed}: {report}"
 
@@ -132,7 +139,7 @@ def test_criterion_4_fit_uncertainty_coverage():
 
 
 def test_criterion_5_benchmarking_agrees_with_loss_protocol():
-    channel = lb.depolarizing_channel(0.02)
+    channel = depolarizing_channel(0.02)
     rho0 = lb.basis_state(2, 0)
     q_proj = lb.MeasurementOperator(2, np.diag([1.0, 0.0]))
     clifford = lb.clifford_gateset()

@@ -8,7 +8,13 @@ import lossbench as lb
 from lossbench import analysis
 from lossbench.analysis import RBFit
 from lossbench.core import coordinates, transfer_matrix
-from support import exact_b_minus_a, haar_states, random_density
+from support import (
+    depolarizing_channel,
+    exact_b_minus_a,
+    haar_states,
+    random_density,
+    random_lossy_channel,
+)
 
 
 class TestSurvivalRates:
@@ -24,7 +30,7 @@ class TestSurvivalRates:
         assert lb.average_survival(ch) == pytest.approx(0.99005)
 
     def test_state_survival_is_scale_invariant(self):
-        ch = lb.random_lossy_channel(2, 0.5, 3)
+        ch = random_lossy_channel(2, 0.5, 3)
         rho = random_density(2, 4)
         shrunk = lb.DensityMatrix(2, 0.25 * rho.matrix)
         assert lb.state_survival(ch, shrunk) == pytest.approx(
@@ -32,7 +38,7 @@ class TestSurvivalRates:
         )
 
     def test_zero_trace_raises(self):
-        ch = lb.depolarizing_channel(0.1)
+        ch = depolarizing_channel(0.1)
         with pytest.raises(ValueError, match="positive trace"):
             lb.state_survival(ch, lb.DensityMatrix(2, np.zeros((2, 2))))
 
@@ -48,14 +54,14 @@ class TestSurvivalRates:
     def test_non_finite_state_raises(self, matrix, message):
         # A NaN or overflowing trace fails 0 < trace < inf, and a NaN rate
         # fails the range test; none may come back as NaN or warn.
-        ch = lb.depolarizing_channel(0.1)
+        ch = depolarizing_channel(0.1)
         with pytest.raises(ValueError, match=message):
             lb.state_survival(ch, lb.DensityMatrix(2, matrix))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_average_survival_matches_haar_mean(self, dim):
         # 5 sigma against a 10^4-state Monte Carlo estimate
-        ch = lb.random_lossy_channel(dim, 0.5, 900 + dim)
+        ch = random_lossy_channel(dim, 0.5, 900 + dim)
         mop = sum(k.conj().T @ k for k in ch.kraus)
         vs = haar_states(dim, 10_000, 40 + dim)
         surv = np.real(np.einsum("si,ij,sj->s", vs.conj(), mop, vs))
@@ -71,7 +77,7 @@ class TestWorstCaseLoss:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_dominates_sampled_states(self, dim):
         # the eigenvalue solution must upper-bound a 10^5-state random search
-        ch = lb.random_lossy_channel(dim, 0.5, 900 + dim)
+        ch = random_lossy_channel(dim, 0.5, 900 + dim)
         mop = sum(k.conj().T @ k for k in ch.kraus)
         vs = haar_states(dim, 100_000, 50 + dim)
         sampled = 1.0 - np.real(np.einsum("si,ij,sj->s", vs.conj(), mop, vs))
@@ -84,7 +90,7 @@ class TestProp1Check:
     def test_random_channels_satisfy_bound(self):
         for dim in (2, 3, 4):
             for seed in range(10):
-                report = lb.prop1_check(lb.random_lossy_channel(dim, 0.7, seed))
+                report = lb.prop1_check(random_lossy_channel(dim, 0.7, seed))
                 assert report.satisfied
                 assert report.slack >= -1e-10
                 assert 0.0 <= report.complement_survival <= 1.0 + 1e-12
@@ -98,7 +104,7 @@ class TestProp1Check:
             assert report.complement_survival == pytest.approx(1.0, abs=1e-12)
 
     def test_report_fields_consistent(self):
-        ch = lb.random_lossy_channel(3, 0.4, 17)
+        ch = random_lossy_channel(3, 0.4, 17)
         report = lb.prop1_check(ch)
         assert report.avg_loss == pytest.approx(1.0 - lb.average_survival(ch))
         assert report.worst_loss == pytest.approx(lb.worst_case_loss(ch))
@@ -112,7 +118,7 @@ class TestProp1Check:
     def test_losses_are_the_clamped_survival_functions(self):
         # Trace-preserving leakage unitaries sit at the clamp: unclamped,
         # epsilon = 0.1 with seed 3 gives an average loss of -1.1e-15.
-        channels = [lb.random_lossy_channel(d, 0.5, seed) for d in (2, 3) for seed in range(100)]
+        channels = [random_lossy_channel(d, 0.5, seed) for d in (2, 3) for seed in range(100)]
         channels += [lb.coherent_leakage_error(0.1, seed) for seed in range(50)]
         for ch in channels:
             report = lb.prop1_check(ch)
@@ -738,7 +744,7 @@ class TestMarkovianityTests:
         assert report.b_minus_m1 == rb.B_hat - 0.5
         assert report.b_minus_m1_sigma == math.hypot(rb.stderr_B, 0.016)
         exact = exact_b_minus_a(
-            lb.depolarizing_channel(0.02),
+            depolarizing_channel(0.02),
             lb.basis_state(2, 0),
             lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
         )
@@ -801,7 +807,7 @@ class TestMarkovianityTests:
         q = lb.MeasurementOperator(3, lb.pad_to_qutrit(np.eye(2)))
         channels = [
             lb.coherent_leakage_error(epsilon=0.1, hamiltonian_seed=3),
-            lb.random_lossy_channel(3, 0.4, 21),
+            random_lossy_channel(3, 0.4, 21),
         ]
         for channel in channels:
             evolved = transfer_matrix(channel.kraus) @ coordinates(rho.matrix)
@@ -838,7 +844,7 @@ class TestMarkovianityTests:
         # exact m = 1 value 1/2 would raise a false M1_MISMATCH.
         cfg = lb.ProtocolConfig(
             lb.clifford_gateset(),
-            lb.depolarizing_channel(0.02),
+            depolarizing_channel(0.02),
             lb.basis_state(2, 0),
             lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
             tuple(range(2, 61, 2)),

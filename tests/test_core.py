@@ -14,6 +14,7 @@ from lossbench.core import (
     key_words,
     seed_states,
 )
+from support import apply_channel, depolarizing_channel, random_lossy_channel
 
 
 def test_stream_is_deterministic_and_key_separated():
@@ -100,6 +101,30 @@ def test_dim_is_an_integer_stored_as_int(name):
     assert type(build(np.int64(2), np.eye(2)).dim) is int
     with pytest.raises(ValueError, match=r"^dim must be an integer >= 1, got 2\.5$"):
         build(2.5, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lb.basis_state(2, 1.5), r"^level must be an integer >= 0, got 1\.5$"),
+        (lambda: lb.basis_state(2.0, 0), r"^dim must be an integer >= 1, got 2\.0$"),
+        (lambda: lb.maximally_mixed(2.0), r"^dim must be an integer >= 1, got 2\.0$"),
+        (lambda: lb.basis_loss_channel(0.5, 1.5, 2), r"^level must be an integer >= 0, got 1\.5$"),
+        (lambda: lb.basis_loss_channel(0.5, 0, 2.0), r"^dim must be an integer >= 1, got 2\.0$"),
+        (lambda: lb.random_orthonormal_basis(2.5, 1), r"^dim must be an integer >= 1, got 2\.5$"),
+    ],
+    ids=[
+        "basis_state-level",
+        "basis_state-dim",
+        "maximally_mixed-dim",
+        "basis_loss_channel-level",
+        "basis_loss_channel-dim",
+        "random_orthonormal_basis-dim",
+    ],
+)
+def test_constructor_counts_go_through_the_count_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("matrix", [[[1, 0], [0]], [["x", 0], [0, 1]]], ids=["ragged", "string"])
@@ -253,18 +278,18 @@ class TestMeasurementOperator:
 class TestApplyChannel:
     def test_lossy_channel_shrinks_trace(self):
         ch = lb.basis_loss_channel(alpha=0.5, level=1, dim=2)
-        out = lb.apply_channel(ch, lb.basis_state(2, 1))
+        out = apply_channel(ch, lb.basis_state(2, 1))
         assert out.trace == pytest.approx(0.25)
 
     def test_unaffected_state_keeps_trace(self):
         ch = lb.basis_loss_channel(alpha=0.5, level=1, dim=2)
-        out = lb.apply_channel(ch, lb.basis_state(2, 0))
+        out = apply_channel(ch, lb.basis_state(2, 0))
         assert out.trace == pytest.approx(1.0)
 
     def test_dim_mismatch_raises(self):
-        ch = lb.depolarizing_channel(0.1)
+        ch = depolarizing_channel(0.1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            lb.apply_channel(ch, lb.maximally_mixed(3))
+            apply_channel(ch, lb.maximally_mixed(3))
 
 
 class TestSurvivalOperator:
@@ -274,13 +299,13 @@ class TestSurvivalOperator:
 
     def test_bounded_by_identity_for_random_channels(self):
         for seed in range(5):
-            ch = lb.random_lossy_channel(3, 0.6, seed)
+            ch = random_lossy_channel(3, 0.6, seed)
             eigs = np.linalg.eigvalsh(ch.survival_operator)
             assert eigs[0] >= -1e-12
             assert eigs[-1] <= 1.0 + 1e-10
 
     def test_matrix_helper_matches(self):
-        ch = lb.random_lossy_channel(2, 0.4, 11)
+        ch = random_lossy_channel(2, 0.4, 11)
         m = ch.survival_operator
         assert np.allclose(m, sum(k.conj().T @ k for k in ch.kraus))
         # Stored when the channel is built, with its eigendecomposition.

@@ -3,7 +3,7 @@ import pytest
 
 import lossbench as lb
 from lossbench.gates import canonical_phase
-from support import compose_sequence, inverse_by_phase_match, phase_equal
+from support import compose_sequence, inverse_by_phase_match, phase_equal, twirl
 
 
 def frame_potential(gateset, t):
@@ -117,15 +117,15 @@ class TestTwirl:
         rng = lb.stream(31)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         expected = np.trace(a) * np.eye(2) / 2.0
-        assert np.allclose(lb.twirl(g, a), expected, atol=1e-12)
+        assert np.allclose(twirl(g, a), expected, atol=1e-12)
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError, match=r"twirl: expected a 2x2 matrix, got shape \(3, 3\)"):
-            lb.twirl(lb.pauli_gateset(), np.eye(3))
+            twirl(lb.pauli_gateset(), np.eye(3))
 
     def test_unconvertible_matrix_raises(self):
         with pytest.raises(ValueError, match=r"^twirl: expected a 2x2 matrix of numbers, got \[\[1, 0\], \[0\]\]$"):
-            lb.twirl(lb.pauli_gateset(), [[1, 0], [0]])
+            twirl(lb.pauli_gateset(), [[1, 0], [0]])
 
 
 class TestSequenceAlgebra:
@@ -206,15 +206,17 @@ class TestMultiplicationTable:
 class TestQutritEmbedding:
     def test_block_structure_and_phase(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        v = lb.embed_in_qutrit(x, 0.5)
+        v = lb.embed_gateset(lb.pauli_gateset(), 0.5).gates[1]
         assert np.allclose(v[:2, :2], x)
         assert v[2, 2] == pytest.approx(np.exp(0.5j))
         assert np.allclose(v[2, :2], 0.0) and np.allclose(v[:2, 2], 0.0)
         assert np.allclose(v.conj().T @ v, np.eye(3))
 
     def test_wrong_shape_raises(self):
-        with pytest.raises(ValueError, match="2x2"):
-            lb.embed_in_qutrit(np.eye(3), 0.0)
+        with pytest.raises(ValueError, match=r"^pad_to_qutrit: expected a 2x2 matrix, got shape \(3, 3\)$"):
+            lb.pad_to_qutrit(np.eye(3))
+        with pytest.raises(ValueError, match="^only qubit gate sets can be embedded into a qutrit$"):
+            lb.embed_gateset(lb.GateSet(3, (np.eye(3),), 0, ("I",)), 0.0)
 
     def test_embed_gateset(self):
         g = lb.embed_gateset(lb.pauli_gateset(), 0.3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lossbench as lb
+from support import apply_channel, depolarizing_channel, random_lossy_channel
 
 
 class TestBasisLossChannel:
@@ -77,43 +78,43 @@ class TestDetectorModel:
 
 class TestRandomLossyChannel:
     def test_deterministic(self):
-        a = lb.random_lossy_channel(3, 0.5, 42)
-        b = lb.random_lossy_channel(3, 0.5, 42)
+        a = random_lossy_channel(3, 0.5, 42)
+        b = random_lossy_channel(3, 0.5, 42)
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
 
     def test_is_lossy_but_valid(self):
         for seed in range(5):
-            ch = lb.random_lossy_channel(2, 0.5, seed)
+            ch = random_lossy_channel(2, 0.5, seed)
             assert lb.average_survival(ch) < 1.0
             eigs = np.linalg.eigvalsh(ch.survival_operator)
             assert eigs[0] > 0.0
 
     def test_kraus_count(self):
-        assert len(lb.random_lossy_channel(3, 0.2, 0).kraus) == 9
+        assert len(random_lossy_channel(3, 0.2, 0).kraus) == 9
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="dim"):
-            lb.random_lossy_channel(1, 0.5, 0)
+            random_lossy_channel(1, 0.5, 0)
         with pytest.raises(ValueError, match="loss_scale"):
-            lb.random_lossy_channel(2, 0.0, 0)
+            random_lossy_channel(2, 0.0, 0)
 
 
 class TestDepolarizingChannel:
     def test_action_on_state(self):
         q = 0.3
-        ch = lb.depolarizing_channel(q)
+        ch = depolarizing_channel(q)
         rho = lb.basis_state(2, 0)
-        out = lb.apply_channel(ch, rho)
+        out = apply_channel(ch, rho)
         expected = (1 - q) * rho.matrix + q * np.eye(2) / 2.0
         assert np.allclose(out.matrix, expected, atol=1e-12)
 
     def test_trace_preserving(self):
-        ch = lb.depolarizing_channel(0.1)
+        ch = depolarizing_channel(0.1)
         assert np.allclose(ch.survival_operator, np.eye(2), atol=1e-12)
 
     def test_q_validation(self):
         with pytest.raises(ValueError, match="q must be"):
-            lb.depolarizing_channel(-0.1)
+            depolarizing_channel(-0.1)
 
 
 class TestCoherentLeakageError:
@@ -136,7 +137,7 @@ class TestCoherentLeakageError:
     def test_moves_population_out_of_qubit_subspace(self):
         ch = lb.coherent_leakage_error(epsilon=0.3, hamiltonian_seed=5)
         rho = lb.DensityMatrix(3, lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
-        out = lb.apply_channel(ch, rho)
+        out = apply_channel(ch, rho)
         qubit_weight = float(np.real(out.matrix[0, 0] + out.matrix[1, 1]))
         assert qubit_weight < 1.0 - 1e-6
 
@@ -156,3 +157,45 @@ class TestCoherentLeakageError:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
             lb.coherent_leakage_error(epsilon=0.0, hamiltonian_seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: lb.detector_model((0.9, 0.8), basis_seed=-1),
+            r"^basis_seed must be an integer >= 0, got -1$",
+        ),
+        (
+            lambda: lb.coherent_leakage_error(0.1, -1),
+            r"^hamiltonian_seed must be an integer >= 0, got -1$",
+        ),
+        (
+            lambda: lb.coherent_leakage_error(float("inf"), 1),
+            r"^epsilon must be in \(0, inf\), got inf$",
+        ),
+        (
+            lambda: lb.coherent_leakage_error(float("nan"), 1),
+            r"^epsilon must be in \(0, inf\), got nan$",
+        ),
+        (
+            lambda: lb.embed_gateset(lb.pauli_gateset(), float("nan")),
+            r"^theta must be finite, got nan$",
+        ),
+        (
+            lambda: lb.embed_gateset(lb.pauli_gateset(), float("-inf")),
+            r"^theta must be finite, got -inf$",
+        ),
+    ],
+    ids=[
+        "detector_model-basis_seed",
+        "coherent_leakage_error-hamiltonian_seed",
+        "coherent_leakage_error-epsilon-inf",
+        "coherent_leakage_error-epsilon-nan",
+        "embed_gateset-theta-nan",
+        "embed_gateset-theta-inf",
+    ],
+)
+def test_errors_name_the_argument_at_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -22,6 +22,7 @@ from lossbench.core import (
     seed_states,
     transfer_matrix,
 )
+from support import apply_channel
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -195,7 +196,7 @@ def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
     entries = st.floats(-1.0, 1.0, allow_nan=False)
     parts = np.array(data.draw(st.lists(entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
     rho = lb.DensityMatrix(dim, hermitian_part((parts[0::2] + 1j * parts[1::2]).reshape(dim, dim)))
-    image = coordinates(lb.apply_channel(channel, rho).matrix)
+    image = coordinates(apply_channel(channel, rho).matrix)
     assert np.max(np.abs(t @ coordinates(rho.matrix) - image)) <= 1e-13
 
 

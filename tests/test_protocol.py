@@ -13,6 +13,7 @@ from support import (
     enumerate_average_naive,
     execute_sequence,
     random_density,
+    random_lossy_channel,
     random_povm,
 )
 
@@ -214,10 +215,10 @@ def qutrit_leakage_config(**overrides):
 
 ORACLE_CONFIGS = {
     "pauli": lambda **kw: fig1_style_config(
-        noise=lb.random_lossy_channel(2, 0.3, 5), rho0=random_density(2, 6), **kw
+        noise=random_lossy_channel(2, 0.3, 5), rho0=random_density(2, 6), **kw
     ),
     "clifford": lambda **kw: fig1_style_config(
-        gateset=lb.clifford_gateset(), noise=lb.random_lossy_channel(2, 0.3, 7), **kw
+        gateset=lb.clifford_gateset(), noise=random_lossy_channel(2, 0.3, 7), **kw
     ),
     "qutrit": qutrit_leakage_config,
 }
@@ -413,7 +414,7 @@ class TestExactSequenceAverage:
     def test_matches_closed_form_for_random_channels(self):
         for seed in range(3):
             cfg = fig1_style_config(
-                noise=lb.random_lossy_channel(2, 0.4, seed),
+                noise=random_lossy_channel(2, 0.4, seed),
                 rho0=random_density(2, seed + 50),
                 q_op=random_povm(2, seed + 90),
             )
@@ -429,7 +430,7 @@ class TestExactSequenceAverage:
 
     def test_matches_brute_force_enumeration(self):
         qubit = fig1_style_config(
-            noise=lb.random_lossy_channel(2, 0.3, 5),
+            noise=random_lossy_channel(2, 0.3, 5),
             rho0=random_density(2, 6),
             q_op=random_povm(2, 8),
         )
