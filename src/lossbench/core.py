@@ -24,6 +24,7 @@ Tolerance conventions:
     (trace-non-increase of composed channels, probability clamping).
 """
 
+import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -49,6 +50,13 @@ def _count(name: str, value, least: int) -> int:
     return count
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a real number."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _lengths(name: str, values) -> tuple:
     """``values`` as a tuple of ints, strictly increasing from >= 1; ValueError otherwise."""
     try:
@@ -69,7 +77,9 @@ def key_words(*key: int) -> np.ndarray:
     least one), concatenated in key order, so ``default_rng(key_words(*key))``
     and ``default_rng(key)`` are the same stream.  Handing numpy the words
     skips its per-call coercion of the tuple, and rows of a uint32 array
-    built from these words seed many streams at once.
+    built from these words seed many streams at once.  numpy hashes a word
+    missing from its 4-word pool as a zero word, so word lists of at most 4
+    words that differ only by trailing zeros seed the same stream.
     """
     words = []
     for k in key:
@@ -84,10 +94,13 @@ def key_words(*key: int) -> np.ndarray:
 def stream(*key: int) -> np.random.Generator:
     """Return an RNG stream keyed by a tuple of nonnegative integers.
 
-    Streams derived from distinct keys are statistically independent, and
-    the mapping key -> stream is fixed, so simulation results do not depend
-    on the order in which tasks run.  One stream per logical task; streams
-    are stateful and must not be shared across tasks.
+    The mapping key -> stream is fixed, so simulation results do not depend
+    on the order in which tasks run.  Keys whose :func:`key_words` differ
+    only by trailing zero words, up to 4 words, give the same stream:
+    ``stream(s, a, b)`` draws what ``stream(s, a, b, 0)`` draws.  Keys with
+    the same number of words, or past 4 words, give statistically
+    independent streams when distinct.  One stream per logical task;
+    streams are stateful and must not be shared across tasks.
     """
     return np.random.default_rng(key_words(*key))
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import UNITARITY_ATOL, _as_square_complex, _count, unitarity_deviation
+from .core import UNITARITY_ATOL, _as_square_complex, _count, _real, unitarity_deviation
 
 PHASE_MATCH_ATOL = 1e-10
 
@@ -167,6 +167,7 @@ def embed_gateset(gateset: GateSet, theta: float) -> GateSet:
     """
     if gateset.dim != 2:
         raise ValueError("only qubit gate sets can be embedded into a qutrit")
+    theta = _real("theta", theta)
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     gates = tuple(pad_to_qutrit(u) for u in gateset.gates)

@@ -18,6 +18,7 @@ from .core import (
     QuantumChannel,
     _as_square_complex,
     _count,
+    _real,
     hermitian_part,
     stream,
     unitarity_deviation,
@@ -32,6 +33,7 @@ def basis_loss_channel(alpha: float, level: int, dim: int) -> QuantumChannel:
     basis level is untouched.  The worst-case loss is then exactly d times
     the average loss: the extreme point of the worst/average bound.
     """
+    alpha = _real("alpha", alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     dim, level = _count("dim", dim, 1), _count("level", level, 0)
@@ -60,7 +62,7 @@ def detector_model(eigenvalues, basis_seed: int | None = None, basis=None) -> Me
     The average detector response over all states is the eigenvalue mean
     Tr(Q)/d, independent of the basis.
     """
-    eigs = tuple(float(e) for e in eigenvalues)
+    eigs = tuple(_real(f"eigenvalues[{i}]", e) for i, e in enumerate(eigenvalues))
     if not eigs:
         raise ValueError("eigenvalues must be nonempty")
     for i, e in enumerate(eigs):
@@ -90,6 +92,7 @@ def coherent_leakage_error(epsilon: float, hamiltonian_seed: int) -> QuantumChan
     population in and out of it.  V is built from the eigendecomposition
     H = U diag(w) U^dagger as U diag(exp(-i epsilon w)) U^dagger.
     """
+    epsilon = _real("epsilon", epsilon)
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be in (0, inf), got {epsilon}")
     rng = stream(_count("hamiltonian_seed", hamiltonian_seed, 0))

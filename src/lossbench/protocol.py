@@ -12,16 +12,18 @@ Hermitian operator basis, all |G| built by one batched
 :func:`lossbench.core.transfer_matrix` call.  All (length, sequence) tasks
 evolve together as rows of one real array of state coordinates, each step
 one matrix product against the C-ordered side-by-side transfer matrices.
-Every task draws its gate word and its shots from its own RNG streams keyed
-by (master_seed, length_index, sequence_index), so datasets are
-bit-reproducible regardless of the order in which tasks are evaluated.
-The engine seeds all of a run's streams, gate and shot, with one batched
-SeedSequence hash (:func:`lossbench.core.seed_states`), hands the states to
-numpy's PCG64 (:func:`lossbench.core.bit_generators`) and maps each length's
-gate draws in bulk, as ``Generator.integers`` maps them; every draw equals
-the one ``default_rng(key)`` gives.  :func:`sample_sequence` draws one word
-from one ``default_rng`` stream; the one-sequence Kraus reference engine the
-batched engine is tested against lives with the test oracles.
+Every task draws its gate word from its own RNG stream keyed by
+(master_seed, length_index, sequence_index, 0).  With shots, each length
+draws its sequences' click counts, in sequence order, with one ``binomial``
+call on its own stream keyed by (master_seed, length_index, 0, 1).  So
+datasets are bit-reproducible regardless of the order in which tasks are
+evaluated.  The engine seeds all of a run's streams, gate and shot, with one
+batched SeedSequence hash (:func:`lossbench.core.seed_states`), hands the
+states to numpy's PCG64 (:func:`lossbench.core.bit_generators`) and maps each
+length's gate draws in bulk, as ``Generator.integers`` maps them; every draw
+equals the one ``default_rng(key)`` gives.  :func:`sample_sequence` draws one
+word from one ``default_rng`` stream; the one-sequence Kraus reference engine
+the batched engine is tested against lives with the test oracles.
 """
 
 import csv
@@ -53,7 +55,8 @@ VARIANT_RB = "rb"
 
 CSV_HEADER = ("m", "mean", "sem", "n_sequences", "shots")
 
-# Sub-stream tags appended to (master_seed, m_index, seq_index).
+# Sub-stream tags: (master_seed, m_index, seq_index, 0) keys a task's gate
+# word, (master_seed, m_index, 0, 1) a length's click counts.
 _GATE_DRAWS = 0
 _SHOT_DRAWS = 1
 
@@ -291,13 +294,15 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     running at any step are a prefix of the array.  The benchmarking variant
     appends to each word, as one more step, the inverse of the element the
     word folds to in the gate set's multiplication table,
-    :attr:`GateSet.group`.  Each task's streams are seeded from one row of a
-    uint32 key array holding the words of (master_seed, length_index,
-    sequence_index, tag), the entropy :func:`lossbench.core.stream` derives
-    from the same key.  One :func:`lossbench.core.seed_states` call hashes
-    every key row of the run, gate streams first and then, with shots, the
-    shot streams; words are drawn one length at a time by
-    :func:`_sample_words`.
+    :attr:`GateSet.group`.  Each stream is seeded from one row of a uint32
+    key array holding the words of its key, the entropy
+    :func:`lossbench.core.stream` derives from the same key: (master_seed,
+    length_index, sequence_index, 0) for each task's gate word, then, with
+    shots, (master_seed, length_index, 0, 1) for each length's click
+    counts.  One :func:`lossbench.core.seed_states` call hashes every key
+    row of the run; words are drawn one length at a time by
+    :func:`_sample_words`, and a length's clicks by one ``binomial`` call
+    over its sequences' click probabilities, in sequence order.
 
     Returns each length's mean and standard error over its sequences, with
     the run record in ``metadata``; per-sequence values are not kept.
@@ -311,12 +316,13 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     steps = lengths + (cfg.variant == VARIANT_RB)
     n_tasks = len(lengths)
     seed_words = key_words(cfg.master_seed)
-    tags = [_GATE_DRAWS] if cfg.shots is None else [_GATE_DRAWS, _SHOT_DRAWS]
-    keys = np.empty((len(tags) * n_tasks, seed_words.size + 3), dtype=np.uint32)
+    # One gate key row per task; with shots, then one shot key row per length.
+    shot_lengths = length_index[::n] if cfg.shots is not None else length_index[:0]
+    keys = np.zeros((n_tasks + len(shot_lengths), seed_words.size + 3), dtype=np.uint32)
     keys[:, : seed_words.size] = seed_words
-    keys[:, -3] = np.tile(length_index, len(tags))
-    keys[:, -2] = np.tile(np.arange(n), len(tags) * n_lengths)
-    keys[:, -1] = np.repeat(tags, n_tasks)
+    keys[:, -3] = np.concatenate([length_index, shot_lengths])
+    keys[:n_tasks, -2] = np.tile(np.arange(n), n_lengths)
+    keys[:, -1] = np.repeat([_GATE_DRAWS, _SHOT_DRAWS], [n_tasks, len(shot_lengths)])
     seeds = seed_states(keys)
     # Step-major gate table: row s holds every task's gate at step s.  The
     # tasks of one length are n consecutive rows, drawn as one block.
@@ -352,10 +358,8 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     if cfg.shots is None:
         values = probs
     else:
-        clicks = [
-            np.random.Generator(bits).binomial(cfg.shots, p)
-            for bits, p in zip(bit_generators(seeds[n_tasks:]), probs.tolist())
-        ]
+        per_length = zip(bit_generators(seeds[n_tasks:]), probs.reshape(n_lengths, n))
+        clicks = [np.random.Generator(bits).binomial(cfg.shots, p) for bits, p in per_length]
         values = np.array(clicks) / cfg.shots
     # Back to (length, sequence) order.
     values = values.reshape(n_lengths, n)[::-1]

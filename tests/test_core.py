@@ -25,6 +25,17 @@ def test_stream_is_deterministic_and_key_separated():
     assert not np.array_equal(a, c)
 
 
+def test_short_keys_draw_their_zero_padded_streams():
+    # numpy hashes a word missing from its 4-word pool as a zero word.
+    def draws(*key):
+        return lb.stream(*key).integers(0, 2**62, size=8)
+
+    assert np.array_equal(draws(42, 3, 1), draws(42, 3, 1, 0))
+    assert np.array_equal(draws(7), draws(7, 0, 0, 0))
+    # Past the pool, a trailing zero word is one more word hashed in.
+    assert not np.array_equal(draws(42, 3, 1, 0), draws(42, 3, 1, 0, 0))
+
+
 @pytest.mark.parametrize(
     "key, words",
     [

@@ -186,6 +186,22 @@ class TestCoherentLeakageError:
             lambda: lb.embed_gateset(lb.pauli_gateset(), float("-inf")),
             r"^theta must be finite, got -inf$",
         ),
+        (
+            lambda: lb.embed_gateset(lb.pauli_gateset(), "x"),
+            r"^theta must be a real number, got 'x'$",
+        ),
+        (
+            lambda: lb.coherent_leakage_error("a", 1),
+            r"^epsilon must be a real number, got 'a'$",
+        ),
+        (
+            lambda: lb.basis_loss_channel("a", 0, 2),
+            r"^alpha must be a real number, got 'a'$",
+        ),
+        (
+            lambda: lb.detector_model(("a", 0.5), basis_seed=1),
+            r"^eigenvalues\[0\] must be a real number, got 'a'$",
+        ),
     ],
     ids=[
         "detector_model-basis_seed",
@@ -194,6 +210,10 @@ class TestCoherentLeakageError:
         "coherent_leakage_error-epsilon-nan",
         "embed_gateset-theta-nan",
         "embed_gateset-theta-inf",
+        "embed_gateset-theta-str",
+        "coherent_leakage_error-epsilon-str",
+        "basis_loss_channel-alpha-str",
+        "detector_model-eigenvalues-str",
     ],
 )
 def test_errors_name_the_argument_at_fault(call, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 
@@ -270,6 +271,29 @@ class TestRunProtocol:
         exact = lb.exact_sequence_average(cfg, 3)
         assert abs(ds.means[0] - exact) < 5 * ds.sems[0]
 
+    def test_shot_draws_are_fresh_per_sequence_and_per_length(self, monkeypatch):
+        # A lossless channel and Q = I/2 give every sequence p = 1/2, so the
+        # click fractions are pure shot noise.  A draw or a stream reused
+        # across sequences shrinks a length's variance; one reused across
+        # lengths repeats its mean.
+        p, shots, n = 0.5, 100, 200
+        cfg = fig1_style_config(
+            noise=lb.QuantumChannel(2, (np.eye(2),)),
+            q_op=lb.detector_model((p, p), basis_seed=7),
+            m_grid=(1, 2, 5, 9),
+            n_sequences=n,
+            shots=shots,
+            master_seed=3,
+        )
+        calls = []
+        monkeypatch.setattr(lb.protocol, "seed_states", lambda k: calls.append(k) or seed_states(k))
+        ds = lb.run_protocol(cfg)
+        assert len(calls) == 1
+        # (n - 1) s^2 / sigma^2 is close to chi^2 with n - 1 degrees of freedom.
+        ratio = ds.sems**2 * n / (p * (1 - p) / shots)
+        assert np.all(np.abs(ratio - 1) < 6 * np.sqrt(2 / (n - 1)))
+        assert len(set(ds.means.tolist())) > 1
+
 
 class TestBatchedEngineOracle:
     """The engine's means and sems against execute_sequence on the same streams."""
@@ -277,16 +301,23 @@ class TestBatchedEngineOracle:
     @staticmethod
     def assert_matches_reference(cfg, word):
         # The engine's reductions over the reference values of each
-        # (length, sequence) task, its word drawn by word(mi, si, m).
+        # (length, sequence) task, its word drawn by word(mi, si, m).  With
+        # shots, each length's clicks are one binomial draw over its exact
+        # values, in sequence order, from the stream (seed, mi, 0, 1).
+        exact = dataclasses.replace(cfg, shots=None)
         values = np.array(
             [
-                [
-                    execute_sequence(cfg, word(mi, si, m), lb.stream(cfg.master_seed, mi, si, 1))
-                    for si in range(cfg.n_sequences)
-                ]
+                [execute_sequence(exact, word(mi, si, m)) for si in range(cfg.n_sequences)]
                 for mi, m in enumerate(cfg.m_grid)
             ]
         )
+        if cfg.shots is not None:
+            values = np.array(
+                [
+                    lb.stream(cfg.master_seed, mi, 0, 1).binomial(cfg.shots, row) / cfg.shots
+                    for mi, row in enumerate(values)
+                ]
+            )
         means = values.mean(axis=1)
         sems = values.std(axis=1, ddof=1) / np.sqrt(cfg.n_sequences)
         ds = lb.run_protocol(cfg)
