@@ -28,7 +28,7 @@ from .analysis import (
     prop1_check,
 )
 from .config import ConfigError, parse_config
-from .protocol import read_decay_csv, run_protocol
+from .protocol import _read_utf8, read_decay_csv, run_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,15 +50,14 @@ def _fail(code: int, message: str) -> int:
 
 
 def _load_config_text(name: str) -> str:
-    """Read a config from the filesystem, falling back to bundled configs."""
+    """Read a config from the filesystem as UTF-8, falling back to bundled configs."""
     if os.path.isfile(name):
-        with open(name) as fh:
-            return fh.read()
+        return _read_utf8(name)
     if os.sep not in name and "/" not in name:
         for candidate in (name, name + ".config"):
             ref = resources.files("lossbench").joinpath("configs", candidate)
             if ref.is_file():
-                return ref.read_text()
+                return ref.read_text(encoding="utf-8")
     raise FileNotFoundError(f"config not found: {name}")
 
 
@@ -66,7 +65,7 @@ def _parse_run_config(args):
     name = args.config
     try:
         text = _load_config_text(name)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(_fail(EXIT_USAGE, str(exc))) from None
     except OSError as exc:
         raise SystemExit(_fail(EXIT_IO, f"cannot read {name}: {exc}")) from None

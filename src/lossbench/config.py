@@ -35,7 +35,7 @@ REQUIRED_SECTIONS = ("gateset", "noise", "state", "detector", "protocol", "seed"
 _TOP_LEVEL_KEYS = frozenset(REQUIRED_SECTIONS) | {"output_dir"}
 
 # Tag for the sub-stream that resolves theta = "random"; disjoint from the
-# per-sequence streams, which use small tag integers in a 4-word key.
+# engine's per-length streams, which use small tag integers in a 4-word key.
 _THETA_STREAM_TAG = 1_000_000_007
 
 

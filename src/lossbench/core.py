@@ -12,10 +12,8 @@ Kraus sets per call.  The one-state Kraus sum (``apply_channel``) is a test
 reference in ``tests/support.py``.
 
 Random draws come from numpy's PCG64 streams keyed by integer tuples
-(:func:`stream`, which seeds through ``default_rng``).  For many streams at
-once, :func:`seed_states` runs numpy's SeedSequence hash over all key rows in
-one batch and :func:`bit_generators` seeds numpy's own PCG64 from each row;
-the draws are those of ``default_rng(key)``.
+(:func:`stream`, which seeds through ``default_rng``); every draw is one of
+numpy's own ``Generator`` methods on such a stream.
 
 Tolerance conventions:
   * 1e-12 for properties guaranteed by construction (hermiticity,
@@ -26,11 +24,9 @@ Tolerance conventions:
 
 import numbers
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
@@ -76,10 +72,9 @@ def key_words(*key: int) -> np.ndarray:
     Each nonnegative integer contributes its little-endian 32-bit words (at
     least one), concatenated in key order, so ``default_rng(key_words(*key))``
     and ``default_rng(key)`` are the same stream.  Handing numpy the words
-    skips its per-call coercion of the tuple, and rows of a uint32 array
-    built from these words seed many streams at once.  numpy hashes a word
-    missing from its 4-word pool as a zero word, so word lists of at most 4
-    words that differ only by trailing zeros seed the same stream.
+    skips its per-call coercion of the tuple.  numpy hashes a word missing
+    from its 4-word pool as a zero word, so word lists of at most 4 words
+    that differ only by trailing zeros seed the same stream.
     """
     words = []
     for k in key:
@@ -99,98 +94,11 @@ def stream(*key: int) -> np.random.Generator:
     only by trailing zero words, up to 4 words, give the same stream:
     ``stream(s, a, b)`` draws what ``stream(s, a, b, 0)`` draws.  Keys with
     the same number of words, or past 4 words, give statistically
-    independent streams when distinct.  One stream per logical task;
-    streams are stateful and must not be shared across tasks.
+    independent streams when distinct.  A stream is stateful: each key
+    should feed one block of draws, such as all of one length's gate words,
+    made by one caller.
     """
     return np.random.default_rng(key_words(*key))
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): pool size,
-# the two hash multiplier chains and the mixing multipliers.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-
-
-def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
-    """A hash constant and its next ``count`` multiples, as a (count + 1, 1) uint32 column."""
-    chain = [init]
-    for _ in range(count):
-        chain.append(chain[-1] * mult & 0xFFFFFFFF)
-    return np.array(chain, dtype=np.uint32)[:, None]
-
-
-def seed_states(keys) -> np.ndarray:
-    """PCG64 seed states of many streams: ``SeedSequence(row).generate_state(4, np.uint64)``.
-
-    ``keys`` is a (streams, words) uint32 array whose rows are entropy words,
-    such as those of :func:`key_words`.  numpy's pool hash runs once over all
-    rows on a (4, streams) uint32 pool: its hash constants advance the same
-    way for every row, so one source word's hashmixes into the other pool
-    words are one broadcast against consecutive constants.  Returns a
-    C-contiguous (streams, 4) uint64 array for :func:`bit_generators`.
-    """
-    keys = np.asarray(keys, dtype=np.uint32)
-    if keys.ndim != 2:
-        raise ValueError(f"keys must be a (streams, words) array, got shape {keys.shape}")
-    n_words = keys.shape[1]
-    chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * max(n_words, _POOL_SIZE))
-    used = 0
-
-    def hashmix(value, count):
-        nonlocal used
-        value = (value ^ chain[used : used + count]) * chain[used + 1 : used + 1 + count]
-        used += count
-        return value ^ value >> _XSHIFT
-
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return value ^ value >> _XSHIFT
-
-    pool = np.zeros((_POOL_SIZE, len(keys)), dtype=np.uint32)
-    pool[:n_words] = keys[:, :_POOL_SIZE].T
-    pool = hashmix(pool, _POOL_SIZE)
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
-    for src in range(_POOL_SIZE, n_words):
-        pool = mix(pool, hashmix(keys[:, src], _POOL_SIZE))
-
-    chain = _hash_chain(_INIT_B, _MULT_B, 8)
-    value = (np.tile(pool, (2, 1)) ^ chain[:-1]) * chain[1:]
-    state = np.ascontiguousarray((value ^ value >> _XSHIFT).T, dtype="<u4")
-    return state.view("<u8").astype(np.uint64, copy=False)
-
-
-class _Seeded(ISpawnableSeedSequence):
-    """A seed sequence whose state is already computed, for PCG64 to read."""
-
-    def __init__(self, state):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
-
-    def spawn(self, n_children):
-        raise NotImplementedError("a precomputed seed state cannot spawn")
-
-
-def bit_generators(states) -> Iterator[np.random.PCG64]:
-    """numpy's PCG64 seeded from each row of a :func:`seed_states` array, one at a time.
-
-    The i-th generator of ``bit_generators(seed_states(keys))`` draws as
-    ``default_rng(keys[i])``'s bit generator: numpy's own PCG64 seeds itself
-    from the precomputed state instead of hashing the words again.  The
-    shape is checked when called, before any generator is made.
-    """
-    # PCG64 reads each state through its data pointer: 4 contiguous uint64.
-    states = np.ascontiguousarray(states, dtype=np.uint64)
-    if states.ndim != 2 or states.shape[1] != 4:
-        raise ValueError(f"seed states are (streams, 4) uint64 words, got shape {states.shape}")
-    # One _Seeded per row: each PCG64 keeps its seed sequence as ``seed_seq``.
-    return (np.random.PCG64(_Seeded(row)) for row in states)
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:

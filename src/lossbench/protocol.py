@@ -12,22 +12,21 @@ Hermitian operator basis, all |G| built by one batched
 :func:`lossbench.core.transfer_matrix` call.  All (length, sequence) tasks
 evolve together as rows of one real array of state coordinates, each step
 one matrix product against the C-ordered side-by-side transfer matrices.
-Every task draws its gate word from its own RNG stream keyed by
-(master_seed, length_index, sequence_index, 0).  With shots, each length
-draws its sequences' click counts, in sequence order, with one ``binomial``
-call on its own stream keyed by (master_seed, length_index, 0, 1).  So
-datasets are bit-reproducible regardless of the order in which tasks are
-evaluated.  The engine seeds all of a run's streams, gate and shot, with one
-batched SeedSequence hash (:func:`lossbench.core.seed_states`), hands the
-states to numpy's PCG64 (:func:`lossbench.core.bit_generators`) and maps each
-length's gate draws in bulk, as ``Generator.integers`` maps them; every draw
-equals the one ``default_rng(key)`` gives.  :func:`sample_sequence` draws one
-word from one ``default_rng`` stream; the one-sequence Kraus reference engine
-the batched engine is tested against lives with the test oracles.
+Each length draws all of its sequences' gate words with one ``integers``
+call on its own RNG stream keyed by (master_seed, length_index, 0, 2), row i
+of the (n_sequences, m) draw being sequence i's word, first gate first.  With
+shots, each length draws its sequences' click counts, in sequence order,
+with one ``binomial`` call on its own stream keyed by (master_seed,
+length_index, 0, 1).  So datasets are bit-reproducible regardless of the
+order in which lengths are evaluated, and every draw is numpy's own, from
+:func:`lossbench.core.stream`.  :func:`sample_sequence` draws one word from
+one stream; the one-sequence Kraus reference engine the batched engine is
+tested against lives with the test oracles.
 """
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,11 +39,9 @@ from .core import (
     QuantumChannel,
     _count,
     _lengths,
-    bit_generators,
     click_probabilities,
     coordinates,
-    key_words,
-    seed_states,
+    stream,
     transfer_matrix,
     validate_state,
 )
@@ -55,9 +52,10 @@ VARIANT_RB = "rb"
 
 CSV_HEADER = ("m", "mean", "sem", "n_sequences", "shots")
 
-# Sub-stream tags: (master_seed, m_index, seq_index, 0) keys a task's gate
-# word, (master_seed, m_index, 0, 1) a length's click counts.
-_GATE_DRAWS = 0
+# Sub-stream tags: (master_seed, m_index, 0, 2) keys a length's gate words,
+# (master_seed, m_index, 0, 1) its click counts.  Both tags are nonzero, so
+# neither key draws the zero-padded stream of a bare seed, stream(seed).
+_GATE_DRAWS = 2
 _SHOT_DRAWS = 1
 
 
@@ -188,15 +186,28 @@ class DecayDataset:
                 writer.writerow([m, repr(float(mean)), repr(float(sem)), self.n_sequences, shots_field])
 
 
+def _read_utf8(path) -> str:
+    """The file's text; ValueError naming the path and the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+
+
 def read_decay_csv(path) -> DecayDataset:
     """Load a dataset written by :meth:`DecayDataset.to_csv`.
 
-    Rejects, with a ``path:line:`` message, rows whose length m is below 1
-    or not strictly above the previous row's, non-finite means, infinite or
-    negative sems, and n_sequences or integer shots below 1.  A NaN or zero
-    sem is valid: single-sequence and exact datasets write them.
+    The file is read as UTF-8.  Rejects, with a ``path:line:`` message, rows
+    whose length m is below 1 or not strictly above the previous row's,
+    non-finite means, infinite or negative sems, and n_sequences or integer
+    shots below 1.  A NaN or zero sem is valid: single-sequence and exact
+    datasets write them.
     """
-    with open(path, newline="") as fh:
+    with io.StringIO(_read_utf8(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -257,27 +268,6 @@ def sample_sequence(gateset: GateSet, m: int, rng: np.random.Generator) -> np.nd
     return rng.integers(0, len(gateset), size=_count("sequence length", m, 1))
 
 
-def _sample_words(states: np.ndarray, keys: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Each key row's word ``default_rng(key).integers(0, n, size=m)``, as (rows, m).
-
-    ``states`` holds the rows' :func:`lossbench.core.seed_states`.  Each
-    stream gives ceil(m/2) 64-bit outputs, and each of their 32-bit halves u,
-    low half first, maps to (u n) >> 32, as ``Generator.integers`` maps it
-    (Lemire's method).  A row where the low 32 bits of some u n fall below
-    (2^32 - n) % n, a draw ``integers`` would reject and replace, is drawn
-    again with ``default_rng``.
-    """
-    raw = np.empty((len(states), (m + 1) // 2), dtype=np.uint64)
-    for row, bits in zip(raw, bit_generators(states)):
-        row[:] = bits.random_raw(row.size)
-    scaled = raw.astype("<u8", copy=False).view("<u4")[:, :m].astype(np.uint64) * np.uint64(n)
-    words = scaled >> np.uint64(32)
-    rejected = (scaled & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
-    for row in np.flatnonzero(rejected.any(axis=1)):
-        words[row] = np.random.default_rng(keys[row]).integers(0, n, size=m)
-    return words
-
-
 def _gate_superoperators(cfg: ProtocolConfig) -> np.ndarray:
     """Transfer matrices of "noise, then gate g" for every g: (|G|, d^2, d^2)."""
     return transfer_matrix(np.array(cfg.gateset.gates)[:, None] @ np.array(cfg.noise.kraus)[None])
@@ -294,15 +284,11 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     running at any step are a prefix of the array.  The benchmarking variant
     appends to each word, as one more step, the inverse of the element the
     word folds to in the gate set's multiplication table,
-    :attr:`GateSet.group`.  Each stream is seeded from one row of a uint32
-    key array holding the words of its key, the entropy
-    :func:`lossbench.core.stream` derives from the same key: (master_seed,
-    length_index, sequence_index, 0) for each task's gate word, then, with
-    shots, (master_seed, length_index, 0, 1) for each length's click
-    counts.  One :func:`lossbench.core.seed_states` call hashes every key
-    row of the run; words are drawn one length at a time by
-    :func:`_sample_words`, and a length's clicks by one ``binomial`` call
-    over its sequences' click probabilities, in sequence order.
+    :attr:`GateSet.group`.  A length's n words are one (n, m) ``integers``
+    draw on :func:`lossbench.core.stream` (master_seed, length_index, 0,
+    2), row i sequence i's word; with shots, its click counts are one
+    ``binomial`` call over its sequences' click probabilities, in sequence
+    order, on the stream (master_seed, length_index, 0, 1).
 
     Returns each length's mean and standard error over its sequences, with
     the run record in ``metadata``; per-sequence values are not kept.
@@ -315,22 +301,13 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     lengths = np.array(cfg.m_grid)[length_index]
     steps = lengths + (cfg.variant == VARIANT_RB)
     n_tasks = len(lengths)
-    seed_words = key_words(cfg.master_seed)
-    # One gate key row per task; with shots, then one shot key row per length.
-    shot_lengths = length_index[::n] if cfg.shots is not None else length_index[:0]
-    keys = np.zeros((n_tasks + len(shot_lengths), seed_words.size + 3), dtype=np.uint32)
-    keys[:, : seed_words.size] = seed_words
-    keys[:, -3] = np.concatenate([length_index, shot_lengths])
-    keys[:n_tasks, -2] = np.tile(np.arange(n), n_lengths)
-    keys[:, -1] = np.repeat([_GATE_DRAWS, _SHOT_DRAWS], [n_tasks, len(shot_lengths)])
-    seeds = seed_states(keys)
     # Step-major gate table: row s holds every task's gate at step s.  The
     # tasks of one length are n consecutive rows, drawn as one block.
     words = np.zeros((steps[0], n_tasks), dtype=np.min_scalar_type(n_gates - 1))
-    for start in range(0, n_tasks, n):
-        rows = slice(start, start + n)
-        m = int(lengths[start])
-        words[:m, rows] = _sample_words(seeds[rows], keys[rows], m, n_gates).T
+    for start, mi in zip(range(0, n_tasks, n), range(n_lengths)[::-1]):
+        m = cfg.m_grid[mi]
+        rng = stream(cfg.master_seed, mi, 0, _GATE_DRAWS)
+        words[:m, start : start + n] = rng.integers(0, n_gates, size=(n, m)).T
     # running[s] = number of tasks with more than s steps, a prefix of the rows
     running = np.searchsorted(-steps, -np.arange(steps[0]), side="left")
     if cfg.variant == VARIANT_RB:
@@ -358,8 +335,11 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     if cfg.shots is None:
         values = probs
     else:
-        per_length = zip(bit_generators(seeds[n_tasks:]), probs.reshape(n_lengths, n))
-        clicks = [np.random.Generator(bits).binomial(cfg.shots, p) for bits, p in per_length]
+        per_length = zip(range(n_lengths)[::-1], probs.reshape(n_lengths, n))
+        clicks = [
+            stream(cfg.master_seed, mi, 0, _SHOT_DRAWS).binomial(cfg.shots, p)
+            for mi, p in per_length
+        ]
         values = np.array(clicks) / cfg.shots
     # Back to (length, sequence) order.
     values = values.reshape(n_lengths, n)[::-1]

@@ -107,6 +107,14 @@ class TestSimulate:
         assert "config error" in proc.stderr
         assert "noise: required section is missing" in proc.stderr
 
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path):
+        path = tmp_path / "bad.config"
+        path.write_bytes(b'{"gateset": "\xff"}')
+        proc = run_cli("simulate", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == f"lossbench: error: {path}: not valid UTF-8: byte 0xff at offset 13\n"
+        assert not (tmp_path / "out").exists()
+
     def test_leakage_rb_config_rejected_before_running(self, tmp_path):
         # The embedded qutrit gates are not a group, so "rb" has no inverse gate.
         doc = json.loads(resources.files("lossbench").joinpath("configs", "fig2.config").read_text())
@@ -256,6 +264,14 @@ class TestFit:
         assert message in proc.stderr
         assert not (tmp_path / "fit.json").exists()
 
+    def test_csv_that_is_not_utf8_is_usage_error(self, tmp_path):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(b"m,mean,sem,n_sequences,shots\n1,0.9,0.01,5,exact\n2,0.8\xff,0.01,5,exact\n")
+        proc = run_cli("fit", str(csv), "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"lossbench: error: {csv}: not valid UTF-8: byte 0xff at offset 53\n"
+        assert not (tmp_path / "fit.json").exists()
+
     def test_unwritable_output_is_io_error(self, loss_config, tmp_path):
         csv = self.simulate(loss_config, tmp_path / "out")
         blocker = tmp_path / "blocked"
@@ -393,6 +409,13 @@ class TestCheckChannel:
         path = tmp_path / "bad.config"
         path.write_text("{")
         assert run_cli("check-channel", str(path)).returncode == 1
+
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path):
+        path = tmp_path / "bad.config"
+        path.write_bytes(b'{"gateset": "pauli",\n "noise": "\xfe"}')
+        proc = run_cli("check-channel", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"lossbench: error: {path}: not valid UTF-8: byte 0xfe at offset 32\n"
 
     def test_bundled_name_beside_a_directory_of_that_name(self, tmp_path, monkeypatch, capsys):
         # `simulate fig2 --out fig2` leaves a fig2/ directory in the working

@@ -6,13 +6,11 @@ import pytest
 
 import lossbench as lb
 from lossbench.core import (
-    bit_generators,
     click_probabilities,
     coordinates,
     hermitian_basis,
     hermitian_part,
     key_words,
-    seed_states,
 )
 from support import apply_channel, depolarizing_channel, random_lossy_channel
 
@@ -52,43 +50,13 @@ def test_stream_is_numpy_seeding_by_the_key_words(key, words):
     assert np.array_equal(draws, np.random.default_rng(key).integers(0, 2**62, size=8))
 
 
-def test_bit_generators_take_only_seed_states():
-    states = seed_states([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
-    # Shapes are checked by the call itself, before any generator is used.
-    for bad in (states[0], states[:, :3], np.hstack((states, states[:, :1]))):
-        with pytest.raises(ValueError, match=r"^seed states are \(streams, 4\) uint64 words, got shape"):
-            bit_generators(bad)
-    with pytest.raises(ValueError, match=r"\(streams, words\)"):
-        seed_states([1, 2, 3])
-
-
-def test_bit_generators_copy_strided_and_other_dtypes_to_contiguous_uint64():
-    states = seed_states([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
-    reference = [bits.random_raw(5) for bits in bit_generators(states)]
-    # PCG64 reads each state through its data pointer, so each of these
-    # must be copied to contiguous native uint64 rows first.
-    for same in (
-        np.repeat(states, 2, axis=1)[:, ::2],
-        np.asfortranarray(states),
-        states.astype(">u8"),
-        states.view(np.int64),
-        states.tolist(),
-    ):
-        draws = [bits.random_raw(5) for bits in bit_generators(same)]
-        assert np.array_equal(draws, reference)
-
-
-def test_each_bit_generator_keeps_its_own_seed_state():
-    states = seed_states([[1], [2], [3]])
-    seeded = [bits.seed_seq.generate_state(4, np.uint64) for bits in bit_generators(states)]
-    assert np.array_equal(seeded, states)
-
-
-def test_seed_states_of_no_keys_is_empty():
-    for width in (1, 3, 6):
-        states = seed_states(np.zeros((0, width), dtype=np.uint32))
-        assert states.shape == (0, 4) and states.dtype == np.uint64
-        assert list(bit_generators(states)) == []
+def test_engine_draws_are_pinned_literals():
+    # The engine's words are one integers call and its clicks one binomial
+    # call per length; a numpy whose draws differ would change every artifact.
+    words = lb.stream(42, 3, 0, 2).integers(0, 24, size=(2, 5))
+    assert words.tolist() == [[13, 23, 10, 23, 4], [0, 12, 14, 0, 9]]
+    clicks = lb.stream(42, 3, 0, 1).binomial(100, [0.25, 0.5, 0.9])
+    assert clicks.tolist() == [26, 44, 91]
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5])

@@ -1,8 +1,8 @@
 """Property tests: the config parser's error contract, the CSV round trip, the
 loss bound and the real transfer matrix on random channels and stacks of
-Kraus sets, the Hermiticity and unitarity checks on NaN and huge entries, the
-decay fits' global minimum and their independence of the unit of the sems,
-and the batched stream seeding against numpy's."""
+Kraus sets, the Hermiticity and unitarity checks on NaN and huge entries, and
+the decay fits' global minimum and their independence of the unit of the
+sems."""
 
 import copy
 import json
@@ -15,11 +15,9 @@ import pytest
 import lossbench as lb
 from lossbench import analysis
 from lossbench.core import (
-    bit_generators,
     coordinates,
     hermitian_basis,
     hermitian_part,
-    seed_states,
     transfer_matrix,
 )
 from support import apply_channel
@@ -358,28 +356,3 @@ def test_fits_do_not_depend_on_the_unit_of_the_sems(case, k):
             assert getattr(scaled, name) == np.ldexp(value, k), name
         elif name.endswith("_hat") or name in ("converged", "n_iterations"):
             assert getattr(scaled, name) == value, name
-
-
-# Key words drawn anywhere in uint32, with both ends often.
-_KEY_WORDS = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
-
-
-@st.composite
-def key_arrays(draw):
-    """(rows, width) uint32 key arrays, 1 to 8 words wide: narrower than,
-    as wide as and wider than SeedSequence's pool of 4 words."""
-    rows = draw(st.integers(1, 4))
-    width = draw(st.integers(1, 8))
-    words = draw(st.lists(_KEY_WORDS, min_size=rows * width, max_size=rows * width))
-    return np.array(words, dtype=np.uint32).reshape(rows, width)
-
-
-@hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(keys=key_arrays(), k=st.integers(1, 9))
-def test_seed_states_are_numpy_seed_sequence_states(keys, k):
-    states = seed_states(keys)
-    assert states.dtype == np.uint64 and states.shape == (len(keys), 4)
-    for row, state, bits in zip(keys, states, bit_generators(states)):
-        assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
-        reference = np.random.default_rng(row).bit_generator.random_raw(k)
-        assert np.array_equal(bits.random_raw(k), reference)

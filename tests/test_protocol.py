@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.core import key_words, seed_states, transfer_matrix
-from lossbench.protocol import _gate_superoperators, _sample_words
+from lossbench.core import transfer_matrix
+from lossbench.protocol import _GATE_DRAWS, _SHOT_DRAWS, _gate_superoperators
 from support import (
     compose_sequence,
     enumerate_average,
@@ -286,13 +286,29 @@ class TestRunProtocol:
             master_seed=3,
         )
         calls = []
-        monkeypatch.setattr(lb.protocol, "seed_states", lambda k: calls.append(k) or seed_states(k))
+        monkeypatch.setattr(lb.protocol, "stream", lambda *key: calls.append(key) or lb.stream(*key))
+        lb.run_protocol(dataclasses.replace(cfg, shots=None))
+        # One gate stream per length, then with shots one shot stream per length.
+        assert len(calls) == len(cfg.m_grid)
+        calls.clear()
         ds = lb.run_protocol(cfg)
-        assert len(calls) == 1
+        assert len(calls) == 2 * len(cfg.m_grid)
+        assert len(set(calls)) == len(calls)
         # (n - 1) s^2 / sigma^2 is close to chi^2 with n - 1 degrees of freedom.
         ratio = ds.sems**2 * n / (p * (1 - p) / shots)
         assert np.all(np.abs(ratio - 1) < 6 * np.sqrt(2 / (n - 1)))
         assert len(set(ds.means.tolist())) > 1
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_bare_seed_draws_no_engine_stream(self, seed):
+        # noise seeds its detector basis and leakage Hamiltonian with
+        # stream(seed); numpy zero-pads a key to 4 words, so a zero tag
+        # would make that the gate stream of length 0 at master seed seed.
+        def draws(*key):
+            return lb.stream(*key).integers(0, 2**62, size=8).tolist()
+
+        for tag in (_GATE_DRAWS, _SHOT_DRAWS):
+            assert draws(seed) != draws(seed, 0, 0, tag)
 
 
 class TestBatchedEngineOracle:
@@ -311,23 +327,28 @@ class TestBatchedEngineOracle:
                 for mi, m in enumerate(cfg.m_grid)
             ]
         )
-        if cfg.shots is not None:
-            values = np.array(
-                [
-                    lb.stream(cfg.master_seed, mi, 0, 1).binomial(cfg.shots, row) / cfg.shots
-                    for mi, row in enumerate(values)
-                ]
-            )
-        means = values.mean(axis=1)
-        sems = values.std(axis=1, ddof=1) / np.sqrt(cfg.n_sequences)
-        ds = lb.run_protocol(cfg)
+
+        def assert_exact_match(ds, values):
+            n = cfg.n_sequences
+            assert np.abs(ds.means - values.mean(axis=1)).max() <= 1e-12
+            assert np.abs(ds.sems - values.std(axis=1, ddof=1) / np.sqrt(n)).max() <= 1e-12
+
         if cfg.shots is None:
-            assert np.abs(ds.means - means).max() <= 1e-12
-            assert np.abs(ds.sems - sems).max() <= 1e-12
-        else:
-            # Identical click counts give identical statistics.
-            assert ds.means.tobytes() == means.tobytes()
-            assert ds.sems.tobytes() == sems.tobytes()
+            assert_exact_match(lb.run_protocol(cfg), values)
+            return
+        # Close click probabilities can give equal counts from different
+        # words, so the words are checked without shots too.
+        assert_exact_match(lb.run_protocol(exact), values)
+        clicks = np.array(
+            [
+                lb.stream(cfg.master_seed, mi, 0, 1).binomial(cfg.shots, row) / cfg.shots
+                for mi, row in enumerate(values)
+            ]
+        )
+        ds = lb.run_protocol(cfg)
+        # Identical click counts give identical statistics.
+        assert ds.means.tobytes() == clicks.mean(axis=1).tobytes()
+        assert ds.sems.tobytes() == (clicks.std(axis=1, ddof=1) / np.sqrt(cfg.n_sequences)).tobytes()
 
     # The embedded qutrit Paulis are not closed under inversion up to a
     # global phase, so they run the loss variant only.
@@ -340,9 +361,12 @@ class TestBatchedEngineOracle:
         cfg = ORACLE_CONFIGS[gates](
             m_grid=(1, 2, 7, 30), n_sequences=6, master_seed=11, shots=shots, variant=variant
         )
+        n = cfg.n_sequences
         self.assert_matches_reference(
             cfg,
-            lambda mi, si, m: lb.sample_sequence(cfg.gateset, m, lb.stream(cfg.master_seed, mi, si, 0)),
+            lambda mi, si, m: lb.sample_sequence(
+                cfg.gateset, n * m, lb.stream(cfg.master_seed, mi, 0, 2)
+            ).reshape(n, m)[si],
         )
 
     # Seeds of one, two and three 32-bit words, at the edges between them.
@@ -363,26 +387,8 @@ class TestBatchedEngineOracle:
         )
         n_gates = len(cfg.gateset)
         self.assert_matches_reference(
-            cfg, lambda mi, si, m: lb.stream(seed, mi, si, 0).integers(0, n_gates, size=m)
+            cfg, lambda mi, si, m: lb.stream(seed, mi, 0, 2).integers(0, n_gates, size=(3, m))[si]
         )
-
-    # n = 3 * 2**30 rejects a quarter of all draws, so many rows are drawn again.
-    @pytest.mark.parametrize("n", [1, 2, 3, 24, 3 * 2**30])
-    @pytest.mark.parametrize("m", [1, 2, 7, 10])
-    def test_word_mapping_is_integers(self, n, m, monkeypatch):
-        keys = np.array([key_words(2**32 + 3, 5, si, 0) for si in range(40)])
-        redrawn = []
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda key: redrawn.append(key) or default_rng(key))
-        words = _sample_words(seed_states(keys), keys, m, n)
-        monkeypatch.undo()
-        assert words.shape == (len(keys), m)
-        for key, word in zip(keys, words):
-            assert np.array_equal(word, np.random.default_rng(key).integers(0, n, size=m))
-        if n == 3 * 2**30:
-            assert 0 < len(redrawn) < len(keys)
-        else:
-            assert not redrawn
 
     def test_set_not_closed_under_inversion_raises(self):
         # Rejected when the config is built, before any sequence runs.
