@@ -86,7 +86,7 @@ def key_words(*key: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-def stream(*key: int) -> np.random.Generator:
+def stream(*key: int) -> "np.random.Generator":
     """Return an RNG stream keyed by a tuple of nonnegative integers.
 
     The mapping key -> stream is fixed, so simulation results do not depend
@@ -335,22 +335,19 @@ def transfer_matrix(kraus) -> np.ndarray:
     with leading axes, shaped (..., n_kraus, d, d); the result is a
     C-contiguous (..., d^2, d^2) real array.  Entry (a, b) is
     Tr(E_a K(E_b)) in :func:`hermitian_basis`, so the map sends coordinates
-    r to T r, and composing maps multiplies their matrices.  With B the
-    unitary whose row a is conj(vec(E_a)) for row-major vec,
-    T = B (sum_i K_i (x) conj(K_i)) B^H.  Any Kraus map keeps operators
-    Hermitian, so T is real; the imaginary rounding residue is dropped.
-    Every set's matrix has the bytes a call on that set alone gives.
+    r to T r, and composing maps multiplies their matrices.  It is computed
+    as T = B (sum_i K_i (x) conj(K_i)) B^H: one einsum builds the Kronecker
+    sum, and B is the unitary whose row a is conj(vec(E_a)) for row-major
+    vec.  Any Kraus map keeps operators Hermitian, so T is real; the
+    imaginary rounding residue is dropped.  Every set's matrix has the bytes
+    a call on that set alone gives.
     """
     kraus = np.asarray(kraus, dtype=np.complex128)
-    lead, (n_kraus, dim) = kraus.shape[:-3], kraus.shape[-3:-1]
-    basis = hermitian_basis(dim)
-    sets = kraus.reshape(-1, n_kraus, 1, dim, dim)
-    # A Python sum over the Kraus index of (K E_b) K^H, in the same order for
-    # a stack as for one set; one einsum over all terms differs in the last bit.
-    images = sum(k @ basis @ k.conj().swapaxes(-1, -2) for k in sets.swapaxes(0, 1))
+    dim = kraus.shape[-1]
     dd = dim * dim
-    flat = np.einsum("aji,bij->ab", basis, images.reshape(-1, dim, dim)).real
-    return np.ascontiguousarray(flat.reshape(dd, -1, dd).swapaxes(0, 1)).reshape(*lead, dd, dd)
+    kron = np.einsum("...kij,...kxy->...ixjy", kraus, kraus.conj()).reshape(*kraus.shape[:-3], dd, dd)
+    rows = hermitian_basis(dim).reshape(dd, dd).conj()
+    return (rows @ kron @ rows.conj().T).real.copy()
 
 
 def click_probabilities(traces) -> np.ndarray:
@@ -390,7 +387,7 @@ def sample_clicks(
     q: MeasurementOperator,
     rho: DensityMatrix,
     shots: int,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
 ) -> int:
     """Draw a click count from Binomial(shots, Tr(Q rho)).
 

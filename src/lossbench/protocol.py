@@ -11,7 +11,8 @@ then g", one real d^2 x d^2 transfer matrix per gate in an orthonormal
 Hermitian operator basis, all |G| built by one batched
 :func:`lossbench.core.transfer_matrix` call.  All (length, sequence) tasks
 evolve together as rows of one real array of state coordinates, each step
-one matrix product against the C-ordered side-by-side transfer matrices.
+one matrix product against the C-ordered side-by-side transfer matrices,
+written into one product buffer allocated per run.
 Each length draws all of its sequences' gate words with one ``integers``
 call on its own RNG stream keyed by (master_seed, length_index, 0, 2), row i
 of the (n_sequences, m) draw being sequence i's word, first gate first.  With
@@ -263,7 +264,7 @@ def read_decay_csv(path) -> DecayDataset:
     )
 
 
-def sample_sequence(gateset: GateSet, m: int, rng: np.random.Generator) -> np.ndarray:
+def sample_sequence(gateset: GateSet, m: int, rng: "np.random.Generator") -> np.ndarray:
     """Draw m i.i.d. uniform gate indices from the given stream."""
     return rng.integers(0, len(gateset), size=_count("sequence length", m, 1))
 
@@ -279,8 +280,9 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     Every (length, sequence) task is one row of a (tasks, d^2) array of real
     state coordinates.  Each gate step is one real matrix product of the
     rows still running with all |G| transfer matrices side by side, copied
-    to C order once per run, from which every row keeps the block of its own
-    gate.  Rows are ordered longest sequence first, so the rows still
+    to C order once per run, into one product buffer allocated per run,
+    from which every row takes the block of its own gate back into the
+    state array.  Rows are ordered longest sequence first, so the rows still
     running at any step are a prefix of the array.  The benchmarking variant
     appends to each word, as one more step, the inverse of the element the
     word folds to in the gate set's multiplication table,
@@ -326,10 +328,15 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     stacked = np.ascontiguousarray(transfers.transpose(2, 0, 1).reshape(dd, n_gates * dd))
     offsets = np.arange(n_tasks) * n_gates
     states = np.tile(coordinates(cfg.rho0.matrix), (n_tasks, 1))
+    products = np.empty((n_tasks, n_gates * dd))
+    blocks = products.reshape(-1, dd)
 
+    # Every gate index is in [0, |G|), drawn by integers(0, |G|) or read from
+    # `inverse`, so mode="clip" clips nothing; mode="raise" would make numpy
+    # buffer the output (fig2's loop on a 2-core Xeon: 4.1 against 3.5 ms).
     for step, k in zip(words, running):
-        blocks = (states[:k] @ stacked).reshape(k * n_gates, dd)
-        states[:k] = blocks.take(offsets[:k] + step[:k], axis=0)
+        np.matmul(states[:k], stacked, out=products[:k])
+        blocks.take(offsets[:k] + step[:k], axis=0, out=states[:k], mode="clip")
 
     probs = click_probabilities(states @ coordinates(cfg.q_op.matrix))
     if cfg.shots is None:

@@ -7,6 +7,9 @@ unitaries one gate at a time (the inverse gate found by matching the
 composed word against every gate up to phase, without the group table),
 the benchmarking curve's B - A from the channel's Kraus image of the state,
 and the survival statistics by direct Monte Carlo over Haar-random pure states.
+The one exception is :func:`exact_rb_average`, which folds the group table
+and the transfer matrices and is itself checked against brute-force
+enumeration with :func:`execute_sequence`.
 
 It also holds the test references and channel factories that no library
 code calls: the one-state Kraus sum (``apply_channel``), the group average
@@ -24,8 +27,10 @@ from lossbench.core import (
     QuantumChannel,
     _as_square_complex,
     _count,
+    coordinates,
     hermitian_part,
     stream,
+    transfer_matrix,
 )
 from lossbench.gates import PHASE_MATCH_ATOL, GateSet, _PAULIS
 
@@ -180,6 +185,26 @@ def execute_sequence(cfg, indices, rng=None):
     if rng is None:
         raise ValueError("shot mode needs an RNG stream")
     return lb.sample_clicks(cfg.q_op, final, cfg.shots, rng) / cfg.shots
+
+
+def exact_rb_average(cfg, m):
+    """The benchmarking variant's signal averaged over all |G|^m words, for any group.
+
+    Carries one averaged state X[c] per group element c that the word folds
+    to, starting from the identity: each step adds T_g X[c] / |G| into
+    X[table[g, c]], and the inversion step applies T_{inverse[c]} to each X[c].
+    """
+    table, inverse = cfg.gateset.group
+    n_gates = len(cfg.gateset)
+    transfers = np.stack([transfer_matrix([u @ k for k in cfg.noise.kraus]) for u in cfg.gateset.gates])
+    states = np.zeros((n_gates, cfg.gateset.dim**2))
+    states[table[inverse[0], 0]] = coordinates(cfg.rho0.matrix)
+    for _ in range(_count("sequence length", m, 1)):
+        folded = np.zeros_like(states)
+        np.add.at(folded, table, np.einsum("gab,cb->gca", transfers, states) / n_gates)
+        states = folded
+    final = np.einsum("cab,cb->a", transfers[inverse], states)
+    return float(final @ coordinates(cfg.q_op.matrix))
 
 
 def exact_b_minus_a(channel, rho0, q_op):

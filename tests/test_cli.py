@@ -383,6 +383,20 @@ class TestScipyStaysUnloaded:
         assert self.scipy_modules_after(code) == []
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # `lossbench fit` draws nothing, so importing the CLI should not pay for
+    # numpy.random; older numpy loads it with numpy itself.
+    def loaded_after(code):
+        script = code + "\nimport sys\nprint('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()[-1] == "True"
+
+    if loaded_after("import numpy"):
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert not loaded_after("import lossbench.cli")
+
+
 class TestCheckChannel:
     def test_saturating_loss_channel(self, tmp_path):
         doc = {

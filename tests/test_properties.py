@@ -20,7 +20,7 @@ from lossbench.core import (
     hermitian_part,
     transfer_matrix,
 )
-from support import apply_channel
+from support import _apply_kraus, apply_channel
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -182,11 +182,11 @@ def test_loss_bound_holds_on_random_channels(channel):
 @hypothesis.given(channel=lossy_channels(), data=st.data())
 def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
     dim = channel.dim
-    # B has rows conj(vec(E_a)); B L B^H is the transfer matrix before its
+    # The definition, entry by entry: T[a, b] = Tr(E_a K(E_b)), before the
     # imaginary rounding residue is dropped.
-    b = hermitian_basis(dim).conj().reshape(dim * dim, dim * dim)
-    liouville = sum(np.kron(k, k.conj()) for k in channel.kraus)
-    complex_t = b @ liouville @ b.conj().T
+    basis = hermitian_basis(dim)
+    images = [_apply_kraus(channel.kraus, e) for e in basis]
+    complex_t = np.array([[np.trace(e @ image) for image in images] for e in basis])
     assert np.max(np.abs(complex_t.imag)) <= 1e-15
     t = transfer_matrix(channel.kraus)
     assert t.dtype == np.float64

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 from importlib import resources
 
@@ -12,6 +13,7 @@ from support import (
     compose_sequence,
     enumerate_average,
     enumerate_average_naive,
+    exact_rb_average,
     execute_sequence,
     random_density,
     random_lossy_channel,
@@ -489,6 +491,16 @@ class TestExactSequenceAverage:
     def test_rb_variant_raises(self):
         with pytest.raises(ValueError, match="variant 'rb'"):
             lb.exact_sequence_average(fig1_style_config(variant="rb"), 3)
+
+
+class TestExactRbAverage:
+    @pytest.mark.parametrize("gates, max_m", [("pauli", 3), ("clifford", 2)])
+    def test_matches_brute_force_enumeration(self, gates, max_m):
+        cfg = ORACLE_CONFIGS[gates](variant="rb")
+        for m in range(1, max_m + 1):
+            words = itertools.product(range(len(cfg.gateset)), repeat=m)
+            brute = np.mean([execute_sequence(cfg, word) for word in words])
+            assert abs(exact_rb_average(cfg, m) - brute) <= 1e-12
 
 
 class TestDecayDataset:
