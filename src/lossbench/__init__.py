@@ -34,9 +34,7 @@ from .core import (
     QuantumChannel,
     Violation,
     basis_state,
-    expectation,
     maximally_mixed,
-    sample_clicks,
     stream,
     validate_state,
 )
@@ -44,7 +42,6 @@ from .gates import (
     GateSet,
     clifford_gateset,
     embed_gateset,
-    inverse_gate,
     pad_to_qutrit,
     pauli_gateset,
 )
@@ -60,7 +57,6 @@ from .protocol import (
     exact_sequence_average,
     read_decay_csv,
     run_protocol,
-    sample_sequence,
 )
 
 __all__ = [
@@ -91,10 +87,8 @@ __all__ = [
     "detector_model",
     "embed_gateset",
     "exact_sequence_average",
-    "expectation",
     "fit_loss_decay",
     "fit_rb_decay",
-    "inverse_gate",
     "markovianity_tests",
     "maximally_mixed",
     "pad_to_qutrit",
@@ -105,8 +99,6 @@ __all__ = [
     "random_orthonormal_basis",
     "read_decay_csv",
     "run_protocol",
-    "sample_clicks",
-    "sample_sequence",
     "state_survival",
     "stream",
     "validate_state",

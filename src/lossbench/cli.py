@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 
+# ``lossbench fit --model``: the fit and its parameters, rate first; fit.json
+# holds ``{k}_hat`` and ``{k}_stderr`` for each parameter k.
+_MODELS = {"loss": (fit_loss_decay, ("S", "B0")), "rb": (fit_rb_decay, ("p", "A", "B"))}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -124,47 +128,21 @@ def _cmd_fit(args) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read {args.csv}: {exc}")
 
+    fit_decay, names = _MODELS[args.model]
     try:
+        fit = fit_decay(ds)
+        report = {k: getattr(fit, k) for k in ("chi2_per_dof", "converged", "n_iterations")}
+        for k in names:
+            report[f"{k}_hat"] = getattr(fit, f"{k}_hat")
+            report[f"{k}_stderr"] = getattr(fit, f"stderr_{k}")
         if args.model == "loss":
-            fit = fit_loss_decay(ds)
             plateau = (
                 plateau_test(ds, fit) if len(ds.m_values) >= PLATEAU_MIN_LENGTHS else None
             )
-            flags = [FLAG_PLATEAU] if plateau is not None and plateau.flagged else []
-            report = {
-                "S_hat": fit.S_hat,
-                "S_stderr": fit.stderr_S,
-                "B0_hat": fit.B0_hat,
-                "B0_stderr": fit.stderr_B0,
-                "chi2_per_dof": fit.chi2_per_dof,
-                "converged": fit.converged,
-                "n_iterations": fit.n_iterations,
-                "flags": flags,
-                "plateau": None if plateau is None else asdict(plateau),
-            }
-            summary = (
-                f"S_hat = {fit.S_hat:.6f} +/- {fit.stderr_S:.6f} "
-                f"(chi2/dof = {fit.chi2_per_dof:.3f})"
-            )
+            report["flags"] = [FLAG_PLATEAU] if plateau is not None and plateau.flagged else []
+            report["plateau"] = None if plateau is None else asdict(plateau)
         else:
-            fit = fit_rb_decay(ds)
-            flags = [FLAG_B_MINUS_A_NEGATIVE] if b_minus_a_test(fit)[2] else []
-            report = {
-                "A_hat": fit.A_hat,
-                "A_stderr": fit.stderr_A,
-                "B_hat": fit.B_hat,
-                "B_stderr": fit.stderr_B,
-                "p_hat": fit.p_hat,
-                "p_stderr": fit.stderr_p,
-                "chi2_per_dof": fit.chi2_per_dof,
-                "converged": fit.converged,
-                "n_iterations": fit.n_iterations,
-                "flags": flags,
-            }
-            summary = (
-                f"p_hat = {fit.p_hat:.6f} +/- {fit.stderr_p:.6f} "
-                f"(chi2/dof = {fit.chi2_per_dof:.3f})"
-            )
+            report["flags"] = [FLAG_B_MINUS_A_NEGATIVE] if b_minus_a_test(fit)[2] else []
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
@@ -174,7 +152,11 @@ def _cmd_fit(args) -> int:
         _write_text(os.path.join(out_dir, "fit.json"), _json_dumps(report))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write fit.json: {exc}")
-    print(summary)
+    rate = names[0]
+    print(
+        f"{rate}_hat = {report[f'{rate}_hat']:.6f} +/- {report[f'{rate}_stderr']:.6f} "
+        f"(chi2/dof = {fit.chi2_per_dof:.3f})"
+    )
     return EXIT_OK
 
 
@@ -201,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a decay.csv and write fit.json")
     fit.add_argument("csv", help="dataset produced by simulate")
-    fit.add_argument("--model", choices=("loss", "rb"), default="loss")
+    fit.add_argument("--model", choices=tuple(_MODELS), default="loss")
     fit.add_argument("--out", metavar="DIR", help="output directory")
     fit.set_defaults(func=_cmd_fit)
 

@@ -7,10 +7,11 @@ table), and the qutrit embedding used to study leakage outside the qubit
 subspace.  The group-average (twirl) map is a test reference in
 ``tests/support.py``.
 
-Global phase is physically irrelevant and is quotiented everywhere: gates
-are stored in a canonical form whose first nonzero entry is real positive,
-and both the Clifford enumeration and the multiplication table match
-products by one rule, |<A, B>|/d within PHASE_MATCH_ATOL of 1.
+Global phase is physically irrelevant and is quotiented everywhere: the
+Cliffords are stored in canonical phase (first nonzero entry real positive),
+the Paulis as written (Y = [[0, -i], [i, 0]]), and both the Clifford
+enumeration and the multiplication table match products by one rule,
+|<A, B>|/d within PHASE_MATCH_ATOL of 1.
 """
 
 import operator

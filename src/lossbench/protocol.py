@@ -381,7 +381,8 @@ def exact_sequence_average(cfg: ProtocolConfig, m: int) -> float:
     the group-averaged step |G|^-1 sum_g T_g, because the m gate draws are
     independent.  This holds for any gate set; when the set is a unitary
     1-design the result collapses to the closed-form single-exponential
-    decay.  Loss variant only: the RB closed form is open work in ROADMAP.md.
+    decay.  Loss variant only: the benchmarking variant's average is the
+    test oracle ``tests/support.exact_rb_average``.
     """
     if cfg.variant != VARIANT_LOSS:
         raise ValueError(f"exact_sequence_average has no oracle for variant {cfg.variant!r}")

@@ -28,7 +28,9 @@ from lossbench.core import (
     _as_square_complex,
     _count,
     coordinates,
+    expectation,
     hermitian_part,
+    sample_clicks,
     stream,
     transfer_matrix,
 )
@@ -181,10 +183,10 @@ def execute_sequence(cfg, indices, rng=None):
         mat = u @ mat @ u.conj().T
     final = lb.DensityMatrix(cfg.gateset.dim, mat)
     if cfg.shots is None:
-        return lb.expectation(cfg.q_op, final)
+        return expectation(cfg.q_op, final)
     if rng is None:
         raise ValueError("shot mode needs an RNG stream")
-    return lb.sample_clicks(cfg.q_op, final, cfg.shots, rng) / cfg.shots
+    return sample_clicks(cfg.q_op, final, cfg.shots, rng) / cfg.shots
 
 
 def exact_rb_average(cfg, m):

@@ -203,6 +203,43 @@ class TestFit:
         }
 
     @pytest.mark.parametrize("model", ["loss", "rb"])
+    def test_fit_json_is_the_library_fit(self, loss_config, tmp_path, model):
+        # Each field of fit.json, and the summary line, is the in-process fit's.
+        doc = json.loads(loss_config.read_text())
+        doc["protocol"]["variant"] = model
+        config = tmp_path / "run.config"
+        config.write_text(json.dumps(doc))
+        csv = self.simulate(config, tmp_path / "out")
+        proc = run_cli("fit", str(csv), "--model", model, "--out", str(tmp_path / "fits"))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "fits" / "fit.json").read_text())
+
+        ds = lb.read_decay_csv(csv)
+        if model == "loss":
+            fit, names = lb.fit_loss_decay(ds), ("S", "B0")
+            plateau = lb.plateau_test(ds, fit)
+            assert report.pop("plateau") == dataclasses.asdict(plateau)
+            flags = [analysis.FLAG_PLATEAU] if plateau.flagged else []
+        else:
+            fit, names = lb.fit_rb_decay(ds), ("p", "A", "B")
+            flags = [analysis.FLAG_B_MINUS_A_NEGATIVE] if lb.b_minus_a_test(fit)[2] else []
+        expected = {
+            "chi2_per_dof": fit.chi2_per_dof,
+            "converged": fit.converged,
+            "n_iterations": fit.n_iterations,
+            "flags": flags,
+        }
+        for k in names:
+            expected[f"{k}_hat"] = getattr(fit, f"{k}_hat")
+            expected[f"{k}_stderr"] = getattr(fit, f"stderr_{k}")
+        assert report == expected
+        rate = names[0]
+        assert proc.stdout == (
+            f"{rate}_hat = {expected[f'{rate}_hat']:.6f} +/- {expected[f'{rate}_stderr']:.6f} "
+            f"(chi2/dof = {fit.chi2_per_dof:.3f})\n"
+        )
+
+    @pytest.mark.parametrize("model", ["loss", "rb"])
     @pytest.mark.parametrize("sem", [1e-200, 1e-310])
     def test_tiny_sems_fit_as_their_scaled_copy(self, tmp_path, model, sem):
         # 1/sem^2 is beyond the float range; the fit must not care.  The
@@ -254,6 +291,10 @@ class TestFit:
              "bad.csv:2: n_sequences must be an integer >= 1, got -3"),
             ("1,0.9,0.01,5,0\n2,0.8,0.01,5,0\n3,0.7,0.01,5,0\n",
              "bad.csv:2: shots must be an integer >= 1, got 0"),
+        ],
+        ids=[
+            "nan-mean", "zero-length", "unsorted-lengths", "inf-sem", "negative-sem",
+            "negative-sequences", "zero-shots",
         ],
     )
     def test_bad_rows_are_usage_errors_with_line(self, tmp_path, rows, message):

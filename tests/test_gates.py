@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.gates import canonical_phase
+from lossbench.gates import canonical_phase, inverse_gate
+from lossbench.protocol import sample_sequence
 from support import compose_sequence, inverse_by_phase_match, phase_equal, twirl
 
 
@@ -149,7 +150,7 @@ class TestSequenceAlgebra:
         rng = lb.stream(77)
         for _ in range(10):
             idx = rng.integers(0, len(g), size=6)
-            j = lb.inverse_gate(g, idx)
+            j = inverse_gate(g, idx)
             total = g.gates[j] @ compose_sequence(g, idx)
             assert phase_equal(total, np.eye(2))
 
@@ -159,9 +160,9 @@ class TestSequenceAlgebra:
         g = make()
         for index in (-1, len(g)):
             with pytest.raises(IndexError, match="out of range"):
-                lb.inverse_gate(g, [0, index])
+                inverse_gate(g, [0, index])
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-            lb.inverse_gate(g, [0, 1.0])
+            inverse_gate(g, [0, 1.0])
 
     def test_set_not_closed_under_inversion_raises(self):
         s = np.diag([1.0, 1.0j])
@@ -169,7 +170,7 @@ class TestSequenceAlgebra:
         with pytest.raises(ValueError, match="no inverse"):
             inverse_by_phase_match(g, [0])
         with pytest.raises(ValueError, match="not a group up to phase"):
-            lb.inverse_gate(g, [0])
+            inverse_gate(g, [0])
 
 
 class TestMultiplicationTable:
@@ -189,8 +190,8 @@ class TestMultiplicationTable:
         # m = 0 is the empty word.
         g = make()
         for m in range(40):
-            word = lb.sample_sequence(g, m, lb.stream(3, m)) if m else []
-            assert lb.inverse_gate(g, word) == inverse_by_phase_match(g, word)
+            word = sample_sequence(g, m, lb.stream(3, m)) if m else []
+            assert inverse_gate(g, word) == inverse_by_phase_match(g, word)
 
     def test_non_group_raises(self):
         s = np.diag([1.0, 1.0j])

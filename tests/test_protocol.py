@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.core import transfer_matrix
-from lossbench.protocol import _GATE_DRAWS, _SHOT_DRAWS, _gate_superoperators
+from lossbench.core import expectation, transfer_matrix
+from lossbench.protocol import _GATE_DRAWS, _SHOT_DRAWS, _gate_superoperators, sample_sequence
 from support import (
     compose_sequence,
     enumerate_average,
@@ -140,18 +140,18 @@ class TestProtocolConfig:
 class TestSampleSequence:
     def test_indices_in_range_and_deterministic(self):
         g = lb.pauli_gateset()
-        a = lb.sample_sequence(g, 50, lb.stream(3))
-        b = lb.sample_sequence(g, 50, lb.stream(3))
+        a = sample_sequence(g, 50, lb.stream(3))
+        b = sample_sequence(g, 50, lb.stream(3))
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() < 4
 
     def test_short_length_raises(self):
         with pytest.raises(ValueError, match="length"):
-            lb.sample_sequence(lb.pauli_gateset(), 0, lb.stream(0))
+            sample_sequence(lb.pauli_gateset(), 0, lb.stream(0))
 
     def test_non_integer_length_raises(self):
         with pytest.raises(ValueError, match=r"^sequence length must be an integer >= 1, got 2\.5$"):
-            lb.sample_sequence(lb.pauli_gateset(), 2.5, lb.stream(0))
+            sample_sequence(lb.pauli_gateset(), 2.5, lb.stream(0))
 
 
 class TestExecuteSequence:
@@ -163,7 +163,7 @@ class TestExecuteSequence:
         u = compose_sequence(cfg.gateset, indices)
         rho = lb.DensityMatrix(2, u @ cfg.rho0.matrix @ u.conj().T)
         assert type(value) is float
-        assert value == pytest.approx(lb.expectation(cfg.q_op, rho), abs=1e-14)
+        assert value == pytest.approx(expectation(cfg.q_op, rho), abs=1e-14)
 
     def test_rb_variant_with_identity_noise_returns_to_start(self):
         identity = lb.QuantumChannel(2, (np.eye(2),))
@@ -172,7 +172,7 @@ class TestExecuteSequence:
             noise=identity, q_op=q, variant="rb", gateset=lb.clifford_gateset()
         )
         for seed in range(5):
-            indices = lb.sample_sequence(cfg.gateset, 7, lb.stream(seed))
+            indices = sample_sequence(cfg.gateset, 7, lb.stream(seed))
             assert execute_sequence(cfg, indices) == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_identity_gate_decays_by_survival_power(self):
@@ -366,7 +366,7 @@ class TestBatchedEngineOracle:
         n = cfg.n_sequences
         self.assert_matches_reference(
             cfg,
-            lambda mi, si, m: lb.sample_sequence(
+            lambda mi, si, m: sample_sequence(
                 cfg.gateset, n * m, lb.stream(cfg.master_seed, mi, 0, 2)
             ).reshape(n, m)[si],
         )
@@ -615,6 +615,11 @@ class TestCsvRoundTrip:
             ("1,0.5,0.1,-3,exact\n", "bad.csv:2: n_sequences must be an integer >= 1"),
             ("1,0.5,0.1,3,0\n", "bad.csv:2: shots must be an integer >= 1"),
             ("1,0.5,0.1,3,-7\n", "bad.csv:2: shots must be an integer >= 1"),
+        ],
+        ids=[
+            "nan-mean", "inf-mean-row-3", "zero-length", "negative-length", "repeated-length",
+            "decreasing-length", "inf-sem", "negative-sem-row-3", "zero-sequences",
+            "negative-sequences", "zero-shots", "negative-shots",
         ],
     )
     def test_bad_rows_raise_with_line(self, tmp_path, rows, message):
