@@ -464,6 +464,121 @@ class TestRateEvaluators:
         assert any(0.0 < c < c_max for c, c_max in amplitudes)
 
 
+# One dataset of each kind that the fit-batch benchmark generates
+# (perfbench/workloads.py), its values rounded to 6 significant digits:
+# (m_values, means, sems, n_sequences, shots).
+_LOSS_M = tuple(range(5, 151, 5))
+_RB_M = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 64)
+PINNED_DATASETS = {
+    "exp-abs": (_LOSS_M, [
+        0.781188, 0.726486, 0.662831, 0.618406, 0.569176, 0.526827, 0.4846, 0.447844,
+        0.416676, 0.387577, 0.355156, 0.326335, 0.301875, 0.278989, 0.255268, 0.238008,
+        0.213141, 0.207287, 0.189392, 0.171599, 0.161764, 0.154701, 0.144163, 0.121923,
+        0.113293, 0.112114, 0.102568, 0.0982725, 0.0827233, 0.0808911,
+    ], [
+        0.00296531, 0.00433528, 0.00430565, 0.00436515, 0.00253389, 0.00211974, 0.0023426,
+        0.00250542, 0.00374842, 0.00222572, 0.00391183, 0.00230921, 0.00179233, 0.00260905,
+        0.00435454, 0.00449303, 0.00389992, 0.00258889, 0.00308969, 0.00227893, 0.00369289,
+        0.00393091, 0.00427712, 0.00316902, 0.00333887, 0.00310753, 0.00182379, 0.00412815,
+        0.00283654, 0.00302533,
+    ], 30, None),
+    "exp-nan": (_LOSS_M, [
+        0.891432, 0.846355, 0.798351, 0.760534, 0.706172, 0.671174, 0.640908, 0.599493,
+        0.558034, 0.535547, 0.502109, 0.479822, 0.450054, 0.424918, 0.399888, 0.375638,
+        0.355944, 0.339635, 0.316907, 0.299318, 0.283868, 0.268415, 0.252349, 0.240332,
+        0.22505, 0.210996, 0.202004, 0.186944, 0.178202, 0.174852,
+    ], [math.nan] * 30, 1, None),
+    "exp-zero": (_LOSS_M, [
+        0.716084, 0.643786, 0.564005, 0.50746, 0.448128, 0.390763, 0.344879, 0.308114,
+        0.273445, 0.248818, 0.208486, 0.196545, 0.16754, 0.145884, 0.140113, 0.124354,
+        0.0976568, 0.0954509, 0.0809729, 0.07891, 0.0499434, 0.0546471, 0.0472953,
+        0.0526934, 0.038612, 0.0389413, 0.0254313, 0.0221746, 0.0301411, 0.0192654,
+    ], [0.0] * 30, 30, None),
+    "plateau": (_LOSS_M, [
+        0.684474, 0.566575, 0.488434, 0.433624, 0.41756, 0.39284, 0.397081, 0.380964,
+        0.379983, 0.373086, 0.373753, 0.387442, 0.381108, 0.364774, 0.382731, 0.373498,
+        0.369463, 0.370062, 0.373421, 0.38215, 0.357309, 0.377379, 0.376198, 0.366139,
+        0.385648, 0.375096, 0.3799, 0.373924, 0.377266, 0.3754,
+    ], [
+        0.00334919, 0.00734284, 0.00434578, 0.00463952, 0.00585968, 0.00812542, 0.00758003,
+        0.00609845, 0.00368364, 0.00618114, 0.00578662, 0.00729587, 0.00467559, 0.00471696,
+        0.00715326, 0.00643109, 0.00293265, 0.00443374, 0.0033718, 0.00437231, 0.00746943,
+        0.00681299, 0.00301134, 0.00795119, 0.00651776, 0.00298708, 0.00623013, 0.00280537,
+        0.00341181, 0.00360134,
+    ], 30, None),
+    "rb": (_RB_M, [
+        0.975617, 0.965866, 0.930404, 0.929205, 0.906546, 0.887045, 0.86467, 0.835577,
+        0.806546, 0.780663, 0.726413, 0.697181, 0.657304, 0.607779, 0.58658, 0.549542,
+    ], [
+        0.00462796, 0.00693667, 0.00750556, 0.00784003, 0.00575295, 0.00596622, 0.00817067,
+        0.00565424, 0.0055964, 0.00721537, 0.00790786, 0.00529063, 0.00382389, 0.00710804,
+        0.0056865, 0.00615334,
+    ], 40, 200),
+    "rb-flat": (_RB_M, [
+        0.480203, 0.487668, 0.489743, 0.485219, 0.484335, 0.495868, 0.483702, 0.487698,
+        0.487727, 0.492587, 0.484672, 0.47775, 0.478068, 0.494706, 0.470752, 0.480264,
+    ], [
+        0.00957093, 0.00687685, 0.00359478, 0.00495649, 0.00551086, 0.00570541, 0.00481043,
+        0.00400467, 0.00482761, 0.00918922, 0.00600114, 0.00860558, 0.00386825, 0.00849246,
+        0.00911208, 0.00362209,
+    ], 40, 200),
+}
+
+# Every field of each dataset's fit, then of the loss fits' plateau_test, in
+# field order, floats as float.hex.
+PINNED_FITS = {
+    "exp-abs": (
+        ("0x1.f7fa837fa1400p-1", "0x1.a9f917be07adcp-1", "0x1.b823e52cce97bp-15",
+         "0x1.05611e336b637p-9", "0x1.0ff96a0b2ed54p+0", True, 53),
+        ("0x1.0ff96a0b2ed54p+0", "0x1.839c894bb8286p+0", False),
+    ),
+    "exp-nan": (
+        ("0x1.fa26d12a383b0p-1", "0x1.dfeeaeb5c3336p-1", "0x1.253988c2542b4p-15",
+         "0x1.c6a71f365bde6p-10", "0x1.52286c6bfc5c7p-17", True, 53),
+        ("0x1.52286c6bfc5c7p-17", "0x1.764ed9aa21435p-4", False),
+    ),
+    "exp-zero": (
+        ("0x1.f3c5d97d8763dp-1", "0x1.96ad59a87d2e2p-1", "0x1.66e791befeb42p-13",
+         "0x1.121254c136ea8p-8", "0x1.ff81373be3c22p-16", True, 53),
+        ("0x1.ff81373be3c22p-16", "-0x1.5020bdbd7d584p-2", False),
+    ),
+    "plateau": (
+        ("0x1.fe89aee09b104p-1", "0x1.05dd03a25e3aep-1", "0x1.68feb8ae43389p-15",
+         "0x1.fc6ad0cd57551p-10", "0x1.6c9a0b3bbfc49p+7", True, 51),
+        ("0x1.6c9a0b3bbfc49p+7", "0x1.22d74ddbf61bbp+4", True),
+    ),
+    "rb": (
+        ("0x1.ec70de4f1bb60p-2", "0x1.05765062d1cdcp-1", "0x1.ecf1f4219e68cp-1",
+         "0x1.0bb2f905e0e83p-7", "0x1.2e58d5fa37fe9p-7", "0x1.a2efc7894d968p-10",
+         "0x1.17a8c18910f89p-6", "0x1.d45c7cd0deffep-1", True, 52),
+        None,
+    ),
+    "rb-flat": (
+        ("0x1.882df37f73479p-7", "0x1.e8df02c54edddp-2", "0x1.f0f77e6665a49p-1",
+         "0x1.1d6c237e2c0edp-7", "0x1.4b9d9cfd0632bp-7", "0x1.bff1f464e4866p-5",
+         "0x1.3101ef85ada4ap-6", "0x1.9f9d6ec92aff9p-1", True, 53),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DATASETS))
+def test_fits_are_pinned_bit_for_bit(kind):
+    # Any change to the fitter's arithmetic, or to the kernels numpy runs it
+    # on, moves a bit here.
+    ds = lb.DecayDataset(*PINNED_DATASETS[kind])
+    hexed = lambda report: tuple(
+        v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)
+    )
+    fit, plateau = PINNED_FITS[kind]
+    if kind.startswith("rb"):
+        assert hexed(lb.fit_rb_decay(ds)) == fit
+    else:
+        loss_fit = lb.fit_loss_decay(ds)
+        assert hexed(loss_fit) == fit
+        assert hexed(lb.plateau_test(ds, loss_fit)) == plateau
+
+
 def hard_floor_dataset():
     # A decay that levels off at 0.05: a plateau no single exponential fits.
     m = np.arange(1, 21, dtype=float)
