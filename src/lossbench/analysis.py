@@ -9,9 +9,9 @@ exponential.
 Fits run weighted least squares (weights 1/sem^2, or unit weights when any
 sem is zero or missing) by variable projection.  The amplitudes (B0, or A
 and B) enter linearly and come from closed-form weighted normal equations at
-each rate, with B0 held in [0, 1e300], so only the rate r (S or p) is
-searched, as t = log r.  The rate stays inside (0, 1], within RATE_BOUNDS =
-[1e-6, 1 - 1e-9].  A fixed grid of 48 rates, geometric in -t, brackets the
+each rate, with B0 held in [0, 1e300] in the normalised units below, so
+only the rate r (S or p) is searched, as t = log r.  The rate stays inside
+(0, 1], within RATE_BOUNDS = [1e-6, 1 - 1e-9].  A fixed grid of 48 rates, geometric in -t, brackets the
 minimum in one batched evaluation; safeguarded Gauss-Newton steps with
 Kaufman's Jacobian (secant curvature after the first step), each one
 single-rate evaluation, refine it until that Jacobian's cosine with the
@@ -21,9 +21,12 @@ only when MAX_ITERATIONS = 200 evaluations run out.  ``n_iterations`` counts
 reduced-cost evaluations: 48 for the grid plus one per step.  Standard
 errors come from the full Jacobian at the solution.  Fits run in normalised
 units: the weights' square roots are divided by a power of two that puts the
-largest near 1, and the loss column is r^(m - m_min), 1 at the shortest
-length, so the products inside a fit stay in range.  chi^2 and the stderrs
-are scaled back exactly; beyond the float range they are inf.
+largest near 1, means whose largest magnitude lies outside [2^-16, 2^16) are
+divided by the power of two that puts it in [1/2, 1), and the loss column is
+r^(m - m_min), 1 at the shortest length, so the products inside a fit stay
+in range and the Jacobian's columns do not depend on the data's unit.  The
+amplitudes, chi^2 and the stderrs are scaled back exactly; beyond the float
+range they are inf.
 """
 
 import math
@@ -245,6 +248,14 @@ def _fit_weights(sems: np.ndarray) -> tuple:
     return np.ones_like(sems), 0, False
 
 
+def _ldexp(x: float, n: int) -> float:
+    """x 2^n; +-inf beyond the float range, where math.ldexp raises OverflowError."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _project_rates(t, c_max, u, yc, w2, w_sum, offset):
     """Reduced cost of y ~ c phi(r) (+ b) at every t = log r of a 1-D array, in one call.
 
@@ -256,14 +267,14 @@ def _project_rates(t, c_max, u, yc, w2, w_sum, offset):
     ut = np.multiply.outer(t, u)
     phi = np.expm1(ut) if offset else np.exp(ut)
     if offset:
-        phi = phi - (phi @ w2)[:, None] / w_sum
+        phi = phi - phi.dot(w2)[:, None] / w_sum
     wphi = phi * w2
-    norm2 = (wphi * phi).sum(axis=1)
-    c = np.divide(wphi @ yc, norm2, out=np.zeros(norm2.shape), where=norm2 > 0.0)
+    norm2 = np.add.reduce(wphi * phi, axis=1)
+    c = np.divide(wphi.dot(yc), norm2, out=np.zeros(norm2.shape), where=norm2 > 0.0)
     if not offset:
         c = np.minimum(np.maximum(c, 0.0), c_max)
     res = yc - c[:, None] * phi
-    return (res * res) @ w2, c, res, phi, norm2
+    return (res * res).dot(w2), c, res, phi, norm2
 
 
 def _project_rate(t, c_max, u, yc, w2, w_sum, offset):
@@ -277,17 +288,17 @@ def _project_rate(t, c_max, u, yc, w2, w_sum, offset):
     curve = np.exp(ut)
     if offset:
         phi = np.expm1(ut)
-        phi = phi - float(phi @ w2) / w_sum
+        phi = phi - float(phi.dot(w2)) / w_sum
     else:
         phi = curve
     wphi = phi * w2
-    norm2 = float((wphi * phi).sum())
-    c = float(wphi @ yc) / norm2 if norm2 > 0.0 else 0.0
+    norm2 = float(np.add.reduce(wphi * phi))
+    c = float(wphi.dot(yc)) / norm2 if norm2 > 0.0 else 0.0
     if not offset:
         # As np.maximum then np.minimum: -0.0 becomes 0.0 and NaN passes.
         c = 0.0 if c <= 0.0 else min(c, c_max)
     res = yc - c * phi
-    return float((res * res) @ w2), c, res, phi, norm2, curve
+    return float((res * res).dot(w2)), c, res, phi, norm2, curve
 
 
 def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool) -> tuple:
@@ -318,9 +329,15 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     says whether a stop rule, not the MAX_ITERATIONS budget, ended the search.
     """
     sqrt_w, e, absolute_sigma = _fit_weights(sems)
+    # Means whose largest magnitude is outside [2^-16, 2^16) are fitted divided
+    # by the power of two 2^f that puts it in [1/2, 1).
+    f = math.frexp(float(np.maximum.reduce(np.abs(y))))[1]
+    f = 0 if -15 <= f <= 16 else f
+    if f:
+        y = np.ldexp(y, -f)
     w2 = sqrt_w * sqrt_w
-    w_sum = float(w2.sum())
-    mean = float(w2 @ y) / w_sum if offset else 0.0
+    w_sum = float(np.add.reduce(w2))
+    mean = float(w2.dot(y)) / w_sum if offset else 0.0
     yc = y - mean
     x0 = 0.0 if offset else float(x.min())
     u = x - x0
@@ -328,7 +345,7 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     c_maxs = _B0_MAX * np.exp(x0 * _LOG_RATE_GRID)
     args = (u, yc, w2, w_sum, offset)
     costs, cs, ress, phis, norm2s = _project_rates(_LOG_RATE_GRID, c_maxs, *args)
-    k = int(np.argmin(costs))
+    k = int(costs.argmin())
     nfev = _LOG_RATE_GRID.size
     lo = float(_LOG_RATE_GRID[max(k - 1, 0)])
     hi = float(_LOG_RATE_GRID[min(k + 1, nfev - 1)])
@@ -349,12 +366,12 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
         # the Jacobian itself.  The Gauss-Newton step is <res, P v> / |P v|^2.
         pv = c * x * curve
         if c != 0.0 and (offset or c < c_max):
-            pv = pv - (float((w2 * pv) @ phi) / norm2) * phi
+            pv = pv - (float((w2 * pv).dot(phi)) / norm2) * phi
         if offset:
-            pv = pv - float(w2 @ pv) / w_sum
+            pv = pv - float(w2.dot(pv)) / w_sum
         wpv = w2 * pv
-        g = float(wpv @ res)
-        h = float(wpv @ pv)
+        g = float(wpv.dot(res))
+        h = float(wpv.dot(pv))
         if h == 0.0 or abs(g) <= GRADIENT_TOL * math.sqrt(h) * math.sqrt(cost):
             break
         # The cost falls on the side of t that g points to, so the minimum
@@ -393,20 +410,26 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     _, sv, vt = np.linalg.svd(np.array(cols).T, full_matrices=False)
     eps = np.finfo(float).eps
     sv = np.maximum(sv, eps * max(sv[0], eps))
-    cov = (vt.T / sv**2) @ vt
+    cov = (vt.T / sv**2).dot(vt)
+    # Back to the data's units by powers of two: the weights' square roots
+    # carry 2^-e (e = 0 for unit weights) and the means 2^-f, which leaves
+    # the rate alone.  Unit-weight stderrs carry 2^-f through the cost.
+    chi2 = _ldexp(_ldexp(float(cost), e + f), e + f) / dof
     if not absolute_sigma:
         cov = cov * (cost / dof)
-    unit = 2.0**-e  # a double for any e; Python floats overflow to inf without a warning
-    stderrs = [math.sqrt(v) * unit for v in cov.diagonal().tolist()]
+        e = -f
+    shifts = [-e] * offset + [-e, -e - f]
+    stderrs = [_ldexp(math.sqrt(v), n) for v, n in zip(cov.diagonal().tolist(), shifts)]
     rx0 = math.exp(x0 * t)  # 0 only where c is held at 0
-    params = [float(c) / rx0 if rx0 else 0.0, r]
+    params = [_ldexp(float(c) / rx0, f) if rx0 else 0.0, r]
     stderrs[0] = stderrs[0] / rx0 if rx0 else math.inf
     if offset:
-        params.insert(1, float(mean - c * (1.0 + float(w2 @ np.expm1(u * t)) / w_sum)))
+        b = float(mean - c * (1.0 + float(w2.dot(np.expm1(u * t))) / w_sum))
+        params.insert(1, _ldexp(b, f))
         # Rooted before the scale goes back on, as above: var(b - a) = var(b - c).
         var = float(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
-        stderrs.append(math.sqrt(max(var, 0.0)) * unit)
-    return params, stderrs, float(cost) / unit / unit / dof, nfev, converged
+        stderrs.append(_ldexp(math.sqrt(max(var, 0.0)), -e))
+    return params, stderrs, chi2, nfev, converged
 
 
 def fit_loss_decay(ds: DecayDataset) -> DecayFit:
@@ -507,13 +530,13 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     model = fit.B0_hat * fit.S_hat ** (m - 1.0)
     tail = slice(-PLATEAU_TAIL_POINTS, None)
     n_tail = PLATEAU_TAIL_POINTS
-    excess = float(y[tail].sum() / n_tail - model[tail].sum() / n_tail)
+    excess = float(np.add.reduce(y[tail]) / n_tail - np.add.reduce(model[tail]) / n_tail)
     if _absolute_weights(ds.sems):
         # Squared subnormal sems underflow, so the root is taken of the sems
         # scaled by a power of two, which is exact, and scaled back.  Only
         # tail sems near 5e-324 take the floor of the smallest float.
         _, e = math.frexp(float(ds.sems[tail].max()))
-        root = math.sqrt(float(np.sum(np.ldexp(ds.sems[tail], -e) ** 2)))
+        root = math.sqrt(float(np.add.reduce(np.ldexp(ds.sems[tail], -e) ** 2)))
         sigma_tail = max(math.ldexp(root / PLATEAU_TAIL_POINTS, e), math.ulp(0.0))
     else:
         # Unit-weight fits carry no per-point sigma; use the fit's own

@@ -204,64 +204,75 @@ def read_decay_csv(path) -> DecayDataset:
 
     The file is read as UTF-8.  Rejects, with a ``path:line:`` message, rows
     whose length m is below 1 or not strictly above the previous row's,
-    non-finite means, infinite or negative sems, and n_sequences or integer
-    shots below 1.  A NaN or zero sem is valid: single-sequence and exact
-    datasets write them.
+    non-finite means, infinite or negative sems, n_sequences or integer
+    shots below 1, and fields the csv module cannot read.  A NaN or zero
+    sem is valid: single-sequence and exact datasets write them.
     """
     with io.StringIO(_read_utf8(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        if tuple(header) != CSV_HEADER:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty CSV")
+            if tuple(header) != CSV_HEADER:
+                raise ValueError(
+                    f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+                )
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    # The constructor applies every value rule.  The rows are scanned one by
+    # one only when a row has other than 5 fields, a count column changes
+    # spelling, or a conversion or the constructor raises: to name the line,
+    # or to accept a count spelt two ways, such as 5 and 05.
+    try:
+        m, mean, sem, n_seq, shots = zip(*(row for row in rows if row), strict=True)
+        if len({*n_seq}) == len({*shots}) == 1:
+            n_seq, shots = int(n_seq[0]), None if shots[0] == "exact" else int(shots[0])
+            columns = tuple(map(int, m)), list(map(float, mean)), list(map(float, sem))
+            return DecayDataset(*columns, n_seq, shots, {"source": str(path)})
+    except (ValueError, TypeError):
+        pass
+    return _scan_rows(path, rows)
+
+
+def _scan_rows(path, rows) -> DecayDataset:
+    """The dataset of read_decay_csv's rows (row i is line i + 2), checked row by row."""
+    m_values, means, sems = [], [], []
+    n_sequences, shots = None, None
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+        try:
+            m, mean, sem = int(row[0]), float(row[1]), float(row[2])
+            n_seq = int(row[3])
+            sh = None if row[4] == "exact" else int(row[4])
+            if n_sequences is None:
+                n_sequences = _count("n_sequences", n_seq, 1)
+                shots = sh if sh is None else _count("shots", sh, 1)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if m < 1:
+            raise ValueError(f"{path}:{lineno}: sequence length must be >= 1, got {m}")
+        if m_values and m <= m_values[-1]:
             raise ValueError(
-                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+                f"{path}:{lineno}: sequence lengths must be strictly increasing, "
+                f"got {m} after {m_values[-1]}"
             )
-        m_values, means, sems = [], [], []
-        n_sequences, shots = None, None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                m, mean, sem = int(row[0]), float(row[1]), float(row[2])
-                n_seq = int(row[3])
-                sh = None if row[4] == "exact" else int(row[4])
-                if n_sequences is None:
-                    n_sequences = _count("n_sequences", n_seq, 1)
-                    shots = sh if sh is None else _count("shots", sh, 1)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if m < 1:
-                raise ValueError(f"{path}:{lineno}: sequence length must be >= 1, got {m}")
-            if m_values and m <= m_values[-1]:
-                raise ValueError(
-                    f"{path}:{lineno}: sequence lengths must be strictly increasing, "
-                    f"got {m} after {m_values[-1]}"
-                )
-            if not math.isfinite(mean):
-                raise ValueError(f"{path}:{lineno}: mean must be finite, got {mean!r}")
-            if math.isinf(sem) or sem < 0.0:
-                raise ValueError(
-                    f"{path}:{lineno}: sem must be NaN or finite and >= 0, got {sem!r}"
-                )
-            m_values.append(m)
-            means.append(mean)
-            sems.append(sem)
-            if (n_sequences, shots) != (n_seq, sh):
-                raise ValueError(f"{path}:{lineno}: inconsistent n_sequences/shots")
+        if not math.isfinite(mean):
+            raise ValueError(f"{path}:{lineno}: mean must be finite, got {mean!r}")
+        if math.isinf(sem) or sem < 0.0:
+            raise ValueError(f"{path}:{lineno}: sem must be NaN or finite and >= 0, got {sem!r}")
+        m_values.append(m)
+        means.append(mean)
+        sems.append(sem)
+        if (n_sequences, shots) != (n_seq, sh):
+            raise ValueError(f"{path}:{lineno}: inconsistent n_sequences/shots")
     if not m_values:
         raise ValueError(f"{path}: no data rows")
-    return DecayDataset(
-        m_values=tuple(m_values),
-        means=means,
-        sems=sems,
-        n_sequences=n_sequences,
-        shots=shots,
-        metadata={"source": str(path)},
-    )
+    return DecayDataset(tuple(m_values), means, sems, n_sequences, shots, {"source": str(path)})
 
 
 def sample_sequence(gateset: GateSet, m: int, rng: "np.random.Generator") -> np.ndarray:

@@ -13,11 +13,15 @@ enumeration with :func:`execute_sequence`.
 
 It also holds the test references and channel factories that no library
 code calls: the one-state Kraus sum (``apply_channel``), the group average
-(``twirl``), and the random lossy and depolarizing channels of the
-property sweeps.
+(``twirl``), the random lossy and depolarizing channels of the property
+sweeps, and the row-by-row decay CSV reader (``reference_read_decay_csv``)
+that the library's reader is checked against.
 """
 
+import csv
+import io
 import itertools
+import math
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from lossbench.core import (
     transfer_matrix,
 )
 from lossbench.gates import PHASE_MATCH_ATOL, GateSet, _PAULIS
+from lossbench.protocol import CSV_HEADER, _read_utf8
 
 
 def _apply_kraus(kraus, mat: np.ndarray) -> np.ndarray:
@@ -246,3 +251,61 @@ def random_povm(dim, seed):
     eigs = lb.stream(seed, 77).uniform(0.0, 1.0, size=dim)
     mat = basis @ np.diag(eigs).astype(complex) @ basis.conj().T
     return lb.MeasurementOperator(dim, hermitian_part(mat))
+
+
+def reference_read_decay_csv(path) -> lb.DecayDataset:
+    """A decay CSV read and checked one row at a time, each rule naming its line."""
+    with io.StringIO(_read_utf8(path), newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV") from None
+        if tuple(header) != CSV_HEADER:
+            raise ValueError(
+                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+            )
+        m_values, means, sems = [], [], []
+        n_sequences, shots = None, None
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+            try:
+                m, mean, sem = int(row[0]), float(row[1]), float(row[2])
+                n_seq = int(row[3])
+                sh = None if row[4] == "exact" else int(row[4])
+                if n_sequences is None:
+                    n_sequences = _count("n_sequences", n_seq, 1)
+                    shots = sh if sh is None else _count("shots", sh, 1)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if m < 1:
+                raise ValueError(f"{path}:{lineno}: sequence length must be >= 1, got {m}")
+            if m_values and m <= m_values[-1]:
+                raise ValueError(
+                    f"{path}:{lineno}: sequence lengths must be strictly increasing, "
+                    f"got {m} after {m_values[-1]}"
+                )
+            if not math.isfinite(mean):
+                raise ValueError(f"{path}:{lineno}: mean must be finite, got {mean!r}")
+            if math.isinf(sem) or sem < 0.0:
+                raise ValueError(
+                    f"{path}:{lineno}: sem must be NaN or finite and >= 0, got {sem!r}"
+                )
+            m_values.append(m)
+            means.append(mean)
+            sems.append(sem)
+            if (n_sequences, shots) != (n_seq, sh):
+                raise ValueError(f"{path}:{lineno}: inconsistent n_sequences/shots")
+    if not m_values:
+        raise ValueError(f"{path}: no data rows")
+    return lb.DecayDataset(
+        m_values=tuple(m_values),
+        means=means,
+        sems=sems,
+        n_sequences=n_sequences,
+        shots=shots,
+        metadata={"source": str(path)},
+    )

@@ -305,6 +305,16 @@ class TestFit:
         assert message in proc.stderr
         assert not (tmp_path / "fit.json").exists()
 
+    def test_field_over_the_csv_limit_is_usage_error_with_line(self, tmp_path):
+        csv = tmp_path / "big.csv"
+        csv.write_text(
+            "m,mean,sem,n_sequences,shots\n1,0.9,0.01,5,exact\n2," + "1" * 131073 + ",0.01,5,exact\n"
+        )
+        proc = run_cli("fit", str(csv), "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"lossbench: error: {csv}:3: field larger than field limit (131072)\n"
+        assert not (tmp_path / "fit.json").exists()
+
     def test_csv_that_is_not_utf8_is_usage_error(self, tmp_path):
         csv = tmp_path / "bad.csv"
         csv.write_bytes(b"m,mean,sem,n_sequences,shots\n1,0.9,0.01,5,exact\n2,0.8\xff,0.01,5,exact\n")

@@ -1,8 +1,9 @@
 """Property tests: the config parser's error contract, the CSV round trip, the
-loss bound and the real transfer matrix on random channels and stacks of
-Kraus sets, the Hermiticity and unitarity checks on NaN and huge entries, and
-the decay fits' global minimum and their independence of the unit of the
-sems."""
+CSV reader against a row-by-row reference on mutated files, the loss bound
+and the real transfer matrix on random channels and stacks of Kraus sets,
+the Hermiticity and unitarity checks on NaN and huge entries, and the decay
+fits' global minimum and their independence of the unit of the sems and of
+the means."""
 
 import copy
 import json
@@ -20,7 +21,7 @@ from lossbench.core import (
     hermitian_part,
     transfer_matrix,
 )
-from support import _apply_kraus, apply_channel
+from support import _apply_kraus, apply_channel, reference_read_decay_csv
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -152,6 +153,71 @@ def test_csv_round_trip_is_exact(fields, tmp_path_factory):
     assert np.array_equal(np.isnan(back.sems), nan)
     assert back.sems[~nan].tobytes() == ds.sems[~nan].tobytes()
     assert (back.n_sequences, back.shots) == (ds.n_sequences, ds.shots)
+
+
+_MUTATIONS = ("drop", "extra", "token", "value", "length", "blank", "spelling", "quote", "no-rows")
+
+
+@st.composite
+def decay_csv_texts(draw):
+    """The text of a decay CSV: valid rows, then up to four mutations (a field
+    dropped or added, a non-numeric token, nan, inf or -1 in a column, a
+    repeated or lower length, a blank line, another spelling of a count, a
+    quoted field, no data rows)."""
+    lengths = sorted(draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=6, unique=True)))
+    shots = draw(st.sampled_from(["exact", "200"]))
+    rows = [
+        [str(m), repr(draw(st.floats(-1.0, 1.0))), repr(draw(st.floats(0.0, 0.1))), "5", shots]
+        for m in lengths
+    ]
+    for mutation in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=4)):
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if mutation == "no-rows":
+            rows = []
+        if mutation == "blank":
+            rows.insert(i, [])
+        if not rows or not rows[i]:
+            continue
+        row = rows[i]
+        j = draw(st.integers(0, len(row) - 1))
+        if mutation == "drop":
+            del row[j]
+        elif mutation == "extra":
+            row.insert(draw(st.integers(0, len(row))), "1")
+        elif mutation == "token":
+            row[j] = draw(st.sampled_from(["x", "", "1e", "0x10", "1.5", "exact"]))
+        elif mutation == "value":
+            row[j] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "-1.0"]))
+        elif mutation == "length":
+            before = rows[i - 1][0] if i and rows[i - 1] else "1"
+            row[0] = draw(st.sampled_from([before, str(int(lengths[0]) - 1), "0"]))
+        elif mutation == "spelling":
+            # The count columns are the last two while the row has 5 fields.
+            row[-draw(st.sampled_from([1, 2]))] = draw(
+                st.sampled_from(["05", "+5", " 5", "5.0", "0200", "200", "exact"])
+            )
+        elif mutation == "quote":
+            row[j] = f'"{row[j]}"'
+    return "m,mean,sem,n_sequences,shots\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+def _read_outcome(read, path):
+    """The dataset's fields as bytes, or the ValueError's message."""
+    try:
+        ds = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return ds.m_values, ds.means.tobytes(), ds.sems.tobytes(), ds.n_sequences, ds.shots, ds.metadata
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(text=decay_csv_texts())
+def test_csv_reader_equals_the_row_scan(text, tmp_path_factory):
+    # The same dataset bytes, or the same path:line: message, as a reader
+    # that checks one row at a time.
+    path = tmp_path_factory.mktemp("csv") / "decay.csv"
+    path.write_text(text)
+    assert _read_outcome(lb.read_decay_csv, path) == _read_outcome(reference_read_decay_csv, path)
 
 
 @st.composite
@@ -356,3 +422,34 @@ def test_fits_do_not_depend_on_the_unit_of_the_sems(case, k):
             assert getattr(scaled, name) == np.ldexp(value, k), name
         elif name.endswith("_hat") or name in ("converged", "n_iterations"):
             assert getattr(scaled, name) == value, name
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(case=decaying_datasets(), k=st.integers(-1000, 1000), unit=st.booleans())
+def test_fits_do_not_depend_on_the_unit_of_the_means(case, k, unit):
+    # Scaling every mean and sem by 2^k changes the data's unit: the rates,
+    # convergence and evaluation count must not move, the amplitudes must
+    # scale by 2^k exactly, and the stderrs and chi2/dof by their own factor
+    # (chi2/dof by 2^2k under unit weights, which take zero sems).
+    model, ds = case
+    sems = np.zeros_like(ds.sems) if unit else ds.sems
+    means = np.ldexp(ds.means, k)
+    # Only data that scale exactly: no mean or sem rounded to a subnormal.
+    hypothesis.assume((np.ldexp(means, -k) == ds.means).all())
+    hypothesis.assume((np.ldexp(np.ldexp(sems, k), -k) == sems).all())
+    fit = lb.fit_loss_decay if model == "loss" else lb.fit_rb_decay
+    base = fit(lb.DecayDataset(ds.m_values, ds.means, sems, 30, None))
+    scaled = fit(lb.DecayDataset(ds.m_values, means, np.ldexp(sems, k), 30, None))
+    for name, value in vars(base).items():
+        if name in ("converged", "n_iterations", "S_hat", "p_hat"):
+            assert getattr(scaled, name) == value, name
+        elif name.endswith("_hat"):
+            assert getattr(scaled, name) == math.ldexp(value, k), name
+        else:
+            # A rate's stderr keeps its unit, and so does chi2/dof under absolute weights.
+            shift = {"stderr_S": 0, "stderr_p": 0, "chi2_per_dof": 2 * k * unit}.get(name, k)
+            with np.errstate(over="ignore"):
+                expected = float(np.ldexp(value, shift))
+            # Two subnormal steps of slack: a chi2/dof below the normal range is rounded twice.
+            tol = dict(rel_tol=1e-9, abs_tol=2 * math.ulp(0.0))
+            assert math.isclose(getattr(scaled, name), expected, **tol), name

@@ -652,3 +652,13 @@ class TestCsvRoundTrip:
         path.write_text("m,mean,sem,n_sequences,shots\n")
         with pytest.raises(ValueError, match="no data rows"):
             lb.read_decay_csv(path)
+
+    def test_field_over_the_csv_limit_names_line(self, tmp_path):
+        # The csv module refuses fields over 131072 characters with csv.Error.
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "m,mean,sem,n_sequences,shots\n1,0.9,0.01,5,exact\n2," + "1" * 131073 + ",0.01,5,exact\n"
+        )
+        with pytest.raises(ValueError) as info:
+            lb.read_decay_csv(path)
+        assert str(info.value) == f"{path}:3: field larger than field limit (131072)"
