@@ -190,7 +190,7 @@ def decay_csv_texts(draw):
             row[j] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "-1.0"]))
         elif mutation == "length":
             before = rows[i - 1][0] if i and rows[i - 1] else "1"
-            row[0] = draw(st.sampled_from([before, str(int(lengths[0]) - 1), "0"]))
+            row[0] = draw(st.sampled_from([before, str(lengths[0] - 1), "0"]))
         elif mutation == "spelling":
             # The count columns are the last two while the row has 5 fields.
             row[-draw(st.sampled_from([1, 2]))] = draw(
