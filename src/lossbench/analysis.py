@@ -58,8 +58,9 @@ FLAG_PLATEAU = "PLATEAU"
 
 # Fewest sequence lengths plateau_test accepts; `lossbench fit` skips the test below it.
 PLATEAU_MIN_LENGTHS = 8
-# plateau_test flags a fit whose chi2/dof exceeds PLATEAU_CHI2, or whose mean
-# excess over the last PLATEAU_TAIL_POINTS lengths exceeds PLATEAU_TAIL_Z sigma.
+# plateau_test flags an absolutely weighted fit whose chi2/dof exceeds
+# PLATEAU_CHI2, or a fit whose mean excess over the last PLATEAU_TAIL_POINTS
+# lengths exceeds PLATEAU_TAIL_Z sigma.
 PLATEAU_CHI2 = 4.0
 PLATEAU_TAIL_Z = 3.0
 PLATEAU_TAIL_POINTS = 5
@@ -256,6 +257,13 @@ def _ldexp(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def _mean_shift(y: np.ndarray) -> int:
+    """f such that a fit divides the means by 2^f: 0 when their largest magnitude
+    lies in [2^-16, 2^16), else the exponent that puts it in [1/2, 1)."""
+    f = math.frexp(float(np.maximum.reduce(np.abs(y))))[1]
+    return 0 if -15 <= f <= 16 else f
+
+
 def _project_rates(t, c_max, u, yc, w2, w_sum, offset):
     """Reduced cost of y ~ c phi(r) (+ b) at every t = log r of a 1-D array, in one call.
 
@@ -329,10 +337,7 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     says whether a stop rule, not the MAX_ITERATIONS budget, ended the search.
     """
     sqrt_w, e, absolute_sigma = _fit_weights(sems)
-    # Means whose largest magnitude is outside [2^-16, 2^16) are fitted divided
-    # by the power of two 2^f that puts it in [1/2, 1).
-    f = math.frexp(float(np.maximum.reduce(np.abs(y))))[1]
-    f = 0 if -15 <= f <= 16 else f
+    f = _mean_shift(y)
     if f:
         y = np.ldexp(y, -f)
     w2 = sqrt_w * sqrt_w
@@ -515,11 +520,12 @@ def detector_efficiency(
 def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     """Flag non-exponential tails in a single-exponential fit.
 
-    Checks the fit's chi-squared per degree of freedom against PLATEAU_CHI2
-    and the z-score of the excess of the last PLATEAU_TAIL_POINTS data means
-    over the fitted curve against PLATEAU_TAIL_Z.  Coherent leakage produces
-    exactly this signature: the signal first tracks an exponential, then
-    flattens above it.
+    Checks the z-score of the excess of the last PLATEAU_TAIL_POINTS data
+    means over the fitted curve against PLATEAU_TAIL_Z and, for an absolutely
+    weighted fit, its chi-squared per degree of freedom against PLATEAU_CHI2
+    (under unit weights it carries the means' unit squared).  Coherent leakage
+    produces exactly this signature: the signal first tracks an exponential,
+    then flattens above it.
     """
     m = np.array(ds.m_values, dtype=float)
     y = np.array(ds.means, dtype=float)
@@ -531,7 +537,8 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     tail = slice(-PLATEAU_TAIL_POINTS, None)
     n_tail = PLATEAU_TAIL_POINTS
     excess = float(np.add.reduce(y[tail]) / n_tail - np.add.reduce(model[tail]) / n_tail)
-    if _absolute_weights(ds.sems):
+    absolute = _absolute_weights(ds.sems)
+    if absolute:
         # Squared subnormal sems underflow, so the root is taken of the sems
         # scaled by a power of two, which is exact, and scaled back.  Only
         # tail sems near 5e-324 take the floor of the smallest float.
@@ -540,15 +547,17 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
         sigma_tail = max(math.ldexp(root / PLATEAU_TAIL_POINTS, e), math.ulp(0.0))
     else:
         # Unit-weight fits carry no per-point sigma; use the fit's own
-        # residual scale for the tail mean, which is 0 for a perfect fit.
+        # residual scale for the tail mean, which is 0 for a perfect fit.  Its
+        # floor of 1e-15 is in the units the fit ran in (see _separable_fit).
         residual_scale = math.sqrt(max(fit.chi2_per_dof, 0.0))
-        sigma_tail = max(residual_scale / math.sqrt(PLATEAU_TAIL_POINTS), 1e-15)
+        floor = math.ldexp(1e-15, _mean_shift(y))
+        sigma_tail = max(residual_scale / math.sqrt(PLATEAU_TAIL_POINTS), floor)
     # Python floats: a z beyond the float range is inf, without a warning.
     z = excess / sigma_tail
     return PlateauReport(
         chi2_per_dof=fit.chi2_per_dof,
         tail_excess_z=z,
-        flagged=bool(fit.chi2_per_dof > PLATEAU_CHI2 or z > PLATEAU_TAIL_Z),
+        flagged=bool(absolute and fit.chi2_per_dof > PLATEAU_CHI2 or z > PLATEAU_TAIL_Z),
     )
 
 

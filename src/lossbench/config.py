@@ -6,6 +6,10 @@ A run config is a JSON object with sections ``gateset``, ``noise``,
 errors carry the path of the offending field.  Numbers must be finite:
 ``NaN``, ``Infinity`` and integers too large for a float are rejected.
 
+Each section is judged in one pass that reports every bad field; a check
+that needs other fields (the detector model, the Kraus sum, the order of
+the lengths, start <= stop) is made once those fields are valid.
+
 Explicit complex matrices are written as nested arrays of [re, im] pairs.
 Leakage runs are assembled automatically: the qubit gate set is embedded
 into a qutrit with the configured (or seed-resolved) extra-level phase, and
@@ -66,205 +70,188 @@ def _is_number(value) -> bool:
         return False
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _integer(value, path: str, least: int, errors: list, also: str = "") -> int | None:
+    """``value`` if it is an integer >= ``least`` (0 or 1); else None, with an error."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return value
+    kind = "positive" if least else "nonnegative"
+    errors.append(f"{path}: expected a {kind} integer{also}, got {value!r}")
+    return None
 
 
-def _check_keys(section: dict, path: str, allowed) -> list:
-    return [f"{path}.{key}: unknown key" for key in sorted(set(section) - set(allowed))]
+def _keys(section: dict, path: str, allowed, errors: list, required=(), missing="required"):
+    """Append an error for each unknown key and each ``required`` key absent from ``section``."""
+    prefix = f"{path}." if path else ""
+    errors += [f"{prefix}{key}: unknown key" for key in sorted(set(section) - set(allowed))]
+    errors += [f"{prefix}{key}: {missing}" for key in required if key not in section]
 
 
-def _parse_qubit_matrix(data, path: str) -> np.ndarray:
+def _parse_qubit_matrix(data, path: str, errors: list) -> np.ndarray | None:
     """A 2x2 complex matrix from [re, im] pairs; every explicit matrix is a qubit's."""
     # An object array keeps each JSON value as parsed, so strings and bools
     # reach _is_number instead of being converted by numpy.
     arr = np.array(data, dtype=object)
     if not all(_is_number(v) for v in arr.flat):
-        raise ConfigError([f"{path}: expected a nested array of finite [re, im] pairs"])
-    if arr.shape != (2, 2, 2):
-        raise ConfigError([f"{path}: expected a 2x2 matrix of [re, im] pairs, got {arr.shape}"])
-    arr = arr.astype(float)
-    return arr[..., 0] + 1j * arr[..., 1]
+        errors.append(f"{path}: expected a nested array of finite [re, im] pairs")
+    elif arr.shape != (2, 2, 2):
+        errors.append(f"{path}: expected a 2x2 matrix of [re, im] pairs, got {arr.shape}")
+    else:
+        return arr[..., 0].astype(float) + 1j * arr[..., 1].astype(float)
+    return None
 
 
-def _validate_gateset(value) -> str:
+# Each section validator takes its JSON value and the document's error list,
+# appends one message per bad field and returns the parsed section.  A check
+# that reads other fields runs only if they added no error since ``before``.
+
+
+def _validate_gateset(value, errors: list) -> str:
     if value not in ("pauli", "clifford"):
-        raise ConfigError([f"gateset: expected 'pauli' or 'clifford', got {value!r}"])
+        errors.append(f"gateset: expected 'pauli' or 'clifford', got {value!r}")
     return value
 
 
-def _validate_seed(value) -> int:
-    if not _is_int(value) or value < 0:
-        raise ConfigError([f"seed: expected a nonnegative integer, got {value!r}"])
-    return value
-
-
-def _validate_noise(value) -> tuple:
+def _validate_noise(value, errors: list) -> tuple | None:
     """(type, channel); leakage gives (epsilon, theta, hamiltonian_seed) for _assemble."""
     if not isinstance(value, dict):
-        raise ConfigError(["noise: expected an object with a 'type' key"])
+        errors.append("noise: expected an object with a 'type' key")
+        return None
     ntype = value.get("type")
     if ntype == "loss":
-        errors = _check_keys(value, "noise", ("type", "alpha", "level"))
-        alpha = value.get("alpha")
-        level = value.get("level")
+        _keys(value, "noise", ("type", "alpha", "level"), errors)
+        before = len(errors)
+        alpha, level = value.get("alpha"), value.get("level")
         if not _is_number(alpha) or not 0.0 <= alpha <= 1.0:
             errors.append(f"noise.alpha: expected a number in [0, 1], got {alpha!r}")
         if level not in (0, 1) or isinstance(level, bool):
             errors.append(f"noise.level: expected 0 or 1 (qubit basis level), got {level!r}")
-        if errors:
-            raise ConfigError(errors)
-        return "loss", basis_loss_channel(float(alpha), int(level), dim=2)
-    if ntype == "leakage":
-        errors = _check_keys(value, "noise", ("type", "epsilon", "theta", "hamiltonian_seed"))
-        epsilon = value.get("epsilon")
-        theta = value.get("theta")
-        h_seed = value.get("hamiltonian_seed")
+        if len(errors) == before:
+            return "loss", basis_loss_channel(float(alpha), int(level), dim=2)
+    elif ntype == "leakage":
+        _keys(value, "noise", ("type", "epsilon", "theta", "hamiltonian_seed"), errors)
+        before = len(errors)
+        epsilon, theta = value.get("epsilon"), value.get("theta")
         if not _is_number(epsilon) or epsilon <= 0.0:
             errors.append(f"noise.epsilon: expected a positive number, got {epsilon!r}")
         if theta != "random" and not _is_number(theta):
             errors.append(f"noise.theta: expected a number or 'random', got {theta!r}")
-        if not _is_int(h_seed) or h_seed < 0:
-            errors.append(
-                f"noise.hamiltonian_seed: expected a nonnegative integer, got {h_seed!r}"
-            )
-        if errors:
-            raise ConfigError(errors)
-        return "leakage", (float(epsilon), theta if theta == "random" else float(theta), h_seed)
-    if ntype == "kraus":
-        errors = _check_keys(value, "noise", ("type", "operators"))
-        if errors:
-            raise ConfigError(errors)
+        h_seed = _integer(value.get("hamiltonian_seed"), "noise.hamiltonian_seed", 0, errors)
+        if len(errors) == before:
+            theta = theta if theta == "random" else float(theta)
+            return "leakage", (float(epsilon), theta, h_seed)
+    elif ntype == "kraus":
+        _keys(value, "noise", ("type", "operators"), errors)
+        before = len(errors)
         ops = value.get("operators")
         if not isinstance(ops, list) or not ops:
-            raise ConfigError(["noise.operators: expected a nonempty list of matrices"])
-        kraus = tuple(_parse_qubit_matrix(op, f"noise.operators[{i}]") for i, op in enumerate(ops))
-        try:
-            return "kraus", QuantumChannel(2, kraus)
-        except ValueError as exc:
-            raise ConfigError([f"noise.operators: {exc}"]) from None
-    raise ConfigError(
-        [f"noise.type: expected 'loss', 'leakage' or 'kraus', got {ntype!r}"]
-    )
+            errors.append("noise.operators: expected a nonempty list of matrices")
+            return None
+        kraus = [
+            _parse_qubit_matrix(op, f"noise.operators[{i}]", errors) for i, op in enumerate(ops)
+        ]
+        if len(errors) == before:
+            try:
+                return "kraus", QuantumChannel(2, tuple(kraus))
+            except ValueError as exc:
+                errors.append(f"noise.operators: {exc}")
+    else:
+        errors.append(f"noise.type: expected 'loss', 'leakage' or 'kraus', got {ntype!r}")
+    return None
 
 
-def _validate_state(value) -> DensityMatrix:
+def _validate_state(value, errors: list) -> DensityMatrix | None:
     presets = ("zero", "one", "maximally_mixed")
+    if value == "maximally_mixed":
+        return maximally_mixed(2)
+    if value in presets:
+        return basis_state(2, presets.index(value))
     if isinstance(value, str):
-        if value not in presets:
-            raise ConfigError(
-                [f"state: expected one of {presets} or an object with 'matrix', got {value!r}"]
-            )
-        if value == "maximally_mixed":
-            return maximally_mixed(2)
-        return basis_state(2, 0 if value == "zero" else 1)
-    if isinstance(value, dict):
-        errors = _check_keys(value, "state", ("matrix",))
-        if errors:
-            raise ConfigError(errors)
-        if "matrix" not in value:
-            raise ConfigError(["state.matrix: required for an explicit state"])
-        rho = DensityMatrix(2, _parse_qubit_matrix(value["matrix"], "state.matrix"))
-        problems = validate_state(rho)
-        if problems:
-            raise ConfigError([f"state.matrix: {v.message}" for v in problems])
-        return rho
-    raise ConfigError([f"state: expected a preset name or an object, got {value!r}"])
+        errors.append(
+            f"state: expected one of {presets} or an object with 'matrix', got {value!r}"
+        )
+    elif isinstance(value, dict):
+        _keys(value, "state", ["matrix"], errors, ["matrix"], "required for an explicit state")
+        if "matrix" in value:
+            matrix = _parse_qubit_matrix(value["matrix"], "state.matrix", errors)
+            if matrix is not None:
+                rho = DensityMatrix(2, matrix)
+                errors += [f"state.matrix: {v.message}" for v in validate_state(rho)]
+                return rho
+    else:
+        errors.append(f"state: expected a preset name or an object, got {value!r}")
+    return None
 
 
-def _validate_detector(value) -> MeasurementOperator:
+def _validate_detector(value, errors: list) -> MeasurementOperator | None:
     if not isinstance(value, dict):
-        raise ConfigError(["detector: expected an object"])
-    errors = _check_keys(value, "detector", ("eigenvalues", "basis_seed", "basis"))
+        errors.append("detector: expected an object")
+        return None
+    _keys(value, "detector", ("eigenvalues", "basis_seed", "basis"), errors)
+    before = len(errors)
     eigs = value.get("eigenvalues")
     if not isinstance(eigs, list) or len(eigs) != 2:
         errors.append(
             f"detector.eigenvalues: expected a list of 2 entries (qubit detector), got {eigs!r}"
         )
-        eigs = None
     else:
         for i, e in enumerate(eigs):
             if not _is_number(e) or not 0.0 <= e <= 1.0:
                 errors.append(f"detector.eigenvalues[{i}] = {e!r} outside [0, 1]")
-    has_seed = "basis_seed" in value
-    has_basis = "basis" in value
+    has_seed, has_basis = "basis_seed" in value, "basis" in value
     if has_seed == has_basis:
         errors.append("detector: give exactly one of basis_seed and basis")
-    if has_seed and (not _is_int(value["basis_seed"]) or value["basis_seed"] < 0):
-        errors.append(
-            f"detector.basis_seed: expected a nonnegative integer, got {value['basis_seed']!r}"
-        )
-    basis = None
-    if has_basis and not errors:
-        basis = _parse_qubit_matrix(value["basis"], "detector.basis")
-    if errors:
-        raise ConfigError(errors)
-    try:
-        return detector_model(eigs, value.get("basis_seed"), basis)
-    except ValueError as exc:
-        raise ConfigError([f"detector: {exc}"]) from None
+    seed = _integer(value["basis_seed"], "detector.basis_seed", 0, errors) if has_seed else None
+    basis = _parse_qubit_matrix(value["basis"], "detector.basis", errors) if has_basis else None
+    if len(errors) == before:
+        try:
+            return detector_model(eigs, seed, basis)
+        except ValueError as exc:
+            errors.append(f"detector: {exc}")
+    return None
 
 
-def _validate_m_grid(value) -> tuple:
+def _validate_m_grid(value, errors: list) -> tuple | None:
     if isinstance(value, list):
-        if not value:
-            raise ConfigError(["protocol.m_grid: must be nonempty"])
-        errors = []
-        for i, m in enumerate(value):
-            if not _is_int(m) or m < 1:
-                errors.append(f"protocol.m_grid[{i}]: expected a positive integer, got {m!r}")
-        if errors:
-            raise ConfigError(errors)
-        if any(b <= a for a, b in zip(value, value[1:])):
-            raise ConfigError(["protocol.m_grid: must be strictly increasing"])
-        return tuple(value)
+        before = len(errors)
+        grid = tuple(_integer(m, f"protocol.m_grid[{i}]", 1, errors) for i, m in enumerate(value))
+        if not grid:
+            errors.append("protocol.m_grid: must be nonempty")
+        elif len(errors) == before and any(b <= a for a, b in zip(grid, grid[1:])):
+            errors.append("protocol.m_grid: must be strictly increasing")
+        return grid
     if isinstance(value, dict):
-        errors = _check_keys(value, "protocol.m_grid", ("start", "stop", "step"))
-        fields = {}
-        for key in ("start", "stop", "step"):
-            v = value.get(key)
-            if not _is_int(v) or v < 1:
-                errors.append(f"protocol.m_grid.{key}: expected a positive integer, got {v!r}")
-            else:
-                fields[key] = v
-        if not errors and fields["start"] > fields["stop"]:
-            errors.append("protocol.m_grid: start must not exceed stop")
-        if errors:
-            raise ConfigError(errors)
-        return tuple(range(fields["start"], fields["stop"] + 1, fields["step"]))
-    raise ConfigError(
-        [f"protocol.m_grid: expected a list or {{start, stop, step}}, got {value!r}"]
-    )
-
-
-def _validate_protocol(value) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(["protocol: expected an object"])
-    errors = _check_keys(
-        value, "protocol", ("m_grid", "n_sequences", "shots", "variant")
-    )
-    if "m_grid" not in value:
-        errors.append("protocol.m_grid: required")
-    if "n_sequences" not in value:
-        errors.append("protocol.n_sequences: required")
-    if errors:
-        raise ConfigError(errors)
-    m_grid = _validate_m_grid(value["m_grid"])
-    n_seq = value["n_sequences"]
-    if not _is_int(n_seq) or n_seq < 1:
-        raise ConfigError(
-            [f"protocol.n_sequences: expected a positive integer, got {n_seq!r}"]
+        _keys(value, "protocol.m_grid", ("start", "stop", "step"), errors)
+        before = len(errors)
+        start, stop, step = (
+            _integer(value.get(key), f"protocol.m_grid.{key}", 1, errors)
+            for key in ("start", "stop", "step")
         )
+        if len(errors) > before:
+            return None
+        if start > stop:
+            errors.append("protocol.m_grid: start must not exceed stop")
+        return tuple(range(start, stop + 1, step))
+    errors.append(f"protocol.m_grid: expected a list or {{start, stop, step}}, got {value!r}")
+    return None
+
+
+def _validate_protocol(value, errors: list) -> dict | None:
+    if not isinstance(value, dict):
+        errors.append("protocol: expected an object")
+        return None
+    allowed = ("m_grid", "n_sequences", "shots", "variant")
+    _keys(value, "protocol", allowed, errors, required=allowed[:2])
+    m_grid = _validate_m_grid(value["m_grid"], errors) if "m_grid" in value else None
+    n_seq = value.get("n_sequences")
+    n_seq = _integer(n_seq, "protocol.n_sequences", 1, errors) if "n_sequences" in value else None
     shots = value.get("shots", "exact")
     if shots == "exact":
         shots = None
-    elif not _is_int(shots) or shots < 1:
-        raise ConfigError(
-            [f"protocol.shots: expected a positive integer or 'exact', got {shots!r}"]
-        )
+    else:
+        shots = _integer(shots, "protocol.shots", 1, errors, " or 'exact'")
     variant = value.get("variant", "loss")
     if variant not in ("loss", "rb"):
-        raise ConfigError([f"protocol.variant: expected 'loss' or 'rb', got {variant!r}"])
+        errors.append(f"protocol.variant: expected 'loss' or 'rb', got {variant!r}")
     return {"m_grid": m_grid, "n_sequences": n_seq, "shots": shots, "variant": variant}
 
 
@@ -281,34 +268,24 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["top level: expected an object"])
 
-    errors = [f"{s}: required section is missing" for s in REQUIRED_SECTIONS if s not in doc]
-    errors += [f"{k}: unknown key" for k in sorted(set(doc) - _TOP_LEVEL_KEYS)]
-    if errors:
-        raise ConfigError(errors)
-
+    errors = []
+    _keys(doc, "", _TOP_LEVEL_KEYS, errors, REQUIRED_SECTIONS, "required section is missing")
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         errors.append(f"output_dir: expected a string, got {output_dir!r}")
-
-    sections = {}
-    validators = {
+    parsers = {
         "gateset": _validate_gateset,
-        "seed": _validate_seed,
+        "seed": lambda value, errors: _integer(value, "seed", 0, errors),
         "noise": _validate_noise,
         "state": _validate_state,
         "detector": _validate_detector,
         "protocol": _validate_protocol,
     }
-    for name, validate in validators.items():
-        try:
-            sections[name] = validate(doc[name])
-        except ConfigError as exc:
-            errors.extend(exc.errors)
+    sections = {name: parse(doc[name], errors) for name, parse in parsers.items() if name in doc}
+    if seed_override is not None:
+        sections["seed"] = _integer(seed_override, "seed", 0, errors)
     if errors:
         raise ConfigError(errors)
-
-    if seed_override is not None:
-        sections["seed"] = _validate_seed(seed_override)
     return _assemble(sections, output_dir)
 
 

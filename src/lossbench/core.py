@@ -50,7 +50,10 @@ def _real(name: str, value) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is a real number."""
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range, whose digits are not repeated
+        raise ValueError(f"{name} must be a real number within the float range") from None
 
 
 def _lengths(name: str, values) -> tuple:

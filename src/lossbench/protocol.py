@@ -208,7 +208,8 @@ def read_decay_csv(path) -> DecayDataset:
     shots below 1, and fields the csv module cannot read.  A NaN or zero
     sem is valid: single-sequence and exact datasets write them.
     """
-    with io.StringIO(_read_utf8(path), newline="") as fh:
+    text = _read_utf8(path)
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -221,10 +222,10 @@ def read_decay_csv(path) -> DecayDataset:
             rows = list(reader)
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    # The constructor applies every value rule.  The rows are scanned one by
-    # one only when a row has other than 5 fields, a count column changes
-    # spelling, or a conversion or the constructor raises: to name the line,
-    # or to accept a count spelt two ways, such as 5 and 05.
+    # The constructor applies every value rule.  The text is read again and
+    # scanned row by row only when a row has other than 5 fields, a count
+    # column changes spelling, or a conversion or the constructor raises: to
+    # name the line, or to accept a count spelt two ways, such as 5 and 05.
     try:
         m, mean, sem, n_seq, shots = zip(*(row for row in rows if row), strict=True)
         if len({*n_seq}) == len({*shots}) == 1:
@@ -233,14 +234,18 @@ def read_decay_csv(path) -> DecayDataset:
             return DecayDataset(*columns, n_seq, shots, {"source": str(path)})
     except (ValueError, TypeError):
         pass
-    return _scan_rows(path, rows)
+    return _scan_rows(path, text)
 
 
-def _scan_rows(path, rows) -> DecayDataset:
-    """The dataset of read_decay_csv's rows (row i is line i + 2), checked row by row."""
+def _scan_rows(path, text) -> DecayDataset:
+    """The dataset of read_decay_csv's text, checked row by row; a row is
+    named by the physical line it ends on (a quoted field may span lines)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)  # the header, checked by read_decay_csv
     m_values, means, sems = [], [], []
     n_sequences, shots = None, None
-    for lineno, row in enumerate(rows, start=2):
+    for row in reader:
+        lineno = reader.line_num
         if not row:
             continue
         if len(row) != 5:

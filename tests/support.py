@@ -254,7 +254,7 @@ def random_povm(dim, seed):
 
 
 def reference_read_decay_csv(path) -> lb.DecayDataset:
-    """A decay CSV read and checked one row at a time, each rule naming its line."""
+    """A decay CSV read and checked one row at a time, each rule naming the line a row ends on."""
     with io.StringIO(_read_utf8(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -267,7 +267,8 @@ def reference_read_decay_csv(path) -> lb.DecayDataset:
             )
         m_values, means, sems = [], [], []
         n_sequences, shots = None, None
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != 5:

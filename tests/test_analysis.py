@@ -799,6 +799,20 @@ class TestPlateauTest:
             z[e] = lb.plateau_test(ds, lb.fit_loss_decay(ds)).tail_excess_z
         assert z[scale] == pytest.approx(math.ldexp(z[-10], -10 - scale), rel=1e-12)
 
+    def test_unit_weight_verdict_does_not_depend_on_the_unit_of_the_means(self):
+        # Under unit weights chi2/dof is in the means' unit squared: this
+        # exponential's is 7.02 at 2^10, and its tail sigma sat on the
+        # 1e-15 floor at 2^-60.
+        noisy = synthetic_loss_dataset(0.91, 0.99, sems=0.002, seed=3)
+        reports = []
+        for k in (-60, 0, 10):
+            means = np.ldexp(noisy.means, k)
+            ds = lb.DecayDataset(noisy.m_values, means, np.zeros(len(means)), 30, None)
+            reports.append(lb.plateau_test(ds, lb.fit_loss_decay(ds)))
+        assert [r.flagged for r in reports] == [False] * 3
+        for report in reports:
+            assert report.tail_excess_z == pytest.approx(reports[1].tail_excess_z, rel=1e-9)
+
     def test_too_few_lengths_raises(self):
         ds = synthetic_loss_dataset(0.9, 0.99, m_grid=[1, 2, 3, 4, 5])
         fit = lb.fit_loss_decay(ds)

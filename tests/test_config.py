@@ -66,6 +66,25 @@ class TestDocumentShape:
         assert any(e.startswith("gateset:") for e in errors)
         assert any(e.startswith("seed:") for e in errors)
 
+    def test_every_bad_field_is_reported(self):
+        doc = base_doc(
+            noise={"type": "kraus", "operators": [qubit_matrix("1")], "x": 1},
+            state={"matrix": qubit_matrix(1.0)},
+            detector={"eigenvalues": [0.9, 2], "basis": [[[1.0, 0.0]]]},
+            protocol={"m_grid": [0, 2], "n_sequences": 0, "shots": -1, "variant": "x"},
+        )
+        assert errors_of(doc) == (
+            "noise.x: unknown key",
+            "noise.operators[0]: expected a nested array of finite [re, im] pairs",
+            "state.matrix: trace 2.0 outside (0, 1]",
+            "detector.eigenvalues[1] = 2 outside [0, 1]",
+            "detector.basis: expected a 2x2 matrix of [re, im] pairs, got (1, 1, 2)",
+            "protocol.m_grid[0]: expected a positive integer, got 0",
+            "protocol.n_sequences: expected a positive integer, got 0",
+            "protocol.shots: expected a positive integer or 'exact', got -1",
+            "protocol.variant: expected 'loss' or 'rb', got 'x'",
+        )
+
     def test_output_dir_must_be_string(self):
         assert any("output_dir" in e for e in errors_of(base_doc(output_dir=3)))
         assert parse(base_doc(output_dir="runs/a")).output_dir == "runs/a"

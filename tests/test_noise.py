@@ -202,6 +202,23 @@ class TestCoherentLeakageError:
             lambda: lb.detector_model(("a", 0.5), basis_seed=1),
             r"^eigenvalues\[0\] must be a real number, got 'a'$",
         ),
+        # Integers past the float range, which float() refuses with OverflowError.
+        (
+            lambda: lb.basis_loss_channel(10**400, 0, 2),
+            r"^alpha must be a real number within the float range$",
+        ),
+        (
+            lambda: lb.coherent_leakage_error(10**400, 1),
+            r"^epsilon must be a real number within the float range$",
+        ),
+        (
+            lambda: lb.embed_gateset(lb.pauli_gateset(), 10**400),
+            r"^theta must be a real number within the float range$",
+        ),
+        (
+            lambda: lb.detector_model((10**400, 0.5), basis_seed=1),
+            r"^eigenvalues\[0\] must be a real number within the float range$",
+        ),
     ],
     ids=[
         "detector_model-basis_seed",
@@ -214,8 +231,13 @@ class TestCoherentLeakageError:
         "coherent_leakage_error-epsilon-str",
         "basis_loss_channel-alpha-str",
         "detector_model-eigenvalues-str",
+        "basis_loss_channel-alpha-huge-int",
+        "coherent_leakage_error-epsilon-huge-int",
+        "embed_gateset-theta-huge-int",
+        "detector_model-eigenvalues-huge-int",
     ],
 )
 def test_errors_name_the_argument_at_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+

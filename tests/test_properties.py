@@ -1,9 +1,9 @@
-"""Property tests: the config parser's error contract, the CSV round trip, the
-CSV reader against a row-by-row reference on mutated files, the loss bound
-and the real transfer matrix on random channels and stacks of Kraus sets,
-the Hermiticity and unitarity checks on NaN and huge entries, and the decay
-fits' global minimum and their independence of the unit of the sems and of
-the means."""
+"""Property tests: the config parser's error contract and its errors adding up
+over independent faults, the CSV round trip, the CSV reader against a
+row-by-row reference on mutated files, the loss bound and the real transfer
+matrix on random channels and stacks of Kraus sets, the Hermiticity and
+unitarity checks on NaN and huge entries, and the decay fits' global minimum
+and their independence of the unit of the sems and of the means."""
 
 import copy
 import json
@@ -105,6 +105,58 @@ def test_parse_config_raises_only_config_error(data):
         lb.parse_config(json.dumps(doc))
     except lb.ConfigError:
         pass
+
+
+_FAULT_BASE = {
+    "gateset": "pauli",
+    "noise": {"type": "kraus", "operators": [_UNIT]},
+    "state": {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+    "detector": {"eigenvalues": [0.9, 0.5], "basis": _UNIT},
+    "protocol": {"m_grid": [1, 2], "n_sequences": 2, "shots": 10, "variant": "loss"},
+    "seed": 1,
+}
+
+# (path, value): each sets one field of _FAULT_BASE, or adds one key, and no
+# two touch the same field, so any subset can be applied together.
+FIELD_FAULTS = (
+    (("gateset",), "haar"),
+    (("seed",), -1),
+    (("output_dir",), 3),
+    (("noise", "x"), 1),
+    (("noise", "operators", 0), [[["1", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    (("state", "matrix"), _UNIT),  # trace 2
+    (("state", "x"), 1),
+    (("detector", "eigenvalues", 1), 2),
+    (("detector", "basis"), [[[1.0, 0.0]]]),
+    (("protocol", "m_grid"), [0, 2]),
+    (("protocol", "n_sequences"), 0),
+    (("protocol", "shots"), -1),
+    (("protocol", "variant"), "x"),
+)
+
+
+def _config_errors(faults) -> set:
+    """The messages of _FAULT_BASE with the given FIELD_FAULTS applied (empty if it parses)."""
+    doc = copy.deepcopy(_FAULT_BASE)
+    for i in faults:
+        path, value = FIELD_FAULTS[i]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(value)
+    try:
+        lb.parse_config(json.dumps(doc))
+    except lb.ConfigError as exc:
+        return set(exc.errors)
+    return set()
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(faults=st.sets(st.sampled_from(range(len(FIELD_FAULTS)))))
+def test_config_faults_add_up(faults):
+    alone = [_config_errors([i]) for i in faults]
+    assert all(alone)
+    assert _config_errors(faults) == set().union(*alone)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

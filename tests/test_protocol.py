@@ -615,11 +615,13 @@ class TestCsvRoundTrip:
             ("1,0.5,0.1,-3,exact\n", "bad.csv:2: n_sequences must be an integer >= 1"),
             ("1,0.5,0.1,3,0\n", "bad.csv:2: shots must be an integer >= 1"),
             ("1,0.5,0.1,3,-7\n", "bad.csv:2: shots must be an integer >= 1"),
+            # The first row's quoted mean spans lines 2 and 3.
+            ('1,"0.9\n",0.01,5,exact\n2,nan,0.01,5,exact\n', "bad.csv:4: mean must be finite"),
         ],
         ids=[
             "nan-mean", "inf-mean-row-3", "zero-length", "negative-length", "repeated-length",
             "decreasing-length", "inf-sem", "negative-sem-row-3", "zero-sequences",
-            "negative-sequences", "zero-shots", "negative-shots",
+            "negative-sequences", "zero-shots", "negative-shots", "nan-mean-after-quoted-newline",
         ],
     )
     def test_bad_rows_raise_with_line(self, tmp_path, rows, message):
