@@ -33,7 +33,7 @@ from .core import (
 )
 from .gates import clifford_gateset, embed_gateset, pad_to_qutrit, pauli_gateset
 from .noise import basis_loss_channel, coherent_leakage_error, detector_model
-from .protocol import ProtocolConfig
+from .protocol import M_GRID_LIMIT, ProtocolConfig
 
 REQUIRED_SECTIONS = ("gateset", "noise", "state", "detector", "protocol", "seed")
 _TOP_LEVEL_KEYS = frozenset(REQUIRED_SECTIONS) | {"output_dir"}
@@ -210,14 +210,21 @@ def _validate_detector(value, errors: list) -> MeasurementOperator | None:
     return None
 
 
+# Bounds the longest length, and so the entry count, as ProtocolConfig does.
+_M_GRID_TOO_LONG = f"protocol.m_grid: lengths must be at most {M_GRID_LIMIT}"
+
+
 def _validate_m_grid(value, errors: list) -> tuple | None:
     if isinstance(value, list):
         before = len(errors)
         grid = tuple(_integer(m, f"protocol.m_grid[{i}]", 1, errors) for i, m in enumerate(value))
         if not grid:
             errors.append("protocol.m_grid: must be nonempty")
-        elif len(errors) == before and any(b <= a for a, b in zip(grid, grid[1:])):
-            errors.append("protocol.m_grid: must be strictly increasing")
+        elif len(errors) == before:
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                errors.append("protocol.m_grid: must be strictly increasing")
+            if max(grid) > M_GRID_LIMIT:
+                errors.append(_M_GRID_TOO_LONG)
         return grid
     if isinstance(value, dict):
         _keys(value, "protocol.m_grid", ("start", "stop", "step"), errors)
@@ -230,7 +237,13 @@ def _validate_m_grid(value, errors: list) -> tuple | None:
             return None
         if start > stop:
             errors.append("protocol.m_grid: start must not exceed stop")
-        return tuple(range(start, stop + 1, step))
+            return None
+        # The last entry is read off the range: its len() overflows past 2**63.
+        grid = range(start, stop + 1, step)
+        if grid[-1] > M_GRID_LIMIT:
+            errors.append(_M_GRID_TOO_LONG)
+            return None
+        return tuple(grid)
     errors.append(f"protocol.m_grid: expected a list or {{start, stop, step}}, got {value!r}")
     return None
 

@@ -9,10 +9,13 @@ and standard errors, and the run record.
 Noise convention: the imperfect implementation of gate g is "noise first,
 then g", one real d^2 x d^2 transfer matrix per gate in an orthonormal
 Hermitian operator basis, all |G| built by one batched
-:func:`lossbench.core.transfer_matrix` call.  All (length, sequence) tasks
-evolve together as rows of one real array of state coordinates, each step
-one matrix product against the C-ordered side-by-side transfer matrices,
-written into one product buffer allocated per run.
+:func:`lossbench.core.transfer_matrix` call when a :class:`ProtocolConfig`
+is constructed, together with the state and detector coordinates and the
+config's fingerprint; a run reads them and builds none.  All (length,
+sequence) tasks evolve together as rows of one real array of state
+coordinates, each step one matrix product against the C-ordered
+side-by-side transfer matrices, written into one product buffer allocated
+per run.
 Each length draws all of its sequences' gate words with one ``integers``
 call on its own RNG stream keyed by (master_seed, length_index, 0, 2), row i
 of the (n_sequences, m) draw being sequence i's word, first gate first.  With
@@ -59,6 +62,11 @@ CSV_HEADER = ("m", "mean", "sem", "n_sequences", "shots")
 _GATE_DRAWS = 2
 _SHOT_DRAWS = 1
 
+# The longest sequence length a grid may hold.  A strictly increasing grid of
+# positive lengths has no more entries than its longest length, so this one
+# bound caps the entry count too.
+M_GRID_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -68,9 +76,16 @@ class ProtocolConfig:
     positive integer requests that many binomial shots per sequence.
     ``m_grid`` entries, ``n_sequences``, ``master_seed`` (nonnegative) and
     ``shots`` must be integers; numpy integers are stored as Python ints.
+    No length may exceed :data:`M_GRID_LIMIT`.
     ``rho0`` must pass :func:`lossbench.core.validate_state`; among other
     things it must be Hermitian, since the engine carries states as real
     coordinates, which have no room for an anti-Hermitian part.
+
+    After every check, the constructor builds what every run of the config
+    reads, as read-only values: ``transfers``, the (|G|, d^2, d^2) transfer
+    matrices of "noise, then gate g"; ``rho0_coordinates`` and
+    ``q_coordinates``, the real coordinates of the state and the detector;
+    and the digest :meth:`fingerprint` returns.
     """
 
     gateset: GateSet
@@ -82,9 +97,16 @@ class ProtocolConfig:
     master_seed: int
     shots: int | None = None
     variant: str = VARIANT_LOSS
+    transfers: np.ndarray = field(init=False, repr=False, compare=False)
+    rho0_coordinates: np.ndarray = field(init=False, repr=False, compare=False)
+    q_coordinates: np.ndarray = field(init=False, repr=False, compare=False)
+    _fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "m_grid", _lengths("m_grid", self.m_grid))
+        m_grid = _lengths("m_grid", self.m_grid)
+        if m_grid[-1] > M_GRID_LIMIT:
+            raise ValueError(f"m_grid lengths must be at most {M_GRID_LIMIT}")
+        object.__setattr__(self, "m_grid", m_grid)
         dims = {
             "gateset": self.gateset.dim,
             "noise": self.noise.dim,
@@ -104,9 +126,21 @@ class ProtocolConfig:
             raise ValueError(f"variant must be 'loss' or 'rb', got {self.variant!r}")
         if self.variant == VARIANT_RB:
             self.gateset.group  # raises unless a group up to phase; cached for run_protocol
+        operators = {
+            "transfers": _gate_superoperators(self),
+            "rho0_coordinates": coordinates(self.rho0.matrix),
+            "q_coordinates": coordinates(self.q_op.matrix),
+        }
+        for name, array in operators.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "_fingerprint", self._digest())
 
     def fingerprint(self) -> str:
         """SHA-256 over a canonical byte encoding of the full configuration."""
+        return self._fingerprint
+
+    def _digest(self) -> str:
         h = hashlib.sha256()
         h.update(
             json.dumps(
@@ -308,6 +342,11 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     ``binomial`` call over its sequences' click probabilities, in sequence
     order, on the stream (master_seed, length_index, 0, 1).
 
+    The transfer matrices, the state and detector coordinates and the
+    fingerprint are read from ``cfg``, which built them at construction, so
+    a run does only per-run work: draws, the inverse fold, evolution, shots
+    and aggregation.
+
     Returns each length's mean and standard error over its sequences, with
     the run record in ``metadata``; per-sequence values are not kept.
     """
@@ -336,14 +375,14 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
             product[:k] = table[step[:k], product[:k]]
         words[lengths, np.arange(n_tasks)] = inverse[product]
 
-    transfers = _gate_superoperators(cfg)
+    transfers = cfg.transfers
     dd = transfers.shape[1]
     # Column block g of `stacked` is T_g^T, so row t of states @ stacked
     # holds T_g r_t for every g at t * n_gates + g of the reshaped product.
     # C order halves the GEMM's time against the view (fig2, 900 rows: 13 vs 25 us).
     stacked = np.ascontiguousarray(transfers.transpose(2, 0, 1).reshape(dd, n_gates * dd))
     offsets = np.arange(n_tasks) * n_gates
-    states = np.tile(coordinates(cfg.rho0.matrix), (n_tasks, 1))
+    states = np.tile(cfg.rho0_coordinates, (n_tasks, 1))
     products = np.empty((n_tasks, n_gates * dd))
     blocks = products.reshape(-1, dd)
 
@@ -354,7 +393,7 @@ def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
         np.matmul(states[:k], stacked, out=products[:k])
         blocks.take(offsets[:k] + step[:k], axis=0, out=states[:k], mode="clip")
 
-    probs = click_probabilities(states @ coordinates(cfg.q_op.matrix))
+    probs = click_probabilities(states @ cfg.q_coordinates)
     if cfg.shots is None:
         values = probs
     else:
@@ -397,14 +436,15 @@ def exact_sequence_average(cfg: ProtocolConfig, m: int) -> float:
     the group-averaged step |G|^-1 sum_g T_g, because the m gate draws are
     independent.  This holds for any gate set; when the set is a unitary
     1-design the result collapses to the closed-form single-exponential
-    decay.  Loss variant only: the benchmarking variant's average is the
-    test oracle ``tests/support.exact_rb_average``.
+    decay.  The average is taken over ``cfg.transfers``, the stack the
+    config built at construction.  Loss variant only: the benchmarking
+    variant's average is the test oracle ``tests/support.exact_rb_average``.
     """
     if cfg.variant != VARIANT_LOSS:
         raise ValueError(f"exact_sequence_average has no oracle for variant {cfg.variant!r}")
     m = _count("sequence length", m, 1)
-    average = _gate_superoperators(cfg).mean(axis=0)
-    state = coordinates(cfg.rho0.matrix)
+    average = cfg.transfers.mean(axis=0)
+    state = cfg.rho0_coordinates
     for _ in range(m):
         state = average @ state
-    return float(click_probabilities(state @ coordinates(cfg.q_op.matrix)))
+    return float(click_probabilities(state @ cfg.q_coordinates))

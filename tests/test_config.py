@@ -348,6 +348,27 @@ class TestProtocolSection:
         doc = base_doc(protocol={"m_grid": {"start": 1, "stop": 5}, "n_sequences": 2})
         assert any("m_grid.step" in e for e in errors_of(doc))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [{"start": 1, "stop": 10**400, "step": 1}, [1, 2, 10**400]],
+        ids=["range", "list"],
+    )
+    def test_m_grid_past_the_length_limit(self, grid):
+        doc = base_doc(protocol={"m_grid": grid, "n_sequences": 0})
+        assert errors_of(doc) == (
+            "protocol.m_grid: lengths must be at most 1000000",
+            "protocol.n_sequences: expected a positive integer, got 0",
+        )
+
+    def test_m_grid_length_limit_is_inclusive(self):
+        grid = {"start": 1, "stop": 1_000_000, "step": 999_999}
+        doc = base_doc(protocol={"m_grid": grid, "n_sequences": 2})
+        assert parse(doc).protocol.m_grid == (1, 1_000_000)
+        doc = base_doc(protocol={"m_grid": {**grid, "stop": 1_000_001}, "n_sequences": 2})
+        assert parse(doc).protocol.m_grid == (1, 1_000_000)
+        doc = base_doc(protocol={"m_grid": [1, 1_000_001], "n_sequences": 2})
+        assert errors_of(doc) == ("protocol.m_grid: lengths must be at most 1000000",)
+
     def test_required_fields(self):
         doc = base_doc(protocol={"n_sequences": 2})
         assert any("m_grid: required" in e for e in errors_of(doc))

@@ -71,17 +71,17 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (key,))
 
 
-def _json_values(huge_ints: bool):
-    # m_grid fields stay at 1e4 or below so that no draw builds a huge grid.
-    bound = 10**400 if huge_ints else 10**4
+def _json_values():
+    # Huge integers reach every field, m_grid's too: the grid's length limit
+    # is checked before any grid is built.
     words = ["random", "exact", "loss", "leakage", "kraus", "pauli", "zero"]
     scalars = st.one_of(
         st.none(),
         st.booleans(),
-        st.integers(min_value=-bound, max_value=bound),
+        st.integers(min_value=-(10**400), max_value=10**400),
         st.floats(allow_nan=True, allow_infinity=True),
         st.text(max_size=8),
-        st.sampled_from(words + ([10**400, -(10**400)] if huge_ints else [])),
+        st.sampled_from(words + [10**400, -(10**400)]),
     )
     keys = st.sampled_from(["type", "matrix", "start", "stop", "x"])
     return st.recursive(
@@ -91,16 +91,31 @@ def _json_values(huge_ints: bool):
     )
 
 
-@hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(data=st.data())
-def test_parse_config_raises_only_config_error(data):
-    doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCS)))
-    path = data.draw(st.sampled_from(list(_paths(doc))))
-    value = data.draw(_json_values(huge_ints="m_grid" not in path))
+@st.composite
+def _corrupted_docs(draw):
+    """A valid document with one key or list entry, at any depth, set to a drawn value."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    path = draw(st.sampled_from(list(_paths(doc))))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    parent[path[-1]] = draw(_json_values())
+    return doc
+
+
+def _with_m_grid(grid):
+    doc = copy.deepcopy(VALID_DOCS[0])
+    doc["protocol"]["m_grid"] = grid
+    return doc
+
+
+# Both grid forms with a length past any machine size run every time:
+# random draws seldom set a range's stop.
+@hypothesis.example(doc=_with_m_grid({"start": 1, "stop": 10**400, "step": 1}))
+@hypothesis.example(doc=_with_m_grid([1, 2, 10**400]))
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(doc=_corrupted_docs())
+def test_parse_config_raises_only_config_error(doc):
     try:
         lb.parse_config(json.dumps(doc))
     except lb.ConfigError:

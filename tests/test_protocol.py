@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 import lossbench as lb
-from lossbench.core import expectation, transfer_matrix
-from lossbench.protocol import _GATE_DRAWS, _SHOT_DRAWS, _gate_superoperators, sample_sequence
+from lossbench.core import coordinates, expectation, transfer_matrix
+from lossbench.protocol import (
+    _GATE_DRAWS,
+    _SHOT_DRAWS,
+    M_GRID_LIMIT,
+    _gate_superoperators,
+    sample_sequence,
+)
 from support import (
     compose_sequence,
     enumerate_average,
@@ -135,6 +141,60 @@ class TestProtocolConfig:
         assert a.fingerprint() == fig1_style_config().fingerprint()
         assert a.fingerprint() != fig1_style_config(master_seed=1).fingerprint()
         assert a.fingerprint() != fig1_style_config(variant="rb").fingerprint()
+
+    def test_lengths_past_the_limit_raise(self):
+        # Only built, never run: the longest length bounds the entry count too.
+        assert fig1_style_config(m_grid=(1, M_GRID_LIMIT)).m_grid == (1, M_GRID_LIMIT)
+        for grid in ((1, M_GRID_LIMIT + 1), (1, 2, 10**400)):
+            with pytest.raises(ValueError, match=rf"^m_grid lengths must be at most {M_GRID_LIMIT}$"):
+                fig1_style_config(m_grid=grid)
+
+
+class TestOperatorsBuiltAtConstruction:
+    CONFIGS = {
+        "loss-exact": lambda: fig1_style_config(),
+        "loss-shots": lambda: fig1_style_config(shots=20),
+        "rb-exact": lambda: ORACLE_CONFIGS["clifford"](variant="rb"),
+        "rb-shots": lambda: ORACLE_CONFIGS["clifford"](variant="rb", shots=20),
+        "qutrit": lambda: qutrit_leakage_config(),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_runs_build_no_operator(self, name, monkeypatch):
+        cfg = self.CONFIGS[name]()
+        calls = []
+        for module in (lb.core, lb.protocol):
+            for fn in (transfer_matrix, coordinates):
+                counted = lambda *args, fn=fn: calls.append(fn.__name__) or fn(*args)
+                monkeypatch.setattr(module, fn.__name__, counted)
+        lb.run_protocol(cfg)
+        if cfg.variant == "loss":
+            lb.exact_sequence_average(cfg, 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_stored_operators_are_read_only_fresh_bytes(self, name):
+        cfg = self.CONFIGS[name]()
+        fresh = {
+            "transfers": _gate_superoperators(cfg),
+            "rho0_coordinates": coordinates(cfg.rho0.matrix),
+            "q_coordinates": coordinates(cfg.q_op.matrix),
+        }
+        for field, array in fresh.items():
+            stored = getattr(cfg, field)
+            assert not stored.flags.writeable
+            assert stored.dtype == array.dtype and stored.shape == array.shape
+            assert stored.tobytes() == array.tobytes()
+
+    def test_replace_builds_the_new_configs_operators(self):
+        cfg = fig1_style_config()
+        other = random_lossy_channel(2, 0.3, 11)
+        replaced = dataclasses.replace(cfg, noise=other, master_seed=5)
+        assert replaced.transfers.tobytes() == _gate_superoperators(replaced).tobytes()
+        assert replaced.transfers.tobytes() != cfg.transfers.tobytes()
+        direct = fig1_style_config(noise=other, master_seed=5)
+        assert replaced.transfers.tobytes() == direct.transfers.tobytes()
+        assert replaced.fingerprint() == direct.fingerprint() != cfg.fingerprint()
 
 
 class TestSampleSequence:
