@@ -12,10 +12,13 @@ and B) enter linearly and come from closed-form weighted normal equations at
 each rate, with B0 held in [0, 1e300] in the normalised units below, so
 only the rate r (S or p) is searched, as t = log r.  The rate stays inside
 (0, 1], within RATE_BOUNDS = [1e-6, 1 - 1e-9].  A fixed grid of 48 rates, geometric in -t, brackets the
-minimum in one batched evaluation; safeguarded Gauss-Newton steps with
-Kaufman's Jacobian (secant curvature after the first step), each one
-single-rate evaluation, refine it until that Jacobian's cosine with the
-residual vector is at most GRADIENT_TOL = 1e-10 or the bracket closes.
+minimum in one batched evaluation.  Its rate basis (each grid rate raised to
+each length) and loss clip depend only on the lengths and the model, so they
+are computed once per length grid and shared, read-only, by every later fit
+on it.  Safeguarded Gauss-Newton steps with Kaufman's Jacobian (secant
+curvature after the first step), each one single-rate evaluation, refine it
+until that Jacobian's cosine with the residual vector is at most
+GRADIENT_TOL = 1e-10 or the bracket closes.
 A minimum beyond a bound is reported at the bound, and a fit is unconverged
 only when MAX_ITERATIONS = 200 evaluations run out.  ``n_iterations`` counts
 reduced-cost evaluations: 48 for the grid plus one per step.  Standard
@@ -29,6 +32,7 @@ amplitudes, chi^2 and the stderrs are scaled back exactly; beyond the float
 range they are inf.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +55,12 @@ GRADIENT_TOL = 1e-10
 # (about 1.6) between neighbours.  Its ends are the rate bounds.
 _LOG_RATE_GRID = -np.geomspace(-math.log(1e-6), 1e-9, 48)
 RATE_BOUNDS = tuple(float(r) for r in np.exp(_LOG_RATE_GRID[[0, -1]]))
+
+# Length grids whose grid basis (see _grid_basis) is kept, least recently
+# used first out.  An entry holds about 50 floats per length.
+_GRID_CACHE_SIZE = 32
+
+_EPS = np.finfo(float).eps
 
 FLAG_B_MINUS_A_NEGATIVE = "B_MINUS_A_NEGATIVE"
 FLAG_M1_MISMATCH = "M1_MISMATCH"
@@ -264,6 +274,12 @@ def _mean_shift(y: np.ndarray) -> int:
     return 0 if -15 <= f <= 16 else f
 
 
+def _rate_basis(t, u, offset):
+    """r^u, or r^u - 1 with an offset, at every t = log r of a 1-D array: one row per rate."""
+    ut = np.multiply.outer(t, u)
+    return np.expm1(ut) if offset else np.exp(ut)
+
+
 def _project_rates(t, c_max, u, yc, w2, w_sum, offset):
     """Reduced cost of y ~ c phi(r) (+ b) at every t = log r of a 1-D array, in one call.
 
@@ -272,8 +288,11 @@ def _project_rates(t, c_max, u, yc, w2, w_sum, offset):
     phi's 1x1 weighted normal equation (norm2 = sum w^2 phi^2), clipped to
     [0, c_max] without an offset; res = yc - c phi and cost = sum w^2 res^2.
     """
-    ut = np.multiply.outer(t, u)
-    phi = np.expm1(ut) if offset else np.exp(ut)
+    return _project_basis(_rate_basis(t, u, offset), c_max, yc, w2, w_sum, offset)
+
+
+def _project_basis(phi, c_max, yc, w2, w_sum, offset):
+    """_project_rates on the rows of _rate_basis, which it does not write to."""
     if offset:
         phi = phi - phi.dot(w2)[:, None] / w_sum
     wphi = phi * w2
@@ -283,6 +302,27 @@ def _project_rates(t, c_max, u, yc, w2, w_sum, offset):
         c = np.minimum(np.maximum(c, 0.0), c_max)
     res = yc - c[:, None] * phi
     return (res * res).dot(w2), c, res, phi, norm2
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid_basis(lengths: tuple, offset: bool) -> tuple:
+    """(x, u, x0, phis, c_maxs): what a fit on these lengths computes before its data.
+
+    x is m - 1 for the loss model and m with an offset, x0 the smallest x
+    (0 with an offset) and u = x - x0; phis is _rate_basis on _LOG_RATE_GRID
+    and c_maxs the loss clip _B0_MAX r^x0 at each of its rates.  Each grid
+    and model is computed once per process (up to _GRID_CACHE_SIZE grids);
+    the arrays are read-only, as every fit on the grid shares them.
+    """
+    m = np.array(lengths, dtype=float)
+    x = m if offset else m - 1.0
+    x0 = 0.0 if offset else float(x.min())
+    u = x - x0
+    phis = _rate_basis(_LOG_RATE_GRID, u, offset)
+    c_maxs = _B0_MAX * np.exp(x0 * _LOG_RATE_GRID)
+    for a in (x, u, phis, c_maxs):
+        a.setflags(write=False)
+    return x, u, x0, phis, c_maxs
 
 
 def _project_rate(t, c_max, u, yc, w2, w_sum, offset):
@@ -309,14 +349,16 @@ def _project_rate(t, c_max, u, yc, w2, w_sum, offset):
     return float((res * res).dot(w2)), c, res, phi, norm2, curve
 
 
-def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool) -> tuple:
+def _separable_fit(lengths: tuple, y: np.ndarray, sems: np.ndarray, offset: bool) -> tuple:
     """Weighted least squares of y ~ a * r^x (+ b when ``offset``) over r in RATE_BOUNDS.
 
-    Variable projection (Golub-Pereyra): for each rate the amplitudes come
-    from the closed-form weighted normal equations, so only t = log r is
-    searched.  The reduced cost of every point of _LOG_RATE_GRID is taken in
-    one _project_rates call, and the best point brackets the minimum between
-    its neighbours.  Safeguarded Gauss-Newton steps on t, with Kaufman's
+    x is m - 1 for the lengths m, or m itself with an offset.  Variable
+    projection (Golub-Pereyra): for each rate the amplitudes come from the
+    closed-form weighted normal equations, so only t = log r is searched.
+    The reduced cost of every point of _LOG_RATE_GRID is taken in one
+    _project_basis call on the grid basis, which _grid_basis computes once
+    per length grid and model, and the best point brackets the minimum
+    between its neighbours.  Safeguarded Gauss-Newton steps on t, with Kaufman's
     Jacobian and the exact gradient, refine it, one _project_rate call per
     step, until the cosine of that Jacobian with the residual vector is at
     most GRADIENT_TOL or the step no longer moves t.  A best grid point at an
@@ -344,12 +386,9 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     w_sum = float(np.add.reduce(w2))
     mean = float(w2.dot(y)) / w_sum if offset else 0.0
     yc = y - mean
-    x0 = 0.0 if offset else float(x.min())
-    u = x - x0
-
-    c_maxs = _B0_MAX * np.exp(x0 * _LOG_RATE_GRID)
+    x, u, x0, phis, c_maxs = _grid_basis(lengths, offset)
     args = (u, yc, w2, w_sum, offset)
-    costs, cs, ress, phis, norm2s = _project_rates(_LOG_RATE_GRID, c_maxs, *args)
+    costs, cs, ress, phis, norm2s = _project_basis(phis, c_maxs, yc, w2, w_sum, offset)
     k = int(costs.argmin())
     nfev = _LOG_RATE_GRID.size
     lo = float(_LOG_RATE_GRID[max(k - 1, 0)])
@@ -413,8 +452,7 @@ def _separable_fit(x: np.ndarray, y: np.ndarray, sems: np.ndarray, offset: bool)
     # the largest (and at eps^2): an undetermined direction keeps a huge but
     # finite variance.
     _, sv, vt = np.linalg.svd(np.array(cols).T, full_matrices=False)
-    eps = np.finfo(float).eps
-    sv = np.maximum(sv, eps * max(sv[0], eps))
+    sv = np.maximum(sv, _EPS * max(sv[0], _EPS))
     cov = (vt.T / sv**2).dot(vt)
     # Back to the data's units by powers of two: the weights' square roots
     # carry 2^-e (e = 0 for unit weights) and the means 2^-f, which leaves
@@ -445,14 +483,12 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
     data that do not (noise around zero), the refinement can stop in a local
     minimum of the reduced cost.
     """
-    m = np.array(ds.m_values, dtype=float)
-    y = np.array(ds.means, dtype=float)
-    if len(m) < 3:
-        raise ValueError(f"need >= 3 distinct sequence lengths, got {len(m)}")
-    if (y <= 0).all():
+    if len(ds.m_values) < 3:
+        raise ValueError(f"need >= 3 distinct sequence lengths, got {len(ds.m_values)}")
+    if (ds.means <= 0).all():
         raise ValueError("all means are non-positive; nothing to fit")
     (b0_hat, s_hat), (stderr_b0, stderr_s), chi2_per_dof, nfev, converged = _separable_fit(
-        m - 1.0, y, ds.sems, offset=False
+        ds.m_values, ds.means, ds.sems, offset=False
     )
     return DecayFit(
         S_hat=s_hat,
@@ -467,12 +503,10 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
 
 def fit_rb_decay(ds: DecayDataset) -> RBFit:
     """Weighted least-squares fit of y(m) = A * p^m + B, p in RATE_BOUNDS."""
-    m = np.array(ds.m_values, dtype=float)
-    y = np.array(ds.means, dtype=float)
-    if len(m) < 4:
-        raise ValueError(f"need >= 4 distinct sequence lengths, got {len(m)}")
+    if len(ds.m_values) < 4:
+        raise ValueError(f"need >= 4 distinct sequence lengths, got {len(ds.m_values)}")
     (a_hat, b_hat, p_hat), stderrs, chi2_per_dof, nfev, converged = _separable_fit(
-        m, y, ds.sems, offset=True
+        ds.m_values, ds.means, ds.sems, offset=True
     )
     stderr_a, stderr_b, stderr_p, stderr_b_minus_a = stderrs
     return RBFit(
@@ -527,16 +561,13 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     produces exactly this signature: the signal first tracks an exponential,
     then flattens above it.
     """
-    m = np.array(ds.m_values, dtype=float)
-    y = np.array(ds.means, dtype=float)
-    if m.size < PLATEAU_MIN_LENGTHS:
-        raise ValueError(
-            f"plateau test needs >= {PLATEAU_MIN_LENGTHS} sequence lengths, got {m.size}"
-        )
-    model = fit.B0_hat * fit.S_hat ** (m - 1.0)
+    n = len(ds.m_values)
+    if n < PLATEAU_MIN_LENGTHS:
+        raise ValueError(f"plateau test needs >= {PLATEAU_MIN_LENGTHS} sequence lengths, got {n}")
     tail = slice(-PLATEAU_TAIL_POINTS, None)
     n_tail = PLATEAU_TAIL_POINTS
-    excess = float(np.add.reduce(y[tail]) / n_tail - np.add.reduce(model[tail]) / n_tail)
+    model = fit.B0_hat * fit.S_hat ** (np.array(ds.m_values[tail], dtype=float) - 1.0)
+    excess = float(np.add.reduce(ds.means[tail]) / n_tail - np.add.reduce(model) / n_tail)
     absolute = _absolute_weights(ds.sems)
     if absolute:
         # Squared subnormal sems underflow, so the root is taken of the sems
@@ -550,7 +581,7 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
         # residual scale for the tail mean, which is 0 for a perfect fit.  Its
         # floor of 1e-15 is in the units the fit ran in (see _separable_fit).
         residual_scale = math.sqrt(max(fit.chi2_per_dof, 0.0))
-        floor = math.ldexp(1e-15, _mean_shift(y))
+        floor = math.ldexp(1e-15, _mean_shift(ds.means))
         sigma_tail = max(residual_scale / math.sqrt(PLATEAU_TAIL_POINTS), floor)
     # Python floats: a z beyond the float range is inf, without a warning.
     z = excess / sigma_tail

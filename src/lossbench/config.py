@@ -4,7 +4,8 @@ A run config is a JSON object with sections ``gateset``, ``noise``,
 ``state``, ``detector``, ``protocol`` and ``seed`` (plus optional
 ``output_dir``).  Unknown keys are rejected at every level and validation
 errors carry the path of the offending field.  Numbers must be finite:
-``NaN``, ``Infinity`` and integers too large for a float are rejected.
+``NaN``, ``Infinity`` and integers too large for a float are rejected, as
+are integer literals longer than Python converts (4300 digits by default).
 
 Each section is judged in one pass that reports every bad field; a check
 that needs other fields (the detector model, the Kraus sum, the order of
@@ -60,6 +61,27 @@ class RunConfig:
     gateset_name: str
     noise_type: str
     resolved_theta: float | None
+
+
+class _HugeInteger:
+    """An integer literal of more digits than Python converts (sys.get_int_max_str_digits).
+
+    Neither an int nor a str, so every field rule rejects it, by its path.
+    """
+
+    def __init__(self, literal: str):
+        self.digits = len(literal.lstrip("-"))
+
+    def __repr__(self):
+        return f"<integer of {self.digits} digits>"
+
+
+def _parse_int(literal: str):
+    """json.loads' integer hook: the int, or a _HugeInteger where int() refuses the digits."""
+    try:
+        return int(literal)
+    except ValueError:
+        return _HugeInteger(literal)
 
 
 def _is_number(value) -> bool:
@@ -275,7 +297,7 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
     success the returned config is ready for the protocol engine.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"syntax error: {exc}"]) from None
     if not isinstance(doc, dict):

@@ -59,12 +59,12 @@ def _real(name: str, value) -> float:
 def _lengths(name: str, values) -> tuple:
     """``values`` as a tuple of ints, strictly increasing from >= 1; ValueError otherwise."""
     try:
-        lengths = tuple(operator.index(m) for m in values)
+        lengths = tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{name} entries must be integers, got {values!r}") from None
     if not lengths:
         raise ValueError(f"{name} must be nonempty")
-    if lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
+    if lengths[0] < 1 or any(map(operator.le, lengths[1:], lengths)):
         raise ValueError(f"{name} must be strictly increasing positive, got {lengths}")
     return lengths
 

@@ -261,10 +261,11 @@ def read_decay_csv(path) -> DecayDataset:
     # column changes spelling, or a conversion or the constructor raises: to
     # name the line, or to accept a count spelt two ways, such as 5 and 05.
     try:
-        m, mean, sem, n_seq, shots = zip(*(row for row in rows if row), strict=True)
+        m, mean, sem, n_seq, shots = zip(*filter(None, rows), strict=True)
         if len({*n_seq}) == len({*shots}) == 1:
             n_seq, shots = int(n_seq[0]), None if shots[0] == "exact" else int(shots[0])
-            columns = tuple(map(int, m)), list(map(float, mean)), list(map(float, sem))
+            # numpy converts each string with Python's float, as the row scan does.
+            columns = tuple(map(int, m)), np.array(mean, dtype=float), np.array(sem, dtype=float)
             return DecayDataset(*columns, n_seq, shots, {"source": str(path)})
     except (ValueError, TypeError):
         pass

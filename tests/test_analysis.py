@@ -464,6 +464,55 @@ class TestRateEvaluators:
         assert any(0.0 < c < c_max for c, c_max in amplitudes)
 
 
+def grid_cache_dataset(model, weights, grid):
+    """A noisy decay on one of two grids per model that differ in their last
+    length, with absolute (1/sem^2) or unit (zero sems) weights."""
+    if model == "rb":
+        ds = rb_dataset(0.4, 0.5, 0.93, (RB_GRID, (*RB_GRID[:-1], 63))[grid], sems=0.004, seed=31)
+    else:
+        m_grid = (tuple(range(5, 101, 5)), (*range(5, 96, 5), 99))[grid]
+        ds = synthetic_loss_dataset(0.9, 0.98, sems=0.003, m_grid=m_grid, seed=32)
+    sems = ds.sems if weights == "absolute" else np.zeros(ds.sems.size)
+    return lb.DecayDataset(ds.m_values, ds.means, sems, 30, None)
+
+
+class TestGridBasisCache:
+    """Fits on one length grid share its basis (analysis._grid_basis)."""
+
+    @pytest.mark.parametrize("weights", ["absolute", "unit"])
+    @pytest.mark.parametrize("model", ["loss", "rb"])
+    def test_warm_fits_equal_cold_fits_bit_for_bit(self, model, weights):
+        fit = lb.fit_rb_decay if model == "rb" else lb.fit_loss_decay
+        hexed = lambda result: tuple(
+            v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(result)
+        )
+        datasets = [grid_cache_dataset(model, weights, grid) for grid in (0, 1)]
+        cold = []
+        for ds in datasets:
+            analysis._grid_basis.cache_clear()
+            cold.append(hexed(fit(ds)))
+        assert cold[0] != cold[1]
+        # Each grid is a cache entry of its own: one miss each, then hits.
+        analysis._grid_basis.cache_clear()
+        for _ in range(2):
+            assert [hexed(fit(ds)) for ds in datasets] == cold
+        info = analysis._grid_basis.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+    def test_cached_arrays_are_read_only(self):
+        analysis._grid_basis.cache_clear()
+        for offset in (False, True):
+            x, u, x0, phis, c_maxs = analysis._grid_basis(RB_GRID, offset)
+            assert phis.shape == (analysis._LOG_RATE_GRID.size, len(RB_GRID))
+            for array in (x, u, phis, c_maxs):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+        # One entry per model, in a cache of a fixed size.
+        info = analysis._grid_basis.cache_info()
+        assert (info.currsize, info.maxsize) == (2, analysis._GRID_CACHE_SIZE)
+
+
 # One dataset of each kind that the fit-batch benchmark generates
 # (perfbench/workloads.py), its values rounded to 6 significant digits:
 # (m_values, means, sems, n_sequences, shots).

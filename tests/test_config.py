@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -233,6 +234,52 @@ class TestNonFiniteNumbers:
         errors = errors_of(base_doc(noise=kraus_noise(2.0), seed=-1))
         assert any(e.startswith("noise.operators:") for e in errors)
         assert any(e.startswith("seed:") for e in errors)
+
+
+# An integer literal longer than Python converts by default (4300 digits).
+_LONG_DIGITS = 5001
+_LONG = "7" * _LONG_DIGITS
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < _LONG_DIGITS,
+    reason="this Python converts integer literals of any length",
+)
+class TestIntegersPastTheDigitLimit:
+    """json.dumps cannot write these integers, so each document is edited as text."""
+
+    GOT = f"got <integer of {_LONG_DIGITS} digits>"
+    CASES = {
+        "seed": ('"seed": 42', f'"seed": {_LONG}', f"seed: expected a nonnegative integer, {GOT}"),
+        "m-grid-entry": (
+            '"m_grid": [1, 2, 3]',
+            f'"m_grid": [1, 2, {_LONG}]',
+            f"protocol.m_grid[2]: expected a positive integer, {GOT}",
+        ),
+        "n-sequences": (
+            '"n_sequences": 4',
+            f'"n_sequences": -{_LONG}',
+            f"protocol.n_sequences: expected a positive integer, {GOT}",
+        ),
+        "alpha": ('"alpha": 0.99', f'"alpha": {_LONG}', f"noise.alpha: expected a number in [0, 1], {GOT}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_field_path(self, case):
+        field, literal, message = self.CASES[case]
+        text = json.dumps(base_doc())
+        assert field in text
+        with pytest.raises(lb.ConfigError) as excinfo:
+            lb.parse_config(text.replace(field, literal))
+        assert excinfo.value.errors == (message,)
+
+    def test_every_field_is_reported(self):
+        text = json.dumps(base_doc())
+        for field, literal, _ in self.CASES.values():
+            text = text.replace(field, literal)
+        with pytest.raises(lb.ConfigError) as excinfo:
+            lb.parse_config(text)
+        assert sorted(excinfo.value.errors) == sorted(m for *_, m in self.CASES.values())
 
 
 class TestMatrixEntriesAreNumbers:

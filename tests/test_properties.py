@@ -110,14 +110,18 @@ def _with_m_grid(grid):
 
 
 # Both grid forms with a length past any machine size run every time:
-# random draws seldom set a range's stop.
+# random draws seldom set a range's stop.  So does a seed past Python's
+# 4300-digit integer conversion limit, given as text: json.dumps cannot write it.
 @hypothesis.example(doc=_with_m_grid({"start": 1, "stop": 10**400, "step": 1}))
 @hypothesis.example(doc=_with_m_grid([1, 2, 10**400]))
+@hypothesis.example(
+    doc=json.dumps({**VALID_DOCS[0], "seed": 0}).replace('"seed": 0', '"seed": ' + "7" * 5001)
+)
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(doc=_corrupted_docs())
 def test_parse_config_raises_only_config_error(doc):
     try:
-        lb.parse_config(json.dumps(doc))
+        lb.parse_config(doc if isinstance(doc, str) else json.dumps(doc))
     except lb.ConfigError:
         pass
 
@@ -222,15 +226,23 @@ def test_csv_round_trip_is_exact(fields, tmp_path_factory):
     assert (back.n_sequences, back.shots) == (ds.n_sequences, ds.shots)
 
 
-_MUTATIONS = ("drop", "extra", "token", "value", "length", "blank", "spelling", "quote", "no-rows")
+_MUTATIONS = (
+    "drop", "extra", "token", "value", "length", "blank", "spelling", "float-spelling", "quote",
+    "no-rows",
+)
+# Spellings of a finite mean or sem that Python's float reads: underscores,
+# white space, Arabic-Indic and fullwidth digits.
+_FINITE_SPELLINGS = ("0_0.0_5", " 0.25 ", "\t0.5", "\u0660.\u0660\u0665", "\uff10.\uff15", "1e-1_0")
+# Infinities, which it reads too, and a doubled underscore, which it refuses.
+_FLOAT_SPELLINGS = (*_FINITE_SPELLINGS, "infinity", "-Infinity", "1__0")
 
 
 @st.composite
 def decay_csv_texts(draw):
     """The text of a decay CSV: valid rows, then up to four mutations (a field
     dropped or added, a non-numeric token, nan, inf or -1 in a column, a
-    repeated or lower length, a blank line, another spelling of a count, a
-    quoted field, no data rows)."""
+    repeated or lower length, a blank line, another spelling of a count or of
+    a mean or sem, a quoted field, no data rows)."""
     lengths = sorted(draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=6, unique=True)))
     shots = draw(st.sampled_from(["exact", "200"]))
     rows = [
@@ -263,6 +275,8 @@ def decay_csv_texts(draw):
             row[-draw(st.sampled_from([1, 2]))] = draw(
                 st.sampled_from(["05", "+5", " 5", "5.0", "0200", "200", "exact"])
             )
+        elif mutation == "float-spelling":
+            row[draw(st.sampled_from([1, 2])) % len(row)] = draw(st.sampled_from(_FLOAT_SPELLINGS))
         elif mutation == "quote":
             row[j] = f'"{row[j]}"'
     return "m,mean,sem,n_sequences,shots\n" + "".join(",".join(r) + "\n" for r in rows)
@@ -277,13 +291,21 @@ def _read_outcome(read, path):
     return ds.m_values, ds.means.tobytes(), ds.sems.tobytes(), ds.n_sequences, ds.shots, ds.metadata
 
 
+def _spelt_csv(means: tuple) -> str:
+    rows = [f"{m},{mean},0_0.01,5,exact\n" for m, mean in enumerate(means, 1)]
+    return "m,mean,sem,n_sequences,shots\n" + "".join(rows)
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(text=decay_csv_texts())
+# Every accepted spelling in one file, which the bulk path reads; a refused one.
+@hypothesis.example(text=_spelt_csv(_FINITE_SPELLINGS))
+@hypothesis.example(text=_spelt_csv(("0.5", "1__0")))
 def test_csv_reader_equals_the_row_scan(text, tmp_path_factory):
     # The same dataset bytes, or the same path:line: message, as a reader
     # that checks one row at a time.
     path = tmp_path_factory.mktemp("csv") / "decay.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert _read_outcome(lb.read_decay_csv, path) == _read_outcome(reference_read_decay_csv, path)
 
 
