@@ -7,29 +7,23 @@ checks, and plateau detection for leakage-type deviations from a single
 exponential.
 
 Fits run weighted least squares (weights 1/sem^2, or unit weights when any
-sem is zero or missing) by variable projection.  The amplitudes (B0, or A
-and B) enter linearly and come from closed-form weighted normal equations at
-each rate, with B0 held in [0, 1e300] in the normalised units below, so
-only the rate r (S or p) is searched, as t = log r.  The rate stays inside
-(0, 1], within RATE_BOUNDS = [1e-6, 1 - 1e-9].  A fixed grid of 48 rates, geometric in -t, brackets the
-minimum in one batched evaluation.  Its rate basis (each grid rate raised to
-each length) and loss clip depend only on the lengths and the model, so they
-are computed once per length grid and shared, read-only, by every later fit
-on it.  Safeguarded Gauss-Newton steps with Kaufman's Jacobian (secant
-curvature after the first step), each one single-rate evaluation, refine it
-until that Jacobian's cosine with the residual vector is at most
-GRADIENT_TOL = 1e-10 or the bracket closes.
-A minimum beyond a bound is reported at the bound, and a fit is unconverged
-only when MAX_ITERATIONS = 200 evaluations run out.  ``n_iterations`` counts
-reduced-cost evaluations: 48 for the grid plus one per step.  Standard
-errors come from the full Jacobian at the solution.  Fits run in normalised
-units: the weights' square roots are divided by a power of two that puts the
-largest near 1, means whose largest magnitude lies outside [2^-16, 2^16) are
-divided by the power of two that puts it in [1/2, 1), and the loss column is
-r^(m - m_min), 1 at the shortest length, so the products inside a fit stay
-in range and the Jacobian's columns do not depend on the data's unit.  The
-amplitudes, chi^2 and the stderrs are scaled back exactly; beyond the float
-range they are inf.
+sem is zero or missing) by variable projection: the amplitudes (B0, or A
+and B) enter linearly and come in closed form at each rate, so only the
+rate r (S or p) is searched, within RATE_BOUNDS = [1e-6, 1 - 1e-9].  One
+fitter, _separable_fit, runs both models: a fixed grid of 48 rates brackets
+the minimum and Gauss-Newton steps refine it until GRADIENT_TOL = 1e-10 is
+met.  A minimum beyond a bound is reported at the bound, and a fit is
+unconverged only when MAX_ITERATIONS = 200 evaluations run out.
+``n_iterations`` counts reduced-cost evaluations: 48 for the grid plus one
+per step.  Standard errors come from the full Jacobian at the solution.
+
+Fits run in normalised units: the weights' square roots are divided by a
+power of two that puts the largest near 1, means whose largest magnitude
+lies outside [2^-16, 2^16) are divided by the power of two that puts it in
+[1/2, 1), and the loss column is r^(m - m_min), 1 at the shortest length,
+so the products inside a fit stay in range and the Jacobian's columns do
+not depend on the data's unit.  The amplitudes, chi^2 and the stderrs are
+scaled back exactly; beyond the float range they are inf.
 """
 
 import functools
@@ -280,19 +274,15 @@ def _rate_basis(t, u, offset):
     return np.expm1(ut) if offset else np.exp(ut)
 
 
-def _project_rates(t, c_max, u, yc, w2, w_sum, offset):
-    """Reduced cost of y ~ c phi(r) (+ b) at every t = log r of a 1-D array, in one call.
-
-    phi is r^u, or r^u - 1 centred on its weighted mean with an offset.
-    Returns (cost, c, res, phi, norm2), one entry or row per rate: c solves
-    phi's 1x1 weighted normal equation (norm2 = sum w^2 phi^2), clipped to
-    [0, c_max] without an offset; res = yc - c phi and cost = sum w^2 res^2.
-    """
-    return _project_basis(_rate_basis(t, u, offset), c_max, yc, w2, w_sum, offset)
-
-
 def _project_basis(phi, c_max, yc, w2, w_sum, offset):
-    """_project_rates on the rows of _rate_basis, which it does not write to."""
+    """Reduced cost of y ~ c phi(r) (+ b) at every row of a _rate_basis, in one call.
+
+    phi is r^u, or r^u - 1 centred on its weighted mean with an offset; the
+    rows passed in are not written to.  Returns (cost, c, res, phi, norm2),
+    one entry or row per rate: c solves phi's 1x1 weighted normal equation
+    (norm2 = sum w^2 phi^2), clipped to [0, c_max] without an offset;
+    res = yc - c phi and cost = sum w^2 res^2.
+    """
     if offset:
         phi = phi - phi.dot(w2)[:, None] / w_sum
     wphi = phi * w2
@@ -326,11 +316,11 @@ def _grid_basis(lengths: tuple, offset: bool) -> tuple:
 
 
 def _project_rate(t, c_max, u, yc, w2, w_sum, offset):
-    """_project_rates at the single float t, on 1-D arrays with float scalars.
+    """_project_basis at the single float t, on 1-D arrays with float scalars.
 
-    The same operations in the same order give a one-rate call's results
-    bit for bit, with cost, c and norm2 as floats.  Also returns exp(u t),
-    the curve of the gradient.
+    The same operations in the same order give the results of a one-rate
+    _rate_basis row bit for bit, with cost, c and norm2 as floats.  Also
+    returns exp(u t), the curve of the gradient.
     """
     ut = t * u
     curve = np.exp(ut)
@@ -349,7 +339,9 @@ def _project_rate(t, c_max, u, yc, w2, w_sum, offset):
     return float((res * res).dot(w2)), c, res, phi, norm2, curve
 
 
-def _separable_fit(lengths: tuple, y: np.ndarray, sems: np.ndarray, offset: bool) -> tuple:
+def _separable_fit(
+    lengths: tuple, y: np.ndarray, sems: np.ndarray, offset: bool
+) -> DecayFit | RBFit:
     """Weighted least squares of y ~ a * r^x (+ b when ``offset``) over r in RATE_BOUNDS.
 
     x is m - 1 for the lengths m, or m itself with an offset.  Variable
@@ -357,13 +349,14 @@ def _separable_fit(lengths: tuple, y: np.ndarray, sems: np.ndarray, offset: bool
     closed-form weighted normal equations, so only t = log r is searched.
     The reduced cost of every point of _LOG_RATE_GRID is taken in one
     _project_basis call on the grid basis, which _grid_basis computes once
-    per length grid and model, and the best point brackets the minimum
-    between its neighbours.  Safeguarded Gauss-Newton steps on t, with Kaufman's
-    Jacobian and the exact gradient, refine it, one _project_rate call per
-    step, until the cosine of that Jacobian with the residual vector is at
-    most GRADIENT_TOL or the step no longer moves t.  A best grid point at an
-    end of the grid where the cost still falls outward is returned at once,
-    at that bound.
+    per length grid and model and every fit on that grid shares, and the
+    best point brackets the minimum between its neighbours.  Safeguarded
+    Gauss-Newton steps on t, with Kaufman's Jacobian (secant curvature after
+    the first step) and the exact gradient, refine it, one _project_rate call
+    per step, until the cosine of that Jacobian with the residual vector is
+    at most GRADIENT_TOL or the step no longer moves t.  A best grid point
+    at an end of the grid where the cost still falls outward is returned at
+    once, at that bound.
 
     The fit runs in normalised units (see the module docstring and
     _fit_weights).  With an offset the column is r^x - 1 (expm1 keeps its
@@ -372,11 +365,10 @@ def _separable_fit(lengths: tuple, y: np.ndarray, sems: np.ndarray, offset: bool
     its amplitude c is clipped to 0 <= c r^-x0 <= _B0_MAX: for one linear
     amplitude the clip is the exact constrained least-squares solution.
 
-    Returns (params, stderrs, chi2_per_dof, nfev, converged): params are
-    (a, b, r), or (a, r) without an offset, with a = c r^-x0, and stderrs
-    are theirs, followed with an offset by that of b - a.
-    nfev counts the rates whose reduced cost was evaluated, and converged
-    says whether a stop rule, not the MAX_ITERATIONS budget, ended the search.
+    Returns the RBFit of a, b and p = r with an offset, else the DecayFit of
+    B0 = a and S = r, with a = c r^-x0 in both.  n_iterations counts the
+    rates whose reduced cost was evaluated, and converged says whether a
+    stop rule, not the MAX_ITERATIONS budget, ended the search.
     """
     sqrt_w, e, absolute_sigma = _fit_weights(sems)
     f = _mean_shift(y)
@@ -464,15 +456,24 @@ def _separable_fit(lengths: tuple, y: np.ndarray, sems: np.ndarray, offset: bool
     shifts = [-e] * offset + [-e, -e - f]
     stderrs = [_ldexp(math.sqrt(v), n) for v, n in zip(cov.diagonal().tolist(), shifts)]
     rx0 = math.exp(x0 * t)  # 0 only where c is held at 0
-    params = [_ldexp(float(c) / rx0, f) if rx0 else 0.0, r]
-    stderrs[0] = stderrs[0] / rx0 if rx0 else math.inf
-    if offset:
-        b = float(mean - c * (1.0 + float(w2.dot(np.expm1(u * t))) / w_sum))
-        params.insert(1, _ldexp(b, f))
-        # Rooted before the scale goes back on, as above: var(b - a) = var(b - c).
-        var = float(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
-        stderrs.append(_ldexp(math.sqrt(max(var, 0.0)), -e))
-    return params, stderrs, chi2, nfev, converged
+    a = _ldexp(float(c) / rx0, f) if rx0 else 0.0
+    stderr_a = stderrs[0] / rx0 if rx0 else math.inf
+    stats = dict(chi2_per_dof=chi2, converged=converged, n_iterations=nfev)
+    if not offset:
+        return DecayFit(S_hat=r, B0_hat=a, stderr_S=stderrs[1], stderr_B0=stderr_a, **stats)
+    b = float(mean - c * (1.0 + float(w2.dot(np.expm1(u * t))) / w_sum))
+    # Rooted before the scale goes back on, as above: var(b - a) = var(b - c).
+    var = float(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
+    return RBFit(
+        A_hat=a,
+        B_hat=_ldexp(b, f),
+        p_hat=r,
+        stderr_A=stderr_a,
+        stderr_B=stderrs[1],
+        stderr_p=stderrs[2],
+        stderr_B_minus_A=_ldexp(math.sqrt(max(var, 0.0)), -e),
+        **stats,
+    )
 
 
 def fit_loss_decay(ds: DecayDataset) -> DecayFit:
@@ -487,40 +488,14 @@ def fit_loss_decay(ds: DecayDataset) -> DecayFit:
         raise ValueError(f"need >= 3 distinct sequence lengths, got {len(ds.m_values)}")
     if (ds.means <= 0).all():
         raise ValueError("all means are non-positive; nothing to fit")
-    (b0_hat, s_hat), (stderr_b0, stderr_s), chi2_per_dof, nfev, converged = _separable_fit(
-        ds.m_values, ds.means, ds.sems, offset=False
-    )
-    return DecayFit(
-        S_hat=s_hat,
-        B0_hat=b0_hat,
-        stderr_S=stderr_s,
-        stderr_B0=stderr_b0,
-        chi2_per_dof=chi2_per_dof,
-        converged=converged,
-        n_iterations=nfev,
-    )
+    return _separable_fit(ds.m_values, ds.means, ds.sems, offset=False)
 
 
 def fit_rb_decay(ds: DecayDataset) -> RBFit:
     """Weighted least-squares fit of y(m) = A * p^m + B, p in RATE_BOUNDS."""
     if len(ds.m_values) < 4:
         raise ValueError(f"need >= 4 distinct sequence lengths, got {len(ds.m_values)}")
-    (a_hat, b_hat, p_hat), stderrs, chi2_per_dof, nfev, converged = _separable_fit(
-        ds.m_values, ds.means, ds.sems, offset=True
-    )
-    stderr_a, stderr_b, stderr_p, stderr_b_minus_a = stderrs
-    return RBFit(
-        A_hat=a_hat,
-        B_hat=b_hat,
-        p_hat=p_hat,
-        stderr_A=stderr_a,
-        stderr_B=stderr_b,
-        stderr_p=stderr_p,
-        stderr_B_minus_A=stderr_b_minus_a,
-        chi2_per_dof=chi2_per_dof,
-        converged=converged,
-        n_iterations=nfev,
-    )
+    return _separable_fit(ds.m_values, ds.means, ds.sems, offset=True)
 
 
 def detector_efficiency(

@@ -34,6 +34,11 @@ EIGENVALUE_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 ARITHMETIC_ATOL = 1e-10
 
+# The longest sequence length a grid or dataset may hold.  A strictly
+# increasing list of positive lengths has no more entries than its longest
+# length, so this one bound caps the entry count too.
+M_GRID_LIMIT = 1_000_000
+
 
 def _count(name: str, value, least: int) -> int:
     """``value`` as an int >= ``least``; ValueError naming ``name`` otherwise."""
@@ -57,7 +62,8 @@ def _real(name: str, value) -> float:
 
 
 def _lengths(name: str, values) -> tuple:
-    """``values`` as a tuple of ints, strictly increasing from >= 1; ValueError otherwise."""
+    """``values`` as a tuple of ints, strictly increasing from >= 1 to at most
+    M_GRID_LIMIT; ValueError otherwise."""
     try:
         lengths = tuple(map(operator.index, values))
     except TypeError:
@@ -66,6 +72,8 @@ def _lengths(name: str, values) -> tuple:
         raise ValueError(f"{name} must be nonempty")
     if lengths[0] < 1 or any(map(operator.le, lengths[1:], lengths)):
         raise ValueError(f"{name} must be strictly increasing positive, got {lengths}")
+    if lengths[-1] > M_GRID_LIMIT:
+        raise ValueError(f"{name} lengths must be at most {M_GRID_LIMIT}")
     return lengths
 
 

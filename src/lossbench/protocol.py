@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    M_GRID_LIMIT,
     DensityMatrix,
     MeasurementOperator,
     QuantumChannel,
@@ -61,11 +62,6 @@ CSV_HEADER = ("m", "mean", "sem", "n_sequences", "shots")
 # neither key draws the zero-padded stream of a bare seed, stream(seed).
 _GATE_DRAWS = 2
 _SHOT_DRAWS = 1
-
-# The longest sequence length a grid may hold.  A strictly increasing grid of
-# positive lengths has no more entries than its longest length, so this one
-# bound caps the entry count too.
-M_GRID_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,6 @@ class ProtocolConfig:
 
     def __post_init__(self):
         m_grid = _lengths("m_grid", self.m_grid)
-        if m_grid[-1] > M_GRID_LIMIT:
-            raise ValueError(f"m_grid lengths must be at most {M_GRID_LIMIT}")
         object.__setattr__(self, "m_grid", m_grid)
         dims = {
             "gateset": self.gateset.dim,
@@ -177,10 +171,11 @@ class DecayDataset:
     ``metadata`` is :func:`run_protocol`'s run record, or a CSV's path.
     The constructor raises ValueError on the first row or count that
     :func:`read_decay_csv` would reject, so :meth:`to_csv` writes only files
-    it reads back: lengths must be integers, strictly increasing from 1,
-    means finite, sems NaN or finite and >= 0, and ``n_sequences`` and
-    integer ``shots`` at least 1.  ``means`` and ``sems`` are stored as
-    read-only copies; the caller's arrays are left as they were.
+    it reads back: lengths must be integers, strictly increasing from 1 to
+    at most :data:`M_GRID_LIMIT`, means finite, sems NaN or finite and
+    >= 0, and ``n_sequences`` and integer ``shots`` at least 1.  ``means``
+    and ``sems`` are stored as read-only copies; the caller's arrays are
+    left as they were.
     """
 
     m_values: tuple
@@ -237,10 +232,11 @@ def read_decay_csv(path) -> DecayDataset:
     """Load a dataset written by :meth:`DecayDataset.to_csv`.
 
     The file is read as UTF-8.  Rejects, with a ``path:line:`` message, rows
-    whose length m is below 1 or not strictly above the previous row's,
-    non-finite means, infinite or negative sems, n_sequences or integer
-    shots below 1, and fields the csv module cannot read.  A NaN or zero
-    sem is valid: single-sequence and exact datasets write them.
+    whose length m is below 1, above M_GRID_LIMIT or not strictly above the
+    previous row's, non-finite means, infinite or negative sems,
+    n_sequences or integer shots below 1, and fields the csv module cannot
+    read.  A NaN or zero sem is valid: single-sequence and exact datasets
+    write them.
     """
     text = _read_utf8(path)
     with io.StringIO(text, newline="") as fh:
@@ -296,6 +292,10 @@ def _scan_rows(path, text) -> DecayDataset:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if m < 1:
             raise ValueError(f"{path}:{lineno}: sequence length must be >= 1, got {m}")
+        if m > M_GRID_LIMIT:
+            raise ValueError(
+                f"{path}:{lineno}: sequence length must be at most {M_GRID_LIMIT}, got {m}"
+            )
         if m_values and m <= m_values[-1]:
             raise ValueError(
                 f"{path}:{lineno}: sequence lengths must be strictly increasing, "

@@ -27,6 +27,7 @@ import numpy as np
 
 import lossbench as lb
 from lossbench.core import (
+    M_GRID_LIMIT,
     DensityMatrix,
     QuantumChannel,
     _as_square_complex,
@@ -284,6 +285,10 @@ def reference_read_decay_csv(path) -> lb.DecayDataset:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if m < 1:
                 raise ValueError(f"{path}:{lineno}: sequence length must be >= 1, got {m}")
+            if m > M_GRID_LIMIT:
+                raise ValueError(
+                    f"{path}:{lineno}: sequence length must be at most {M_GRID_LIMIT}, got {m}"
+                )
             if m_values and m <= m_values[-1]:
                 raise ValueError(
                     f"{path}:{lineno}: sequence lengths must be strictly increasing, "

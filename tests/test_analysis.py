@@ -440,7 +440,8 @@ class TestRateEvaluators:
         for t in map(math.log, TestRateEvaluators.RATES):
             c_max = analysis._B0_MAX * math.exp(x0 * t)
             cost, c, res, phi, norm2, curve = analysis._project_rate(t, c_max, *args)
-            costs, cs, ress, phis, norm2s = analysis._project_rates(np.array([t]), c_max, *args)
+            basis = analysis._rate_basis(np.array([t]), args[0], offset)
+            costs, cs, ress, phis, norm2s = analysis._project_basis(basis, c_max, *args[1:])
             assert [repr(v) for v in (cost, c, norm2)] == [
                 repr(float(v[0])) for v in (costs, cs, norm2s)
             ], t

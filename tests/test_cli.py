@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -12,12 +14,21 @@ import lossbench as lb
 from lossbench import analysis, cli
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv):
+    """``lossbench *argv`` run in this process, with its exit status and output."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(argv, code, stdout.getvalue(), stderr.getvalue())
+
+
+def run_module(*argv):
+    """``python -m lossbench *argv`` in a fresh interpreter: one check per command."""
     return subprocess.run(
-        [sys.executable, "-m", "lossbench", *argv],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
+        [sys.executable, "-m", "lossbench", *argv], capture_output=True, text=True
     )
 
 
@@ -38,7 +49,7 @@ def loss_config(tmp_path):
 
 class TestTopLevel:
     def test_version(self):
-        proc = run_cli("--version")
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.startswith("lossbench ")
 
@@ -52,7 +63,7 @@ class TestTopLevel:
 class TestSimulate:
     def test_writes_dataset_and_metadata(self, loss_config, tmp_path):
         out = tmp_path / "out"
-        proc = run_cli("simulate", str(loss_config), "--out", str(out))
+        proc = run_module("simulate", str(loss_config), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "8 rows" in proc.stdout
         lines = (out / "decay.csv").read_text().splitlines()
@@ -149,7 +160,7 @@ class TestFit:
 
     def test_loss_fit_report(self, loss_config, tmp_path):
         csv = self.simulate(loss_config, tmp_path / "out")
-        proc = run_cli("fit", str(csv), "--out", str(tmp_path / "fits"))
+        proc = run_module("fit", str(csv), "--out", str(tmp_path / "fits"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("S_hat = ")
         report = json.loads((tmp_path / "fits" / "fit.json").read_text())
@@ -303,6 +314,22 @@ class TestFit:
         proc = run_cli("fit", str(csv), "--out", str(tmp_path))
         assert proc.returncode == 1
         assert message in proc.stderr
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("model", ["loss", "rb"])
+    @pytest.mark.parametrize("length", [1000001, 10**400], ids=["long", "huge"])
+    def test_length_past_the_limit_is_usage_error_with_line(self, tmp_path, model, length):
+        # 10**400 is past the float range too: a fit would fail to convert it.
+        csv = tmp_path / "bad.csv"
+        csv.write_text(
+            "m,mean,sem,n_sequences,shots\n1,0.9,0.01,5,exact\n2,0.8,0.01,5,exact\n"
+            f"{length},0.7,0.01,5,exact\n"
+        )
+        proc = run_cli("fit", str(csv), "--model", model, "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"lossbench: error: {csv}:4: sequence length must be at most 1000000, got {length}\n"
+        )
         assert not (tmp_path / "fit.json").exists()
 
     def test_field_over_the_csv_limit_is_usage_error_with_line(self, tmp_path):
@@ -460,7 +487,7 @@ class TestCheckChannel:
         }
         path = tmp_path / "sat.config"
         path.write_text(json.dumps(doc))
-        proc = run_cli("check-channel", str(path))
+        proc = run_module("check-channel", str(path))
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["dim"] == 2

@@ -198,7 +198,9 @@ def dataset_fields(draw):
     )
     flaw = draw(st.sampled_from([None, "m_values", "means", "sems", "n_sequences", "shots"]))
     if flaw == "m_values":
-        entries = st.one_of(st.integers(-2, 10**6), st.floats(0.5, 10.0))
+        entries = st.one_of(
+            st.integers(-2, 10**6), st.integers(10**6 + 1, 10**401), st.floats(0.5, 10.0)
+        )
         fields[flaw] = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
     elif flaw in ("means", "sems"):
         fields[flaw][draw(st.integers(0, n - 1))] = draw(st.floats())
@@ -241,8 +243,8 @@ _FLOAT_SPELLINGS = (*_FINITE_SPELLINGS, "infinity", "-Infinity", "1__0")
 def decay_csv_texts(draw):
     """The text of a decay CSV: valid rows, then up to four mutations (a field
     dropped or added, a non-numeric token, nan, inf or -1 in a column, a
-    repeated or lower length, a blank line, another spelling of a count or of
-    a mean or sem, a quoted field, no data rows)."""
+    repeated, lower or too long length, a blank line, another spelling of a
+    count or of a mean or sem, a quoted field, no data rows)."""
     lengths = sorted(draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=6, unique=True)))
     shots = draw(st.sampled_from(["exact", "200"]))
     rows = [
@@ -269,7 +271,7 @@ def decay_csv_texts(draw):
             row[j] = draw(st.sampled_from(["nan", "inf", "-inf", "-1", "-1.0"]))
         elif mutation == "length":
             before = rows[i - 1][0] if i and rows[i - 1] else "1"
-            row[0] = draw(st.sampled_from([before, str(lengths[0] - 1), "0"]))
+            row[0] = draw(st.sampled_from([before, str(lengths[0] - 1), "0", "1000001", "9" * 401]))
         elif mutation == "spelling":
             # The count columns are the last two while the row has 5 fields.
             row[-draw(st.sampled_from([1, 2]))] = draw(

@@ -578,6 +578,8 @@ class TestDecayDataset:
             (dict(m_values=(0, 1, 2)), "m_values must be strictly increasing positive"),
             (dict(m_values=(1, 2.7, 4)), "m_values entries must be integers"),
             (dict(m_values=(), means=[], sems=[]), "m_values must be nonempty"),
+            (dict(m_values=(1, 2, 1000001)), "m_values lengths must be at most 1000000$"),
+            (dict(m_values=(1, 2, 10**400)), "m_values lengths must be at most 1000000$"),
             (dict(means=[0.5, np.inf, 0.3]), "means must be finite, got inf"),
             (dict(sems=[0.1, -1.0, 0.1]), r"sems must be NaN or finite and >= 0, got -1\.0"),
             (dict(sems=[0.1, 0.1, np.inf]), "sems must be NaN or finite and >= 0, got inf"),
@@ -588,7 +590,8 @@ class TestDecayDataset:
             (dict(shots="100"), "shots must be an integer >= 1, got '100'"),
         ],
         ids=[
-            "unsorted", "zero-length", "float-length", "empty", "inf-mean", "negative-sem",
+            "unsorted", "zero-length", "float-length", "empty", "long-length", "huge-length",
+            "inf-mean", "negative-sem",
             "inf-sem", "2d-means", "zero-sequences", "float-sequences", "zero-shots",
             "string-shots",
         ],
@@ -667,6 +670,14 @@ class TestCsvRoundTrip:
             ("1,0.5,0.1,3,exact\n2,inf,0.1,3,exact\n", "bad.csv:3: mean must be finite"),
             ("0,0.5,0.1,3,exact\n", "bad.csv:2: sequence length must be >= 1"),
             ("-2,0.5,0.1,3,exact\n", "bad.csv:2: sequence length must be >= 1"),
+            (
+                "1,0.5,0.1,3,exact\n2,0.4,0.1,3,exact\n1000001,0.3,0.1,3,exact\n",
+                "bad.csv:4: sequence length must be at most 1000000, got 1000001$",
+            ),
+            (
+                f"1,0.5,0.1,3,exact\n2,0.4,0.1,3,exact\n{10**400},0.3,0.1,3,exact\n",
+                f"bad.csv:4: sequence length must be at most 1000000, got {10**400}$",
+            ),
             ("1,0.5,0.1,3,exact\n1,0.4,0.1,3,exact\n", "bad.csv:3: .* strictly increasing"),
             ("2,0.5,0.1,3,exact\n1,0.4,0.1,3,exact\n", "bad.csv:3: .* strictly increasing"),
             ("1,0.5,inf,3,exact\n", "bad.csv:2: sem must be NaN or finite and >= 0"),
@@ -679,7 +690,8 @@ class TestCsvRoundTrip:
             ('1,"0.9\n",0.01,5,exact\n2,nan,0.01,5,exact\n', "bad.csv:4: mean must be finite"),
         ],
         ids=[
-            "nan-mean", "inf-mean-row-3", "zero-length", "negative-length", "repeated-length",
+            "nan-mean", "inf-mean-row-3", "zero-length", "negative-length", "long-length",
+            "huge-length", "repeated-length",
             "decreasing-length", "inf-sem", "negative-sem-row-3", "zero-sequences",
             "negative-sequences", "zero-shots", "negative-shots", "nan-mean-after-quoted-newline",
         ],
