@@ -17,7 +17,6 @@ from .analysis import (
     RBFit,
     average_response,
     average_survival,
-    b_minus_a_test,
     detector_efficiency,
     fit_loss_decay,
     fit_rb_decay,
@@ -78,7 +77,6 @@ __all__ = [
     "Violation",
     "average_response",
     "average_survival",
-    "b_minus_a_test",
     "basis_loss_channel",
     "basis_state",
     "clifford_gateset",

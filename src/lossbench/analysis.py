@@ -134,12 +134,15 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class MarkovReport:
-    """Cross-protocol checks: each flag's statistic (B - A, B - m1) and its sigma."""
+    """Each indicator flag's statistic (B - A, B - m1) and its sigma.
+
+    The B - m1 pair is None when no loss_m1 was given.
+    """
 
     b_minus_a: float
     b_minus_a_sigma: float
-    b_minus_m1: float
-    b_minus_m1_sigma: float
+    b_minus_m1: float | None
+    b_minus_m1_sigma: float | None
     flags: tuple
 
 
@@ -573,56 +576,43 @@ def _identifiable(rb: RBFit) -> bool:
     return inside and abs(rb.A_hat) > 1e-9 * max(1.0, abs(rb.B_hat))
 
 
-def b_minus_a_test(rb: RBFit) -> tuple:
-    """Return (B - A, its standard error, flagged) for a benchmarking fit.
+def markovianity_tests(rb: RBFit, loss_m1: tuple | None = None) -> MarkovReport:
+    """The non-Markovian indicator of a benchmarking fit: B - A and B - m1.
 
     B - A must be nonnegative when the noise is one fixed channel per gate,
-    so it is flagged when it sits more than 3 standard errors below zero.
+    so FLAG_B_MINUS_A_NEGATIVE is raised when it sits more than 3 standard
+    errors below zero.  ``loss_m1`` is the (mean, sem) of the loss-protocol
+    signal at m = 1, both finite and the sem >= 0 (ValueError otherwise).
+    It equals the curve's offset B under the same noise, so
+    FLAG_M1_MISMATCH is raised when B - m1 lies beyond 3 sigma, sigma =
+    hypot(stderr_B, m1 sem).  Without ``loss_m1`` both m1 fields are None
+    and only the B - A flag can be raised.
+
     A fit that did not converge, or a flat curve (fitted p at a bound of
     RATE_BOUNDS, or decay amplitude ~ 0), does not identify the split
-    between A and B and is never flagged.  Both ``lossbench fit --model rb`` and
-    :func:`markovianity_tests` apply this one rule.
+    between A and B: its statistics are reported and no flag is raised.
+    ``lossbench fit --model rb`` writes this report's flags.
     """
+    b_minus_m1 = b_minus_m1_sigma = None
+    if loss_m1 is not None:
+        m1_mean, m1_sem = float(loss_m1[0]), float(loss_m1[1])
+        if not math.isfinite(m1_mean):
+            raise ValueError(f"the mean of loss_m1 must be finite, got {m1_mean!r}")
+        if not 0.0 <= m1_sem < math.inf:
+            raise ValueError(f"the sem of loss_m1 must be finite and >= 0, got {m1_sem!r}")
+        b_minus_m1 = rb.B_hat - m1_mean
+        b_minus_m1_sigma = math.hypot(rb.stderr_B, m1_sem)
+
     b_minus_a = rb.B_hat - rb.A_hat
-    sigma = rb.stderr_B_minus_A
-    flagged = (
-        rb.converged
-        and _identifiable(rb)
-        and b_minus_a / max(sigma, _SIGMA_FLOOR) < -3.0
-    )
-    return b_minus_a, sigma, flagged
-
-
-def markovianity_tests(rb: RBFit, loss_m1: tuple) -> MarkovReport:
-    """Cross-protocol consistency checks on a converged benchmarking fit.
-
-    ``loss_m1`` is the (mean, sem) of the loss-protocol signal at m = 1,
-    both finite and the sem >= 0 (ValueError otherwise).  It equals the
-    benchmarking curve's offset B when the noise is one fixed channel per
-    gate, and B - A must then be nonnegative (:func:`b_minus_a_test`).
-    B - m1 is flagged beyond 3 sigma, sigma = hypot(stderr_B, m1 sem).
-
-    A flat benchmarking curve (fitted p at a bound of RATE_BOUNDS, or decay
-    amplitude ~ 0) does not identify the split between A and B, so neither
-    flag is raised in that case.
-    """
-    if not rb.converged:
-        raise ValueError("benchmarking fit did not converge; checks need a valid fit")
-    m1_mean, m1_sem = float(loss_m1[0]), float(loss_m1[1])
-    if not math.isfinite(m1_mean):
-        raise ValueError(f"the mean of loss_m1 must be finite, got {m1_mean!r}")
-    if not 0.0 <= m1_sem < math.inf:
-        raise ValueError(f"the sem of loss_m1 must be finite and >= 0, got {m1_sem!r}")
-
-    b_minus_a, b_minus_a_sigma, negative = b_minus_a_test(rb)
-    flags = [FLAG_B_MINUS_A_NEGATIVE] if negative else []
-    b_minus_m1 = rb.B_hat - m1_mean
-    b_minus_m1_sigma = math.hypot(rb.stderr_B, m1_sem)
-    if _identifiable(rb) and abs(b_minus_m1) > 3.0 * max(b_minus_m1_sigma, _SIGMA_FLOOR):
-        flags.append(FLAG_M1_MISMATCH)
+    flags = []
+    if rb.converged and _identifiable(rb):
+        if b_minus_a / max(rb.stderr_B_minus_A, _SIGMA_FLOOR) < -3.0:
+            flags.append(FLAG_B_MINUS_A_NEGATIVE)
+        if loss_m1 is not None and abs(b_minus_m1) > 3.0 * max(b_minus_m1_sigma, _SIGMA_FLOOR):
+            flags.append(FLAG_M1_MISMATCH)
     return MarkovReport(
         b_minus_a=b_minus_a,
-        b_minus_a_sigma=b_minus_a_sigma,
+        b_minus_a_sigma=rb.stderr_B_minus_A,
         b_minus_m1=b_minus_m1,
         b_minus_m1_sigma=b_minus_m1_sigma,
         flags=tuple(flags),

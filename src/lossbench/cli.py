@@ -18,12 +18,11 @@ from importlib import resources
 
 from . import __version__
 from .analysis import (
-    FLAG_B_MINUS_A_NEGATIVE,
     FLAG_PLATEAU,
     PLATEAU_MIN_LENGTHS,
-    b_minus_a_test,
     fit_loss_decay,
     fit_rb_decay,
+    markovianity_tests,
     plateau_test,
     prop1_check,
 )
@@ -142,7 +141,7 @@ def _cmd_fit(args) -> int:
             report["flags"] = [FLAG_PLATEAU] if plateau is not None and plateau.flagged else []
             report["plateau"] = None if plateau is None else asdict(plateau)
         else:
-            report["flags"] = [FLAG_B_MINUS_A_NEGATIVE] if b_minus_a_test(fit)[2] else []
+            report["flags"] = list(markovianity_tests(fit).flags)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 

@@ -22,6 +22,7 @@ Tolerance conventions:
     (trace-non-increase of composed channels, probability clamping).
 """
 
+import itertools
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -63,18 +64,27 @@ def _real(name: str, value) -> float:
 
 def _lengths(name: str, values) -> tuple:
     """``values`` as a tuple of ints, strictly increasing from >= 1 to at most
-    M_GRID_LIMIT; ValueError otherwise."""
+    M_GRID_LIMIT; ValueError otherwise.  The messages name the first bad
+    entry by its index and format no entry, so their size does not grow
+    with the input."""
+    lengths = []
     try:
-        lengths = tuple(map(operator.index, values))
+        # extend keeps the entries converted before the one that fails.
+        lengths.extend(map(operator.index, values))
     except TypeError:
-        raise ValueError(f"{name} entries must be integers, got {values!r}") from None
+        raise ValueError(f"{name} entries must be integers: entry {len(lengths)} is not") from None
     if not lengths:
         raise ValueError(f"{name} must be nonempty")
-    if lengths[0] < 1 or any(map(operator.le, lengths[1:], lengths)):
-        raise ValueError(f"{name} must be strictly increasing positive, got {lengths}")
+    if lengths[0] < 1:
+        raise ValueError(f"{name} must be strictly increasing positive: entry 0 is below 1")
+    bad = next(itertools.compress(itertools.count(1), map(operator.le, lengths[1:], lengths)), 0)
+    if bad:
+        raise ValueError(
+            f"{name} must be strictly increasing positive: entry {bad} is not above entry {bad - 1}"
+        )
     if lengths[-1] > M_GRID_LIMIT:
         raise ValueError(f"{name} lengths must be at most {M_GRID_LIMIT}")
-    return lengths
+    return tuple(lengths)
 
 
 def stream(*key: int) -> "np.random.Generator":

@@ -326,9 +326,9 @@ class TestFitRBDecay:
         assert fit.p_hat in analysis.RATE_BOUNDS
         assert not analysis._identifiable(fit)
         assert 1.0 <= fit.stderr_A < math.inf
-        _, sigma, flagged = lb.b_minus_a_test(fit)
-        assert 1.0 <= sigma < math.inf
-        assert not flagged
+        report = lb.markovianity_tests(fit)
+        assert 1.0 <= report.b_minus_a_sigma < math.inf
+        assert report.flags == ()
 
     def test_noisy_flat_curves_converge(self):
         # Kaufman's curvature scales with A^2, so on flat curves plain
@@ -890,10 +890,10 @@ class TestBMinusATest:
         # Where a non-converged fit of a noisy flat curve can stop: p just
         # below 1 with large opposite A and B, far below -3 sigma.
         fit = converged_rb(8.4, -7.9, 0.999997)
-        assert lb.b_minus_a_test(fit)[2]
-        b_minus_a, _, flagged = lb.b_minus_a_test(dataclasses.replace(fit, converged=False))
-        assert b_minus_a == pytest.approx(-16.3)
-        assert not flagged
+        assert lb.markovianity_tests(fit).flags == ("B_MINUS_A_NEGATIVE",)
+        report = lb.markovianity_tests(dataclasses.replace(fit, converged=False))
+        assert report.b_minus_a == pytest.approx(-16.3)
+        assert report.flags == ()
 
     @pytest.mark.parametrize("scale", [-1029, 664])
     def test_sigma_survives_squaring(self, scale):
@@ -907,7 +907,7 @@ class TestBMinusATest:
             ds = lb.DecayDataset(RB_GRID, means, np.ldexp(sems, e), 30, None)
             rb = lb.fit_rb_decay(ds)
             report = lb.markovianity_tests(rb, (rb.B_hat, math.ldexp(0.75, e)))
-            assert report.b_minus_a_sigma == lb.b_minus_a_test(rb)[1]
+            assert report.b_minus_a_sigma == lb.markovianity_tests(rb).b_minus_a_sigma
             sigmas[e] = (report.b_minus_a_sigma, report.b_minus_m1_sigma)
         for extreme, normal in zip(sigmas[scale], sigmas[-10]):
             assert extreme == pytest.approx(math.ldexp(normal, scale + 10), rel=1e-12, abs=0.0)
@@ -963,21 +963,33 @@ class TestMarkovianityTests:
         with pytest.raises(ValueError, match=f"^the {part} of loss_m1 must be finite"):
             lb.markovianity_tests(rb, loss_m1)
 
-    def test_non_converged_fit_raises(self):
-        bad = RBFit(
-            A_hat=0.5,
-            B_hat=0.5,
-            p_hat=0.9,
-            stderr_A=0.1,
-            stderr_B=0.1,
-            stderr_p=0.1,
-            stderr_B_minus_A=0.1,
-            chi2_per_dof=1.0,
-            converged=False,
-            n_iterations=200,
+    def test_non_converged_fit_reports_statistics_without_flags(self):
+        # B - A and B - m1 both lie far beyond 3 sigma, and the same fit
+        # converged raises both flags; unconverged it raises none.
+        fit = converged_rb(0.55, 0.45, 0.9)
+        assert lb.markovianity_tests(fit, (0.9, 0.001)).flags == (
+            "B_MINUS_A_NEGATIVE",
+            "M1_MISMATCH",
         )
-        with pytest.raises(ValueError, match="converge"):
-            lb.markovianity_tests(bad, (0.5, 0.01))
+        report = lb.markovianity_tests(dataclasses.replace(fit, converged=False), (0.9, 0.001))
+        assert report.flags == ()
+        assert report.b_minus_a == pytest.approx(-0.1)
+        assert report.b_minus_a_sigma == fit.stderr_B_minus_A
+        assert report.b_minus_m1 == pytest.approx(-0.45)
+        assert report.b_minus_m1_sigma == math.hypot(fit.stderr_B, 0.001)
+        assert report.b_minus_a / report.b_minus_a_sigma < -3.0
+        assert abs(report.b_minus_m1) > 3.0 * report.b_minus_m1_sigma
+
+    def test_without_loss_m1_only_b_minus_a_is_checked(self):
+        # B - m1 would be far beyond 3 sigma with loss_m1 = (0.9, 0.001).
+        fit = converged_rb(0.55, 0.45, 0.9)
+        report = lb.markovianity_tests(fit)
+        assert report.b_minus_m1 is None and report.b_minus_m1_sigma is None
+        assert report.flags == ("B_MINUS_A_NEGATIVE",)
+        assert lb.markovianity_tests(converged_rb(0.4, 0.5, 0.9)).flags == ()
+        assert lb.markovianity_tests(converged_rb(0.4, 0.5, 0.9), (0.9, 0.001)).flags == (
+            "M1_MISMATCH",
+        )
 
     def test_exact_value_for_qutrit_channels(self):
         # The Kraus-image oracle against the same value from the channel's

@@ -12,6 +12,7 @@ import pytest
 
 import lossbench as lb
 from lossbench import analysis, cli
+from support import depolarizing_channel
 
 
 def run_cli(*argv):
@@ -233,7 +234,7 @@ class TestFit:
             flags = [analysis.FLAG_PLATEAU] if plateau.flagged else []
         else:
             fit, names = lb.fit_rb_decay(ds), ("p", "A", "B")
-            flags = [analysis.FLAG_B_MINUS_A_NEGATIVE] if lb.b_minus_a_test(fit)[2] else []
+            flags = list(lb.markovianity_tests(fit).flags)
         expected = {
             "chi2_per_dof": fit.chi2_per_dof,
             "converged": fit.converged,
@@ -371,7 +372,31 @@ def _flat_rb_dataset(level, sem, noise_seed=None):
 
 
 class TestFlagRule:
-    """``fit --model rb`` and ``markovianity_tests`` apply one B - A rule."""
+    """``fit --model rb`` writes the flags of ``markovianity_tests``."""
+
+    def test_cli_flags_are_the_library_flags(self, tmp_path):
+        # The saturating loss run breaks the lossless benchmarking model and
+        # is flagged; Clifford RB under depolarizing noise is not.
+        assert cli.main(["simulate", "saturation", "--out", str(tmp_path / "sat")]) == 0
+        clifford = lb.ProtocolConfig(
+            lb.clifford_gateset(),
+            depolarizing_channel(0.02),
+            lb.basis_state(2, 0),
+            lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
+            tuple(range(2, 61, 4)),
+            30,
+            5,
+            shots=100,
+            variant="rb",
+        )
+        lb.run_protocol(clifford).to_csv(tmp_path / "clifford.csv")
+        expected = {"sat/decay.csv": ["B_MINUS_A_NEGATIVE"], "clifford.csv": []}
+        for name, flags in expected.items():
+            csv = tmp_path / name
+            assert cli.main(["fit", str(csv), "--model", "rb", "--out", str(tmp_path)]) == 0
+            cli_flags = json.loads((tmp_path / "fit.json").read_text())["flags"]
+            library_flags = lb.markovianity_tests(lb.fit_rb_decay(lb.read_decay_csv(csv))).flags
+            assert cli_flags == list(library_flags) == flags
 
     @pytest.mark.parametrize(
         "ds",
@@ -406,9 +431,9 @@ class TestFlagRule:
         assert report["flags"] == []
 
         fit = lb.fit_rb_decay(ds)
-        b_minus_a, _, flagged = lb.b_minus_a_test(fit)
-        assert b_minus_a < -10.0
-        assert not flagged
+        report = lb.markovianity_tests(fit)
+        assert report.b_minus_a < -10.0
+        assert report.flags == ()
         assert lb.markovianity_tests(fit, (ds.means[0], ds.sems[0])).flags == ()
 
     def test_guard_is_what_suppresses_the_negative_offset(self):
@@ -418,10 +443,10 @@ class TestFlagRule:
         fit = lb.fit_rb_decay(_flat_rb_dataset(-0.01, 0.001))
         assert fit.p_hat in analysis.RATE_BOUNDS
         tight = dataclasses.replace(fit, stderr_B_minus_A=math.sqrt(2e-6))
-        b_minus_a, sigma, flagged = lb.b_minus_a_test(tight)
-        assert b_minus_a / sigma < -3.0
+        report = lb.markovianity_tests(tight)
+        assert report.b_minus_a / report.b_minus_a_sigma < -3.0
         assert abs(fit.A_hat) < 1e-9
-        assert not flagged
+        assert report.flags == ()
 
 
 class TestScipyStaysUnloaded:

@@ -469,21 +469,24 @@ def decaying_datasets(draw):
 
 def scanned_cost(model, ds, points=10_000):
     """Smallest weighted sum of squares over a dense scan of rates in RATE_BOUNDS,
-    the amplitudes at each rate from batched weighted normal equations."""
+    the amplitudes at each rate from the weighted normal equations in closed form."""
     low, high = analysis.RATE_BOUNDS
     t = -np.geomspace(-np.log(low), -np.log(high), points)
     m = np.array(ds.m_values, dtype=float)
     w = 1.0 / ds.sems
-    if model == "loss":
-        columns = [np.exp(np.outer(t, m - 1.0))]
-    else:
-        columns = [np.expm1(np.outer(t, m)), np.ones((points, m.size))]
-    a = np.stack(columns, axis=-1) * w[:, None]
     b = w * ds.means
-    at = a.transpose(0, 2, 1)
-    amplitudes = np.linalg.solve(at @ a, (at @ b)[..., None])
-    res = b - (a @ amplitudes)[..., 0]
-    return float((res * res).sum(axis=1).min())
+    if model == "loss":
+        a = np.exp(np.outer(t, m - 1.0)) * w
+    else:
+        # The 2x2 system: projecting the constant column w out of the data
+        # and of the rate column leaves a 1x1 system for the rate column.
+        unit = w / np.sqrt(w @ w)
+        a = np.expm1(np.outer(t, m)) * w
+        a -= np.outer(a @ unit, unit)
+        b = b - (b @ unit) * unit
+    amplitude = (a @ b) / np.einsum("ij,ij->i", a, a)
+    res = b - amplitude[:, None] * a
+    return float(np.einsum("ij,ij->i", res, res).min())
 
 
 @hypothesis.settings(max_examples=200, deadline=None)

@@ -603,6 +603,24 @@ class TestDecayDataset:
         with pytest.raises(ValueError, match="^" + message):
             lb.DecayDataset(**{**args, **fields})
 
+    @pytest.mark.parametrize(
+        "m_values, message",
+        [
+            ((5, 10**5000, 3), "must be strictly increasing positive: entry 2 is not above entry 1"),
+            ((-10**5000, 1, 2), "must be strictly increasing positive: entry 0 is below 1"),
+            (range(10**6, 0, -1), "must be strictly increasing positive: entry 1 is not above entry 0"),
+            ([1, 2, 3.0] + [4.0] * 10**5, "entries must be integers: entry 2 is not"),
+        ],
+        ids=["past-the-digit-limit", "below-one-past-the-digit-limit", "long-decreasing", "long-float"],
+    )
+    def test_length_messages_name_the_entry_not_its_value(self, m_values, message):
+        # Integers of more than 4300 digits cannot be turned into a string,
+        # and a million-entry grid would make a message megabytes long.
+        n = len(m_values)
+        with pytest.raises(ValueError, match=f"^m_values {message}$") as caught:
+            lb.DecayDataset(m_values, np.full(n, 0.5), np.full(n, 0.1), 30, None)
+        assert len(str(caught.value)) < 200
+
     def test_caller_arrays_are_copied_not_frozen(self):
         means, sems = np.array([0.5, 0.4, 0.3]), np.array([0.1, 0.1, 0.1])
         ds = lb.DecayDataset((1, 2, 3), means, sems, 30, None)
