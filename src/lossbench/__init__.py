@@ -4,101 +4,53 @@ Simulates random-gate-sequence experiments on small quantum systems under
 trace-non-increasing noise, fits the resulting decay curves, and checks the
 worst-case-vs-average loss bound, detector efficiency, and Markovianity
 diagnostics.
+
+Each public name is listed once, in ``_EXPORTS`` under the module that
+defines it; ``__all__``, ``__getattr__`` and ``__dir__`` read that table.
+``import lossbench`` loads no submodule: a name or submodule is imported on
+first access (PEP 562), so ``lossbench fit`` never loads the config, noise
+and gate modules and ``lossbench simulate`` never loads the analysis.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    BoundReport,
-    DecayFit,
-    DetectorEfficiency,
-    MarkovReport,
-    PlateauReport,
-    RBFit,
-    average_response,
-    average_survival,
-    detector_efficiency,
-    fit_loss_decay,
-    fit_rb_decay,
-    markovianity_tests,
-    plateau_test,
-    prop1_check,
-    state_survival,
-    worst_case_loss,
-)
-from .config import ConfigError, RunConfig, parse_config
-from .core import (
-    DensityMatrix,
-    MeasurementOperator,
-    QuantumChannel,
-    Violation,
-    basis_state,
-    maximally_mixed,
-    stream,
-    validate_state,
-)
-from .gates import (
-    GateSet,
-    clifford_gateset,
-    embed_gateset,
-    pad_to_qutrit,
-    pauli_gateset,
-)
-from .noise import (
-    basis_loss_channel,
-    coherent_leakage_error,
-    detector_model,
-    random_orthonormal_basis,
-)
-from .protocol import (
-    DecayDataset,
-    ProtocolConfig,
-    exact_sequence_average,
-    read_decay_csv,
-    run_protocol,
-)
+_EXPORTS = {
+    "analysis": (
+        "BoundReport", "DecayFit", "DetectorEfficiency", "MarkovReport", "PlateauReport",
+        "RBFit", "average_response", "average_survival", "detector_efficiency",
+        "fit_loss_decay", "fit_rb_decay", "markovianity_tests", "plateau_test",
+        "prop1_check", "state_survival", "worst_case_loss",
+    ),
+    "config": ("ConfigError", "RunConfig", "parse_config"),
+    "core": (
+        "DensityMatrix", "MeasurementOperator", "QuantumChannel", "Violation",
+        "basis_state", "maximally_mixed", "stream", "validate_state",
+    ),
+    "gates": ("GateSet", "clifford_gateset", "embed_gateset", "pad_to_qutrit", "pauli_gateset"),
+    "noise": (
+        "basis_loss_channel", "coherent_leakage_error", "detector_model",
+        "random_orthonormal_basis",
+    ),
+    "protocol": (
+        "DecayDataset", "ProtocolConfig", "exact_sequence_average", "read_decay_csv",
+        "run_protocol",
+    ),
+}
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BoundReport",
-    "ConfigError",
-    "DecayDataset",
-    "DecayFit",
-    "DensityMatrix",
-    "DetectorEfficiency",
-    "GateSet",
-    "MarkovReport",
-    "MeasurementOperator",
-    "PlateauReport",
-    "ProtocolConfig",
-    "QuantumChannel",
-    "RBFit",
-    "RunConfig",
-    "Violation",
-    "average_response",
-    "average_survival",
-    "basis_loss_channel",
-    "basis_state",
-    "clifford_gateset",
-    "coherent_leakage_error",
-    "detector_efficiency",
-    "detector_model",
-    "embed_gateset",
-    "exact_sequence_average",
-    "fit_loss_decay",
-    "fit_rb_decay",
-    "markovianity_tests",
-    "maximally_mixed",
-    "pad_to_qutrit",
-    "parse_config",
-    "pauli_gateset",
-    "plateau_test",
-    "prop1_check",
-    "random_orthonormal_basis",
-    "read_decay_csv",
-    "run_protocol",
-    "state_survival",
-    "stream",
-    "validate_state",
-    "worst_case_loss",
-]
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,6 +7,10 @@ Subcommands:
 
 Exit codes: 0 when the pipeline ran (fit warnings and flags are data, not
 failures), 1 for usage or config errors, 2 for I/O errors.
+
+Each command imports the modules it runs, inside its function: every call
+is a fresh process, so ``fit`` does not pay for the config, noise and gate
+modules, nor ``simulate`` for the analysis.
 """
 
 import argparse
@@ -17,25 +21,15 @@ from dataclasses import asdict
 from importlib import resources
 
 from . import __version__
-from .analysis import (
-    FLAG_PLATEAU,
-    PLATEAU_MIN_LENGTHS,
-    fit_loss_decay,
-    fit_rb_decay,
-    markovianity_tests,
-    plateau_test,
-    prop1_check,
-)
-from .config import ConfigError, parse_config
-from .protocol import _read_utf8, read_decay_csv, run_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 
-# ``lossbench fit --model``: the fit and its parameters, rate first; fit.json
-# holds ``{k}_hat`` and ``{k}_stderr`` for each parameter k.
-_MODELS = {"loss": (fit_loss_decay, ("S", "B0")), "rb": (fit_rb_decay, ("p", "A", "B"))}
+# ``lossbench fit --model``: the analysis function that fits it and its
+# parameters, rate first; fit.json holds ``{k}_hat`` and ``{k}_stderr`` for
+# each parameter k.
+_MODELS = {"loss": ("fit_loss_decay", ("S", "B0")), "rb": ("fit_rb_decay", ("p", "A", "B"))}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,6 +48,8 @@ def _fail(code: int, message: str) -> int:
 
 def _load_config_text(name: str) -> str:
     """Read a config from the filesystem as UTF-8, falling back to bundled configs."""
+    from .protocol import _read_utf8
+
     if os.path.isfile(name):
         return _read_utf8(name)
     if os.sep not in name and "/" not in name:
@@ -65,6 +61,8 @@ def _load_config_text(name: str) -> str:
 
 
 def _parse_run_config(args):
+    from .config import ConfigError, parse_config
+
     name = args.config
     try:
         text = _load_config_text(name)
@@ -90,6 +88,8 @@ def _json_dumps(obj) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    from .protocol import run_protocol
+
     rc = _parse_run_config(args)
     out_dir = args.out or rc.output_dir or "."
     try:
@@ -118,6 +118,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import analysis
+    from .protocol import read_decay_csv
+
     try:
         ds = read_decay_csv(args.csv)
     except FileNotFoundError:
@@ -127,21 +130,21 @@ def _cmd_fit(args) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read {args.csv}: {exc}")
 
-    fit_decay, names = _MODELS[args.model]
+    fit_name, names = _MODELS[args.model]
     try:
-        fit = fit_decay(ds)
+        fit = getattr(analysis, fit_name)(ds)
         report = {k: getattr(fit, k) for k in ("chi2_per_dof", "converged", "n_iterations")}
         for k in names:
             report[f"{k}_hat"] = getattr(fit, f"{k}_hat")
             report[f"{k}_stderr"] = getattr(fit, f"stderr_{k}")
         if args.model == "loss":
-            plateau = (
-                plateau_test(ds, fit) if len(ds.m_values) >= PLATEAU_MIN_LENGTHS else None
-            )
-            report["flags"] = [FLAG_PLATEAU] if plateau is not None and plateau.flagged else []
+            plateau = None
+            if len(ds.m_values) >= analysis.PLATEAU_MIN_LENGTHS:
+                plateau = analysis.plateau_test(ds, fit)
+            report["flags"] = [analysis.FLAG_PLATEAU] if plateau and plateau.flagged else []
             report["plateau"] = None if plateau is None else asdict(plateau)
         else:
-            report["flags"] = list(markovianity_tests(fit).flags)
+            report["flags"] = list(analysis.markovianity_tests(fit).flags)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
@@ -160,6 +163,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_check_channel(args) -> int:
+    from .analysis import prop1_check
+
     rc = _parse_run_config(args)
     report = prop1_check(rc.protocol.noise)
     print(_json_dumps({"dim": rc.protocol.noise.dim, **asdict(report)}), end="")

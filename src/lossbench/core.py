@@ -48,7 +48,11 @@ def _count(name: str, value, least: int) -> int:
     except TypeError:
         count = None
     if count is None or count < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        try:
+            got = repr(value)
+        except ValueError:  # an integer of more digits than Python converts to a string
+            got = "an integer too long to print"
+        raise ValueError(f"{name} must be an integer >= {least}, got {got}")
     return count
 
 

@@ -28,12 +28,14 @@ one stream; the one-sequence Kraus reference engine the batched engine is
 tested against lives with the test oracles.
 """
 
+from __future__ import annotations
+
 import csv
-import hashlib
 import io
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,7 +52,9 @@ from .core import (
     transfer_matrix,
     validate_state,
 )
-from .gates import GateSet
+
+if TYPE_CHECKING:  # reading a CSV does not load the gate module
+    from .gates import GateSet
 
 VARIANT_LOSS = "loss"
 VARIANT_RB = "rb"
@@ -135,6 +139,8 @@ class ProtocolConfig:
         return self._fingerprint
 
     def _digest(self) -> str:
+        import hashlib
+
         h = hashlib.sha256()
         h.update(
             json.dumps(

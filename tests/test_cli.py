@@ -449,30 +449,32 @@ class TestFlagRule:
         assert report.flags == ()
 
 
+def modules_after(code, package):
+    """The modules of ``package`` loaded after running ``code`` in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        + code
+        + f"\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestScipyStaysUnloaded:
     """No command loads scipy: the runtime needs numpy alone."""
-
-    def scipy_modules_after(self, code):
-        script = (
-            "import json, sys\n"
-            + code
-            + "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.splitlines()[-1])
 
     def test_import_simulate_and_check_channel_skip_scipy(self, tmp_path):
         out = str(tmp_path)
         csv = str(tmp_path / "decay.csv")
-        assert self.scipy_modules_after("import lossbench") == []
+        assert modules_after("import lossbench", "scipy") == []
         simulate = f"from lossbench import cli\ncli.main(['simulate', 'saturation', '--out', {out!r}])"
-        assert self.scipy_modules_after(simulate) == []
+        assert modules_after(simulate, "scipy") == []
         check = "from lossbench import cli\ncli.main(['check-channel', 'saturation'])"
-        assert self.scipy_modules_after(check) == []
+        assert modules_after(check, "scipy") == []
 
         fit = f"from lossbench import cli\ncli.main(['fit', {csv!r}, '--out', {out!r}])"
-        assert self.scipy_modules_after(fit) == []
+        assert modules_after(fit, "scipy") == []
 
     def test_leakage_simulate_and_both_fits_skip_scipy(self, tmp_path):
         out = str(tmp_path)
@@ -483,7 +485,31 @@ class TestScipyStaysUnloaded:
             f"assert cli.main(['fit', {csv!r}, '--out', {out!r}]) == 0\n"
             f"assert cli.main(['fit', {csv!r}, '--model', 'rb', '--out', {out!r}]) == 0"
         )
-        assert self.scipy_modules_after(code) == []
+        assert modules_after(code, "scipy") == []
+
+
+class TestCommandsLoadOnlyTheirModules:
+    """``import lossbench`` loads no submodule, and each command only the ones it runs."""
+
+    def test_import_loads_no_submodule(self):
+        assert modules_after("import lossbench", "lossbench") == ["lossbench"]
+
+    def test_fit_skips_config_noise_and_gates(self, tmp_path):
+        csv = tmp_path / "decay.csv"
+        lb.DecayDataset((1, 2, 3, 4), [0.9, 0.81, 0.729, 0.6561], [0.01] * 4, 5, None).to_csv(csv)
+        fit = (
+            "from lossbench import cli\n"
+            f"assert cli.main(['fit', {str(csv)!r}, '--out', {str(tmp_path)!r}]) == 0"
+        )
+        loaded = modules_after(fit, "lossbench")
+        assert {"lossbench.config", "lossbench.noise", "lossbench.gates"}.isdisjoint(loaded)
+
+    def test_simulate_skips_analysis(self, tmp_path):
+        simulate = (
+            "from lossbench import cli\n"
+            f"assert cli.main(['simulate', 'saturation', '--out', {str(tmp_path)!r}]) == 0"
+        )
+        assert "lossbench.analysis" not in modules_after(simulate, "lossbench")
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -92,6 +92,19 @@ def test_dim_is_an_integer_stored_as_int(name):
         (lambda: lb.basis_loss_channel(0.5, 1.5, 2), r"^level must be an integer >= 0, got 1\.5$"),
         (lambda: lb.basis_loss_channel(0.5, 0, 2.0), r"^dim must be an integer >= 1, got 2\.0$"),
         (lambda: lb.random_orthonormal_basis(2.5, 1), r"^dim must be an integer >= 1, got 2\.5$"),
+        # Past Python's 4300-digit conversion limit the message still names the field.
+        (
+            lambda: lb.DecayDataset((1, 2, 3), [0.5] * 3, [0.1] * 3, -(10**5000), None),
+            r"^n_sequences must be an integer >= 1, got an integer too long to print$",
+        ),
+        (
+            lambda: lb.stream(-(10**5000)),
+            r"^stream key must be an integer >= 0, got an integer too long to print$",
+        ),
+        (
+            lambda: lb.basis_state(-(10**5000), 0),
+            r"^dim must be an integer >= 1, got an integer too long to print$",
+        ),
     ],
     ids=[
         "basis_state-level",
@@ -100,6 +113,9 @@ def test_dim_is_an_integer_stored_as_int(name):
         "basis_loss_channel-level",
         "basis_loss_channel-dim",
         "random_orthonormal_basis-dim",
+        "DecayDataset-huge-n_sequences",
+        "stream-huge-key",
+        "basis_state-huge-dim",
     ],
 )
 def test_constructor_counts_go_through_the_count_rule(call, message):

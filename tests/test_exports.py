@@ -1,22 +1,23 @@
-"""The package's export list is exactly what ``lossbench/__init__.py`` imports."""
+"""The package's export list is exactly the table in ``lossbench/__init__.py``."""
 
-import ast
-from pathlib import Path
+import importlib
 
 import lossbench as lb
 
-INIT = Path(lb.__file__)
 
-
-def test_all_is_the_set_of_imported_public_names():
-    imported = {
-        alias.asname or alias.name
-        for node in ast.parse(INIT.read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    public = {name for name in imported if not name.startswith("_")}
+def test_all_is_the_set_of_names_in_the_export_table():
+    table = {name for names in lb._EXPORTS.values() for name in names}
     assert len(lb.__all__) == len(set(lb.__all__)), "duplicate names in __all__"
-    for name in lb.__all__:
-        assert hasattr(lb, name), f"__all__ names {name}, which lossbench does not define"
-    assert set(lb.__all__) == public | {"__version__"}
+    assert set(lb.__all__) == table | {"__version__"}
+    assert len(lb.__all__) == 42
+
+
+def test_each_name_is_the_object_its_module_defines():
+    for module, names in lb._EXPORTS.items():
+        home = importlib.import_module(f"lossbench.{module}")
+        for name in names:
+            assert getattr(lb, name) is getattr(home, name), f"{name} is not {module}.{name}"
+
+
+def test_dir_lists_every_name():
+    assert set(lb.__all__) <= set(dir(lb))
