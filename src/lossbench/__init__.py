@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "config": ("ConfigError", "RunConfig", "parse_config"),
     "core": (
-        "DensityMatrix", "MeasurementOperator", "QuantumChannel", "Violation",
-        "basis_state", "maximally_mixed", "stream", "validate_state",
+        "DensityMatrix", "MeasurementOperator", "QuantumChannel", "basis_state",
+        "maximally_mixed", "stream", "validate_state",
     ),
     "gates": ("GateSet", "clifford_gateset", "embed_gateset", "pad_to_qutrit", "pauli_gateset"),
     "noise": (

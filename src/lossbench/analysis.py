@@ -78,6 +78,7 @@ _B0_MAX = 1e300
 # Clifford RB): a fit weighted by them reports stderrs below its own rounding
 # error.  Criterion 5's exact RB fit has stderr_B = 3.9e-16 and B 27 of them
 # off its exact m = 1 value 0.5, so absolutely weighted fits are floored too.
+# It holds in the unit of the fit's amplitudes (see markovianity_tests).
 _SIGMA_FLOOR = 1e-12
 
 
@@ -452,7 +453,8 @@ def _separable_fit(
     # Back to the data's units by powers of two: the weights' square roots
     # carry 2^-e (e = 0 for unit weights) and the means 2^-f, which leaves
     # the rate alone.  Unit-weight stderrs carry 2^-f through the cost.
-    chi2 = _ldexp(_ldexp(float(cost), e + f), e + f) / dof
+    # Divided before the scale goes back on, so no chi2 within the float range overflows.
+    chi2 = _ldexp(_ldexp(float(cost) / dof, e + f), e + f)
     if not absolute_sigma:
         cov = cov * (cost / dof)
         e = -f
@@ -544,8 +546,11 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
         raise ValueError(f"plateau test needs >= {PLATEAU_MIN_LENGTHS} sequence lengths, got {n}")
     tail = slice(-PLATEAU_TAIL_POINTS, None)
     n_tail = PLATEAU_TAIL_POINTS
-    model = fit.B0_hat * fit.S_hat ** (np.array(ds.m_values[tail], dtype=float) - 1.0)
-    excess = float(np.add.reduce(ds.means[tail]) / n_tail - np.add.reduce(model) / n_tail)
+    # In the units the fit ran in (see _separable_fit), no sum of finite means overflows.
+    f = _mean_shift(ds.means)
+    model = _ldexp(fit.B0_hat, -f) * fit.S_hat ** (np.array(ds.m_values[tail], dtype=float) - 1.0)
+    means = np.ldexp(ds.means[tail], -f)
+    excess = _ldexp(float(np.add.reduce(means) / n_tail - np.add.reduce(model) / n_tail), f)
     absolute = _absolute_weights(ds.sems)
     if absolute:
         # Squared subnormal sems underflow, so the root is taken of the sems
@@ -557,9 +562,9 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     else:
         # Unit-weight fits carry no per-point sigma; use the fit's own
         # residual scale for the tail mean, which is 0 for a perfect fit.  Its
-        # floor of 1e-15 is in the units the fit ran in (see _separable_fit).
+        # floor of 1e-15 is in the units the fit ran in.
         residual_scale = math.sqrt(max(fit.chi2_per_dof, 0.0))
-        floor = math.ldexp(1e-15, _mean_shift(ds.means))
+        floor = math.ldexp(1e-15, f)
         sigma_tail = max(residual_scale / math.sqrt(PLATEAU_TAIL_POINTS), floor)
     # Python floats: a z beyond the float range is inf, without a warning.
     z = excess / sigma_tail
@@ -571,9 +576,11 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
 
 
 def _identifiable(rb: RBFit) -> bool:
-    """Whether the fit separates A from B: p inside RATE_BOUNDS and a nonzero amplitude."""
+    """Whether the fit separates A from B: p inside RATE_BOUNDS and |A| > 1e-9 max(1, |B|),
+    both in the unit 2^f of the amplitudes (see markovianity_tests)."""
     inside = RATE_BOUNDS[0] < rb.p_hat < RATE_BOUNDS[1]
-    return inside and abs(rb.A_hat) > 1e-9 * max(1.0, abs(rb.B_hat))
+    f = _mean_shift(np.array([rb.A_hat, rb.B_hat]))
+    return inside and abs(math.ldexp(rb.A_hat, -f)) > 1e-9 * max(1.0, abs(math.ldexp(rb.B_hat, -f)))
 
 
 def markovianity_tests(rb: RBFit, loss_m1: tuple | None = None) -> MarkovReport:
@@ -604,12 +611,18 @@ def markovianity_tests(rb: RBFit, loss_m1: tuple | None = None) -> MarkovReport:
         b_minus_m1_sigma = math.hypot(rb.stderr_B, m1_sem)
 
     b_minus_a = rb.B_hat - rb.A_hat
+    # The thresholds hold in the unit 2^f of the fit's amplitudes, so the
+    # flags do not depend on the data's unit; f is 0 for amplitudes near 1.
+    f = _mean_shift(np.array([rb.A_hat, rb.B_hat]))
     flags = []
     if rb.converged and _identifiable(rb):
-        if b_minus_a / max(rb.stderr_B_minus_A, _SIGMA_FLOOR) < -3.0:
+        sigma = max(_ldexp(rb.stderr_B_minus_A, -f), _SIGMA_FLOOR)
+        if _ldexp(b_minus_a, -f) / sigma < -3.0:
             flags.append(FLAG_B_MINUS_A_NEGATIVE)
-        if loss_m1 is not None and abs(b_minus_m1) > 3.0 * max(b_minus_m1_sigma, _SIGMA_FLOOR):
-            flags.append(FLAG_M1_MISMATCH)
+        if loss_m1 is not None:
+            sigma = max(_ldexp(b_minus_m1_sigma, -f), _SIGMA_FLOOR)
+            if abs(_ldexp(b_minus_m1, -f)) > 3.0 * sigma:
+                flags.append(FLAG_M1_MISMATCH)
     return MarkovReport(
         b_minus_a=b_minus_a,
         b_minus_a_sigma=rb.stderr_B_minus_A,

@@ -173,7 +173,7 @@ def _validate_noise(value, errors: list) -> tuple | None:
         ]
         if len(errors) == before:
             try:
-                return "kraus", QuantumChannel(2, tuple(kraus))
+                return "kraus", QuantumChannel(tuple(kraus))
             except ValueError as exc:
                 errors.append(f"noise.operators: {exc}")
     else:
@@ -196,8 +196,8 @@ def _validate_state(value, errors: list) -> DensityMatrix | None:
         if "matrix" in value:
             matrix = _parse_qubit_matrix(value["matrix"], "state.matrix", errors)
             if matrix is not None:
-                rho = DensityMatrix(2, matrix)
-                errors += [f"state.matrix: {v.message}" for v in validate_state(rho)]
+                rho = DensityMatrix(matrix)
+                errors += [f"state.matrix: {message}" for message in validate_state(rho)]
                 return rho
     else:
         errors.append(f"state: expected a preset name or an object, got {value!r}")
@@ -337,8 +337,8 @@ def _assemble(sections: dict, output_dir) -> RunConfig:
         resolved_theta = theta
         noise = coherent_leakage_error(epsilon, hamiltonian_seed)
         gateset = embed_gateset(gateset, theta)
-        rho0 = DensityMatrix(3, pad_to_qutrit(rho0.matrix))
-        q_op = MeasurementOperator(3, pad_to_qutrit(q_op.matrix))
+        rho0 = DensityMatrix(pad_to_qutrit(rho0.matrix))
+        q_op = MeasurementOperator(pad_to_qutrit(q_op.matrix))
     try:
         protocol = ProtocolConfig(
             gateset=gateset,

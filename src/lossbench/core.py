@@ -1,15 +1,16 @@
 """Dense linear algebra for small Hilbert spaces (d <= ~8).
 
 States, channels and measurement operators are thin immutable wrappers
-around complex numpy matrices.  States may be sub-normalized (trace < 1):
-lossy channels shrink the trace and nothing in this package ever
-renormalizes silently.  Hermiticity and unitarity are measured by
-:func:`hermiticity_deviation` and :func:`unitarity_deviation` alone, and a
-NaN or overflowing deviation fails its check.  Channels act on states only
-through :func:`coordinates` and :func:`transfer_matrix`: real vectors and
-real matrices in one orthonormal Hermitian operator basis, a whole stack of
-Kraus sets per call.  The one-state Kraus sum (``apply_channel``) is a test
-reference in ``tests/support.py``.
+around complex numpy matrices, each reading its dimension off its matrix.
+States may be sub-normalized (trace < 1): lossy channels shrink the trace
+and nothing in this package ever renormalizes silently.  Hermiticity and
+unitarity are measured by :func:`hermiticity_deviation` and
+:func:`unitarity_deviation` alone, and a NaN or overflowing deviation fails
+its check.  Channels act on states only through :func:`coordinates` and
+:func:`transfer_matrix`: real vectors and real matrices in one orthonormal
+Hermitian operator basis, a whole stack of Kraus sets per call.  The
+one-state Kraus sum (``apply_channel``) is a test reference in
+``tests/support.py``.
 
 Random draws come from numpy's PCG64 streams keyed by integer tuples
 (:func:`stream`, which seeds through ``default_rng``); every draw is one of
@@ -129,18 +130,17 @@ def unitarity_deviation(matrix: np.ndarray) -> float:
         return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(len(matrix)))))
 
 
-def _as_square_complex(matrix, dim: int, what: str) -> np.ndarray:
-    """A read-only complex (dim, dim) copy of ``matrix``; ValueError naming ``what`` otherwise."""
+def _as_square_complex(matrix, what: str, dim: int | None = None) -> np.ndarray:
+    """A read-only complex copy of the nonempty square ``matrix``, ``dim`` x ``dim``
+    when ``dim`` is given; ValueError naming ``what`` otherwise."""
+    shape = "nonempty square" if dim is None else f"{dim}x{dim}"
     try:
         mat = np.array(matrix, dtype=np.complex128)
     except (TypeError, ValueError):
-        raise ValueError(
-            f"{what}: expected a {dim}x{dim} matrix of numbers, got {matrix!r}"
-        ) from None
-    if mat.shape != (dim, dim):
-        raise ValueError(
-            f"{what}: expected a {dim}x{dim} matrix, got shape {mat.shape}"
-        )
+        raise ValueError(f"{what}: expected a {shape} matrix of numbers, got {matrix!r}") from None
+    size = len(mat) if mat.ndim == 2 else -1
+    if mat.shape != (size, size) or not size or dim not in (None, size):
+        raise ValueError(f"{what}: expected a {shape} matrix, got shape {mat.shape}")
     mat.setflags(write=False)
     return mat
 
@@ -149,20 +149,19 @@ def _as_square_complex(matrix, dim: int, what: str) -> np.ndarray:
 class DensityMatrix:
     """A d x d density matrix, possibly sub-normalized (0 < trace <= 1).
 
-    The constructor checks only the declared shape; physical invariants
-    (hermiticity, positivity, trace range) are reported by
-    :func:`validate_state` so that deliberately invalid matrices can be
-    constructed and diagnosed.
+    ``dim`` is read off the matrix.  The constructor checks only that the
+    matrix is square; physical invariants (hermiticity, positivity, trace
+    range) are reported by :func:`validate_state` so that deliberately
+    invalid matrices can be constructed and diagnosed.
     """
 
-    dim: int
     matrix: np.ndarray
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
-        object.__setattr__(
-            self, "matrix", _as_square_complex(self.matrix, self.dim, "DensityMatrix")
-        )
+        mat = _as_square_complex(self.matrix, "DensityMatrix")
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "dim", len(mat))
 
     @property
     def trace(self) -> float:
@@ -175,27 +174,28 @@ class DensityMatrix:
 class QuantumChannel:
     """A completely positive trace-non-increasing map given by Kraus operators.
 
-    The map acts as rho -> sum_i K_i rho K_i^H.  Validity (sum_i K_i^H K_i
-    bounded above by the identity) is enforced at construction, which keeps
-    that sum M, made exactly Hermitian, as ``survival_operator`` and its
-    ``eigh`` pair (ascending eigenvalues, eigenvector columns) as
-    ``survival_spectrum``.  Tr(rho M) is the trace surviving on a state rho.
+    The map acts as rho -> sum_i K_i rho K_i^H, and ``dim`` is read off the
+    first K_i.  Validity (sum_i K_i^H K_i bounded above by the identity) is
+    enforced at construction, which keeps that sum M, made exactly
+    Hermitian, as ``survival_operator`` and its ``eigh`` pair (ascending
+    eigenvalues, eigenvector columns) as ``survival_spectrum``.  Tr(rho M)
+    is the trace surviving on a state rho.
     """
 
-    dim: int
     kraus: tuple
+    dim: int = field(init=False)
     survival_operator: np.ndarray = field(init=False, repr=False, compare=False)
     survival_spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
-        ops = tuple(
-            _as_square_complex(k, self.dim, f"QuantumChannel kraus[{i}]")
-            for i, k in enumerate(self.kraus)
-        )
+        ops = []
+        for i, k in enumerate(self.kraus):
+            dim = len(ops[0]) if ops else None
+            ops.append(_as_square_complex(k, f"QuantumChannel kraus[{i}]", dim))
         if not ops:
             raise ValueError("QuantumChannel needs at least one Kraus operator")
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", tuple(ops))
+        object.__setattr__(self, "dim", len(ops[0]))
 
         # Every entry of a valid Kraus operator has modulus <= 1; checking the
         # real and imaginary parts first keeps sum K^H K from overflowing.
@@ -204,13 +204,7 @@ class QuantumChannel:
             raise ValueError(
                 f"QuantumChannel is trace-increasing: a Kraus entry has a part {part!r} > 1"
             )
-        m = sum(k.conj().T @ k for k in ops)
-        asym = hermiticity_deviation(m)
-        if not asym <= HERMITICITY_ATOL:
-            raise ValueError(
-                f"QuantumChannel: sum K^H K is not Hermitian (deviation {asym:.3e})"
-            )
-        m = hermitian_part(m)
+        m = hermitian_part(sum(k.conj().T @ k for k in ops))
         eigs, vecs = np.linalg.eigh(m)
         if eigs[-1] > 1.0 + ARITHMETIC_ATOL:
             raise ValueError(
@@ -225,14 +219,13 @@ class QuantumChannel:
 
 @dataclass(frozen=True)
 class MeasurementOperator:
-    """A POVM element Q with 0 <= Q <= identity, enforced at construction."""
+    """A POVM element Q, 0 <= Q <= identity, enforced at construction; ``dim`` is read off Q."""
 
-    dim: int
     matrix: np.ndarray
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
-        mat = _as_square_complex(self.matrix, self.dim, "MeasurementOperator")
+        mat = _as_square_complex(self.matrix, "MeasurementOperator")
         asym = hermiticity_deviation(mat)
         if not asym <= HERMITICITY_ATOL:
             raise ValueError(
@@ -245,6 +238,7 @@ class MeasurementOperator:
                 f"min {eigs[0]!r}, max {eigs[-1]!r}"
             )
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "dim", len(mat))
 
 
 def basis_state(dim: int, level: int) -> DensityMatrix:
@@ -254,56 +248,34 @@ def basis_state(dim: int, level: int) -> DensityMatrix:
         raise ValueError(f"level must be in [0, {dim}), got {level}")
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[level, level] = 1.0
-    return DensityMatrix(dim, mat)
+    return DensityMatrix(mat)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
     """The maximally mixed state, identity/d."""
     dim = _count("dim", dim, 1)
-    return DensityMatrix(dim, np.eye(dim, dtype=np.complex128) / dim)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One violated state invariant, with the measured deviation."""
-
-    code: str
-    deviation: float
-    message: str
+    return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)
 
 
 def validate_state(rho: DensityMatrix) -> list:
-    """Check all density-matrix invariants and report every violation.
+    """Check all density-matrix invariants and return one message per violation.
 
     Returns an empty list when ``rho`` is a valid (possibly sub-normalized)
-    state.  Checked invariants: hermiticity to 1e-12 (a NaN entry fails it),
-    eigenvalues >= -1e-12, and 0 < trace <= 1 + 1e-12.
+    state.  Checked invariants, in this order: hermiticity to 1e-12 (a NaN
+    entry fails it), eigenvalues >= -1e-12, and 0 < trace <= 1 + 1e-12.
     """
-    violations = []
+    messages = []
     mat = rho.matrix
-
     asym = hermiticity_deviation(mat)
     if not asym <= HERMITICITY_ATOL:
-        violations.append(
-            Violation("not_hermitian", asym, f"max |rho - rho^H| = {asym:.3e}")
-        )
-
+        messages.append(f"max |rho - rho^H| = {asym:.3e}")
     eigs = np.linalg.eigvalsh(hermitian_part(mat)).tolist()
     if eigs[0] < -EIGENVALUE_ATOL:
-        violations.append(
-            Violation(
-                "negative_eigenvalue",
-                eigs[0],
-                f"smallest eigenvalue {eigs[0]!r} < -{EIGENVALUE_ATOL}",
-            )
-        )
-
+        messages.append(f"smallest eigenvalue {eigs[0]!r} < -{EIGENVALUE_ATOL}")
     tr = rho.trace
     if not 0.0 < tr <= 1.0 + TRACE_ATOL:
-        violations.append(
-            Violation("trace_out_of_range", tr, f"trace {tr!r} outside (0, 1]")
-        )
-    return violations
+        messages.append(f"trace {tr!r} outside (0, 1]")
+    return messages
 
 
 def hermitian_basis(dim: int) -> np.ndarray:

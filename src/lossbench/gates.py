@@ -15,12 +15,12 @@ enumeration and the multiplication table match products by one rule,
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core import UNITARITY_ATOL, _as_square_complex, _count, _real, unitarity_deviation
+from .core import UNITARITY_ATOL, _as_square_complex, _real, unitarity_deviation
 
 PHASE_MATCH_ATOL = 1e-10
 
@@ -37,7 +37,7 @@ _PAULIS = {
 
 @dataclass(frozen=True)
 class GateSet:
-    """An ordered, immutable collection of d x d unitaries.
+    """An ordered, immutable collection of d x d unitaries; d is read off the first.
 
     ``design_order`` declares the strongest unitary-design property the set
     is known to have (0 = none claimed, 1 or 2).  Sequence indices are
@@ -45,14 +45,15 @@ class GateSet:
     in run logs.
     """
 
-    dim: int
     gates: tuple
     design_order: int
     labels: tuple
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
-        gates = tuple(_as_square_complex(g, self.dim, f"gate {i}") for i, g in enumerate(self.gates))
+        gates = []
+        for i, g in enumerate(self.gates):
+            gates.append(_as_square_complex(g, f"gate {i}", len(gates[0]) if gates else None))
         if not gates:
             raise ValueError("GateSet needs at least one gate")
         if self.design_order not in (0, 1, 2):
@@ -67,8 +68,9 @@ class GateSet:
         repeated = sorted({s for s in labels if labels.count(s) > 1})
         if repeated:
             raise ValueError(f"labels must be unique, got {repeated} more than once")
-        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "gates", tuple(gates))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dim", len(gates[0]))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -111,7 +113,7 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
 def pauli_gateset() -> GateSet:
     """The four single-qubit Paulis {I, X, Y, Z}, a unitary 1-design."""
     names = ("I", "X", "Y", "Z")
-    return GateSet(2, tuple(_PAULIS[n] for n in names), 1, names)
+    return GateSet(tuple(_PAULIS[n] for n in names), 1, names)
 
 
 def clifford_gateset() -> GateSet:
@@ -137,7 +139,7 @@ def clifford_gateset() -> GateSet:
     items = sorted(zip(words, mats), key=lambda kv: (len(kv[0]), kv[0]))
     labels = tuple(word for word, _ in items)
     gates = tuple(mat for _, mat in items)
-    return GateSet(2, gates, 2, labels)
+    return GateSet(gates, 2, labels)
 
 
 def inverse_gate(gateset: GateSet, indices) -> int:
@@ -174,11 +176,11 @@ def embed_gateset(gateset: GateSet, theta: float) -> GateSet:
     gates = tuple(pad_to_qutrit(u) for u in gateset.gates)
     for gate in gates:
         gate[2, 2] = np.exp(1j * theta)
-    return GateSet(3, gates, 0, gateset.labels)
+    return GateSet(gates, 0, gateset.labels)
 
 
 def pad_to_qutrit(matrix: np.ndarray) -> np.ndarray:
     """Pad a 2x2 operator with a zero row/column for the leakage level."""
     out = np.zeros((3, 3), dtype=np.complex128)
-    out[:2, :2] = _as_square_complex(matrix, 2, "pad_to_qutrit")
+    out[:2, :2] = _as_square_complex(matrix, "pad_to_qutrit", 2)
     return out

@@ -41,7 +41,7 @@ def basis_loss_channel(alpha: float, level: int, dim: int) -> QuantumChannel:
         raise ValueError(f"level must be in [0, {dim}), got {level}")
     k = np.eye(dim, dtype=np.complex128)
     k[level, level] = alpha
-    return QuantumChannel(dim, (k,))
+    return QuantumChannel((k,))
 
 
 def random_orthonormal_basis(dim: int, seed: int) -> np.ndarray:
@@ -74,12 +74,12 @@ def detector_model(eigenvalues, basis_seed: int | None = None, basis=None) -> Me
     if basis is None:
         basis = random_orthonormal_basis(d, _count("basis_seed", basis_seed, 0))
     else:
-        basis = _as_square_complex(basis, d, "basis")
+        basis = _as_square_complex(basis, "basis", d)
         dev = unitarity_deviation(basis)
         if not dev <= UNITARITY_ATOL:
             raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
     q = basis @ np.diag(eigs).astype(np.complex128) @ basis.conj().T
-    return MeasurementOperator(d, hermitian_part(q))
+    return MeasurementOperator(hermitian_part(q))
 
 
 def coherent_leakage_error(epsilon: float, hamiltonian_seed: int) -> QuantumChannel:
@@ -100,4 +100,4 @@ def coherent_leakage_error(epsilon: float, hamiltonian_seed: int) -> QuantumChan
     w, u = np.linalg.eigh(hermitian_part(a))
     w = w / np.max(np.abs(w))
     v = (u * np.exp(-1j * epsilon * w)) @ u.conj().T
-    return QuantumChannel(3, (v,))
+    return QuantumChannel((v,))

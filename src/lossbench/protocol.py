@@ -76,7 +76,8 @@ class ProtocolConfig:
     positive integer requests that many binomial shots per sequence.
     ``m_grid`` entries, ``n_sequences``, ``master_seed`` (nonnegative) and
     ``shots`` must be integers; numpy integers are stored as Python ints.
-    No length may exceed :data:`M_GRID_LIMIT`.
+    No length may exceed :data:`M_GRID_LIMIT`, nor ``shots`` numpy's binomial
+    limit 2^63 - 1.
     ``rho0`` must pass :func:`lossbench.core.validate_state`; among other
     things it must be Hermitian, since the engine carries states as real
     coordinates, which have no room for an anti-Hermitian part.
@@ -115,11 +116,13 @@ class ProtocolConfig:
             raise ValueError(f"dimension mismatch across config: {dims}")
         violations = validate_state(self.rho0)
         if violations:
-            raise ValueError(f"rho0 is not a state: {violations[0].message}")
+            raise ValueError(f"rho0 is not a state: {violations[0]}")
         for name, least in (("n_sequences", 1), ("master_seed", 0), ("shots", 1)):
             value = getattr(self, name)
             if not (name == "shots" and value is None):
                 object.__setattr__(self, name, _count(name, value, least))
+        if self.shots is not None and self.shots >= 2**63:  # numpy's binomial count is an int64
+            raise ValueError("shots must be at most 2**63 - 1")
         if self.variant not in (VARIANT_LOSS, VARIANT_RB):
             raise ValueError(f"variant must be 'loss' or 'rb', got {self.variant!r}")
         if self.variant == VARIANT_RB:

@@ -61,7 +61,7 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(
             f"dimension mismatch: channel dim {channel.dim}, state dim {rho.dim}"
         )
-    return DensityMatrix(rho.dim, _apply_kraus(channel.kraus, rho.matrix))
+    return DensityMatrix(_apply_kraus(channel.kraus, rho.matrix))
 
 
 def twirl(gateset: GateSet, a: np.ndarray) -> np.ndarray:
@@ -69,7 +69,7 @@ def twirl(gateset: GateSet, a: np.ndarray) -> np.ndarray:
 
     For any unitary 1-design this projects A onto Tr(A) * identity / d.
     """
-    a = _as_square_complex(a, gateset.dim, "twirl")
+    a = _as_square_complex(a, "twirl", gateset.dim)
     return _apply_kraus(gateset.gates, a) / len(gateset)
 
 
@@ -92,7 +92,7 @@ def random_lossy_channel(dim: int, loss_scale: float, seed: int) -> QuantumChann
     kraus = tuple(
         attenuation @ isometry[i * dim : (i + 1) * dim, :] for i in range(n_kraus)
     )
-    return QuantumChannel(dim, kraus)
+    return QuantumChannel(kraus)
 
 
 def depolarizing_channel(q: float) -> QuantumChannel:
@@ -100,7 +100,7 @@ def depolarizing_channel(q: float) -> QuantumChannel:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     k0 = np.sqrt(1.0 - 3.0 * q / 4.0) * np.eye(2, dtype=np.complex128)
-    return QuantumChannel(2, (k0, *(np.sqrt(q / 4.0) * _PAULIS[p] for p in "XYZ")))
+    return QuantumChannel((k0, *(np.sqrt(q / 4.0) * _PAULIS[p] for p in "XYZ")))
 
 
 def enumerate_average(gateset, channel, rho, q, m):
@@ -187,7 +187,7 @@ def execute_sequence(cfg, indices, rng=None):
         mat = _apply_kraus(cfg.noise.kraus, mat)
         u = cfg.gateset.gates[k]
         mat = u @ mat @ u.conj().T
-    final = lb.DensityMatrix(cfg.gateset.dim, mat)
+    final = lb.DensityMatrix(mat)
     if cfg.shots is None:
         return expectation(cfg.q_op, final)
     if rng is None:
@@ -240,10 +240,10 @@ def random_density(dim, seed, pure=False):
     if pure:
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
-        return lb.DensityMatrix(dim, np.outer(v, v.conj()))
+        return lb.DensityMatrix(np.outer(v, v.conj()))
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = a @ a.conj().T
-    return lb.DensityMatrix(dim, mat / np.trace(mat))
+    return lb.DensityMatrix(mat / np.trace(mat))
 
 
 def random_povm(dim, seed):
@@ -251,7 +251,7 @@ def random_povm(dim, seed):
     basis = lb.random_orthonormal_basis(dim, seed)
     eigs = lb.stream(seed, 77).uniform(0.0, 1.0, size=dim)
     mat = basis @ np.diag(eigs).astype(complex) @ basis.conj().T
-    return lb.MeasurementOperator(dim, hermitian_part(mat))
+    return lb.MeasurementOperator(hermitian_part(mat))
 
 
 def reference_read_decay_csv(path) -> lb.DecayDataset:

@@ -141,7 +141,7 @@ def test_criterion_4_fit_uncertainty_coverage():
 def test_criterion_5_benchmarking_agrees_with_loss_protocol():
     channel = depolarizing_channel(0.02)
     rho0 = lb.basis_state(2, 0)
-    q_proj = lb.MeasurementOperator(2, np.diag([1.0, 0.0]))
+    q_proj = lb.MeasurementOperator(np.diag([1.0, 0.0]))
     clifford = lb.clifford_gateset()
 
     rb_cfg = lb.ProtocolConfig(

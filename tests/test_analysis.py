@@ -19,7 +19,7 @@ from support import (
 
 class TestSurvivalRates:
     def test_average_response(self):
-        q = lb.MeasurementOperator(2, np.diag([0.87, 0.95]))
+        q = lb.MeasurementOperator(np.diag([0.87, 0.95]))
         assert lb.average_response(q) == pytest.approx(0.91, abs=1e-15)
 
     def test_state_survival_on_basis_loss(self):
@@ -32,7 +32,7 @@ class TestSurvivalRates:
     def test_state_survival_is_scale_invariant(self):
         ch = random_lossy_channel(2, 0.5, 3)
         rho = random_density(2, 4)
-        shrunk = lb.DensityMatrix(2, 0.25 * rho.matrix)
+        shrunk = lb.DensityMatrix(0.25 * rho.matrix)
         assert lb.state_survival(ch, shrunk) == pytest.approx(
             lb.state_survival(ch, rho), abs=1e-14
         )
@@ -40,7 +40,7 @@ class TestSurvivalRates:
     def test_zero_trace_raises(self):
         ch = depolarizing_channel(0.1)
         with pytest.raises(ValueError, match="positive trace"):
-            lb.state_survival(ch, lb.DensityMatrix(2, np.zeros((2, 2))))
+            lb.state_survival(ch, lb.DensityMatrix(np.zeros((2, 2))))
 
     @pytest.mark.parametrize(
         "matrix, message",
@@ -56,7 +56,7 @@ class TestSurvivalRates:
         # fails the range test; none may come back as NaN or warn.
         ch = depolarizing_channel(0.1)
         with pytest.raises(ValueError, match=message):
-            lb.state_survival(ch, lb.DensityMatrix(2, matrix))
+            lb.state_survival(ch, lb.DensityMatrix(matrix))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_average_survival_matches_haar_mean(self, dim):
@@ -112,7 +112,7 @@ class TestProp1Check:
         assert report.slack == pytest.approx(report.bound - report.worst_loss)
 
     def test_one_dimensional_channel_has_no_complement(self):
-        ch = lb.QuantumChannel(1, (np.array([[0.9]]),))
+        ch = lb.QuantumChannel((np.array([[0.9]]),))
         assert lb.prop1_check(ch).complement_survival is None
 
     def test_losses_are_the_clamped_survival_functions(self):
@@ -401,6 +401,19 @@ class TestNormalisedUnits:
                 assert getattr(scaled, name) == value, name
             elif name.startswith("stderr_"):
                 assert getattr(scaled, name) == math.ldexp(value, -300), name
+
+    def test_unit_weight_chi2_near_the_float_maximum_is_finite(self):
+        # Under unit weights chi2/dof carries the means' unit squared.  Scaled
+        # back before the division by dof (28 here), a chi2/dof in
+        # [2^1022, 2^1024) overflowed to inf.
+        noisy = synthetic_loss_dataset(0.6, 0.9, sems=0.01, seed=4)
+        zeros = np.zeros(len(noisy.means))
+        base = lb.fit_loss_decay(dataclasses.replace(noisy, sems=zeros))
+        k = (1024 - math.frexp(base.chi2_per_dof)[1]) // 2
+        means = np.ldexp(noisy.means, k)
+        scaled = lb.fit_loss_decay(dataclasses.replace(noisy, means=means, sems=zeros))
+        assert 2.0**1022 <= scaled.chi2_per_dof < math.inf
+        assert scaled.chi2_per_dof == pytest.approx(math.ldexp(base.chi2_per_dof, 2 * k), rel=1e-9)
 
 
 def evaluator_case(x, a, r, sems, offset, b=0.0):
@@ -790,7 +803,7 @@ class TestDetectorEfficiency:
     def test_mixed_state_start_recovers_response_exactly(self):
         # B0 = D * S when the start state survives at the average rate
         out = lb.detector_efficiency(
-            0.91 * 0.99005, 0.99005, lb.MeasurementOperator(2, np.eye(2))
+            0.91 * 0.99005, 0.99005, lb.MeasurementOperator(np.eye(2))
         )
         assert out.D_hat == pytest.approx(0.91, abs=1e-12)
         assert out.eta == pytest.approx(0.91, abs=1e-12)
@@ -799,17 +812,17 @@ class TestDetectorEfficiency:
     def test_basis_state_start_lands_within_twice_uncertainty(self):
         # B0 = D * S(rho0) with S(rho0) = 1: extraction error is ~(1-S)/S
         out = lb.detector_efficiency(
-            0.91, 0.99005, lb.MeasurementOperator(2, np.eye(2))
+            0.91, 0.99005, lb.MeasurementOperator(np.eye(2))
         )
         assert abs(out.D_hat - 0.91) / 0.91 <= 2 * out.relative_uncertainty
 
     def test_eta_against_non_ideal_reference(self):
-        q_ideal = lb.MeasurementOperator(2, np.diag([0.8, 0.6]))
+        q_ideal = lb.MeasurementOperator(np.diag([0.8, 0.6]))
         out = lb.detector_efficiency(0.63, 0.9, q_ideal)
         assert out.eta == pytest.approx((0.63 / 0.9) / 0.7)
 
     def test_validation(self):
-        q = lb.MeasurementOperator(2, np.eye(2))
+        q = lb.MeasurementOperator(np.eye(2))
         with pytest.raises(ValueError, match="S_hat"):
             lb.detector_efficiency(0.9, 0.0, q)
         for s_hat in (math.nan, math.inf):
@@ -818,7 +831,7 @@ class TestDetectorEfficiency:
         for b0_hat in (math.nan, math.inf):
             with pytest.raises(ValueError, match="^B0_hat must be finite"):
                 lb.detector_efficiency(b0_hat, 0.9, q)
-        zero_q = lb.MeasurementOperator(2, np.zeros((2, 2)))
+        zero_q = lb.MeasurementOperator(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="non-positive average response"):
             lb.detector_efficiency(0.9, 0.99, zero_q)
 
@@ -925,7 +938,7 @@ class TestMarkovianityTests:
         exact = exact_b_minus_a(
             depolarizing_channel(0.02),
             lb.basis_state(2, 0),
-            lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
+            lb.MeasurementOperator(np.diag([1.0, 0.0])),
         )
         assert exact == pytest.approx(0.01, abs=1e-12)
 
@@ -994,8 +1007,8 @@ class TestMarkovianityTests:
     def test_exact_value_for_qutrit_channels(self):
         # The Kraus-image oracle against the same value from the channel's
         # transfer matrix acting on state coordinates.
-        rho = lb.DensityMatrix(3, lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
-        q = lb.MeasurementOperator(3, lb.pad_to_qutrit(np.eye(2)))
+        rho = lb.DensityMatrix(lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
+        q = lb.MeasurementOperator(lb.pad_to_qutrit(np.eye(2)))
         channels = [
             lb.coherent_leakage_error(epsilon=0.1, hamiltonian_seed=3),
             random_lossy_channel(3, 0.4, 21),
@@ -1012,11 +1025,10 @@ class TestMarkovianityTests:
         # Tr(Q L(I - rho)) = gamma: that form equals B - A only for unital L.
         gamma = 0.1
         channel = lb.QuantumChannel(
-            2,
             (np.diag([1.0, np.sqrt(1.0 - gamma)]), np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])),
         )
         rho = lb.basis_state(2, 0)
-        q = lb.MeasurementOperator(2, np.diag([1.0, 0.0]))
+        q = lb.MeasurementOperator(np.diag([1.0, 0.0]))
         cfg = lb.ProtocolConfig(
             lb.clifford_gateset(), channel, rho, q, range(1, 61, 3), 400, 0, variant="rb"
         )
@@ -1028,6 +1040,18 @@ class TestMarkovianityTests:
         assert abs(report.b_minus_a - exact) < 3.0 * report.b_minus_a_sigma
         assert report.flags == ()
 
+    @pytest.mark.parametrize("k", [0, 40, -30, -40])
+    def test_flags_do_not_depend_on_the_unit_of_the_data(self, k):
+        # z = -143 at every scale.  Absolute thresholds, the amplitude cut
+        # 1e-9 max(1, |B|) and the sigma floor, dropped the flag from 2^-30 on.
+        m = np.arange(1, 41)
+        means = 0.6 * 0.93**m + 0.3 + 0.002 * np.random.default_rng(5).normal(size=m.size)
+        sems = np.full(m.size, 0.002)
+        ds = lb.DecayDataset(tuple(range(1, 41)), np.ldexp(means, k), np.ldexp(sems, k), 30, None)
+        report = lb.markovianity_tests(lb.fit_rb_decay(ds))
+        assert report.flags == ("B_MINUS_A_NEGATIVE",)
+        assert report.b_minus_a / report.b_minus_a_sigma == pytest.approx(-142.68, abs=0.01)
+
     def test_sigma_floor_covers_rounding_in_exact_fits(self):
         # Criterion 5's exact Clifford RB run: rounding leaves sems near
         # 1e-16, so the absolutely weighted fit's stderr_B sits below the
@@ -1037,7 +1061,7 @@ class TestMarkovianityTests:
             lb.clifford_gateset(),
             depolarizing_channel(0.02),
             lb.basis_state(2, 0),
-            lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
+            lb.MeasurementOperator(np.diag([1.0, 0.0])),
             tuple(range(2, 61, 2)),
             30,
             9,

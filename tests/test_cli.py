@@ -139,6 +139,20 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_shots_past_the_binomial_limit_are_a_config_error(self, loss_config, tmp_path):
+        doc = json.loads(loss_config.read_text())
+        doc["protocol"]["shots"] = 2**63
+        loss_config.write_text(json.dumps(doc))
+        proc = run_cli("simulate", str(loss_config), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == "lossbench: config error: protocol: shots must be at most 2**63 - 1\n"
+
+    def test_unwritable_decay_csv_is_io_error(self, loss_config, tmp_path):
+        (tmp_path / "out" / "decay.csv").mkdir(parents=True)
+        proc = run_cli("simulate", str(loss_config), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("lossbench: error: cannot write outputs: ")
+
     def test_output_collision_is_io_error(self, loss_config, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -281,6 +295,23 @@ class TestFit:
         assert proc.returncode == 1
         assert "CSV not found" in proc.stderr
 
+    def test_directory_as_csv_is_io_error(self, tmp_path):
+        proc = run_cli("fit", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"lossbench: error: cannot read {tmp_path}: ")
+
+    def test_means_near_the_float_maximum_fit_without_a_warning(self, tmp_path):
+        # The tail means sum past the float maximum: the plateau test's excess
+        # overflowed, and fit.json got a NaN z after a RuntimeWarning.
+        csv = tmp_path / "big.csv"
+        rows = [f"{m},{1.7e308 * 0.99 ** (m - 1)!r},1e+306,30,exact\n" for m in range(1, 9)]
+        csv.write_text("m,mean,sem,n_sequences,shots\n" + "".join(rows))
+        proc = run_cli("fit", str(csv), "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "fit.json").read_text())
+        assert report["S_hat"] == pytest.approx(0.99, rel=1e-12)
+        assert abs(report["plateau"]["tail_excess_z"]) < 1e-6 and report["flags"] == []
+
     def test_too_short_csv_is_usage_error(self, tmp_path):
         csv = tmp_path / "tiny.csv"
         csv.write_text("m,mean,sem,n_sequences,shots\n1,0.9,0.01,5,exact\n")
@@ -382,7 +413,7 @@ class TestFlagRule:
             lb.clifford_gateset(),
             depolarizing_channel(0.02),
             lb.basis_state(2, 0),
-            lb.MeasurementOperator(2, np.diag([1.0, 0.0])),
+            lb.MeasurementOperator(np.diag([1.0, 0.0])),
             tuple(range(2, 61, 4)),
             30,
             5,

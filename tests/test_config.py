@@ -86,6 +86,21 @@ class TestDocumentShape:
             "protocol.variant: expected 'loss' or 'rb', got 'x'",
         )
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            (
+                {"noise": {"type": "kraus", "operators": []}},
+                "noise.operators: expected a nonempty list of matrices",
+            ),
+            ({"noise": {"type": "kraus"}}, "noise.operators: expected a nonempty list of matrices"),
+            ({"detector": [0.9, 0.8]}, "detector: expected an object"),
+        ],
+        ids=["kraus-empty", "kraus-missing", "detector-list"],
+    )
+    def test_section_of_the_wrong_shape_is_its_one_error(self, overrides, error):
+        assert errors_of(base_doc(**overrides)) == (error,)
+
     def test_output_dir_must_be_string(self):
         assert any("output_dir" in e for e in errors_of(base_doc(output_dir=3)))
         assert parse(base_doc(output_dir="runs/a")).output_dir == "runs/a"

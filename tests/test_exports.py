@@ -9,7 +9,7 @@ def test_all_is_the_set_of_names_in_the_export_table():
     table = {name for names in lb._EXPORTS.values() for name in names}
     assert len(lb.__all__) == len(set(lb.__all__)), "duplicate names in __all__"
     assert set(lb.__all__) == table | {"__version__"}
-    assert len(lb.__all__) == 42
+    assert len(lb.__all__) == 41
 
 
 def test_each_name_is_the_object_its_module_defines():

@@ -19,7 +19,7 @@ def frame_potential(gateset, t):
 class TestGateSet:
     def test_non_unitary_raises(self):
         with pytest.raises(ValueError, match="not unitary"):
-            lb.GateSet(2, (np.diag([1.0, 0.5]),), 0, ("bad",))
+            lb.GateSet((np.diag([1.0, 0.5]),), 0, ("bad",))
 
     @pytest.mark.parametrize(
         "gate, deviation",
@@ -28,27 +28,28 @@ class TestGateSet:
     def test_non_finite_deviation_raises(self, gate, deviation):
         # U^H U overflows for 1e200; the suite turns the warning into an error.
         with pytest.raises(ValueError, match=rf"not unitary \(deviation {deviation}\)"):
-            lb.GateSet(2, (gate,), 0, ("bad",))
+            lb.GateSet((gate,), 0, ("bad",))
 
     def test_nonpositive_dim_raises(self):
-        with pytest.raises(ValueError, match=r"dim must be an integer >= 1, got 0"):
-            lb.GateSet(0, (np.zeros((0, 0)),), 0, ("empty",))
+        message = r"^gate 0: expected a nonempty square matrix, got shape \(0, 0\)$"
+        with pytest.raises(ValueError, match=message):
+            lb.GateSet((np.zeros((0, 0)),), 0, ("empty",))
 
     def test_duplicate_labels_raise(self):
         with pytest.raises(ValueError, match="unique"):
-            lb.GateSet(2, (np.eye(2), np.eye(2)), 0, ("I", "I"))
+            lb.GateSet((np.eye(2), np.eye(2)), 0, ("I", "I"))
 
     def test_label_count_mismatch_raises(self):
         with pytest.raises(ValueError, match="same length"):
-            lb.GateSet(2, (np.eye(2),), 0, ("I", "extra"))
+            lb.GateSet((np.eye(2),), 0, ("I", "extra"))
 
     def test_bad_design_order_raises(self):
         with pytest.raises(ValueError, match="design_order"):
-            lb.GateSet(2, (np.eye(2),), 3, ("I",))
+            lb.GateSet((np.eye(2),), 3, ("I",))
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="at least one"):
-            lb.GateSet(2, (), 0, ())
+            lb.GateSet((), 0, ())
 
     def test_len(self):
         assert len(lb.pauli_gateset()) == 4
@@ -166,7 +167,7 @@ class TestSequenceAlgebra:
 
     def test_set_not_closed_under_inversion_raises(self):
         s = np.diag([1.0, 1.0j])
-        g = lb.GateSet(2, (s,), 0, ("S",))
+        g = lb.GateSet((s,), 0, ("S",))
         with pytest.raises(ValueError, match="no inverse"):
             inverse_by_phase_match(g, [0])
         with pytest.raises(ValueError, match="not a group up to phase"):
@@ -196,7 +197,7 @@ class TestMultiplicationTable:
     def test_non_group_raises(self):
         s = np.diag([1.0, 1.0j])
         not_groups = [
-            lb.GateSet(2, (np.eye(2), s), 0, ("I", "S")),
+            lb.GateSet((np.eye(2), s), 0, ("I", "S")),
             lb.embed_gateset(lb.pauli_gateset(), 0.3),
         ]
         for g in not_groups:
@@ -217,7 +218,7 @@ class TestQutritEmbedding:
         with pytest.raises(ValueError, match=r"^pad_to_qutrit: expected a 2x2 matrix, got shape \(3, 3\)$"):
             lb.pad_to_qutrit(np.eye(3))
         with pytest.raises(ValueError, match="^only qubit gate sets can be embedded into a qutrit$"):
-            lb.embed_gateset(lb.GateSet(3, (np.eye(3),), 0, ("I",)), 0.0)
+            lb.embed_gateset(lb.GateSet((np.eye(3),), 0, ("I",)), 0.0)
 
     def test_embed_gateset(self):
         g = lb.embed_gateset(lb.pauli_gateset(), 0.3)

@@ -136,7 +136,7 @@ class TestCoherentLeakageError:
 
     def test_moves_population_out_of_qubit_subspace(self):
         ch = lb.coherent_leakage_error(epsilon=0.3, hamiltonian_seed=5)
-        rho = lb.DensityMatrix(3, lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
+        rho = lb.DensityMatrix(lb.pad_to_qutrit(lb.basis_state(2, 0).matrix))
         out = apply_channel(ch, rho)
         qubit_weight = float(np.real(out.matrix[0, 0] + out.matrix[1, 1]))
         assert qubit_weight < 1.0 - 1e-6
@@ -219,6 +219,7 @@ class TestCoherentLeakageError:
             lambda: lb.detector_model((10**400, 0.5), basis_seed=1),
             r"^eigenvalues\[0\] must be a real number within the float range$",
         ),
+        (lambda: lb.detector_model((), basis_seed=1), r"^eigenvalues must be nonempty$"),
     ],
     ids=[
         "detector_model-basis_seed",
@@ -235,6 +236,7 @@ class TestCoherentLeakageError:
         "coherent_leakage_error-epsilon-huge-int",
         "embed_gateset-theta-huge-int",
         "detector_model-eigenvalues-huge-int",
+        "detector_model-eigenvalues-empty",
     ],
 )
 def test_errors_name_the_argument_at_fault(call, message):

@@ -323,7 +323,7 @@ def lossy_channels(draw):
     top = float(np.linalg.eigvalsh(np.einsum("kji,kjl->il", kraus.conj(), kraus))[-1])
     hypothesis.assume(top > 1e-6)
     survival = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
-    return lb.QuantumChannel(dim, tuple(kraus * np.sqrt(survival / top)))
+    return lb.QuantumChannel(tuple(kraus * np.sqrt(survival / top)))
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
@@ -350,7 +350,7 @@ def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
     assert np.max(np.abs(t - complex_t.real)) <= 1e-15
     entries = st.floats(-1.0, 1.0, allow_nan=False)
     parts = np.array(data.draw(st.lists(entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
-    rho = lb.DensityMatrix(dim, hermitian_part((parts[0::2] + 1j * parts[1::2]).reshape(dim, dim)))
+    rho = lb.DensityMatrix(hermitian_part((parts[0::2] + 1j * parts[1::2]).reshape(dim, dim)))
     image = coordinates(apply_channel(channel, rho).matrix)
     assert np.max(np.abs(t @ coordinates(rho.matrix) - image)) <= 1e-13
 
@@ -358,10 +358,10 @@ def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
 def _protocol_with_state(matrix):
     dim = len(matrix)
     return lb.ProtocolConfig(
-        gateset=lb.GateSet(dim, (np.eye(dim),), 0, ("I",)),
-        noise=lb.QuantumChannel(dim, (np.eye(dim),)),
-        rho0=lb.DensityMatrix(dim, matrix),
-        q_op=lb.MeasurementOperator(dim, np.eye(dim)),
+        gateset=lb.GateSet((np.eye(dim),), 0, ("I",)),
+        noise=lb.QuantumChannel((np.eye(dim),)),
+        rho0=lb.DensityMatrix(matrix),
+        q_op=lb.MeasurementOperator(np.eye(dim)),
         m_grid=(1,),
         n_sequences=1,
         master_seed=0,
@@ -369,16 +369,16 @@ def _protocol_with_state(matrix):
 
 
 def _raise_on_violation(matrix):
-    violations = lb.validate_state(lb.DensityMatrix(len(matrix), matrix))
+    violations = lb.validate_state(lb.DensityMatrix(matrix))
     if violations:
-        raise ValueError(violations[0].message)
+        raise ValueError(violations[0])
 
 
 # Each matrix check, with a valid d x d input for it.
 _MATRIX_CHECKS = {
-    "GateSet": (lambda m: lb.GateSet(len(m), (m,), 0, ("U",)), np.eye),
-    "QuantumChannel": (lambda m: lb.QuantumChannel(len(m), (m,)), np.eye),
-    "MeasurementOperator": (lambda m: lb.MeasurementOperator(len(m), m), np.eye),
+    "GateSet": (lambda m: lb.GateSet((m,), 0, ("U",)), np.eye),
+    "QuantumChannel": (lambda m: lb.QuantumChannel((m,)), np.eye),
+    "MeasurementOperator": (lambda m: lb.MeasurementOperator(m), np.eye),
     "detector_model": (lambda m: lb.detector_model((0.5,) * len(m), basis=m), np.eye),
     "ProtocolConfig": (_protocol_with_state, lambda d: np.eye(d) / d),
     "validate_state": (_raise_on_violation, lambda d: np.eye(d) / d),
@@ -547,3 +547,5 @@ def test_fits_do_not_depend_on_the_unit_of_the_means(case, k, unit):
             # Two subnormal steps of slack: a chi2/dof below the normal range is rounded twice.
             tol = dict(rel_tol=1e-9, abs_tol=2 * math.ulp(0.0))
             assert math.isclose(getattr(scaled, name), expected, **tol), name
+    if model == "rb":
+        assert lb.markovianity_tests(scaled).flags == lb.markovianity_tests(base).flags

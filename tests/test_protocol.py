@@ -63,8 +63,8 @@ class TestProtocolConfig:
     def test_non_hermitian_rho0_raises(self):
         skew = np.array([[0.5, 1e-9], [0.0, 0.5]])
         with pytest.raises(ValueError, match=r"^rho0 is not a state: max \|rho - rho\^H\| = 1\.000e-09$"):
-            fig1_style_config(rho0=lb.DensityMatrix(2, skew))
-        fig1_style_config(rho0=lb.DensityMatrix(2, skew * 1e-4))
+            fig1_style_config(rho0=lb.DensityMatrix(skew))
+        fig1_style_config(rho0=lb.DensityMatrix(skew * 1e-4))
 
     @pytest.mark.parametrize(
         "diagonal, message",
@@ -78,11 +78,11 @@ class TestProtocolConfig:
     def test_rho0_must_be_a_state(self, diagonal, message):
         # Each of these used to run: to a fit, to a click-probability error, to all-zero means.
         with pytest.raises(ValueError, match=rf"^rho0 is not a state: {message}$"):
-            fig1_style_config(rho0=lb.DensityMatrix(2, np.diag(diagonal)))
+            fig1_style_config(rho0=lb.DensityMatrix(np.diag(diagonal)))
 
-    def test_numpy_integer_dim_is_stored_as_int_and_runs(self):
+    def test_dim_read_off_a_stack_of_gates_is_an_int_and_runs(self):
         pauli = lb.pauli_gateset()
-        gateset = lb.GateSet(np.int64(2), pauli.gates, 1, pauli.labels)
+        gateset = lb.GateSet(np.stack(pauli.gates), 1, pauli.labels)
         assert type(gateset.dim) is int
         ds = lb.run_protocol(fig1_style_config(gateset=gateset))
         assert json.loads(json.dumps(ds.metadata))["dim"] == 2
@@ -95,6 +95,13 @@ class TestProtocolConfig:
             fig1_style_config(shots=0)
         with pytest.raises(ValueError, match="variant"):
             fig1_style_config(variant="other")
+
+    def test_shots_past_the_binomial_limit_are_rejected(self):
+        # numpy's binomial draw takes at most 2^63 - 1 shots; a run with more
+        # ended in its OverflowError.
+        assert fig1_style_config(shots=2**63 - 1).shots == 2**63 - 1
+        with pytest.raises(ValueError, match=r"^shots must be at most 2\*\*63 - 1$"):
+            fig1_style_config(shots=2**63)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -216,18 +223,18 @@ class TestSampleSequence:
 
 class TestExecuteSequence:
     def test_noiseless_matches_direct_composition(self):
-        identity = lb.QuantumChannel(2, (np.eye(2),))
+        identity = lb.QuantumChannel((np.eye(2),))
         cfg = fig1_style_config(noise=identity)
         indices = [1, 3, 2, 0, 1]
         value = execute_sequence(cfg, indices)
         u = compose_sequence(cfg.gateset, indices)
-        rho = lb.DensityMatrix(2, u @ cfg.rho0.matrix @ u.conj().T)
+        rho = lb.DensityMatrix(u @ cfg.rho0.matrix @ u.conj().T)
         assert type(value) is float
         assert value == pytest.approx(expectation(cfg.q_op, rho), abs=1e-14)
 
     def test_rb_variant_with_identity_noise_returns_to_start(self):
-        identity = lb.QuantumChannel(2, (np.eye(2),))
-        q = lb.MeasurementOperator(2, np.diag([1.0, 0.0]))
+        identity = lb.QuantumChannel((np.eye(2),))
+        q = lb.MeasurementOperator(np.diag([1.0, 0.0]))
         cfg = fig1_style_config(
             noise=identity, q_op=q, variant="rb", gateset=lb.clifford_gateset()
         )
@@ -239,7 +246,7 @@ class TestExecuteSequence:
         # all-identity sequence on |1><1| with alpha=0.99: 0.9801 per step
         cfg = fig1_style_config(
             rho0=lb.basis_state(2, 1),
-            q_op=lb.MeasurementOperator(2, np.eye(2)),
+            q_op=lb.MeasurementOperator(np.eye(2)),
         )
         for m in (1, 4, 9):
             assert execute_sequence(cfg, [0] * m) == pytest.approx(0.9801**m, abs=1e-12)
@@ -269,8 +276,8 @@ def qutrit_leakage_config(**overrides):
     defaults = dict(
         gateset=lb.embed_gateset(lb.pauli_gateset(), 0.0),
         noise=lb.coherent_leakage_error(epsilon=0.1, hamiltonian_seed=64),
-        rho0=lb.DensityMatrix(3, lb.pad_to_qutrit(qubit.rho0.matrix)),
-        q_op=lb.MeasurementOperator(3, lb.pad_to_qutrit(qubit.q_op.matrix)),
+        rho0=lb.DensityMatrix(lb.pad_to_qutrit(qubit.rho0.matrix)),
+        q_op=lb.MeasurementOperator(lb.pad_to_qutrit(qubit.q_op.matrix)),
     )
     defaults.update(overrides)
     return fig1_style_config(**defaults)
@@ -340,7 +347,7 @@ class TestRunProtocol:
         # lengths repeats its mean.
         p, shots, n = 0.5, 100, 200
         cfg = fig1_style_config(
-            noise=lb.QuantumChannel(2, (np.eye(2),)),
+            noise=lb.QuantumChannel((np.eye(2),)),
             q_op=lb.detector_model((p, p), basis_seed=7),
             m_grid=(1, 2, 5, 9),
             n_sequences=n,
@@ -455,7 +462,7 @@ class TestBatchedEngineOracle:
     def test_set_not_closed_under_inversion_raises(self):
         # Rejected when the config is built, before any sequence runs.
         s_gate = np.diag([1.0, 1.0j])
-        g = lb.GateSet(2, (np.eye(2), s_gate), 0, ("I", "S"))
+        g = lb.GateSet((np.eye(2), s_gate), 0, ("I", "S"))
         with pytest.raises(ValueError, match="not a group up to phase"):
             fig1_style_config(gateset=g, variant="rb", m_grid=(1, 5), n_sequences=4)
         with pytest.raises(ValueError, match="not a group up to phase"):
