@@ -84,7 +84,10 @@ def _write_text(path: str, content: str) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as RFC 8259 JSON: each non-finite float, which json writes as
+    NaN or Infinity, is read back as ``null``."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_simulate(args) -> int:

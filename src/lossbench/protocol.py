@@ -11,21 +11,16 @@ then g", one real d^2 x d^2 transfer matrix per gate in an orthonormal
 Hermitian operator basis, all |G| built by one batched
 :func:`lossbench.core.transfer_matrix` call when a :class:`ProtocolConfig`
 is constructed, together with the state and detector coordinates and the
-config's fingerprint; a run reads them and builds none.  All (length,
-sequence) tasks evolve together as rows of one real array of state
-coordinates, each step one matrix product against the C-ordered
-side-by-side transfer matrices, written into one product buffer allocated
-per run.
-Each length draws all of its sequences' gate words with one ``integers``
-call on its own RNG stream keyed by (master_seed, length_index, 0, 2), row i
-of the (n_sequences, m) draw being sequence i's word, first gate first.  With
-shots, each length draws its sequences' click counts, in sequence order,
-with one ``binomial`` call on its own stream keyed by (master_seed,
-length_index, 0, 1).  So datasets are bit-reproducible regardless of the
-order in which lengths are evaluated, and every draw is numpy's own, from
-:func:`lossbench.core.stream`.  :func:`sample_sequence` draws one word from
-one stream; the one-sequence Kraus reference engine the batched engine is
-tested against lives with the test oracles.
+config's fingerprint; a run reads them and builds none.
+
+:func:`run_protocol` composes five module-level stages, each of which
+documents its own choices: draw words, fold inverses, evolve, draw clicks
+and aggregate.  Every draw is numpy's own, from
+:func:`lossbench.core.stream`, on a stream keyed by its length's index, so
+datasets are bit-reproducible regardless of the order in which lengths are
+evaluated.  :func:`sample_sequence` draws one word from one stream; the
+one-sequence Kraus reference engine the batched engine is tested against
+lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -61,9 +56,9 @@ VARIANT_RB = "rb"
 
 CSV_HEADER = ("m", "mean", "sem", "n_sequences", "shots")
 
-# Sub-stream tags: (master_seed, m_index, 0, 2) keys a length's gate words,
-# (master_seed, m_index, 0, 1) its click counts.  Both tags are nonzero, so
-# neither key draws the zero-padded stream of a bare seed, stream(seed).
+# The last key word of a length's gate-word and click-count streams.  Both
+# are nonzero, so neither key draws the zero-padded stream of a bare seed,
+# stream(seed).
 _GATE_DRAWS = 2
 _SHOT_DRAWS = 1
 
@@ -76,8 +71,9 @@ class ProtocolConfig:
     positive integer requests that many binomial shots per sequence.
     ``m_grid`` entries, ``n_sequences``, ``master_seed`` (nonnegative) and
     ``shots`` must be integers; numpy integers are stored as Python ints.
-    No length may exceed :data:`M_GRID_LIMIT`, nor ``shots`` numpy's binomial
-    limit 2^63 - 1.
+    No length may exceed :data:`M_GRID_LIMIT`, nor may the run's task count,
+    ``n_sequences`` times the number of lengths; ``shots`` may not exceed
+    numpy's binomial limit 2^63 - 1.
     ``rho0`` must pass :func:`lossbench.core.validate_state`; among other
     things it must be Hermitian, since the engine carries states as real
     coordinates, which have no room for an anti-Hermitian part.
@@ -121,6 +117,11 @@ class ProtocolConfig:
             value = getattr(self, name)
             if not (name == "shots" and value is None):
                 object.__setattr__(self, name, _count(name, value, least))
+        if self.n_sequences * len(m_grid) > M_GRID_LIMIT:  # every run array has a row per task
+            raise ValueError(
+                f"n_sequences must be at most {M_GRID_LIMIT // len(m_grid)} with {len(m_grid)} "
+                f"lengths: a run has at most {M_GRID_LIMIT} (length, sequence) tasks"
+            )
         if self.shots is not None and self.shots >= 2**63:  # numpy's binomial count is an int64
             raise ValueError("shots must be at most 2**63 - 1")
         if self.variant not in (VARIANT_LOSS, VARIANT_RB):
@@ -337,106 +338,136 @@ def _gate_superoperators(cfg: ProtocolConfig) -> np.ndarray:
 def run_protocol(cfg: ProtocolConfig) -> DecayDataset:
     """Run the full protocol over the length grid.
 
-    Every (length, sequence) task is one row of a (tasks, d^2) array of real
-    state coordinates.  Each gate step is one real matrix product of the
-    rows still running with all |G| transfer matrices side by side, copied
-    to C order once per run, into one product buffer allocated per run,
-    from which every row takes the block of its own gate back into the
-    state array.  Rows are ordered longest sequence first, so the rows still
-    running at any step are a prefix of the array.  The benchmarking variant
-    appends to each word, as one more step, the inverse of the element the
-    word folds to in the gate set's multiplication table,
-    :attr:`GateSet.group`.  A length's n words are one (n, m) ``integers``
-    draw on :func:`lossbench.core.stream` (master_seed, length_index, 0,
-    2), row i sequence i's word; with shots, its click counts are one
-    ``binomial`` call over its sequences' click probabilities, in sequence
-    order, on the stream (master_seed, length_index, 0, 1).
+    The composition of five stages: :func:`_draw_words`,
+    :func:`_fold_inverses` (benchmarking variant only), :func:`_evolve`
+    through ``cfg.transfers``, :func:`_draw_clicks` and :func:`_aggregate`.
+    Each stage is called through this module's globals, so a wrapper set
+    with ``setattr`` on the module sees every call.  The transfer matrices,
+    the state and detector coordinates and the fingerprint are read from
+    ``cfg``, which built them at construction, so a run does only per-run
+    work.
+    """
+    words, lengths, running = _draw_words(cfg)
+    if cfg.variant == VARIANT_RB:
+        _fold_inverses(cfg.gateset.group, words, lengths, running)
+    states = _evolve(cfg.transfers, words, running, cfg.rho0_coordinates)
+    return _aggregate(cfg, _draw_clicks(cfg, states))
 
-    The transfer matrices, the state and detector coordinates and the
-    fingerprint are read from ``cfg``, which built them at construction, so
-    a run does only per-run work: draws, the inverse fold, evolution, shots
-    and aggregation.
 
-    Returns each length's mean and standard error over its sequences, with
-    the run record in ``metadata``; per-sequence values are not kept.
+def _draw_words(cfg: ProtocolConfig) -> tuple:
+    """Every (length, sequence) task's gate word: ``(words, lengths, running)``.
+
+    Tasks are ordered longest first: the grid reversed, a length's n
+    sequences in order.  So the tasks still running at step s are the first
+    ``running[s]``.  ``lengths[t]`` is task t's word length, and ``words``
+    is the step-major table: row s holds every task's gate at step s, as
+    the smallest unsigned integer type that holds every gate index.  Each
+    length draws its n words with one ``integers`` call on its own stream
+    keyed (master_seed, length_index, 0, 2), row i of the (n, m) draw being
+    sequence i's word, first gate first.  In the benchmarking variant each
+    task runs one more step, whose gate :func:`_fold_inverses` writes.
     """
     n = cfg.n_sequences
     n_lengths = len(cfg.m_grid)
     n_gates = len(cfg.gateset)
-    # m_grid is strictly increasing, so reversing it orders tasks longest first.
     length_index = np.repeat(np.arange(n_lengths)[::-1], n)
     lengths = np.array(cfg.m_grid)[length_index]
     steps = lengths + (cfg.variant == VARIANT_RB)
     n_tasks = len(lengths)
-    # Step-major gate table: row s holds every task's gate at step s.  The
-    # tasks of one length are n consecutive rows, drawn as one block.
     words = np.zeros((steps[0], n_tasks), dtype=np.min_scalar_type(n_gates - 1))
     for start, mi in zip(range(0, n_tasks, n), range(n_lengths)[::-1]):
         m = cfg.m_grid[mi]
         rng = stream(cfg.master_seed, mi, 0, _GATE_DRAWS)
         words[:m, start : start + n] = rng.integers(0, n_gates, size=(n, m)).T
-    # running[s] = number of tasks with more than s steps, a prefix of the rows
     running = np.searchsorted(-steps, -np.arange(steps[0]), side="left")
-    if cfg.variant == VARIANT_RB:
-        table, inverse = cfg.gateset.group
-        product = words[0].astype(np.intp)
-        # Gate s is part of the word for the running[s + 1] tasks longer than s.
-        for step, k in zip(words[1:], running[2:]):
-            product[:k] = table[step[:k], product[:k]]
-        words[lengths, np.arange(n_tasks)] = inverse[product]
+    return words, lengths, running
 
-    transfers = cfg.transfers
-    dd = transfers.shape[1]
+
+def _fold_inverses(group, words, lengths, running) -> None:
+    """Write each task's inverse gate into ``words``, at row ``lengths[t]``.
+
+    Each word, first gate first, is folded through ``group``, the
+    ``(table, inverse)`` of :attr:`GateSet.group`, and the inverse of the
+    element it folds to is the task's last gate.  ``running`` counts the
+    tasks that take each step, the inverse's included.
+    """
+    table, inverse = group
+    product = words[0].astype(np.intp)
+    # Gate s is part of the word for the running[s + 1] tasks longer than s.
+    for step, k in zip(words[1:], running[2:]):
+        product[:k] = table[step[:k], product[:k]]
+    words[lengths, np.arange(len(lengths))] = inverse[product]
+
+
+def _evolve(transfers, words, running, state) -> np.ndarray:
+    """The final real state coordinates of every task, shaped (tasks, d^2).
+
+    Every task starts at ``state``, and at step s the first ``running[s]``
+    tasks apply ``transfers[g]``, g their gate in row s of ``words``.
+    ``transfers`` is any (|G|, d^2, d^2) stack, so the noise may depend on
+    the gate.  Each step is one real matrix product of the running rows with
+    all |G| matrices side by side, copied to C order once per call, into
+    one product buffer allocated per call.  Every row then takes its own
+    gate's block back into the state array, so a step allocates nothing.
+    """
+    n_gates, dd = transfers.shape[:2]
+    n_tasks = words.shape[1]
     # Column block g of `stacked` is T_g^T, so row t of states @ stacked
-    # holds T_g r_t for every g at t * n_gates + g of the reshaped product.
+    # holds T_g r_t at t * n_gates + g of the reshaped product.
     # C order halves the GEMM's time against the view (fig2, 900 rows: 13 vs 25 us).
     stacked = np.ascontiguousarray(transfers.transpose(2, 0, 1).reshape(dd, n_gates * dd))
     offsets = np.arange(n_tasks) * n_gates
-    states = np.tile(cfg.rho0_coordinates, (n_tasks, 1))
+    states = np.tile(state, (n_tasks, 1))
     products = np.empty((n_tasks, n_gates * dd))
     blocks = products.reshape(-1, dd)
-
-    # Every gate index is in [0, |G|), drawn by integers(0, |G|) or read from
-    # `inverse`, so mode="clip" clips nothing; mode="raise" would make numpy
-    # buffer the output (fig2's loop on a 2-core Xeon: 4.1 against 3.5 ms).
+    # Every gate index is in [0, |G|), so mode="clip" clips nothing;
+    # mode="raise" would make numpy buffer the output (fig2's loop on a
+    # 2-core Xeon: 4.1 against 3.5 ms).
     for step, k in zip(words, running):
         np.matmul(states[:k], stacked, out=products[:k])
         blocks.take(offsets[:k] + step[:k], axis=0, out=states[:k], mode="clip")
+    return states
 
-    probs = click_probabilities(states @ cfg.q_coordinates)
+
+def _draw_clicks(cfg: ProtocolConfig, states) -> np.ndarray:
+    """Each task's measured value, shaped (lengths, sequences), longest length first.
+
+    The value is the task's click probability Tr(Q rho) in exact mode.
+    With shots it is the task's click fraction: each length draws its
+    sequences' click counts, in sequence order, with one ``binomial`` call
+    on its own stream keyed (master_seed, length_index, 0, 1).
+    """
+    n_lengths = len(cfg.m_grid)
+    probs = click_probabilities(states @ cfg.q_coordinates).reshape(n_lengths, cfg.n_sequences)
     if cfg.shots is None:
-        values = probs
-    else:
-        per_length = zip(range(n_lengths)[::-1], probs.reshape(n_lengths, n))
-        clicks = [
-            stream(cfg.master_seed, mi, 0, _SHOT_DRAWS).binomial(cfg.shots, p)
-            for mi, p in per_length
-        ]
-        values = np.array(clicks) / cfg.shots
-    # Back to (length, sequence) order.
-    values = values.reshape(n_lengths, n)[::-1]
+        return probs
+    per_length = zip(range(n_lengths)[::-1], probs)
+    clicks = [stream(cfg.master_seed, mi, 0, _SHOT_DRAWS).binomial(cfg.shots, p) for mi, p in per_length]
+    return np.array(clicks) / cfg.shots
 
+
+def _aggregate(cfg: ProtocolConfig, values) -> DecayDataset:
+    """The dataset of a run: each length's mean and standard error over its
+    sequences, with the run record in ``metadata``.
+
+    ``values`` are :func:`_draw_clicks`'s, longest length first.  The sems
+    are NaN below two sequences.  Per-sequence values are not kept.
+    """
+    n = cfg.n_sequences
+    values = values[::-1]
     means = values.mean(axis=1)
-    sems = values.std(axis=1, ddof=1) / np.sqrt(n) if n >= 2 else np.full(n_lengths, np.nan)
-
+    sems = values.std(axis=1, ddof=1) / np.sqrt(n) if n >= 2 else np.full(len(cfg.m_grid), np.nan)
     metadata = {
         "master_seed": cfg.master_seed,
         "config_fingerprint": cfg.fingerprint(),
         "variant": cfg.variant,
         "m_grid": list(cfg.m_grid),
-        "n_sequences": cfg.n_sequences,
+        "n_sequences": n,
         "shots": "exact" if cfg.shots is None else cfg.shots,
         "dim": cfg.gateset.dim,
         "gateset_labels": list(cfg.gateset.labels),
     }
-    return DecayDataset(
-        m_values=cfg.m_grid,
-        means=means,
-        sems=sems,
-        n_sequences=cfg.n_sequences,
-        shots=cfg.shots,
-        metadata=metadata,
-    )
+    return DecayDataset(cfg.m_grid, means, sems, n, cfg.shots, metadata)
 
 
 def exact_sequence_average(cfg: ProtocolConfig, m: int) -> float:

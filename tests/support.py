@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library internals it is
 used to check: the sequence averages are computed by brute-force branching
 over every gate word, single sequences by composing Kraus operators and
-unitaries one gate at a time (the inverse gate found by matching the
-composed word against every gate up to phase, without the group table),
+unitaries one gate at a time, with one noise channel for every gate or one
+per gate (the inverse gate found by matching the composed word against
+every gate up to phase, without the group table),
 the benchmarking curve's B - A from the channel's Kraus image of the state,
 and the survival statistics by direct Monte Carlo over Haar-random pure states.
 The one exception is :func:`exact_rb_average`, which folds the group table
@@ -168,26 +169,36 @@ def inverse_by_phase_match(gateset, indices):
     raise ValueError("gate set contains no inverse for this sequence (not closed under inversion)")
 
 
-def execute_sequence(cfg, indices, rng=None):
-    """Simulate one sequence: noise then gate, per index, then measure.
+def evolve_sequence(cfg, indices, channels=None):
+    """The state after one sequence: noise then gate, per index.
 
-    The benchmarking variant appends the sequence's inverse gate (preceded,
-    like every gate, by one application of the noise) before measuring.
-    Returns a float: in exact mode the expectation of the measurement, in
-    shot mode the click fraction drawn from ``rng``.
+    ``channels[g]`` is the noise before gate g, ``cfg.noise`` before every
+    gate when ``channels`` is None.  The benchmarking variant appends the
+    sequence's inverse gate, preceded like every gate by its noise.
     """
     indices = [int(k) for k in indices]
     n = len(cfg.gateset)
     for k in indices:
         if not 0 <= k < n:
             raise IndexError(f"gate index {k} out of range [0, {n})")
+    if channels is None:
+        channels = [cfg.noise] * n
     inverse = [inverse_by_phase_match(cfg.gateset, indices)] if cfg.variant == "rb" else []
     mat = cfg.rho0.matrix
     for k in indices + inverse:
-        mat = _apply_kraus(cfg.noise.kraus, mat)
+        mat = _apply_kraus(channels[k].kraus, mat)
         u = cfg.gateset.gates[k]
         mat = u @ mat @ u.conj().T
-    final = lb.DensityMatrix(mat)
+    return lb.DensityMatrix(mat)
+
+
+def execute_sequence(cfg, indices, rng=None):
+    """Simulate one sequence (:func:`evolve_sequence`), then measure.
+
+    Returns a float: in exact mode the expectation of the measurement, in
+    shot mode the click fraction drawn from ``rng``.
+    """
+    final = evolve_sequence(cfg, indices)
     if cfg.shots is None:
         return expectation(cfg.q_op, final)
     if rng is None:

@@ -33,6 +33,23 @@ def run_module(*argv):
     )
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number (RFC 8259)")
+
+
+@pytest.fixture(autouse=True)
+def fit_json_is_strict(tmp_path):
+    """After each test, every fit.json under its tmp_path parses without NaN or Infinity."""
+    yield
+    for path in tmp_path.rglob("fit.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def json_value(value):
+    """``value`` as fit.json holds it: a non-finite float is null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 @pytest.fixture
 def loss_config(tmp_path):
     doc = {
@@ -147,6 +164,21 @@ class TestSimulate:
         assert proc.returncode == 1
         assert proc.stderr == "lossbench: config error: protocol: shots must be at most 2**63 - 1\n"
 
+    @pytest.mark.parametrize("n_sequences", [10**10, 10**20])
+    def test_more_tasks_than_the_limit_are_a_config_error(self, loss_config, tmp_path, n_sequences):
+        # 10^20 sequences ended in numpy's OverflowError, 10^10 asked numpy
+        # for tens of GB; the config has 8 lengths.
+        doc = json.loads(loss_config.read_text())
+        doc["protocol"]["n_sequences"] = n_sequences
+        loss_config.write_text(json.dumps(doc))
+        proc = run_cli("simulate", str(loss_config), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "lossbench: config error: protocol: n_sequences must be at most 125000 with 8 "
+            "lengths: a run has at most 1000000 (length, sequence) tasks\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_decay_csv_is_io_error(self, loss_config, tmp_path):
         (tmp_path / "out" / "decay.csv").mkdir(parents=True)
         proc = run_cli("simulate", str(loss_config), "--out", str(tmp_path / "out"))
@@ -244,7 +276,8 @@ class TestFit:
         if model == "loss":
             fit, names = lb.fit_loss_decay(ds), ("S", "B0")
             plateau = lb.plateau_test(ds, fit)
-            assert report.pop("plateau") == dataclasses.asdict(plateau)
+            expected_plateau = {k: json_value(v) for k, v in dataclasses.asdict(plateau).items()}
+            assert report.pop("plateau") == expected_plateau
             flags = [analysis.FLAG_PLATEAU] if plateau.flagged else []
         else:
             fit, names = lb.fit_rb_decay(ds), ("p", "A", "B")
@@ -258,7 +291,7 @@ class TestFit:
         for k in names:
             expected[f"{k}_hat"] = getattr(fit, f"{k}_hat")
             expected[f"{k}_stderr"] = getattr(fit, f"stderr_{k}")
-        assert report == expected
+        assert report == {k: json_value(v) for k, v in expected.items()}
         rate = names[0]
         assert proc.stdout == (
             f"{rate}_hat = {expected[f'{rate}_hat']:.6f} +/- {expected[f'{rate}_stderr']:.6f} "
@@ -283,12 +316,27 @@ class TestFit:
             assert cli.main(["fit", str(out / "decay.csv"), "--model", model, "--out", str(out)]) == 0
             reports.append(json.loads((out / "fit.json").read_text()))
         tiny, copy = reports
-        assert tiny["chi2_per_dof"] == math.inf
+        assert tiny["chi2_per_dof"] is None  # the fit's chi2/dof is inf
         for key in tiny:
             if key.endswith("_hat") or key in ("converged", "n_iterations"):
                 assert tiny[key] == copy[key], key
             elif key.endswith("_stderr"):
                 assert math.ldexp(tiny[key], 700) == pytest.approx(copy[key], rel=1e-12), key
+
+    @pytest.mark.parametrize("model", ["loss", "rb"])
+    def test_non_finite_values_are_written_as_null(self, tmp_path, model):
+        # Subnormal sems give an infinite chi2/dof, which fit.json held as
+        # Infinity: not JSON, and refused by strict parsers.
+        csv = tmp_path / "subnormal.csv"
+        rows = [f"{m},{0.9 * 0.97 ** (m - 1)!r},5e-324,30,exact\n" for m in (1, 2, 4, 8, 16, 32)]
+        csv.write_text("m,mean,sem,n_sequences,shots\n" + "".join(rows))
+        fit = {"loss": lb.fit_loss_decay, "rb": lb.fit_rb_decay}[model](lb.read_decay_csv(csv))
+        assert fit.chi2_per_dof == math.inf
+        proc = run_cli("fit", str(csv), "--model", model, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        text = (tmp_path / "fit.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text, parse_constant=_refuse_constant)["chi2_per_dof"] is None
 
     def test_missing_csv(self, tmp_path):
         proc = run_cli("fit", str(tmp_path / "none.csv"))

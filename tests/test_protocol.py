@@ -12,6 +12,9 @@ from lossbench.protocol import (
     _GATE_DRAWS,
     _SHOT_DRAWS,
     M_GRID_LIMIT,
+    _draw_words,
+    _evolve,
+    _fold_inverses,
     _gate_superoperators,
     sample_sequence,
 )
@@ -19,6 +22,7 @@ from support import (
     compose_sequence,
     enumerate_average,
     enumerate_average_naive,
+    evolve_sequence,
     exact_rb_average,
     execute_sequence,
     random_density,
@@ -155,6 +159,19 @@ class TestProtocolConfig:
         for grid in ((1, M_GRID_LIMIT + 1), (1, 2, 10**400)):
             with pytest.raises(ValueError, match=rf"^m_grid lengths must be at most {M_GRID_LIMIT}$"):
                 fig1_style_config(m_grid=grid)
+
+    def test_task_counts_past_the_limit_raise(self):
+        # Only built, never run.  10^20 sequences ended in numpy's
+        # OverflowError, and 10^10 asked numpy for tens of GB.
+        assert fig1_style_config(n_sequences=M_GRID_LIMIT // 3).n_sequences == M_GRID_LIMIT // 3
+        assert fig1_style_config(m_grid=(7,), n_sequences=M_GRID_LIMIT).n_sequences == M_GRID_LIMIT
+        message = (
+            r"^n_sequences must be at most 333333 with 3 lengths: "
+            r"a run has at most 1000000 \(length, sequence\) tasks$"
+        )
+        for n in (M_GRID_LIMIT // 3 + 1, 10**10, 10**20):
+            with pytest.raises(ValueError, match=message):
+                fig1_style_config(n_sequences=n)
 
 
 class TestOperatorsBuiltAtConstruction:
@@ -479,6 +496,59 @@ class TestBatchedEngineOracle:
         assert "group" in gateset.__dict__
         lb.run_protocol(cfg)
         assert len(builds) == 1 and builds[0] is gateset
+
+
+class TestEngineStages:
+    STAGES = ("_draw_words", "_fold_inverses", "_evolve", "_draw_clicks", "_aggregate")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fig1_style_config(m_grid=(1, 2, 7), n_sequences=6, shots=40),
+            lambda: ORACLE_CONFIGS["clifford"](m_grid=(1, 2, 7), n_sequences=6, variant="rb"),
+        ],
+        ids=["loss-shots", "rb-exact"],
+    )
+    def test_run_protocol_calls_every_stage_through_the_module(self, make, monkeypatch):
+        # A wrapper set on the module sees every stage call, and passing
+        # each call through leaves every output byte as it was.
+        cfg = make()
+        plain = lb.run_protocol(cfg)
+        calls = dict.fromkeys(self.STAGES, 0)
+        for name in self.STAGES:
+            stage = getattr(lb.protocol, name)
+
+            def counted(*args, name=name, stage=stage):
+                calls[name] += 1
+                return stage(*args)
+
+            monkeypatch.setattr(lb.protocol, name, counted)
+        ds = lb.run_protocol(cfg)
+        assert calls == {name: int(name != "_fold_inverses" or cfg.variant == "rb") for name in self.STAGES}
+        assert ds.means.tobytes() == plain.means.tobytes()
+        assert ds.sems.tobytes() == plain.sems.tobytes()
+
+    @pytest.mark.parametrize("variant", ["loss", "rb"])
+    @pytest.mark.parametrize("gates", ["pauli", "clifford"])
+    def test_gate_dependent_stack_matches_the_kraus_reference(self, gates, variant):
+        # Each gate gets its own noise: _evolve on their transfer matrices
+        # against one sequence at a time, noise then gate, from Kraus operators.
+        cfg = ORACLE_CONFIGS[gates](m_grid=(1, 2, 7, 12), n_sequences=4, master_seed=3, variant=variant)
+        channels = [random_lossy_channel(2, 0.3, 100 + g) for g in range(len(cfg.gateset))]
+        stack = np.stack(
+            [transfer_matrix([u @ k for k in ch.kraus]) for u, ch in zip(cfg.gateset.gates, channels)]
+        )
+        words, lengths, running = _draw_words(cfg)
+        if variant == "rb":
+            _fold_inverses(cfg.gateset.group, words, lengths, running)
+        states = _evolve(stack, words, running, cfg.rho0_coordinates)
+        reference = np.array(
+            [coordinates(evolve_sequence(cfg, words[:m, t], channels).matrix) for t, m in enumerate(lengths)]
+        )
+        assert np.abs(states - reference).max() <= 1e-12
+        # The stack matters: the config's own noise gives other states.
+        shared = _evolve(cfg.transfers, words, running, cfg.rho0_coordinates)
+        assert np.abs(states - shared).max() > 1e-3
 
 
 class TestGateSuperoperators:
