@@ -248,7 +248,10 @@ def _fit_weights(sems: np.ndarray) -> tuple:
     weights, and standard errors are then scaled by the residual variance
     instead of taken as absolute.  The returned square roots of the weights
     are 2^-e times the true ones, the largest in (1/2, 1]; e comes from the
-    smallest sem, so subnormal sems work too.
+    smallest sem, so subnormal sems work too.  A row whose weight, so scaled,
+    underflows to 0 (its sem more than about 2^537 times the smallest) has
+    no weight: _separable_fit leaves it out, so it moves no estimate, and
+    the fit's dof counts only the rows it keeps.
     """
     sems = np.asarray(sems, dtype=float)
     if _absolute_weights(sems):
@@ -375,10 +378,15 @@ def _separable_fit(
     stop rule, not the MAX_ITERATIONS budget, ended the search.
     """
     sqrt_w, e, absolute_sigma = _fit_weights(sems)
+    w2 = sqrt_w * sqrt_w
+    if not w2.all():
+        # Rows of no weight: 0 * inf would reach the cost once a residual overflows.
+        kept = w2 > 0.0
+        lengths = tuple(m for m, k in zip(lengths, kept) if k)
+        y, sqrt_w, w2 = y[kept], sqrt_w[kept], w2[kept]
     f = _mean_shift(y)
     if f:
         y = np.ldexp(y, -f)
-    w2 = sqrt_w * sqrt_w
     w_sum = float(np.add.reduce(w2))
     mean = float(w2.dot(y)) / w_sum if offset else 0.0
     yc = y - mean
@@ -447,7 +455,11 @@ def _separable_fit(
     # (J^T J)^-1 from the SVD of J, with singular values floored at eps times
     # the largest (and at eps^2): an undetermined direction keeps a huge but
     # finite variance.
-    _, sv, vt = np.linalg.svd(np.array(cols).T, full_matrices=False)
+    jac = np.array(cols).T
+    if len(jac) < len(cols):
+        # Fewer rows kept than parameters: zero rows give each its singular value.
+        jac = np.vstack([jac, np.zeros((len(cols) - len(jac), len(cols)))])
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
     sv = np.maximum(sv, _EPS * max(sv[0], _EPS))
     cov = (vt.T / sv**2).dot(vt)
     # Back to the data's units by powers of two: the weights' square roots

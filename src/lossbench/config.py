@@ -33,7 +33,12 @@ from .core import (
     validate_state,
 )
 from .gates import clifford_gateset, embed_gateset, pad_to_qutrit, pauli_gateset
-from .noise import basis_loss_channel, coherent_leakage_error, detector_model
+from .noise import (
+    basis_loss_channel,
+    coherent_leakage_error,
+    detector_model,
+    random_orthonormal_basis,
+)
 from .protocol import M_GRID_LIMIT, ProtocolConfig
 
 REQUIRED_SECTIONS = ("gateset", "noise", "state", "detector", "protocol", "seed")
@@ -226,7 +231,7 @@ def _validate_detector(value, errors: list) -> MeasurementOperator | None:
     basis = _parse_qubit_matrix(value["basis"], "detector.basis", errors) if has_basis else None
     if len(errors) == before:
         try:
-            return detector_model(eigs, seed, basis)
+            return detector_model(eigs, random_orthonormal_basis(2, seed) if has_seed else basis)
         except ValueError as exc:
             errors.append(f"detector: {exc}")
     return None

@@ -4,8 +4,8 @@ Provides the single-qubit Pauli set (a unitary 1-design) and the 24-element
 single-qubit Clifford group (a unitary 2-design), plus the group
 multiplication table, the inverse of a gate word (folded through that
 table), and the qutrit embedding used to study leakage outside the qubit
-subspace.  The group-average (twirl) map is a test reference in
-``tests/support.py``.
+subspace.  A set's design order is measured from its frame potentials.
+The group-average (twirl) map is a test reference in ``tests/support.py``.
 
 Global phase is physically irrelevant and is quotiented everywhere: the
 Cliffords are stored in canonical phase (first nonzero entry real positive),
@@ -24,6 +24,9 @@ from .core import UNITARITY_ATOL, _as_square_complex, _real, unitarity_deviation
 
 PHASE_MATCH_ATOL = 1e-10
 
+# How near its Haar value a frame potential must be for GateSet.design_order.
+_DESIGN_ATOL = 1e-10
+
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=np.complex128)
 
@@ -39,14 +42,13 @@ _PAULIS = {
 class GateSet:
     """An ordered, immutable collection of d x d unitaries; d is read off the first.
 
-    ``design_order`` declares the strongest unitary-design property the set
-    is known to have (0 = none claimed, 1 or 2).  Sequence indices are
-    0-based positions into ``gates``; ``labels`` give the stable names used
-    in run logs.
+    Sequence indices are 0-based positions into ``gates``; ``labels`` give
+    the stable names used in run logs.  The unitary-design order
+    (:attr:`design_order`) and the group structure (:attr:`group`) are
+    measured from the gates on first read.
     """
 
     gates: tuple
-    design_order: int
     labels: tuple
     dim: int = field(init=False)
 
@@ -56,8 +58,6 @@ class GateSet:
             gates.append(_as_square_complex(g, f"gate {i}", len(gates[0]) if gates else None))
         if not gates:
             raise ValueError("GateSet needs at least one gate")
-        if self.design_order not in (0, 1, 2):
-            raise ValueError(f"design_order must be 0, 1 or 2, got {self.design_order}")
         for i, g in enumerate(gates):
             dev = unitarity_deviation(g)
             if not dev <= UNITARITY_ATOL:
@@ -74,6 +74,22 @@ class GateSet:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+    @cached_property
+    def design_order(self) -> int:
+        """The largest t <= 2 for which the set is a unitary t-design, or 0.
+
+        A set is a t-design exactly when its frame potential F_t = |G|^-2
+        sum_{g,h} |Tr(U_g^H U_h)|^(2t) takes its least value, the Haar one: 1
+        for t = 1, min(d, 2) for t = 2 (Gross, Audenaert & Eisert, J. Math.
+        Phys. 48, 052104, 2007).  Both come from one product of the gates'
+        entries on first read; the result is cached on the set.
+        """
+        v = np.stack(self.gates).reshape(len(self), -1)
+        overlaps = np.square(np.abs(v.conj() @ v.T))  # |Tr(U_g^H U_h)|^2
+        if not abs(overlaps.mean() - 1.0) <= _DESIGN_ATOL:
+            return 0
+        return 2 if abs(np.square(overlaps).mean() - min(self.dim, 2)) <= _DESIGN_ATOL else 1
 
     @cached_property
     def group(self) -> tuple:
@@ -113,7 +129,7 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
 def pauli_gateset() -> GateSet:
     """The four single-qubit Paulis {I, X, Y, Z}, a unitary 1-design."""
     names = ("I", "X", "Y", "Z")
-    return GateSet(tuple(_PAULIS[n] for n in names), 1, names)
+    return GateSet(tuple(_PAULIS[n] for n in names), names)
 
 
 def clifford_gateset() -> GateSet:
@@ -139,7 +155,7 @@ def clifford_gateset() -> GateSet:
     items = sorted(zip(words, mats), key=lambda kv: (len(kv[0]), kv[0]))
     labels = tuple(word for word, _ in items)
     gates = tuple(mat for _, mat in items)
-    return GateSet(gates, 2, labels)
+    return GateSet(gates, labels)
 
 
 def inverse_gate(gateset: GateSet, indices) -> int:
@@ -166,7 +182,7 @@ def embed_gateset(gateset: GateSet, theta: float) -> GateSet:
 
     The extra level picks up only the shared finite phase ``theta``, so the
     gates act trivially on population outside the qubit subspace.  The
-    embedded set is not a unitary design on d=3, so design_order is 0.
+    embedded set is not a unitary design on d=3: its design_order is 0.
     """
     if gateset.dim != 2:
         raise ValueError("only qubit gate sets can be embedded into a qutrit")
@@ -176,7 +192,7 @@ def embed_gateset(gateset: GateSet, theta: float) -> GateSet:
     gates = tuple(pad_to_qutrit(u) for u in gateset.gates)
     for gate in gates:
         gate[2, 2] = np.exp(1j * theta)
-    return GateSet(gates, 0, gateset.labels)
+    return GateSet(gates, gateset.labels)
 
 
 def pad_to_qutrit(matrix: np.ndarray) -> np.ndarray:

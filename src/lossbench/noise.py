@@ -1,9 +1,10 @@
 """Constructors for the noise and measurement models used by the protocol.
 
 Covers single-basis-level amplitude loss (the channel family with the
-largest state-to-state loss variation), imperfect detectors over a seeded
-random orthonormal basis, and the coherent-leakage qutrit error.  The random
-lossy and depolarizing test channels are factories in ``tests/support.py``.
+largest state-to-state loss variation), imperfect detectors over a given
+unitary basis (a seeded random orthonormal one, say), and the
+coherent-leakage qutrit error.  The random lossy and depolarizing test
+channels are factories in ``tests/support.py``.
 
 All constructors are pure and fully seeded: the same arguments always
 produce bitwise-identical operators.  Each raises ``ValueError`` naming the
@@ -54,13 +55,13 @@ def random_orthonormal_basis(dim: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def detector_model(eigenvalues, basis_seed: int | None = None, basis=None) -> MeasurementOperator:
+def detector_model(eigenvalues, basis) -> MeasurementOperator:
     """Imperfect detector Q = sum_i e_i |b_i><b_i| with eigenvalues e_i in [0, 1].
 
-    The basis columns b_i are either drawn reproducibly from ``basis_seed``
-    or given as the unitary ``basis``; exactly one of the two must be given.
-    The average detector response over all states is the eigenvalue mean
-    Tr(Q)/d, independent of the basis.
+    The basis columns b_i are the columns of the unitary ``basis``; a seeded
+    one comes from :func:`random_orthonormal_basis`.  The average detector
+    response over all states is the eigenvalue mean Tr(Q)/d, independent of
+    the basis.
     """
     eigs = tuple(_real(f"eigenvalues[{i}]", e) for i, e in enumerate(eigenvalues))
     if not eigs:
@@ -68,16 +69,10 @@ def detector_model(eigenvalues, basis_seed: int | None = None, basis=None) -> Me
     for i, e in enumerate(eigs):
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"eigenvalues[{i}] = {e} outside [0, 1]")
-    if (basis_seed is None) == (basis is None):
-        raise ValueError("give exactly one of basis_seed and basis")
-    d = len(eigs)
-    if basis is None:
-        basis = random_orthonormal_basis(d, _count("basis_seed", basis_seed, 0))
-    else:
-        basis = _as_square_complex(basis, "basis", d)
-        dev = unitarity_deviation(basis)
-        if not dev <= UNITARITY_ATOL:
-            raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
+    basis = _as_square_complex(basis, "basis", len(eigs))
+    dev = unitarity_deviation(basis)
+    if not dev <= UNITARITY_ATOL:
+        raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
     q = basis @ np.diag(eigs).astype(np.complex128) @ basis.conj().T
     return MeasurementOperator(hermitian_part(q))
 

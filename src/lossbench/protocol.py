@@ -151,6 +151,7 @@ class ProtocolConfig:
                 {
                     "dim": self.gateset.dim,
                     "labels": list(self.gateset.labels),
+                    # Follows from the gates hashed below; kept so fingerprints stay put.
                     "design_order": self.gateset.design_order,
                     "m_grid": list(self.m_grid),
                     "n_sequences": self.n_sequences,

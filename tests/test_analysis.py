@@ -416,6 +416,49 @@ class TestNormalisedUnits:
         assert scaled.chi2_per_dof == pytest.approx(math.ldexp(base.chi2_per_dof, 2 * k), rel=1e-9)
 
 
+# The sems span 1e628, 1e220 and 1e270.  Squared and scaled to the largest,
+# every weight but the third underflows to 0, and the loss fit's residuals
+# past 1e154 on those rows once made its cost 0 * inf = NaN.
+SPAN_LENGTHS = (7, 20, 33, 999999)
+SPAN_MEANS = (-0.5, 8.5e-321, 0.5, -0.5)
+SPAN_SEMS = {
+    "span-1e628": (1.7e308, 1.7e308, 1e-320, 1.7e308),
+    "span-1e220": (1.0, 1.0, 1e-220, 1.0),
+    "span-1e270": (1e135, 1e135, 1e-135, 1e135),
+}
+
+
+class TestWeightsThatUnderflow:
+    """A row whose weight underflows to 0 is left out of the fit (see _fit_weights)."""
+
+    @pytest.mark.parametrize("sems", list(SPAN_SEMS.values()), ids=list(SPAN_SEMS))
+    @pytest.mark.parametrize("fit", [lb.fit_loss_decay, lb.fit_rb_decay], ids=["loss", "rb"])
+    def test_the_fit_is_the_fit_of_the_weighted_rows(self, fit, sems):
+        ds = lb.DecayDataset(SPAN_LENGTHS, SPAN_MEANS, sems, 5, None)
+        result = fit(ds)
+        offset = fit is lb.fit_rb_decay
+        alone = analysis._separable_fit((33,), np.array([0.5]), np.array([sems[2]]), offset)
+        assert result == alone
+        assert result.converged
+        # One row for two or three parameters: huge but finite variances.
+        stderrs = [v for k, v in vars(result).items() if k.startswith("stderr_")]
+        assert all(0.0 < v < math.inf for v in stderrs)
+
+    @pytest.mark.parametrize("fit", [lb.fit_loss_decay, lb.fit_rb_decay], ids=["loss", "rb"])
+    def test_dof_counts_only_the_rows_kept(self, fit):
+        full = rb_dataset(0.6, 0.3, 0.95, tuple(range(1, 21)), sems=1e-3, seed=2)
+        sems = full.sems.copy()
+        sems[[4, 11]] = 1e300
+        kept = [i for i in range(20) if i not in (4, 11)]
+        without = dataclasses.replace(
+            full,
+            m_values=tuple(full.m_values[i] for i in kept),
+            means=full.means[kept],
+            sems=full.sems[kept],
+        )
+        assert fit(dataclasses.replace(full, sems=sems)) == fit(without)
+
+
 def evaluator_case(x, a, r, sems, offset, b=0.0):
     """(x, y, sems, offset) as a fit passes them to _separable_fit, y = a r^x + b."""
     x = np.array(x, dtype=float)

@@ -360,6 +360,20 @@ class TestFit:
         assert report["S_hat"] == pytest.approx(0.99, rel=1e-12)
         assert abs(report["plateau"]["tail_excess_z"]) < 1e-6 and report["flags"] == []
 
+    @pytest.mark.parametrize("model", ["loss", "rb"])
+    def test_weights_that_underflow_fit_without_a_warning(self, tmp_path, model):
+        # Every weight but the third underflows to 0: the loss fit's cost was
+        # 0 * inf, and the command ended in a RuntimeWarning traceback.
+        csv = tmp_path / "span.csv"
+        sems = (1.7e308, 1.7e308, 1e-320, 1.7e308)
+        rows = zip((7, 20, 33, 999999), (-0.5, 8.5e-321, 0.5, -0.5), sems)
+        body = "".join(f"{m},{y!r},{e!r},5,exact\n" for m, y, e in rows)
+        csv.write_text("m,mean,sem,n_sequences,shots\n" + body)
+        proc = run_cli("fit", str(csv), "--model", model, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "fit.json").read_text())
+        assert report["converged"] is True and report["chi2_per_dof"] == 0.0
+
     def test_too_short_csv_is_usage_error(self, tmp_path):
         csv = tmp_path / "tiny.csv"
         csv.write_text("m,mean,sem,n_sequences,shots\n1,0.9,0.01,5,exact\n")

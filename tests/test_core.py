@@ -71,7 +71,7 @@ DIM_TYPES = {
     "DensityMatrix": (lambda m: lb.DensityMatrix(m), "DensityMatrix"),
     "QuantumChannel": (lambda m: lb.QuantumChannel((m,)), r"QuantumChannel kraus\[0\]"),
     "MeasurementOperator": (lambda m: lb.MeasurementOperator(m), "MeasurementOperator"),
-    "GateSet": (lambda m: lb.GateSet((m,), 0, ("I",)), "gate 0"),
+    "GateSet": (lambda m: lb.GateSet((m,), ("I",)), "gate 0"),
 }
 
 

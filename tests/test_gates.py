@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,19 @@ def frame_potential(gateset, t):
     return total / len(gateset) ** 2
 
 
+def design_order_by_frame_potential(gateset):
+    """The largest t <= 2 whose loop-oracle F_t is the Haar value (1, then min(d, 2)), or 0."""
+    haar = (1.0, min(gateset.dim, 2))
+    order = 0
+    while order < 2 and abs(frame_potential(gateset, order + 1) - haar[order]) <= 1e-9:
+        order += 1
+    return order
+
+
 class TestGateSet:
     def test_non_unitary_raises(self):
         with pytest.raises(ValueError, match="not unitary"):
-            lb.GateSet((np.diag([1.0, 0.5]),), 0, ("bad",))
+            lb.GateSet((np.diag([1.0, 0.5]),), ("bad",))
 
     @pytest.mark.parametrize(
         "gate, deviation",
@@ -28,31 +40,62 @@ class TestGateSet:
     def test_non_finite_deviation_raises(self, gate, deviation):
         # U^H U overflows for 1e200; the suite turns the warning into an error.
         with pytest.raises(ValueError, match=rf"not unitary \(deviation {deviation}\)"):
-            lb.GateSet((gate,), 0, ("bad",))
+            lb.GateSet((gate,), ("bad",))
 
     def test_nonpositive_dim_raises(self):
         message = r"^gate 0: expected a nonempty square matrix, got shape \(0, 0\)$"
         with pytest.raises(ValueError, match=message):
-            lb.GateSet((np.zeros((0, 0)),), 0, ("empty",))
+            lb.GateSet((np.zeros((0, 0)),), ("empty",))
 
     def test_duplicate_labels_raise(self):
         with pytest.raises(ValueError, match="unique"):
-            lb.GateSet((np.eye(2), np.eye(2)), 0, ("I", "I"))
+            lb.GateSet((np.eye(2), np.eye(2)), ("I", "I"))
 
     def test_label_count_mismatch_raises(self):
         with pytest.raises(ValueError, match="same length"):
-            lb.GateSet((np.eye(2),), 0, ("I", "extra"))
-
-    def test_bad_design_order_raises(self):
-        with pytest.raises(ValueError, match="design_order"):
-            lb.GateSet((np.eye(2),), 3, ("I",))
+            lb.GateSet((np.eye(2),), ("I", "extra"))
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="at least one"):
-            lb.GateSet((), 0, ())
+            lb.GateSet((), ())
 
     def test_len(self):
         assert len(lb.pauli_gateset()) == 4
+
+
+_S_GATE = np.diag([1.0, 1.0j])
+
+
+class TestDesignOrder:
+    @pytest.mark.parametrize(
+        "make, order",
+        [
+            (lb.pauli_gateset, 1),
+            (lb.clifford_gateset, 2),
+            (lambda: lb.embed_gateset(lb.pauli_gateset(), 0.3), 0),
+            (lambda: lb.embed_gateset(lb.pauli_gateset(), 2.5), 0),
+            (lambda: lb.embed_gateset(lb.clifford_gateset(), 0.3), 0),
+            (lambda: lb.embed_gateset(lb.clifford_gateset(), 2.5), 0),
+            (lambda: lb.GateSet((np.eye(2),), ("I",)), 0),
+            (lambda: lb.GateSet((np.eye(2), _S_GATE), ("I", "S")), 0),
+            (lambda: lb.GateSet((np.eye(1), np.array([[1.0j]])), ("1", "i")), 2),
+        ],
+        ids=[
+            "pauli", "clifford", "embedded-pauli-0.3", "embedded-pauli-2.5",
+            "embedded-clifford-0.3", "embedded-clifford-2.5", "identity", "identity-and-S", "d=1",
+        ],
+    )
+    def test_measured_order_matches_the_frame_potential_oracle(self, make, order):
+        g = make()
+        assert g.design_order == design_order_by_frame_potential(g) == order
+        assert type(g.design_order) is int
+
+    def test_is_measured_not_given(self):
+        assert list(inspect.signature(lb.GateSet).parameters) == ["gates", "labels"]
+        g = lb.pauli_gateset()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.design_order = 2
+        assert g.design_order == 1
 
 
 class TestPhaseHelpers:
@@ -167,7 +210,7 @@ class TestSequenceAlgebra:
 
     def test_set_not_closed_under_inversion_raises(self):
         s = np.diag([1.0, 1.0j])
-        g = lb.GateSet((s,), 0, ("S",))
+        g = lb.GateSet((s,), ("S",))
         with pytest.raises(ValueError, match="no inverse"):
             inverse_by_phase_match(g, [0])
         with pytest.raises(ValueError, match="not a group up to phase"):
@@ -197,7 +240,7 @@ class TestMultiplicationTable:
     def test_non_group_raises(self):
         s = np.diag([1.0, 1.0j])
         not_groups = [
-            lb.GateSet((np.eye(2), s), 0, ("I", "S")),
+            lb.GateSet((np.eye(2), s), ("I", "S")),
             lb.embed_gateset(lb.pauli_gateset(), 0.3),
         ]
         for g in not_groups:
@@ -218,7 +261,7 @@ class TestQutritEmbedding:
         with pytest.raises(ValueError, match=r"^pad_to_qutrit: expected a 2x2 matrix, got shape \(3, 3\)$"):
             lb.pad_to_qutrit(np.eye(3))
         with pytest.raises(ValueError, match="^only qubit gate sets can be embedded into a qutrit$"):
-            lb.embed_gateset(lb.GateSet((np.eye(3),), 0, ("I",)), 0.0)
+            lb.embed_gateset(lb.GateSet((np.eye(3),), ("I",)), 0.0)
 
     def test_embed_gateset(self):
         g = lb.embed_gateset(lb.pauli_gateset(), 0.3)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -43,13 +45,16 @@ class TestRandomOrthonormalBasis:
 
 class TestDetectorModel:
     def test_eigenvalues_recovered(self):
-        q = lb.detector_model(eigenvalues=(0.87, 0.95), basis_seed=7)
+        q = lb.detector_model(eigenvalues=(0.87, 0.95), basis=lb.random_orthonormal_basis(2, 7))
         assert np.allclose(np.linalg.eigvalsh(q.matrix), [0.87, 0.95])
 
     def test_average_response_is_basis_independent(self):
         for seed in (0, 7, 200):
-            q = lb.detector_model(eigenvalues=(0.87, 0.95), basis_seed=seed)
+            q = lb.detector_model((0.87, 0.95), lb.random_orthonormal_basis(2, seed))
             assert lb.average_response(q) == pytest.approx(0.91, abs=1e-12)
+
+    def test_takes_its_basis_as_a_unitary_only(self):
+        assert list(inspect.signature(lb.detector_model).parameters) == ["eigenvalues", "basis"]
 
     def test_explicit_identity_basis(self):
         q = lb.detector_model(eigenvalues=(0.3, 0.6), basis=np.eye(2))
@@ -57,11 +62,7 @@ class TestDetectorModel:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="outside"):
-            lb.detector_model(eigenvalues=(0.5, 1.2), basis_seed=0)
-        with pytest.raises(ValueError, match="exactly one"):
-            lb.detector_model(eigenvalues=(0.5, 0.5))
-        with pytest.raises(ValueError, match="exactly one"):
-            lb.detector_model(eigenvalues=(0.5, 0.5), basis_seed=0, basis=np.eye(2))
+            lb.detector_model(eigenvalues=(0.5, 1.2), basis=np.eye(2))
         with pytest.raises(ValueError, match="not unitary"):
             lb.detector_model(eigenvalues=(0.5, 0.5), basis=np.ones((2, 2)))
         # B^H B overflows; the suite turns the overflow warning into an error.
@@ -73,7 +74,7 @@ class TestDetectorModel:
             lb.detector_model(eigenvalues=(0.5, 0.5), basis=[[1, 0], [0]])
 
     def test_dim_property(self):
-        assert lb.detector_model(eigenvalues=(1.0, 1.0, 1.0), basis_seed=0).dim == 3
+        assert lb.detector_model((1.0, 1.0, 1.0), lb.random_orthonormal_basis(3, 0)).dim == 3
 
 
 class TestRandomLossyChannel:
@@ -163,8 +164,8 @@ class TestCoherentLeakageError:
     "call, message",
     [
         (
-            lambda: lb.detector_model((0.9, 0.8), basis_seed=-1),
-            r"^basis_seed must be an integer >= 0, got -1$",
+            lambda: lb.random_orthonormal_basis(2, -1),
+            r"^seed must be an integer >= 0, got -1$",
         ),
         (
             lambda: lb.coherent_leakage_error(0.1, -1),
@@ -199,7 +200,7 @@ class TestCoherentLeakageError:
             r"^alpha must be a real number, got 'a'$",
         ),
         (
-            lambda: lb.detector_model(("a", 0.5), basis_seed=1),
+            lambda: lb.detector_model(("a", 0.5), np.eye(2)),
             r"^eigenvalues\[0\] must be a real number, got 'a'$",
         ),
         # Integers past the float range, which float() refuses with OverflowError.
@@ -216,13 +217,13 @@ class TestCoherentLeakageError:
             r"^theta must be a real number within the float range$",
         ),
         (
-            lambda: lb.detector_model((10**400, 0.5), basis_seed=1),
+            lambda: lb.detector_model((10**400, 0.5), np.eye(2)),
             r"^eigenvalues\[0\] must be a real number within the float range$",
         ),
-        (lambda: lb.detector_model((), basis_seed=1), r"^eigenvalues must be nonempty$"),
+        (lambda: lb.detector_model((), np.eye(2)), r"^eigenvalues must be nonempty$"),
     ],
     ids=[
-        "detector_model-basis_seed",
+        "random_orthonormal_basis-seed",
         "coherent_leakage_error-hamiltonian_seed",
         "coherent_leakage_error-epsilon-inf",
         "coherent_leakage_error-epsilon-nan",

@@ -2,7 +2,8 @@
 over independent faults, the CSV round trip, the CSV reader against a
 row-by-row reference on mutated files, the loss bound and the real transfer
 matrix on random channels and stacks of Kraus sets, the Hermiticity and
-unitarity checks on NaN and huge entries, and the decay fits' global minimum
+unitarity checks on NaN and huge entries, a gate set's measured design order
+under phases, common unitaries and reordering, and the decay fits' global minimum
 and their independence of the unit of the sems and of the means."""
 
 import copy
@@ -358,7 +359,7 @@ def test_transfer_matrix_is_real_and_acts_as_the_channel(channel, data):
 def _protocol_with_state(matrix):
     dim = len(matrix)
     return lb.ProtocolConfig(
-        gateset=lb.GateSet((np.eye(dim),), 0, ("I",)),
+        gateset=lb.GateSet((np.eye(dim),), ("I",)),
         noise=lb.QuantumChannel((np.eye(dim),)),
         rho0=lb.DensityMatrix(matrix),
         q_op=lb.MeasurementOperator(np.eye(dim)),
@@ -376,7 +377,7 @@ def _raise_on_violation(matrix):
 
 # Each matrix check, with a valid d x d input for it.
 _MATRIX_CHECKS = {
-    "GateSet": (lambda m: lb.GateSet((m,), 0, ("U",)), np.eye),
+    "GateSet": (lambda m: lb.GateSet((m,), ("U",)), np.eye),
     "QuantumChannel": (lambda m: lb.QuantumChannel((m,)), np.eye),
     "MeasurementOperator": (lambda m: lb.MeasurementOperator(m), np.eye),
     "detector_model": (lambda m: lb.detector_model((0.5,) * len(m), basis=m), np.eye),
@@ -444,6 +445,31 @@ def test_transfer_matrix_of_a_stack_is_the_per_set_matrices(kraus):
     assert t.dtype == np.float64 and t.flags.c_contiguous
     sets = kraus.reshape(-1, *kraus.shape[-3:])
     assert t.tobytes() == np.stack([transfer_matrix(k) for k in sets]).tobytes()
+
+
+@st.composite
+def transformed_gate_sets(draw):
+    """(set, the same set with a global phase per gate, V U W for common unitaries V and W,
+    and its gates reordered): Pauli or Clifford, or a subset, each maybe embedded."""
+    base = draw(st.sampled_from([lb.pauli_gateset, lb.clifford_gateset]))()
+    if draw(st.booleans()):
+        keep = sorted(draw(st.sets(st.integers(0, len(base) - 1), min_size=1)))
+        base = lb.GateSet(tuple(base.gates[i] for i in keep), tuple(base.labels[i] for i in keep))
+    if draw(st.booleans()):
+        base = lb.embed_gateset(base, draw(st.floats(-math.pi, math.pi)))
+    seeds = st.integers(0, 2**32 - 1)
+    left, right = (lb.random_orthonormal_basis(base.dim, draw(seeds)) for _ in range(2))
+    phases = st.floats(-math.pi, math.pi)
+    order = draw(st.permutations(range(len(base))))
+    gates = tuple(np.exp(1j * draw(phases)) * left @ base.gates[i] @ right for i in order)
+    return base, lb.GateSet(gates, tuple(base.labels[i] for i in order))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(case=transformed_gate_sets())
+def test_design_order_ignores_phases_common_unitaries_and_order(case):
+    base, transformed = case
+    assert transformed.design_order == base.design_order
 
 
 _LOSS_GRID = np.arange(5.0, 151.0, 5.0)

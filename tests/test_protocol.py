@@ -37,7 +37,7 @@ def fig1_style_config(**overrides):
         gateset=lb.pauli_gateset(),
         noise=lb.basis_loss_channel(alpha=0.99, level=1, dim=2),
         rho0=lb.basis_state(2, 0),
-        q_op=lb.detector_model(eigenvalues=(0.87, 0.95), basis_seed=7),
+        q_op=lb.detector_model(eigenvalues=(0.87, 0.95), basis=lb.random_orthonormal_basis(2, 7)),
         m_grid=(1, 2, 3),
         n_sequences=5,
         master_seed=0,
@@ -86,7 +86,7 @@ class TestProtocolConfig:
 
     def test_dim_read_off_a_stack_of_gates_is_an_int_and_runs(self):
         pauli = lb.pauli_gateset()
-        gateset = lb.GateSet(np.stack(pauli.gates), 1, pauli.labels)
+        gateset = lb.GateSet(np.stack(pauli.gates), pauli.labels)
         assert type(gateset.dim) is int
         ds = lb.run_protocol(fig1_style_config(gateset=gateset))
         assert json.loads(json.dumps(ds.metadata))["dim"] == 2
@@ -365,7 +365,7 @@ class TestRunProtocol:
         p, shots, n = 0.5, 100, 200
         cfg = fig1_style_config(
             noise=lb.QuantumChannel((np.eye(2),)),
-            q_op=lb.detector_model((p, p), basis_seed=7),
+            q_op=lb.detector_model((p, p), lb.random_orthonormal_basis(2, 7)),
             m_grid=(1, 2, 5, 9),
             n_sequences=n,
             shots=shots,
@@ -479,7 +479,7 @@ class TestBatchedEngineOracle:
     def test_set_not_closed_under_inversion_raises(self):
         # Rejected when the config is built, before any sequence runs.
         s_gate = np.diag([1.0, 1.0j])
-        g = lb.GateSet((np.eye(2), s_gate), 0, ("I", "S"))
+        g = lb.GateSet((np.eye(2), s_gate), ("I", "S"))
         with pytest.raises(ValueError, match="not a group up to phase"):
             fig1_style_config(gateset=g, variant="rb", m_grid=(1, 5), n_sequences=4)
         with pytest.raises(ValueError, match="not a group up to phase"):
