@@ -40,7 +40,6 @@ from .core import (
 )
 from .protocol import DecayDataset
 
-BOUND_ATOL = 1e-10
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10
 
@@ -230,7 +229,7 @@ def prop1_check(channel: QuantumChannel) -> BoundReport:
         avg_loss=avg_loss,
         worst_loss=worst_loss,
         bound=bound,
-        satisfied=worst_loss <= bound + BOUND_ATOL,
+        satisfied=worst_loss <= bound + ARITHMETIC_ATOL,
         slack=slack,
         complement_survival=complement_survival,
     )
@@ -250,8 +249,8 @@ def _fit_weights(sems: np.ndarray) -> tuple:
     are 2^-e times the true ones, the largest in (1/2, 1]; e comes from the
     smallest sem, so subnormal sems work too.  A row whose weight, so scaled,
     underflows to 0 (its sem more than about 2^537 times the smallest) has
-    no weight: _separable_fit leaves it out, so it moves no estimate, and
-    the fit's dof counts only the rows it keeps.
+    no weight: _separable_fit leaves it out, so it moves no estimate and
+    counts neither in the fit's dof nor toward the lengths it needs.
     """
     sems = np.asarray(sems, dtype=float)
     if _absolute_weights(sems):
@@ -372,6 +371,10 @@ def _separable_fit(
     its amplitude c is clipped to 0 <= c r^-x0 <= _B0_MAX: for one linear
     amplitude the clip is the exact constrained least-squares solution.
 
+    Rows of no weight (see _fit_weights) are left out first; fewer than
+    p + 1 left, p = 2 + offset parameters, raise ValueError (both models'
+    one rule on the number of lengths), so the dof n - p is at least 1.
+
     Returns the RBFit of a, b and p = r with an offset, else the DecayFit of
     B0 = a and S = r, with a = c r^-x0 in both.  n_iterations counts the
     rates whose reduced cost was evaluated, and converged says whether a
@@ -384,6 +387,9 @@ def _separable_fit(
         kept = w2 > 0.0
         lengths = tuple(m for m, k in zip(lengths, kept) if k)
         y, sqrt_w, w2 = y[kept], sqrt_w[kept], w2[kept]
+    n_params = 2 + offset
+    if y.size <= n_params:
+        raise ValueError(f"need >= {n_params + 1} distinct sequence lengths, got {y.size}")
     f = _mean_shift(y)
     if f:
         y = np.ldexp(y, -f)
@@ -451,15 +457,11 @@ def _separable_fit(
     r = float(np.exp(t))
     curve = r**u
     cols = [sqrt_w * curve] + [sqrt_w] * offset + [sqrt_w * c * x * curve / r]
-    dof = max(y.size - len(cols), 1)
+    dof = y.size - n_params
     # (J^T J)^-1 from the SVD of J, with singular values floored at eps times
     # the largest (and at eps^2): an undetermined direction keeps a huge but
     # finite variance.
-    jac = np.array(cols).T
-    if len(jac) < len(cols):
-        # Fewer rows kept than parameters: zero rows give each its singular value.
-        jac = np.vstack([jac, np.zeros((len(cols) - len(jac), len(cols)))])
-    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    _, sv, vt = np.linalg.svd(np.array(cols).T, full_matrices=False)
     sv = np.maximum(sv, _EPS * max(sv[0], _EPS))
     cov = (vt.T / sv**2).dot(vt)
     # Back to the data's units by powers of two: the weights' square roots
@@ -496,22 +498,20 @@ def _separable_fit(
 def fit_loss_decay(ds: DecayDataset) -> DecayFit:
     """Weighted least-squares fit of y(m) = B0 * S^(m-1), S in RATE_BOUNDS.
 
-    Non-convergence is reported in the result, not raised.  The minimum
-    bracketed by the rate grid is the global one for data that decay; on
-    data that do not (noise around zero), the refinement can stop in a local
-    minimum of the reduced cost.
+    Means that are all non-positive raise ValueError, and so do fewer than 3
+    weighted lengths (_separable_fit's rule).  Non-convergence is reported
+    in the result, not raised.  The minimum bracketed by the rate grid is
+    the global one for data that decay; on data that do not (noise around
+    zero), the refinement can stop in a local minimum of the reduced cost.
     """
-    if len(ds.m_values) < 3:
-        raise ValueError(f"need >= 3 distinct sequence lengths, got {len(ds.m_values)}")
     if (ds.means <= 0).all():
         raise ValueError("all means are non-positive; nothing to fit")
     return _separable_fit(ds.m_values, ds.means, ds.sems, offset=False)
 
 
 def fit_rb_decay(ds: DecayDataset) -> RBFit:
-    """Weighted least-squares fit of y(m) = A * p^m + B, p in RATE_BOUNDS."""
-    if len(ds.m_values) < 4:
-        raise ValueError(f"need >= 4 distinct sequence lengths, got {len(ds.m_values)}")
+    """Weighted least-squares fit of y(m) = A * p^m + B, p in RATE_BOUNDS,
+    on at least 4 weighted lengths (_separable_fit's rule)."""
     return _separable_fit(ds.m_values, ds.means, ds.sems, offset=True)
 
 

@@ -16,11 +16,12 @@ Random draws come from numpy's PCG64 streams keyed by integer tuples
 (:func:`stream`, which seeds through ``default_rng``); every draw is one of
 numpy's own ``Generator`` methods on such a stream.
 
-Tolerance conventions:
-  * 1e-12 for properties guaranteed by construction (hermiticity,
-    unitarity, positivity of freshly built operators),
-  * 1e-10 for properties degraded by accumulated arithmetic
-    (trace-non-increase of composed channels, probability clamping).
+Tolerance conventions, one name each, imported by every module:
+  * CONSTRUCTION_ATOL = 1e-12 for properties guaranteed by construction
+    (hermiticity, unitarity, positivity of freshly built operators),
+  * ARITHMETIC_ATOL = 1e-10 for properties degraded by accumulated
+    arithmetic (trace-non-increase of composed channels, probability
+    clamping, phase matching, frame potentials, the loss bound).
 """
 
 import itertools
@@ -30,10 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-12
-UNITARITY_ATOL = 1e-12
-EIGENVALUE_ATOL = 1e-12
-TRACE_ATOL = 1e-12
+CONSTRUCTION_ATOL = 1e-12
 ARITHMETIC_ATOL = 1e-10
 
 # The longest sequence length a grid or dataset may hold.  A strictly
@@ -227,12 +225,12 @@ class MeasurementOperator:
     def __post_init__(self):
         mat = _as_square_complex(self.matrix, "MeasurementOperator")
         asym = hermiticity_deviation(mat)
-        if not asym <= HERMITICITY_ATOL:
+        if not asym <= CONSTRUCTION_ATOL:
             raise ValueError(
                 f"MeasurementOperator is not Hermitian (deviation {asym:.3e})"
             )
         eigs = np.linalg.eigvalsh(hermitian_part(mat)).tolist()
-        if eigs[0] < -EIGENVALUE_ATOL or eigs[-1] > 1.0 + EIGENVALUE_ATOL:
+        if eigs[0] < -CONSTRUCTION_ATOL or eigs[-1] > 1.0 + CONSTRUCTION_ATOL:
             raise ValueError(
                 f"MeasurementOperator eigenvalues outside [0, 1]: "
                 f"min {eigs[0]!r}, max {eigs[-1]!r}"
@@ -267,13 +265,13 @@ def validate_state(rho: DensityMatrix) -> list:
     messages = []
     mat = rho.matrix
     asym = hermiticity_deviation(mat)
-    if not asym <= HERMITICITY_ATOL:
+    if not asym <= CONSTRUCTION_ATOL:
         messages.append(f"max |rho - rho^H| = {asym:.3e}")
     eigs = np.linalg.eigvalsh(hermitian_part(mat)).tolist()
-    if eigs[0] < -EIGENVALUE_ATOL:
-        messages.append(f"smallest eigenvalue {eigs[0]!r} < -{EIGENVALUE_ATOL}")
+    if eigs[0] < -CONSTRUCTION_ATOL:
+        messages.append(f"smallest eigenvalue {eigs[0]!r} < -{CONSTRUCTION_ATOL}")
     tr = rho.trace
-    if not 0.0 < tr <= 1.0 + TRACE_ATOL:
+    if not 0.0 < tr <= 1.0 + CONSTRUCTION_ATOL:
         messages.append(f"trace {tr!r} outside (0, 1]")
     return messages
 

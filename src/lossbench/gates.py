@@ -11,7 +11,7 @@ Global phase is physically irrelevant and is quotiented everywhere: the
 Cliffords are stored in canonical phase (first nonzero entry real positive),
 the Paulis as written (Y = [[0, -i], [i, 0]]), and both the Clifford
 enumeration and the multiplication table match products by one rule,
-|<A, B>|/d within PHASE_MATCH_ATOL of 1.
+|<A, B>|/d within ARITHMETIC_ATOL (core) of 1.
 """
 
 import operator
@@ -20,12 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import UNITARITY_ATOL, _as_square_complex, _real, unitarity_deviation
-
-PHASE_MATCH_ATOL = 1e-10
-
-# How near its Haar value a frame potential must be for GateSet.design_order.
-_DESIGN_ATOL = 1e-10
+from .core import ARITHMETIC_ATOL, CONSTRUCTION_ATOL, _as_square_complex, _real, unitarity_deviation
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=np.complex128)
@@ -60,7 +55,7 @@ class GateSet:
             raise ValueError("GateSet needs at least one gate")
         for i, g in enumerate(gates):
             dev = unitarity_deviation(g)
-            if not dev <= UNITARITY_ATOL:
+            if not dev <= CONSTRUCTION_ATOL:
                 raise ValueError(f"gate {i} is not unitary (deviation {dev:.3e})")
         labels = tuple(str(s) for s in self.labels)
         if len(labels) != len(gates):
@@ -82,14 +77,15 @@ class GateSet:
         A set is a t-design exactly when its frame potential F_t = |G|^-2
         sum_{g,h} |Tr(U_g^H U_h)|^(2t) takes its least value, the Haar one: 1
         for t = 1, min(d, 2) for t = 2 (Gross, Audenaert & Eisert, J. Math.
-        Phys. 48, 052104, 2007).  Both come from one product of the gates'
-        entries on first read; the result is cached on the set.
+        Phys. 48, 052104, 2007), here to within ARITHMETIC_ATOL.  Both come
+        from one product of the gates' entries on first read; the result is
+        cached on the set.
         """
         v = np.stack(self.gates).reshape(len(self), -1)
         overlaps = np.square(np.abs(v.conj() @ v.T))  # |Tr(U_g^H U_h)|^2
-        if not abs(overlaps.mean() - 1.0) <= _DESIGN_ATOL:
+        if not abs(overlaps.mean() - 1.0) <= ARITHMETIC_ATOL:
             return 0
-        return 2 if abs(np.square(overlaps).mean() - min(self.dim, 2)) <= _DESIGN_ATOL else 1
+        return 2 if abs(np.square(overlaps).mean() - min(self.dim, 2)) <= ARITHMETIC_ATOL else 1
 
     @cached_property
     def group(self) -> tuple:
@@ -106,7 +102,7 @@ class GateSet:
         products = u[:, np.newaxis] @ u[np.newaxis]
         # U_c = phase * P  <=>  |Tr(U_c^H P)| = d
         overlaps = np.abs(products.reshape(n, n, d * d) @ u.reshape(n, d * d).conj().T) / d
-        missing = np.argwhere(np.abs(overlaps.max(axis=2) - 1.0) > PHASE_MATCH_ATOL)
+        missing = np.argwhere(np.abs(overlaps.max(axis=2) - 1.0) > ARITHMETIC_ATOL)
         if missing.size:
             a, b = (self.labels[i] for i in missing[0])
             raise ValueError(f"gate set is not a group up to phase: {a} times {b} is missing")
@@ -137,7 +133,7 @@ def clifford_gateset() -> GateSet:
 
     Enumerated breadth-first as products of {H, S} words.  A product is new
     unless it matches a found element up to phase, |Tr(A^H B)|/d within
-    PHASE_MATCH_ATOL of 1, the rule of :attr:`GateSet.group`.  Each element
+    ARITHMETIC_ATOL of 1, the rule of :attr:`GateSet.group`.  Each element
     is stored in canonical phase and labeled by the shortest generating
     word found.
     """
@@ -147,7 +143,7 @@ def clifford_gateset() -> GateSet:
     for word, mat in zip(words, mats):
         for gname, gmat in generators.items():
             prod = canonical_phase(gmat @ mat)
-            if all(abs(abs(np.vdot(u, prod)) / 2 - 1.0) > PHASE_MATCH_ATOL for u in mats):
+            if all(abs(abs(np.vdot(u, prod)) / 2 - 1.0) > ARITHMETIC_ATOL for u in mats):
                 words.append(gname if word == "I" else gname + word)
                 mats.append(prod)
     if len(mats) != 24:

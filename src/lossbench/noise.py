@@ -14,7 +14,7 @@ argument at fault.
 import numpy as np
 
 from .core import (
-    UNITARITY_ATOL,
+    CONSTRUCTION_ATOL,
     MeasurementOperator,
     QuantumChannel,
     _as_square_complex,
@@ -71,7 +71,7 @@ def detector_model(eigenvalues, basis) -> MeasurementOperator:
             raise ValueError(f"eigenvalues[{i}] = {e} outside [0, 1]")
     basis = _as_square_complex(basis, "basis", len(eigs))
     dev = unitarity_deviation(basis)
-    if not dev <= UNITARITY_ATOL:
+    if not dev <= CONSTRUCTION_ATOL:
         raise ValueError(f"basis is not unitary (deviation {dev:.3e})")
     q = basis @ np.diag(eigs).astype(np.complex128) @ basis.conj().T
     return MeasurementOperator(hermitian_part(q))

@@ -28,6 +28,7 @@ import numpy as np
 
 import lossbench as lb
 from lossbench.core import (
+    ARITHMETIC_ATOL,
     M_GRID_LIMIT,
     DensityMatrix,
     QuantumChannel,
@@ -40,7 +41,7 @@ from lossbench.core import (
     stream,
     transfer_matrix,
 )
-from lossbench.gates import PHASE_MATCH_ATOL, GateSet, _PAULIS
+from lossbench.gates import GateSet, _PAULIS
 from lossbench.protocol import CSV_HEADER, _read_utf8
 
 
@@ -136,9 +137,9 @@ def enumerate_average_naive(gateset, channel, rho, q, m):
 
 
 def phase_equal(a, b):
-    """True when a = e^{i phi} b for some global phase phi, to PHASE_MATCH_ATOL."""
+    """True when a = e^{i phi} b for some global phase phi, to ARITHMETIC_ATOL."""
     d = a.shape[0]
-    return abs(abs(np.trace(a.conj().T @ b)) / d - 1.0) < PHASE_MATCH_ATOL
+    return abs(abs(np.trace(a.conj().T @ b)) / d - 1.0) < ARITHMETIC_ATOL
 
 
 def compose_sequence(gateset, indices):

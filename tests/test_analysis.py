@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,23 @@ class TestFitLossDecay:
         ds = synthetic_loss_dataset(0.9, 0.99, m_grid=[1, 2])
         with pytest.raises(ValueError, match=">= 3"):
             lb.fit_loss_decay(ds)
+
+    def test_non_positive_means_are_judged_before_the_length_count(self):
+        # Two lengths whose means are all <= 0 fail both rules; the loss fit's
+        # own check runs first.
+        ds = lb.DecayDataset((1, 2), np.array([-0.1, 0.0]), np.full(2, 0.01), 5, None)
+        with pytest.raises(ValueError, match="^all means are non-positive; nothing to fit$"):
+            lb.fit_loss_decay(ds)
+
+    def test_the_evaluation_budget_ends_a_fit_unconverged(self):
+        # The clip B0 <= 1e300 binds and the gradient jumps across it, so the
+        # refinement spends every evaluation (ROADMAP item 9, clip-binding fit).
+        ds = lb.DecayDataset((168, 212, 274), np.array([0.6, 0.0, 0.0]), np.full(3, 0.05), 5, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = lb.fit_loss_decay(ds)
+        assert fit.n_iterations == analysis.MAX_ITERATIONS
+        assert fit.converged is False
 
     def test_all_nonpositive_raises(self):
         ds = lb.DecayDataset(
@@ -428,21 +446,62 @@ SPAN_SEMS = {
 }
 
 
+def refused(n_params, n_kept):
+    """pytest.raises for a fit refused by _separable_fit's length rule."""
+    message = f"^need >= {n_params + 1} distinct sequence lengths, got {n_kept}$"
+    return pytest.raises(ValueError, match=message)
+
+
 class TestWeightsThatUnderflow:
-    """A row whose weight underflows to 0 is left out of the fit (see _fit_weights)."""
+    """A row whose weight underflows to 0 is left out of the fit (see _fit_weights),
+    and a fit needs p + 1 rows left, p its parameter count."""
 
     @pytest.mark.parametrize("sems", list(SPAN_SEMS.values()), ids=list(SPAN_SEMS))
     @pytest.mark.parametrize("fit", [lb.fit_loss_decay, lb.fit_rb_decay], ids=["loss", "rb"])
-    def test_the_fit_is_the_fit_of_the_weighted_rows(self, fit, sems):
-        ds = lb.DecayDataset(SPAN_LENGTHS, SPAN_MEANS, sems, 5, None)
-        result = fit(ds)
+    def test_a_lone_weighted_row_is_refused(self, fit, sems):
+        # One row determines no rate, whatever stderrs its fit would report.
         offset = fit is lb.fit_rb_decay
-        alone = analysis._separable_fit((33,), np.array([0.5]), np.array([sems[2]]), offset)
-        assert result == alone
-        assert result.converged
-        # One row for two or three parameters: huge but finite variances.
-        stderrs = [v for k, v in vars(result).items() if k.startswith("stderr_")]
-        assert all(0.0 < v < math.inf for v in stderrs)
+        ds = lb.DecayDataset(SPAN_LENGTHS, SPAN_MEANS, sems, 5, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with refused(2 + offset, 1):
+                fit(ds)
+            with refused(2 + offset, 1):
+                analysis._separable_fit((33,), np.array([0.5]), np.array([sems[2]]), offset)
+
+    @pytest.mark.parametrize("fit", [lb.fit_loss_decay, lb.fit_rb_decay], ids=["loss", "rb"])
+    def test_p_plus_one_weighted_rows_fit_with_one_dof(self, fit):
+        n_params = 2 + (fit is lb.fit_rb_decay)
+        full = rb_dataset(0.6, 0.3, 0.95, (1, 3, 6, 10, 15, 21, 28), sems=1e-3, seed=5)
+        kept = [0, 2, 4, 6][: n_params + 1]
+        sems = np.full(7, 1e300)
+        sems[kept] = full.sems[kept]
+        result = fit(dataclasses.replace(full, sems=sems))
+        alone = dataclasses.replace(
+            full,
+            m_values=tuple(full.m_values[i] for i in kept),
+            means=full.means[kept],
+            sems=full.sems[kept],
+        )
+        assert result == fit(alone)
+        m = np.array(alone.m_values, dtype=float)
+        if n_params == 2:
+            curve = result.B0_hat * result.S_hat ** (m - 1.0)
+        else:
+            curve = result.A_hat * result.p_hat**m + result.B_hat
+        chi2 = float(np.sum(((alone.means - curve) / alone.sems) ** 2))
+        # dof = n - p = 1, so chi2/dof is chi2 itself.
+        assert chi2 > 0.1
+        assert result.chi2_per_dof == pytest.approx(chi2, rel=1e-6)
+
+    @pytest.mark.parametrize("fit", [lb.fit_loss_decay, lb.fit_rb_decay], ids=["loss", "rb"])
+    def test_p_weighted_rows_are_refused(self, fit):
+        n_params = 2 + (fit is lb.fit_rb_decay)
+        full = rb_dataset(0.6, 0.3, 0.95, (1, 3, 6, 10, 15, 21, 28), sems=1e-3, seed=5)
+        sems = np.full(7, 1e300)
+        sems[: n_params] = 1e-3
+        with refused(n_params, n_params):
+            fit(dataclasses.replace(full, sems=sems))
 
     @pytest.mark.parametrize("fit", [lb.fit_loss_decay, lb.fit_rb_decay], ids=["loss", "rb"])
     def test_dof_counts_only_the_rows_kept(self, fit):

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -135,6 +136,17 @@ class TestSimulate:
         assert proc.returncode == 1
         assert "config error" in proc.stderr
         assert "noise: required section is missing" in proc.stderr
+
+    def test_unreadable_config_is_io_error(self, loss_config, tmp_path, monkeypatch):
+        # Permission bits do not stop root, so the read itself is made to fail.
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(lb.protocol, "_read_utf8", unreadable)
+        proc = run_cli("simulate", str(loss_config), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"lossbench: error: cannot read {loss_config}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_config_that_is_not_utf8_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.config"
@@ -360,19 +372,32 @@ class TestFit:
         assert report["S_hat"] == pytest.approx(0.99, rel=1e-12)
         assert abs(report["plateau"]["tail_excess_z"]) < 1e-6 and report["flags"] == []
 
-    @pytest.mark.parametrize("model", ["loss", "rb"])
-    def test_weights_that_underflow_fit_without_a_warning(self, tmp_path, model):
-        # Every weight but the third underflows to 0: the loss fit's cost was
-        # 0 * inf, and the command ended in a RuntimeWarning traceback.
+    @pytest.mark.parametrize("model, least", [("loss", 3), ("rb", 4)], ids=["loss", "rb"])
+    def test_weights_that_underflow_fit_without_a_warning(self, tmp_path, model, least):
+        # Every weight but the third underflows to 0, and one row determines
+        # no rate: refused, with no 0 * inf warning on the way.
         csv = tmp_path / "span.csv"
         sems = (1.7e308, 1.7e308, 1e-320, 1.7e308)
         rows = zip((7, 20, 33, 999999), (-0.5, 8.5e-321, 0.5, -0.5), sems)
         body = "".join(f"{m},{y!r},{e!r},5,exact\n" for m, y, e in rows)
         csv.write_text("m,mean,sem,n_sequences,shots\n" + body)
-        proc = run_cli("fit", str(csv), "--model", model, "--out", str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            proc = run_cli("fit", str(csv), "--model", model, "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"lossbench: error: need >= {least} distinct sequence lengths, got 1\n"
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_a_fit_that_spends_its_budget_is_written_unconverged(self, tmp_path):
+        # The clip-binding loss fit of test_analysis, through the command line.
+        csv = tmp_path / "budget.csv"
+        rows = "168,0.6,0.05,5,exact\n212,0.0,0.05,5,exact\n274,0.0,0.05,5,exact\n"
+        csv.write_text("m,mean,sem,n_sequences,shots\n" + rows)
+        proc = run_cli("fit", str(csv), "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         report = json.loads((tmp_path / "fit.json").read_text())
-        assert report["converged"] is True and report["chi2_per_dof"] == 0.0
+        assert report["n_iterations"] == analysis.MAX_ITERATIONS
+        assert report["converged"] is False and report["B0_stderr"] is None
 
     def test_too_short_csv_is_usage_error(self, tmp_path):
         csv = tmp_path / "tiny.csv"

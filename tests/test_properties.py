@@ -17,6 +17,7 @@ import pytest
 import lossbench as lb
 from lossbench import analysis
 from lossbench.core import (
+    ARITHMETIC_ATOL,
     coordinates,
     hermitian_basis,
     hermitian_part,
@@ -332,7 +333,7 @@ def lossy_channels(draw):
 def test_loss_bound_holds_on_random_channels(channel):
     report = lb.prop1_check(channel)
     assert report.satisfied
-    assert report.slack >= -analysis.BOUND_ATOL
+    assert report.slack >= -ARITHMETIC_ATOL
     assert -1e-12 <= report.complement_survival <= 1.0 + 1e-12
 
 
