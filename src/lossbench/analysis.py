@@ -58,14 +58,15 @@ _EPS = np.finfo(float).eps
 FLAG_B_MINUS_A_NEGATIVE = "B_MINUS_A_NEGATIVE"
 FLAG_M1_MISMATCH = "M1_MISMATCH"
 FLAG_PLATEAU = "PLATEAU"
+# Every flag fires on a deviation beyond FLAG_Z standard errors.
+FLAG_Z = 3.0
 
-# Fewest sequence lengths plateau_test accepts; `lossbench fit` skips the test below it.
+# Fewest sequence lengths plateau_test reports on; below it, it returns None.
 PLATEAU_MIN_LENGTHS = 8
 # plateau_test flags an absolutely weighted fit whose chi2/dof exceeds
 # PLATEAU_CHI2, or a fit whose mean excess over the last PLATEAU_TAIL_POINTS
-# lengths exceeds PLATEAU_TAIL_Z sigma.
+# lengths exceeds FLAG_Z sigma.
 PLATEAU_CHI2 = 4.0
-PLATEAU_TAIL_Z = 3.0
 PLATEAU_TAIL_POINTS = 5
 
 # A loss fit holds B0, a detector response times a survival, in [0, _B0_MAX]:
@@ -543,19 +544,19 @@ def detector_efficiency(
     )
 
 
-def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
+def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport | None:
     """Flag non-exponential tails in a single-exponential fit.
 
     Checks the z-score of the excess of the last PLATEAU_TAIL_POINTS data
-    means over the fitted curve against PLATEAU_TAIL_Z and, for an absolutely
+    means over the fitted curve against FLAG_Z and, for an absolutely
     weighted fit, its chi-squared per degree of freedom against PLATEAU_CHI2
     (under unit weights it carries the means' unit squared).  Coherent leakage
     produces exactly this signature: the signal first tracks an exponential,
-    then flattens above it.
+    then flattens above it.  Below PLATEAU_MIN_LENGTHS lengths the tail says
+    nothing apart from the fit, and the test returns None.
     """
-    n = len(ds.m_values)
-    if n < PLATEAU_MIN_LENGTHS:
-        raise ValueError(f"plateau test needs >= {PLATEAU_MIN_LENGTHS} sequence lengths, got {n}")
+    if len(ds.m_values) < PLATEAU_MIN_LENGTHS:
+        return None
     tail = slice(-PLATEAU_TAIL_POINTS, None)
     n_tail = PLATEAU_TAIL_POINTS
     # In the units the fit ran in (see _separable_fit), no sum of finite means overflows.
@@ -583,33 +584,26 @@ def plateau_test(ds: DecayDataset, fit: DecayFit) -> PlateauReport:
     return PlateauReport(
         chi2_per_dof=fit.chi2_per_dof,
         tail_excess_z=z,
-        flagged=bool(absolute and fit.chi2_per_dof > PLATEAU_CHI2 or z > PLATEAU_TAIL_Z),
+        flagged=bool(absolute and fit.chi2_per_dof > PLATEAU_CHI2 or z > FLAG_Z),
     )
-
-
-def _identifiable(rb: RBFit) -> bool:
-    """Whether the fit separates A from B: p inside RATE_BOUNDS and |A| > 1e-9 max(1, |B|),
-    both in the unit 2^f of the amplitudes (see markovianity_tests)."""
-    inside = RATE_BOUNDS[0] < rb.p_hat < RATE_BOUNDS[1]
-    f = _mean_shift(np.array([rb.A_hat, rb.B_hat]))
-    return inside and abs(math.ldexp(rb.A_hat, -f)) > 1e-9 * max(1.0, abs(math.ldexp(rb.B_hat, -f)))
 
 
 def markovianity_tests(rb: RBFit, loss_m1: tuple | None = None) -> MarkovReport:
     """The non-Markovian indicator of a benchmarking fit: B - A and B - m1.
 
     B - A must be nonnegative when the noise is one fixed channel per gate,
-    so FLAG_B_MINUS_A_NEGATIVE is raised when it sits more than 3 standard
-    errors below zero.  ``loss_m1`` is the (mean, sem) of the loss-protocol
-    signal at m = 1, both finite and the sem >= 0 (ValueError otherwise).
-    It equals the curve's offset B under the same noise, so
-    FLAG_M1_MISMATCH is raised when B - m1 lies beyond 3 sigma, sigma =
+    so FLAG_B_MINUS_A_NEGATIVE is raised when it sits more than FLAG_Z
+    standard errors below zero.  ``loss_m1`` is the (mean, sem) of the
+    loss-protocol signal at m = 1, both finite and the sem >= 0 (ValueError
+    otherwise).  It equals the curve's offset B under the same noise, so
+    FLAG_M1_MISMATCH is raised when B - m1 lies beyond FLAG_Z sigma, sigma =
     hypot(stderr_B, m1 sem).  Without ``loss_m1`` both m1 fields are None
     and only the B - A flag can be raised.
 
     A fit that did not converge, or a flat curve (fitted p at a bound of
-    RATE_BOUNDS, or decay amplitude ~ 0), does not identify the split
-    between A and B: its statistics are reported and no flag is raised.
+    RATE_BOUNDS, or |A| <= 1e-9 max(1, |B|) in the amplitudes' unit 2^f),
+    does not identify the split between A and B: its statistics are
+    reported and no flag is raised.
     ``lossbench fit --model rb`` writes this report's flags.
     """
     b_minus_m1 = b_minus_m1_sigma = None
@@ -626,14 +620,16 @@ def markovianity_tests(rb: RBFit, loss_m1: tuple | None = None) -> MarkovReport:
     # The thresholds hold in the unit 2^f of the fit's amplitudes, so the
     # flags do not depend on the data's unit; f is 0 for amplitudes near 1.
     f = _mean_shift(np.array([rb.A_hat, rb.B_hat]))
+    a, b = math.ldexp(rb.A_hat, -f), math.ldexp(rb.B_hat, -f)
+    inside = RATE_BOUNDS[0] < rb.p_hat < RATE_BOUNDS[1]
     flags = []
-    if rb.converged and _identifiable(rb):
+    if rb.converged and inside and abs(a) > 1e-9 * max(1.0, abs(b)):
         sigma = max(_ldexp(rb.stderr_B_minus_A, -f), _SIGMA_FLOOR)
-        if _ldexp(b_minus_a, -f) / sigma < -3.0:
+        if _ldexp(b_minus_a, -f) / sigma < -FLAG_Z:
             flags.append(FLAG_B_MINUS_A_NEGATIVE)
         if loss_m1 is not None:
             sigma = max(_ldexp(b_minus_m1_sigma, -f), _SIGMA_FLOOR)
-            if abs(_ldexp(b_minus_m1, -f)) > 3.0 * sigma:
+            if abs(_ldexp(b_minus_m1, -f)) > FLAG_Z * sigma:
                 flags.append(FLAG_M1_MISMATCH)
     return MarkovReport(
         b_minus_a=b_minus_a,

@@ -141,9 +141,7 @@ def _cmd_fit(args) -> int:
             report[f"{k}_hat"] = getattr(fit, f"{k}_hat")
             report[f"{k}_stderr"] = getattr(fit, f"stderr_{k}")
         if args.model == "loss":
-            plateau = None
-            if len(ds.m_values) >= analysis.PLATEAU_MIN_LENGTHS:
-                plateau = analysis.plateau_test(ds, fit)
+            plateau = analysis.plateau_test(ds, fit)
             report["flags"] = [analysis.FLAG_PLATEAU] if plateau and plateau.flagged else []
             report["plateau"] = None if plateau is None else asdict(plateau)
         else:

@@ -327,3 +327,10 @@ def reference_read_decay_csv(path) -> lb.DecayDataset:
         shots=shots,
         metadata={"source": str(path)},
     )
+
+
+# An 8-row decay CSV whose n_sequences column reads 5, then 05: one count, spelt two ways.
+COUNT_SPELT_TWO_WAYS_CSV = "m,mean,sem,n_sequences,shots\n" + "".join(
+    f"{m},{0.9 * 0.97 ** (m - 1)!r},0.01,{'5' if i < 4 else '05'},exact\n"
+    for i, m in enumerate((1, 2, 4, 8, 16, 32, 64, 128))
+)

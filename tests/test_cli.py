@@ -13,7 +13,7 @@ import pytest
 
 import lossbench as lb
 from lossbench import analysis, cli
-from support import depolarizing_channel
+from support import COUNT_SPELT_TWO_WAYS_CSV, depolarizing_channel, reference_read_decay_csv
 
 
 def run_cli(*argv):
@@ -248,6 +248,19 @@ class TestFit:
         report = json.loads((tmp_path / "fit.json").read_text())
         assert report["plateau"] is None
         assert report["flags"] == []
+
+    def test_count_spelt_two_ways_fits_as_one_count(self, tmp_path):
+        # n_sequences reads 5, then 05: fit.json is the fit of the row scan's dataset.
+        csv = tmp_path / "decay.csv"
+        csv.write_text(COUNT_SPELT_TWO_WAYS_CSV)
+        proc = run_cli("fit", str(csv), "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "fit.json").read_text())
+        ds = reference_read_decay_csv(csv)
+        assert ds.n_sequences == 5
+        fit = lb.fit_loss_decay(ds)
+        assert (report["S_hat"], report["B0_hat"]) == (fit.S_hat, fit.B0_hat)
+        assert report["plateau"] == dataclasses.asdict(lb.plateau_test(ds, fit))
 
     def test_rb_fit_report(self, loss_config, tmp_path):
         doc = json.loads(loss_config.read_text())

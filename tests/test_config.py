@@ -95,8 +95,21 @@ class TestDocumentShape:
             ),
             ({"noise": {"type": "kraus"}}, "noise.operators: expected a nonempty list of matrices"),
             ({"detector": [0.9, 0.8]}, "detector: expected an object"),
+            ({"noise": "loss"}, "noise: expected an object with a 'type' key"),
+            ({"state": 5}, "state: expected a preset name or an object, got 5"),
+            (
+                {"protocol": {"m_grid": [], "n_sequences": 4}},
+                "protocol.m_grid: must be nonempty",
+            ),
+            (
+                {"protocol": {"m_grid": 5, "n_sequences": 4}},
+                "protocol.m_grid: expected a list or {start, stop, step}, got 5",
+            ),
         ],
-        ids=["kraus-empty", "kraus-missing", "detector-list"],
+        ids=[
+            "kraus-empty", "kraus-missing", "detector-list", "noise-string", "state-number",
+            "m-grid-empty", "m-grid-number",
+        ],
     )
     def test_section_of_the_wrong_shape_is_its_one_error(self, overrides, error):
         assert errors_of(base_doc(**overrides)) == (error,)

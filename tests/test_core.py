@@ -241,6 +241,9 @@ class TestQuantumChannel:
     def test_trace_increasing_raises(self):
         with pytest.raises(ValueError, match="trace-increasing"):
             lb.QuantumChannel((np.diag([1.1, 1.0]),))
+        # Every part at most 1, and still sum K^H K = 2 I.
+        with pytest.raises(ValueError, match=r"largest eigenvalue of sum K\^H K is 2.0 > 1"):
+            lb.QuantumChannel((np.eye(2), np.eye(2)))
         # Rejected before sum K^H K overflows, which the suite turns into an error.
         for huge in (9.5e153, 1.35e154, 1e300j):
             with pytest.raises(ValueError, match="trace-increasing"):

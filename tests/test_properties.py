@@ -23,7 +23,12 @@ from lossbench.core import (
     hermitian_part,
     transfer_matrix,
 )
-from support import _apply_kraus, apply_channel, reference_read_decay_csv
+from support import (
+    COUNT_SPELT_TWO_WAYS_CSV,
+    _apply_kraus,
+    apply_channel,
+    reference_read_decay_csv,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -305,6 +310,8 @@ def _spelt_csv(means: tuple) -> str:
 # Every accepted spelling in one file, which the bulk path reads; a refused one.
 @hypothesis.example(text=_spelt_csv(_FINITE_SPELLINGS))
 @hypothesis.example(text=_spelt_csv(("0.5", "1__0")))
+# One count spelt 5 and 05, which only the row scan accepts.
+@hypothesis.example(text=COUNT_SPELT_TWO_WAYS_CSV)
 def test_csv_reader_equals_the_row_scan(text, tmp_path_factory):
     # The same dataset bytes, or the same path:line: message, as a reader
     # that checks one row at a time.
